@@ -272,13 +272,10 @@ int RunChurn(const Args& args) {
   usi::UsiMultiServiceOptions service_options;
   service_options.build_lanes = 1;
   service_options.delta_compact_threshold = kCompactThreshold;
-  // AppendText wipes the text's degraded tier on every call, under the lock
-  // the reader's per-answer RecordExact also takes. With the tier on, reader
-  // and appender ping-pong its cache lines: appends took ~80 us instead of
-  // ~10, reads lost ~25% and the run-to-run spread doubled. A tier wiped
-  // 1000 times a second never serves anything, so this workload turns it
-  // off; the large workloads measure the tier.
-  service_options.enable_degraded_tier = false;
+  // The degraded tier stays on, as it is by default. AppendText clears a
+  // text's tier on every call, under the lock the reader's per-answer
+  // RecordExact also takes, and that cost shows in append.p50_us and in
+  // the read figures.
   std::unique_ptr<usi::UsiMultiService> service;
   const SetupTimes setups = MeasureSetups(
       args.trace ? 1 : 9, &pool, service_options, texts, stream, [] {},
@@ -298,6 +295,7 @@ int RunChurn(const Args& args) {
   const u64 compactions_before = service->stats().compactions;
   std::atomic<bool> stop{false};
   std::thread appender([&] {
+    PinToCpu(static_cast<unsigned>(loop_options.clients));
     RunAppender(*service, texts, app, stop, args.seed ^ 0xA99E);
   });
 
@@ -321,12 +319,12 @@ int RunChurn(const Args& args) {
           std::span<const double>(app.streams[t].weights().data(), fill));
     }
     replay = std::make_unique<LayerReplay>(&pool, text_ptrs, kMaxReplays,
-                                           /*service_tier=*/false);
+                                           /*service_tier=*/true);
     replay->Prepare();
     loop = RunLoop(*service, stream, args.seconds / 2, args.seed, loop_options,
                    replay.get());
-    facts.untraced_qps = plain.qps();
-    facts.traced_qps = loop.qps();
+    facts.untraced_qps = plain.qps;
+    facts.traced_qps = loop.qps;
     facts.hit_ratio = static_cast<double>(plain.hits + loop.hits) /
                       static_cast<double>(plain.queries + loop.queries);
     report.Attempted(plain.batches);

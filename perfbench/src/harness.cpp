@@ -1,6 +1,9 @@
 #include "harness.hpp"
 
 #include <fcntl.h>
+#include <malloc.h>
+#include <pthread.h>
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -79,6 +82,14 @@ unsigned PoolWidth(unsigned client_threads, unsigned cap) {
   const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
   const unsigned busy = client_threads + 1;
   return std::clamp(nproc > busy ? nproc - busy : 1u, 1u, cap);
+}
+
+void PinToCpu(unsigned cpu) {
+  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu % nproc, &set);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 }
 
 std::int64_t LogPhase(const char* what, std::int64_t since_ns) {
@@ -202,15 +213,30 @@ double Percentile(std::vector<double> values, double p) {
   return values[k];
 }
 
-double PeakRssMb() {
+namespace {
+/// A "Vm...:" line of /proc/self/status in MiB; 0 where it is missing.
+double StatusMb(const char* field) {
   std::ifstream in("/proc/self/status");
+  const std::string prefix = field;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::atof(line.c_str() + 6) / 1024.0;  // kB -> MiB.
+    if (line.rfind(prefix, 0) == 0) {
+      return std::atof(line.c_str() + prefix.size()) / 1024.0;  // kB -> MiB.
     }
   }
   return 0;
+}
+}  // namespace
+
+double PeakRssMb() { return StatusMb("VmHWM:"); }
+
+double ResetPeakRss(bool* reset_ok) {
+  ::malloc_trim(0);
+  std::ofstream clear("/proc/self/clear_refs");
+  clear << "5";
+  clear.flush();
+  *reset_ok = static_cast<bool>(clear);
+  return StatusMb("VmRSS:");
 }
 
 double SetupTimes::Median() const {

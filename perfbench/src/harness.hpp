@@ -42,6 +42,12 @@ bool ParseArgs(int argc, char** argv, Args* args);
 /// and p99 jumps to milliseconds.
 unsigned PoolWidth(unsigned client_threads, unsigned cap);
 
+/// Pins the calling thread to CPU \p cpu modulo nproc (best effort).
+/// Client and appender threads get CPUs of their own, so the scheduler
+/// cannot wake one on another's CPU: with the churn appender on the
+/// reader's CPU, the reader lost 28% of its qps.
+void PinToCpu(unsigned cpu);
+
 /// Monotonic nanoseconds.
 inline std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -134,9 +140,20 @@ class SetupTimes {
   double Median() const;
   std::size_t quiet() const { return quiet_.size(); }
 
+  /// The resident set before the first set-up (ResetPeakRss), above which
+  /// the service's peak is measured, and whether VmHWM was reset there.
+  void SetRssBase(double mb, bool reset) {
+    rss_base_mb_ = mb;
+    rss_reset_ = reset;
+  }
+  double rss_base_mb() const { return rss_base_mb_; }
+  bool rss_reset() const { return rss_reset_; }
+
  private:
   std::vector<double> all_;
   std::vector<double> quiet_;
+  double rss_base_mb_ = 0;
+  bool rss_reset_ = false;
 };
 
 /// Nearest-rank percentile (p in [0, 100]) of \p values; sorts a copy.
@@ -149,6 +166,13 @@ inline double Median(std::vector<double> values) {
 
 /// Process peak resident set (VmHWM) in MiB; 0 where /proc is missing.
 double PeakRssMb();
+
+/// Starts measuring the memory a service adds to the harness: hands freed
+/// heap back to the kernel, resets the process's VmHWM to its current
+/// resident set (clear_refs 5) and returns that resident set in MiB.
+/// \p reset_ok says whether the kernel took the reset; without it VmHWM
+/// still holds the harness's own earlier peak.
+double ResetPeakRss(bool* reset_ok);
 
 /// FNV-1a over bytes, chained through \p h (the input-stream digest).
 u64 Fnv1a(const void* data, std::size_t bytes, u64 h = 0xcbf29ce484222325ULL);

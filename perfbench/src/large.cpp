@@ -1,13 +1,15 @@
-// The two large read-only workloads. Both serve the same three texts (HUM-,
-// XML- and ADV-like, together 7M symbols) from one UsiMultiService in
-// round-robin mixed-text batches of 256, from one closed-loop client:
+// The two large read-only workloads. Both serve three texts (HUM-, XML- and
+// ADV-like, 4:2:1) from one UsiMultiService to two closed-loop clients, in
+// round-robin mixed-text batches of 256:
 //
-//   w2-hot-large      texts built through SubmitText; the paper's W2,p=90
-//                     mix, so ~95% of answers come from the hash table.
-//   zipf-miss-mapped  texts registered from v3 images (RegisterTextFromFile,
-//                     page cache dropped first); Zipf(s=1) over 4096 random
-//                     substrings plus a 10% cold tail, so ~90% of answers
-//                     take the SA + PSW miss path over mmap-served arrays.
+//   w2-hot-large      7M symbols built through SubmitText; the paper's
+//                     W2,p=90 mix, so ~95% of answers come from the hash
+//                     table.
+//   zipf-miss-mapped  28M symbols registered from v3 images
+//                     (RegisterTextFromFile, page cache dropped first);
+//                     Zipf(s=1) over 4096 random substrings plus a 10% cold
+//                     tail, so ~90% of answers take the SA + PSW miss path
+//                     over mmap-served arrays.
 
 #include <algorithm>
 #include <cstdio>
@@ -37,14 +39,22 @@ struct LargeSpec {
   /// W1 tail: random-substring length cap (the paper's per-dataset range).
   index_t random_max_len;
 };
-// The 4:2:1 shape of the paper-scale probe (16M/8M/4M), at a quarter of its
-// size so that building all three texts several times fits one run's time
-// budget. SA + PSW + table come to ~90 MB: far past every core's L2, but
-// inside a large shared L3.
-constexpr LargeSpec kSpecs[] = {
+// w2-hot-large: the paper-scale probe's shape at a quarter of its size, so
+// that building all three texts three times fits one run's time budget.
+// SA + PSW + table come to ~90 MB: far past every core's L2, but inside a
+// large shared L3.
+constexpr LargeSpec kHotSpecs[] = {
     {"HUM", 4'000'000, 5'000},
     {"XML", 2'000'000, 5'000},
     {"ADV", 1'000'000, 200},
+};
+// zipf-miss-mapped: the probe's own scale. SA + PSW + table come to ~385 MB,
+// past a 300 MiB L3. Its set-ups only map images, and the one build (the
+// oracle, whose image the service maps) is harness set-up.
+constexpr LargeSpec kMappedSpecs[] = {
+    {"HUM", 16'000'000, 5'000},
+    {"XML", 8'000'000, 5'000},
+    {"ADV", 4'000'000, 200},
 };
 
 u32 Sigma(const usi::Text& text) {
@@ -89,28 +99,36 @@ std::vector<usi::Text> ZipfPatterns(const TextUnderTest& text, u64 seed) {
 int RunLarge(const Args& args, bool mapped) {
   Report report;
   RecordMachine(report);
-  const unsigned width = PoolWidth(1, 3);
+  const std::span<const LargeSpec> specs(mapped ? kMappedSpecs : kHotSpecs);
+  // Both serve on their two clients' own threads: with one pool worker
+  // (the build lane) UsiService runs every group inline, so no batch waits
+  // on a worker's wake-up. On a shared host a woken vCPU can take
+  // milliseconds to run; with one client fanning out over two workers,
+  // those waits moved w2's qps by 40% and zipf's p99 by 20% between runs.
+  LoopOptions loop_options;
+  loop_options.clients = 2;
+  const unsigned width = PoolWidth(loop_options.clients, 1);
   report.Input("workload", args.workload);
   report.Input("seed", static_cast<double>(args.seed));
   report.Input("batch_size", kBatch);
-  report.Input("client_threads", 1);
+  report.Input("client_threads", loop_options.clients);
   report.Input("pool_workers", width);
   report.Input("build_lanes", width);
   usi::ThreadPool pool(width);
 
   std::int64_t phase = NowNs();
   // Texts and oracles: untimed harness set-up.
-  std::vector<TextUnderTest> texts(std::size(kSpecs));
+  std::vector<TextUnderTest> texts(specs.size());
   usi::UsiOptions build_options;  // k = n/100, the service default.
   BuildTimes build;
   for (std::size_t t = 0; t < texts.size(); ++t) {
-    texts[t].id = kSpecs[t].name;
+    texts[t].id = specs[t].name;
     // The corpus is fixed, as the paper's datasets are: the registry's
     // stand-ins at their registry seeds. The workload seed draws the
     // queries; seeding the texts too made the run-to-run spread of the
     // zipf mix twice as wide.
     texts[t].ws =
-        usi::MakeDataset(usi::DatasetSpecByName(kSpecs[t].name), kSpecs[t].n);
+        usi::MakeDataset(usi::DatasetSpecByName(specs[t].name), specs[t].n);
     BuildOracle(texts[t], build_options, &pool, &build);
     report.Input(texts[t].id + ".n", texts[t].ws.size());
     report.Input(texts[t].id + ".sigma", Sigma(texts[t].ws.text()));
@@ -124,7 +142,7 @@ int RunLarge(const Args& args, bool mapped) {
   for (std::size_t t = 0; t < texts.size(); ++t) {
     const u64 seed = args.seed * 0xC2B2AE3D27D4EB4FULL + t;
     patterns.push_back(mapped ? ZipfPatterns(texts[t], seed)
-                              : W2Patterns(texts[t], kSpecs[t], seed, &pool));
+                              : W2Patterns(texts[t], specs[t], seed, &pool));
   }
   Stream stream;
   stream.batch = kBatch;
@@ -185,7 +203,6 @@ int RunLarge(const Args& args, bool mapped) {
       },
       report, &service);
   phase = LogPhase("measured set-ups", phase);
-  const LoopOptions loop_options;
   RunLoop(*service, stream, 0.5, args.seed, loop_options, nullptr);  // Warm-up.
 
   Loop loop;
@@ -196,8 +213,8 @@ int RunLarge(const Args& args, bool mapped) {
     replay.Prepare();
     loop = RunLoop(*service, stream, args.seconds / 2, args.seed, loop_options,
                    &replay);
-    facts.untraced_qps = plain.qps();
-    facts.traced_qps = loop.qps();
+    facts.untraced_qps = plain.qps;
+    facts.traced_qps = loop.qps;
     facts.hit_ratio = static_cast<double>(plain.hits + loop.hits) /
                       static_cast<double>(plain.queries + loop.queries);
     facts.drop_ratio = TierDropRatio(*service, text_ptrs);

@@ -29,10 +29,9 @@
 /// A layer's self time is its mean duration per batch minus its children's
 /// mean durations: D-S-R-Q for the multi-service (routing, pinning,
 /// admission, scatter), S-I for fan-out (negative when fan-out saves wall
-/// time), H-K, K, M-F, F, R and Q. usi_index.QueryBatch only groups H and M;
-/// its residual I-H-M says how far the two subsets fail to add up to the
-/// whole call, and trace.coverage is the share of D the layer self times
-/// account for, i.e. 1 - (I-H-M)/D. Side measurements (plain FindSaInterval
+/// time), H-K, K, M-F, F, R and Q. usi_index.QueryBatch only groups H and M.
+/// trace.coverage is (S+R+Q)/D, the share of the real call that the direct
+/// child replays account for. Side measurements (plain FindSaInterval
 /// on the misses, an empty ParallelFor) take turns like the layers but stay
 /// out of the sums.
 
@@ -152,6 +151,7 @@ class LayerReplay {
   usi::ThreadPool* pool_;
   std::vector<TextUnderTest*> texts_;
   std::size_t max_batches_;
+  bool service_tier_;
   /// The layers replayed in turn: the crossing replay only with overlays,
   /// the tier replay only when the service records into a tier.
   std::vector<std::size_t> rotation_;

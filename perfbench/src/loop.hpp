@@ -44,9 +44,9 @@ SetupTimes MeasureSetups(
                              usi::WeightedString)>& add,
     Report& report, std::unique_ptr<usi::UsiMultiService>* service);
 
-/// What one closed-loop client measured.
+/// What the closed-loop clients measured, summed over clients.
 struct Loop {
-  double seconds = 0;  ///< Measured (selected) window time.
+  double qps = 0;      ///< Each client's queries / its selected window time.
   u64 batches = 0;     ///< Every batch sent.
   u64 queries = 0;     ///< Queries in the selected windows.
   u64 hits = 0;        ///< Table answers in the selected windows.
@@ -57,12 +57,13 @@ struct Loop {
   std::vector<double> window_p99_us;  ///< Each selected window's p99.
   std::vector<u32> sampled;        ///< Stream batches kept for the oracle.
   std::vector<usi::QueryResult> sampled_results;
-
-  double qps() const { return static_cast<double>(queries) / seconds; }
 };
 
-/// Sampling knobs of RunLoop.
+/// Client and sampling knobs of RunLoop.
 struct LoopOptions {
+  /// Closed-loop client threads. Client 0 runs on the calling thread and
+  /// is the only one that replays.
+  std::size_t clients = 1;
   /// A batch's answers enter the oracle sample with probability 1/odds.
   u64 sample_odds = 32;
   std::size_t max_sampled = 48;
@@ -70,8 +71,8 @@ struct LoopOptions {
   u32 replay_every = 2;
 };
 
-/// One closed-loop client sending the stream's batches in order, round
-/// and round, for \p seconds of WindowedRun time.
+/// options.clients closed-loop clients, each sending the stream's batches
+/// in order, round and round, for \p seconds of WindowedRun time.
 Loop RunLoop(usi::UsiMultiService& service, const Stream& stream,
              double seconds, u64 seed, const LoopOptions& options,
              LayerReplay* replay);
