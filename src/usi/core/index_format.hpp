@@ -2,20 +2,21 @@
 #define USI_CORE_INDEX_FORMAT_HPP_
 
 /// \file index_format.hpp
-/// On-disk layouts of persisted UsiIndex files.
+/// The on-disk layout of persisted UsiIndex files: format v3, a section file
+/// whose on-disk bytes ARE the in-memory structures. It is opened two ways
+/// (usi_index.hpp), which differ only in the backing of the same image:
 ///
-/// Two formats share one Save/Load surface (usi_index.hpp):
+///  * OpenMapped — mmap the file (util/mapped_file.hpp); opening is header
+///    validation + pointer fixup, the kernel demand-pages the sections and
+///    shares them across processes.
+///  * LoadFromFile — read the file into one owned, 64-byte-aligned heap
+///    buffer, checksum every section, then the same validation and fixup.
+///    Costs one sequential O(file) pass; the result cannot fault when the
+///    file is truncated later.
 ///
-///  * v2 "heap" — the portable stream format: a 38-byte packed header
-///    followed by u64-length-prefixed arrays, deserialized into owning heap
-///    structures on load. Works on any host; costs a full O(n) read + hash
-///    re-insertion at startup.
-///  * v3 "mapped" — the layout below: a page-aligned section file whose
-///    on-disk bytes ARE the in-memory structures. Opening is header
-///    validation + pointer fixup (util/mapped_file.hpp); the kernel demand-
-///    pages the sections and shares them across processes. Same-host
-///    format: byte order, index_t width, and FingerprintTable slot layout
-///    must match the writer (slot_bytes in the header guards the latter).
+/// Same-host format: byte order, index_t width, and FingerprintTable slot
+/// layout must match the writer (slot_bytes in the header guards the
+/// latter).
 ///
 /// \par v3 file layout
 ///
@@ -33,7 +34,7 @@
 /// in O(1) at open without touching the payload. file_bytes pins the exact
 /// file size — truncated or extended files fail before any section is read.
 ///
-/// Every v3 (and v2) write goes through the atomic publish protocol of
+/// Every write goes through the atomic publish protocol of
 /// util/mapped_file.hpp: stage to `path.tmp.<pid>`, fsync, rename, fsync
 /// parent. A crash at any instant leaves `path` absent or a complete image.
 
@@ -43,26 +44,16 @@
 
 namespace usi {
 
-/// Which on-disk format SaveToFile emits.
+/// The format SaveToFile emits. v3 is the only one; the enum stays so
+/// callers that name the format keep compiling.
 enum class IndexFileFormat : u8 {
-  kV2Heap,    ///< Portable stream format, heap-deserialized on load.
-  kV3Mapped,  ///< Section file served via mmap; same-host only.
+  kV3Mapped,  ///< The v3 section file; same-host only.
 };
-
-namespace format_v2 {
-
-/// "USI1" — the stream format's magic. Version 2 of the stream added the
-/// miner byte; the magic word kept its original spelling.
-inline constexpr u32 kMagic = 0x55534931;
-
-inline constexpr u32 kVersion = 2;
-
-}  // namespace format_v2
 
 namespace format_v3 {
 
-/// "USI3" (v2 files start with "USI1" + version 2; the first u32 of a file
-/// dispatches the loader).
+/// "USI3". Files that start with anything else (including the retired
+/// "USI1" stream format) are rejected as kBadFormat.
 inline constexpr u32 kMagic = 0x55534933;
 
 inline constexpr u32 kVersion = 3;

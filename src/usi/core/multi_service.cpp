@@ -381,7 +381,7 @@ ServeStatus UsiMultiService::AppendTextImpl(std::string_view id,
                                             std::span<const Symbol> text,
                                             std::span<const double> weights,
                                             const UsiOptions* build_options) {
-  USI_CHECK(text.size() == weights.size());
+  if (text.size() != weights.size()) return ServeStatus::kInvalidArgument;
   EntryPtr entry = FindEntry(id);
   if (entry == nullptr) return ServeStatus::kUnknownText;
 
@@ -500,10 +500,6 @@ bool UsiMultiService::UnregisterText(std::string_view id) {
   entry->cv.notify_all();
   build_cv_.notify_all();
   return true;
-}
-
-bool UsiMultiService::RemoveText(std::string_view id) {
-  return UnregisterText(id);
 }
 
 bool UsiMultiService::HasText(std::string_view id) const {
@@ -664,16 +660,12 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
     // serving and the overlay absorbing, per the quarantine semantics.
     if (job.compaction) USI_FAILPOINT("compact.swap");
     if (!job.recover_path.empty()) {
-      // Recovery after a mapped-generation fault: a heap load of the source
-      // file is much cheaper than a rebuild — but only a HEAP load is
-      // acceptable (re-mapping the file that just faulted would fault
-      // again); a v3 file, whose load path is OpenMapped, falls through to
-      // the rebuild.
-      std::unique_ptr<UsiIndex> loaded =
-          UsiIndex::LoadFromFile(gen->ws, job.recover_path);
-      if (loaded != nullptr && !loaded->IsMapped()) {
-        gen->index = std::move(loaded);
-      }
+      // Recovery after a mapped-generation fault: a heap read of the source
+      // file (one sequential pass, every section checksummed) is much
+      // cheaper than a rebuild, and the heap copy cannot fault again the way
+      // re-mapping the file would. A file that is gone or corrupt now
+      // falls through to the rebuild.
+      gen->index = UsiIndex::LoadFromFile(gen->ws, job.recover_path);
     }
     if (gen->index == nullptr) {
       UsiBuilder builder(gen->ws, build_options);
@@ -862,7 +854,7 @@ void UsiMultiService::ReleaseBatchScratch(
 ServeStatus UsiMultiService::QueryBatchInto(
     std::span<const MultiQuery> queries, std::span<QueryResult> results,
     const MultiBatchOptions& batch_options) {
-  USI_CHECK(results.size() >= queries.size());
+  if (results.size() < queries.size()) return ServeStatus::kInvalidArgument;
   if (queries.empty()) return ServeStatus::kOk;
 
   // Degradation ladder opt-in: a shed or failed batch is answered from the

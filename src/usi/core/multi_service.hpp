@@ -20,8 +20,10 @@
 /// that with a lock bit ThreadSanitizer cannot model, and the TSan CI job
 /// is part of this tier's contract):
 ///
-///     SubmitText/UpdateText ──► build queue ──► build lane (one pool task)
-///                                                 │ staged UsiBuilder
+///     SubmitText/UpdateText ──► build queue ──► build lanes 1..N (one pool
+///     AppendText compactions                      │ task each, per-text claim)
+///     mapped-fault recovery                       │ heap read or staged
+///                                                 │ UsiBuilder
 ///                                                 ▼
 ///     readers: pin = copy of current     publish: current = new generation
 ///              │  (shared_ptr copy,               (monotonic by generation
@@ -68,12 +70,16 @@
 /// replace content wholesale and therefore drop the overlay.
 ///
 /// \par Admission control
-/// max_inflight_batches bounds the number of concurrently executing
-/// QueryBatch calls. The cap is enforced with a counter, not a queue: a
-/// batch over the cap is rejected immediately with ServeStatus::kBusy (and
-/// counted in stats().busy_rejected), so overload sheds load instead of
-/// growing an unbounded backlog — the first cut of the ROADMAP's
-/// backpressure item.
+/// Two caps, both counters rather than queues, so overload sheds load
+/// instead of growing an unbounded backlog, and both checked before any
+/// routing:
+///  * max_inflight_batches bounds the number of concurrently executing
+///    QueryBatch calls; a batch over it returns ServeStatus::kBusy (counted
+///    in stats().busy_rejected).
+///  * max_inflight_cost_ms bounds the estimated serving cost of all
+///    in-flight batches, priced per text from calibrated ns-per-pattern-byte
+///    telemetry; a batch over it returns kOverloaded (counted in
+///    stats().overload_rejected). A lone batch always admits.
 ///
 /// \par Graceful degradation
 /// Every registered text carries a DegradedTier (core/degraded_tier.hpp)
@@ -340,7 +346,8 @@ class UsiMultiService {
   /// and a background compaction folds them into a new base generation
   /// once the per-text overlay crosses delta_compact_threshold. The whole
   /// span lands atomically: a concurrent batch sees all of it or none.
-  /// Returns kOk; kUnknownText when \p id is not registered; kNotReady
+  /// Returns kOk; kInvalidArgument when the lengths differ (nothing
+  /// changes); kUnknownText when \p id is not registered; kNotReady
   /// before the first generation has published (appends extend a published
   /// base); kIndexUnavailable when the append was rejected (armed
   /// `delta.append` failpoint, or an allocation failure — in the latter
@@ -367,9 +374,6 @@ class UsiMultiService {
   /// before this existed the registry grew forever.
   bool UnregisterText(std::string_view id);
 
-  /// Alias of UnregisterText (the original name of the operation).
-  bool RemoveText(std::string_view id);
-
   /// Whether \p id is registered (its first build may still be pending).
   bool HasText(std::string_view id) const;
 
@@ -389,16 +393,17 @@ class UsiMultiService {
   /// Blocks until every build scheduled so far (all texts) has completed.
   void WaitForBuilds();
 
-  /// Answers queries[i] into results[i] (results.size() must be >=
-  /// queries.size()). Routes by text id, pins one generation per referenced
-  /// text for the whole batch, then serves each per-text group through that
-  /// generation's UsiService (sharded across the shared pool). On the
-  /// all-or-nothing statuses (kBusy / kOverloaded / kUnknownText /
-  /// kNotReady) no query executes and results are untouched; the partial
-  /// statuses (kDeadlineExceeded / kIndexUnavailable / kDegraded) return
-  /// with every result slot written — unreached queries carry default
-  /// QueryResult{}. With batch_options.allow_degraded, the rejecting
-  /// statuses other than kUnknownText are replaced by degraded serving
+  /// Answers queries[i] into results[i]. Routes by text id, pins one
+  /// generation per referenced text for the whole batch, then serves each
+  /// per-text group through that generation's UsiService (sharded across
+  /// the shared pool). On the all-or-nothing statuses (kInvalidArgument
+  /// when results.size() < queries.size(), kBusy / kOverloaded /
+  /// kUnknownText / kNotReady) no query executes and results are
+  /// untouched; the partial statuses (kDeadlineExceeded /
+  /// kIndexUnavailable / kDegraded) return with every result slot written —
+  /// unreached queries carry default QueryResult{}. With
+  /// batch_options.allow_degraded, the rejecting statuses other than
+  /// kInvalidArgument and kUnknownText are replaced by degraded serving
   /// from the per-text tier (see MultiBatchOptions::allow_degraded).
   ServeStatus QueryBatchInto(std::span<const MultiQuery> queries,
                              std::span<QueryResult> results,
@@ -438,7 +443,8 @@ class UsiMultiService {
   /// Registers the job in the build queue and wakes the build lanes (or,
   /// with no pool, builds synchronously — including synchronous retries).
   /// \p recover_path non-empty marks a recovery job: BuildOne first tries a
-  /// heap LoadFromFile of that path before falling back to a full rebuild.
+  /// heap-read LoadFromFile of that path before falling back to a full
+  /// rebuild.
   /// \p compaction jobs fold a delta overlay: \p compact_boundary is the
   /// snapshot length and \p compact_epoch the overlay lineage the publish
   /// must still observe.

@@ -37,10 +37,6 @@ std::unique_ptr<UsiIndex> LoadFail(LoadError* error, LoadErrorCode code,
   return nullptr;
 }
 
-// The v2 stream format's magic + version (index_format.hpp).
-constexpr u32 kIndexMagic = format_v2::kMagic;
-constexpr u32 kIndexVersion = format_v2::kVersion;
-
 /// Number of UsiMiner enumerators; loaders validate the serialized byte.
 constexpr u8 kNumUsiMiners = static_cast<u8>(UsiMiner::kApproximate) + 1;
 
@@ -83,7 +79,7 @@ constexpr std::size_t kPipelinedProbeMinTableBytes = std::size_t{2} << 20;
 /// machine's setup outweighs the miss overlap it buys.
 constexpr std::size_t kBatchedMissMin = 4;
 
-/// Flat hash-table entry for serialization.
+/// Flat hash-table entry: the unit of canonical table ordering.
 struct SerializedEntry {
   u64 fp;
   u32 len;
@@ -413,15 +409,14 @@ UsiIndex::UsiIndex(LoadTag, const WeightedString& ws)
       kind_(GlobalUtilityKind::kSum),
       hasher_(),
       table_(16) {}
-// psw_ stays default-constructed: the v2 loader rebuilds it from ws (one
-// O(n) scan), the v3 opener views the file's PSW section — building it here
-// would put an O(n) pass on the near-zero open path.
+// psw_ stays default-constructed: ParseImage views the file's PSW section —
+// building it here would put an O(n) pass on the near-zero open path.
 
 namespace {
 
 /// The table entries in canonical (length, fingerprint) order: equal table
 /// contents serialize to equal bytes no matter what insertion order the
-/// build schedule produced. Shared by both formats.
+/// build schedule produced.
 template <typename Table>
 std::vector<SerializedEntry> CanonicalEntries(const Table& table) {
   std::vector<SerializedEntry> entries;
@@ -439,23 +434,6 @@ std::vector<SerializedEntry> CanonicalEntries(const Table& table) {
 
 }  // namespace
 
-bool UsiIndex::SaveV2Body(BinaryWriter& writer) const {
-  writer.Write(kIndexMagic);
-  writer.Write(kIndexVersion);
-  writer.Write(static_cast<u32>(ws_->size()));
-  writer.Write(static_cast<u8>(kind_));
-  writer.Write(static_cast<u8>(miner_));
-  writer.Write(hasher_.base());
-  writer.Write(build_info_.k);
-  writer.Write(build_info_.tau_k);
-  writer.Write(build_info_.num_lengths);
-  // sa_span_, not sa_: a mapped index owns no SA vector but re-serializes
-  // to v2 all the same (that is the v3 -> v2 conversion path).
-  writer.WriteSpan(sa_span_);
-  writer.WriteVector(CanonicalEntries(table_));
-  return writer.ok();
-}
-
 bool UsiIndex::SaveV3Body(BinaryWriter& writer,
                           const SaveOptions& save_options) const {
   using namespace format_v3;
@@ -465,7 +443,7 @@ bool UsiIndex::SaveV3Body(BinaryWriter& writer,
   // pre-sized for exactly size() entries. The pre-size loop guarantees the
   // final capacity up front, so no rehash happens and the resulting
   // ctrl/slot bytes are a pure function of the table CONTENTS — the v3
-  // image is byte-deterministic like v2. AllocateTable blanks the slot
+  // image is byte-deterministic. AllocateTable blanks the slot
   // array before any insert, so record padding is zero, never
   // uninitialized heap bytes.
   const std::vector<SerializedEntry> entries = CanonicalEntries(table_);
@@ -559,7 +537,7 @@ bool UsiIndex::SaveToFile(const std::string& path,
   return SaveToFile(path, format, SaveOptions());
 }
 
-bool UsiIndex::SaveToFile(const std::string& path, IndexFileFormat format,
+bool UsiIndex::SaveToFile(const std::string& path, IndexFileFormat /*format*/,
                           const SaveOptions& save_options) const {
   // Atomic publish (util/mapped_file.hpp): the destination is replaced only
   // by a complete, flushed image. A crash — or a failed write, flush, or
@@ -567,9 +545,7 @@ bool UsiIndex::SaveToFile(const std::string& path, IndexFileFormat format,
   // before.
   const std::string staged = StageTempPath(path);
   BinaryWriter writer(staged);
-  bool body_ok = format == IndexFileFormat::kV3Mapped
-                     ? SaveV3Body(writer, save_options)
-                     : SaveV2Body(writer);
+  bool body_ok = SaveV3Body(writer, save_options);
   // Chaos hooks for the two failure classes the publish protocol must
   // contain: a write/flush error while staging (save.body) and a failed
   // rename/fsync at publish time (save.publish). Either way the
@@ -601,11 +577,7 @@ std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
                                                const std::string& path,
                                                const OpenOptions& options,
                                                LoadError* error) {
-  using namespace format_v3;
-  using Table = FingerprintTable<TableValue>;
-  using Slot = Table::Slot;
   if (error != nullptr) *error = LoadError{};
-
   if (USI_FAILPOINT_FIRED("open.mapped")) {
     return LoadFail(error, LoadErrorCode::kIo, "failpoint open.mapped");
   }
@@ -619,15 +591,60 @@ std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
                : LoadFail(error, LoadErrorCode::kIo,
                           "open/stat/mmap failed: " + path);
   }
-  if (mapping->size() < sizeof(FileHeader)) {
+  // Deep verification reads the whole image sequentially: hint readahead.
+  if (options.deep_verify) mapping->AdviseWillNeed();
+  std::unique_ptr<UsiIndex> index =
+      ParseImage(ws, std::move(mapping), options.deep_verify, error);
+  // Serving probes pages out of order; default readahead would fault in
+  // neighbours pointlessly.
+  if (index != nullptr) index->image_->AdviseRandom();
+  return index;
+}
+
+std::unique_ptr<UsiIndex> UsiIndex::LoadFromFile(const WeightedString& ws,
+                                                 const std::string& path) {
+  return LoadFromFile(ws, path, nullptr);
+}
+
+std::unique_ptr<UsiIndex> UsiIndex::LoadFromFile(const WeightedString& ws,
+                                                 const std::string& path,
+                                                 LoadError* error) {
+  if (error != nullptr) *error = LoadError{};
+  if (USI_FAILPOINT_FIRED("load.heap")) {
+    return LoadFail(error, LoadErrorCode::kIo, "failpoint load.heap");
+  }
+  int open_errno = 0;
+  std::unique_ptr<MappedFile> image =
+      MappedFile::ReadIntoMemory(path, &open_errno);
+  if (image == nullptr) {
+    return open_errno == ENOENT
+               ? LoadFail(error, LoadErrorCode::kNotFound,
+                          "cannot open " + path)
+               : LoadFail(error, LoadErrorCode::kIo,
+                          "open/stat/read failed: " + path);
+  }
+  // The bytes are owned and read once, so every payload is verified: a
+  // heap index never trusts an image it has not checksummed.
+  return ParseImage(ws, std::move(image), /*verify_payloads=*/true, error);
+}
+
+std::unique_ptr<UsiIndex> UsiIndex::ParseImage(
+    const WeightedString& ws, std::unique_ptr<MappedFile> image,
+    bool verify_payloads, LoadError* error) {
+  using namespace format_v3;
+  using Table = FingerprintTable<TableValue>;
+  using Slot = Table::Slot;
+  const u8* const base = image->data();
+  const std::size_t size = image->size();
+  if (size < sizeof(FileHeader)) {
     return LoadFail(error, LoadErrorCode::kBadFormat,
                     "file shorter than a v3 header");
   }
-  // Copy the header out of the mapping before validating: one place to
+  // Copy the header out of the image before validating: one place to
   // reason about alignment, and the checks below read stable memory even
-  // if the file is concurrently replaced.
+  // if a mapped file is concurrently replaced.
   FileHeader header;
-  std::memcpy(&header, mapping->data(), sizeof(header));
+  std::memcpy(&header, base, sizeof(header));
   if (header.magic != kMagic || header.version != kVersion) {
     return LoadFail(error, LoadErrorCode::kBadFormat,
                     "not a v3 index file (magic/version mismatch)");
@@ -642,7 +659,7 @@ std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
   }
   // file_bytes pins the exact size: truncated AND extended files both fail
   // (a prefix of a valid file passes every other header check).
-  if (header.file_bytes != mapping->size()) {
+  if (header.file_bytes != size) {
     return LoadFail(error, LoadErrorCode::kCorrupt,
                     "file size differs from header file_bytes (truncated "
                     "or extended image)");
@@ -702,7 +719,7 @@ std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
   // file: a present-but-corrupt extension is corruption like any other,
   // not something to silently serve without.
   LearnedSectionEntry ext;
-  std::memcpy(&ext, mapping->data() + sizeof(FileHeader), sizeof(ext));
+  std::memcpy(&ext, base + sizeof(FileHeader), sizeof(ext));
   if (ext.ext_magic != 0) {
     if (ext.ext_magic != kLearnedMagic) {
       return LoadFail(error, LoadErrorCode::kCorrupt,
@@ -726,14 +743,12 @@ std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
                     "trailing bytes after last section");
   }
 
-  const u8* const base = mapping->data();
-  if (options.deep_verify) {
-    // One sequential pass over the whole image (readahead hinted): every
-    // section checksum, then SA positions range-checked so a payload flip
-    // cannot become an out-of-bounds PSW read at query time. Published
-    // files can't be torn (atomic publish), so this guards against storage
-    // rot and untrusted transport, not crashes.
-    mapping->AdviseWillNeed();
+  if (verify_payloads) {
+    // One sequential pass over the whole image: every section checksum,
+    // then SA positions range-checked so a payload flip cannot become an
+    // out-of-bounds PSW read at query time. Published files can't be torn
+    // (atomic publish), so this guards against storage rot and untrusted
+    // transport, not crashes.
     for (std::size_t s = 0; s < kNumSections; ++s) {
       const SectionEntry& section = header.sections[s];
       if (Checksum64(base + section.offset, section.length) !=
@@ -764,9 +779,10 @@ std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
   index->build_info_.k = header.k;
   index->build_info_.tau_k = header.tau_k;
   index->build_info_.num_lengths = header.num_lengths;
-  // Pointer fixup — the whole "load": every structure views the mapping.
-  // Section offsets are 64-aligned in the file and the mapping is
-  // page-aligned, so each cast below lands on aligned memory.
+  // Pointer fixup — the whole "load": every structure views the image.
+  // Section offsets are 64-aligned in the file and the image is at least
+  // 64-aligned (a page-aligned mapping or an aligned heap buffer), so each
+  // cast below lands on aligned memory.
   index->sa_span_ = {reinterpret_cast<const index_t*>(
                          base + header.sections[kSuffixArray].offset),
                      header.n};
@@ -782,8 +798,8 @@ std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
   index->fallback_ = ExhaustiveQueryEngine(ws.text(), index->sa_span_,
                                            index->psw_, index->kind_);
   if (ext.ext_magic == kLearnedMagic) {
-    // The payload is served in place (AdoptView) — the mapping outlives the
-    // model via mapping_. AdoptView re-validates the payload's own header
+    // The payload is served in place (AdoptView) — the caller's backing
+    // outlives the model. AdoptView re-validates the payload's own header
     // and geometry; the entry's epsilon/num_segments must agree with the
     // adopted model, or the file is inconsistent with itself.
     if (!index->learned_.AdoptView(base + ext.offset, ext.length) ||
@@ -795,122 +811,7 @@ std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
     }
     index->fallback_.AttachLearned(&index->learned_);
   }
-  index->mapping_ = std::move(mapping);
-  // Serving probes pages out of order; default readahead would fault in
-  // neighbours pointlessly.
-  index->mapping_->AdviseRandom();
-  return index;
-}
-
-std::unique_ptr<UsiIndex> UsiIndex::LoadFromFile(const WeightedString& ws,
-                                                 const std::string& path) {
-  return LoadFromFile(ws, path, nullptr);
-}
-
-std::unique_ptr<UsiIndex> UsiIndex::LoadFromFile(const WeightedString& ws,
-                                                 const std::string& path,
-                                                 LoadError* error) {
-  if (error != nullptr) *error = LoadError{};
-  {
-    // Magic dispatch: the first u32 names the format. v3 files are opened
-    // by mmap, everything else falls through to the v2 stream loader.
-    BinaryReader sniff(path);
-    u32 magic = 0;
-    if (!sniff.Read(&magic)) {
-      return LoadFail(error, LoadErrorCode::kNotFound,
-                      "cannot open or read " + path);
-    }
-    if (magic == format_v3::kMagic) {
-      return OpenMapped(ws, path, OpenOptions(), error);
-    }
-  }
-  if (USI_FAILPOINT_FIRED("load.v2")) {
-    return LoadFail(error, LoadErrorCode::kIo, "failpoint load.v2");
-  }
-  BinaryReader reader(path);
-  u32 magic = 0;
-  u32 version = 0;
-  u32 n = 0;
-  u8 kind = 0;
-  u8 miner = 0;
-  u64 base = 0;
-  if (!reader.Read(&magic) || magic != kIndexMagic) {
-    return LoadFail(error, LoadErrorCode::kBadFormat,
-                    "not an index file (unknown magic)");
-  }
-  if (!reader.Read(&version) || version != kIndexVersion) {
-    return LoadFail(error, LoadErrorCode::kBadFormat,
-                    "unsupported v2 version");
-  }
-  if (!reader.Read(&n) || n != ws.size()) {
-    return LoadFail(error, LoadErrorCode::kTextMismatch,
-                    "index was saved over a text of different length");
-  }
-  if (!reader.Read(&kind) || kind >= kNumGlobalUtilityKinds) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "invalid utility kind byte");
-  }
-  if (!reader.Read(&miner) || miner >= kNumUsiMiners) {
-    return LoadFail(error, LoadErrorCode::kCorrupt, "invalid miner byte");
-  }
-  if (!reader.Read(&base) || !KarpRabinHasher::IsValidBase(base)) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "invalid Karp-Rabin base");
-  }
-
-  std::unique_ptr<UsiIndex> index(new UsiIndex(LoadTag{}, ws));
-  index->kind_ = static_cast<GlobalUtilityKind>(kind);
-  index->miner_ = static_cast<UsiMiner>(miner);
-  index->hasher_ = KarpRabinHasher::FromBase(base);
-  if (!reader.Read(&index->build_info_.k) ||
-      !reader.Read(&index->build_info_.tau_k) ||
-      !reader.Read(&index->build_info_.num_lengths)) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "truncated build-info block");
-  }
-  if (!reader.ReadVector(&index->sa_) || index->sa_.size() != ws.size()) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "suffix-array payload truncated or wrong length");
-  }
-  // Corrupted SA payload bytes must not become out-of-bounds positions that
-  // query-time PSW lookups would dereference.
-  for (const index_t pos : index->sa_) {
-    if (pos >= ws.size()) {
-      return LoadFail(error, LoadErrorCode::kCorrupt,
-                      "suffix-array position out of range");
-    }
-  }
-  std::vector<SerializedEntry> entries;
-  if (!reader.ReadVector(&entries)) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "hash-table payload truncated");
-  }
-  // The entry vector is the file's last payload: anything after it is not
-  // slack, it is corruption (a concatenated or doctored file), and a loader
-  // that shrugged it off would serve whatever prefix happened to parse.
-  if (!reader.ExactlyConsumed()) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "trailing bytes after last payload");
-  }
-  for (const SerializedEntry& entry : entries) {
-    TableValue value;
-    value.value = entry.value;
-    value.count = entry.count;
-    index->table_.FindOrInsert(PatternKey{entry.fp, entry.len}, value);
-  }
-  index->sa_span_ = index->sa_;
-  index->psw_ = PrefixSumWeights(ws);
-  index->fallback_ = ExhaustiveQueryEngine(ws.text(), index->sa_span_,
-                                           index->psw_, index->kind_);
-  // The v2 stream predates the learned model and carries no ε, so refit at
-  // the default — one extra sequential pass on a path that already does a
-  // full O(n) read, and v2-loaded indexes serve misses as fast as built
-  // ones. (A v2 round-trip of an off-default-ε index refits at the
-  // default; the v3 learned section is the lossless carrier.)
-  index->learned_.Build(ws.text(), index->sa_span_);
-  if (!index->learned_.empty()) {
-    index->fallback_.AttachLearned(&index->learned_);
-  }
+  index->image_ = std::move(image);
   return index;
 }
 

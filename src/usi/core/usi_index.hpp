@@ -126,27 +126,25 @@ class UsiIndex : public QueryEngine {
   UsiIndex(const WeightedString& ws, const UsiOptions& options,
            ThreadPool* pool);
 
-  /// Persists the index in \p format. Both formats write hash-table entries
-  /// in canonical (length, fingerprint) order, so equal indexes serialize to
-  /// equal bytes regardless of build schedule; and both go through the
-  /// atomic publish protocol (stage to `path.tmp.<pid>`, fsync, rename,
-  /// fsync parent — util/mapped_file.hpp), so a crash mid-save never leaves
-  /// a torn file at \p path. Returns false on any I/O failure, INCLUDING
-  /// the final flush — an out-of-space file is reported, not published.
-  ///
-  ///  * kV2Heap (default): portable stream format, heap-loaded anywhere.
-  ///  * kV3Mapped: section file for OpenMapped — near-zero startup on the
-  ///    same host class (index_format.hpp documents the layout).
+  /// Persists the index as a v3 image (index_format.hpp documents the
+  /// layout), which both OpenMapped and LoadFromFile open. Hash-table
+  /// entries are written in canonical (length, fingerprint) order, so equal
+  /// indexes serialize to equal bytes regardless of build schedule; and the
+  /// save goes through the atomic publish protocol (stage to
+  /// `path.tmp.<pid>`, fsync, rename, fsync parent — util/mapped_file.hpp),
+  /// so a crash mid-save never leaves a torn file at \p path. Returns false
+  /// on any I/O failure, INCLUDING the final flush — an out-of-space file is
+  /// reported, not published.
   bool SaveToFile(const std::string& path,
-                  IndexFileFormat format = IndexFileFormat::kV2Heap) const;
+                  IndexFileFormat format = IndexFileFormat::kV3Mapped) const;
 
   /// SaveToFile knobs.
   struct SaveOptions {
-    /// kV3Mapped only: include the learned-model section. When true (the
-    /// default) and the index carries no model (legacy mapped image, or a
-    /// build with learned_epsilon == 0), a default-ε model is fit for the
-    /// save, so every default v3 image carries the section and equal
-    /// indexes keep serializing to equal bytes. False omits the section —
+    /// Include the learned-model section. When true (the default) and the
+    /// index carries no model (legacy image, or a build with
+    /// learned_epsilon == 0), a default-ε model is fit for the save, so
+    /// every default image carries the section and equal indexes keep
+    /// serializing to equal bytes. False omits the section —
     /// the image opens and serves fine, answering misses by plain binary
     /// search (also the shape every pre-extension image has).
     bool learned_section = true;
@@ -185,11 +183,14 @@ class UsiIndex : public QueryEngine {
                                               const OpenOptions& options,
                                               LoadError* error);
 
-  /// Restores an index previously saved over the same weighted string,
-  /// dispatching on the file's magic word: v2 files are heap-deserialized
-  /// (with an exact-consumption check — trailing bytes are corruption), v3
-  /// files are OpenMapped. Returns nullptr on I/O failure, format mismatch,
-  /// or if \p ws has a different length than the saved index.
+  /// Heap-read open of a v3 image saved over the same weighted string: the
+  /// file is read into one owned, 64-byte-aligned buffer, every section
+  /// payload (the learned one too) is checksummed and the SA range-checked,
+  /// then the same header/directory validation and pointer fixup as
+  /// OpenMapped runs over the buffer. The result is not mapped (IsMapped()
+  /// is false): truncating the file later cannot fault it. Returns nullptr
+  /// on I/O failure, a format mismatch, any corrupt byte, or if \p ws has a
+  /// different length than the saved index.
   static std::unique_ptr<UsiIndex> LoadFromFile(const WeightedString& ws,
                                                 const std::string& path);
 
@@ -282,12 +283,11 @@ class UsiIndex : public QueryEngine {
   std::size_t SizeInBytes() const override;
 
   /// The suffix array (exposed for examples and tests). A span: it views
-  /// the owned heap vector for built/v2-loaded indexes and the mmap'd file
-  /// image for OpenMapped ones.
+  /// the owned vector for built indexes and the file image for opened ones.
   std::span<const index_t> sa() const { return sa_span_; }
 
   /// Whether this index serves straight out of an mmap'd file (OpenMapped).
-  bool IsMapped() const { return mapping_ != nullptr; }
+  bool IsMapped() const { return image_ != nullptr && image_->mapped(); }
 
  private:
   friend class UsiBuilder;
@@ -306,8 +306,15 @@ class UsiIndex : public QueryEngine {
   struct BuildTag {};
   UsiIndex(BuildTag, const WeightedString& ws, const UsiOptions& options);
 
-  bool SaveV2Body(BinaryWriter& writer) const;
   bool SaveV3Body(BinaryWriter& writer, const SaveOptions& save_options) const;
+
+  /// Shared body of OpenMapped and LoadFromFile: validates the v3 header
+  /// and section directory of \p image, with \p verify_payloads also
+  /// checksums every payload and range-checks the SA, and returns an index
+  /// whose structures view the image (which it takes ownership of).
+  static std::unique_ptr<UsiIndex> ParseImage(
+      const WeightedString& ws, std::unique_ptr<MappedFile> image,
+      bool verify_payloads, LoadError* error);
 
   /// Shared body of both QueryBatch overloads; P is Text or PatternSpan.
   template <typename P>
@@ -319,23 +326,22 @@ class UsiIndex : public QueryEngine {
   GlobalUtilityKind kind_;
   UsiMiner miner_ = UsiMiner::kExact;
   KarpRabinHasher hasher_;
-  /// Owned SA storage (built / v2-loaded indexes; empty when mapped).
+  /// Owned SA storage (built indexes; empty when opened from a file).
   std::vector<index_t> sa_;
-  /// The SA every query path reads: views sa_ or the mapped file image.
+  /// The SA every query path reads: views sa_ or the file image.
   std::span<const index_t> sa_span_;
   PrefixSumWeights psw_;
   FingerprintTable<TableValue> table_;
-  /// Learned last-mile model for table misses. Owns its arrays for built /
-  /// v2-loaded indexes; views the mapped learned section for OpenMapped
-  /// ones (the mapping outlives the model).
+  /// Learned last-mile model for table misses. Owns its arrays for built
+  /// indexes; views the image's learned section for opened ones.
   LearnedSa learned_;
   ExhaustiveQueryEngine fallback_;
   UsiBuildInfo build_info_;
-  /// Keeps the file image alive for mmap-backed indexes — sa_span_, psw_,
-  /// and table_ point into it while the index is in use. (Destruction order
-  /// is immaterial: the views' destructors never dereference their
-  /// backing.)
-  std::unique_ptr<MappedFile> mapping_;
+  /// The file image an opened index views — sa_span_, psw_, table_ and
+  /// learned_ point into it: the mapping (OpenMapped) or the heap copy
+  /// (LoadFromFile). Null for built indexes. (Destruction order is
+  /// immaterial: the views' destructors never dereference their backing.)
+  std::unique_ptr<MappedFile> image_;
 };
 
 }  // namespace usi

@@ -21,6 +21,7 @@ const char* ServeStatusName(ServeStatus status) {
     case ServeStatus::kDeadlineExceeded: return "deadline-exceeded";
     case ServeStatus::kIndexUnavailable: return "index-unavailable";
     case ServeStatus::kDegraded: return "degraded";
+    case ServeStatus::kInvalidArgument: return "invalid-argument";
   }
   return "?";
 }
@@ -105,33 +106,12 @@ template <typename P>
 ServeStatus UsiService::QueryBatchIntoImpl(
     std::span<const P> patterns, std::span<QueryResult> results,
     UsiBatchStats* stats, const UsiBatchOptions& batch_options) {
-  USI_CHECK(results.size() >= patterns.size());
+  // A client-sized span mismatch is refused before any work: no result
+  // slot, scratch or total is touched.
+  if (results.size() < patterns.size()) return ServeStatus::kInvalidArgument;
   Timer timer;
   UsiBatchStats batch;
   batch.patterns = patterns.size();
-
-  // Backpressure: the in-flight cap is checked before ANY work — a rejected
-  // batch touches no scratch, no results, and none of the served totals
-  // (only the rejected counter).
-  const u64 cap = static_cast<u64>(options_.max_inflight_batches);
-  if (cap != 0) {
-    const u64 inflight =
-        inflight_batches_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (inflight > cap) {
-      inflight_batches_.fetch_sub(1, std::memory_order_release);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      totals_.rejected += 1;
-      return ServeStatus::kBusy;
-    }
-  }
-  struct InflightRelease {
-    std::atomic<u64>* counter;
-    ~InflightRelease() {
-      if (counter != nullptr) {
-        counter->fetch_sub(1, std::memory_order_release);
-      }
-    }
-  } inflight_release{cap != 0 ? &inflight_batches_ : nullptr};
 
   if (patterns.empty()) {
     std::lock_guard<std::mutex> lock(stats_mu_);

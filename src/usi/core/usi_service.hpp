@@ -39,7 +39,6 @@
 /// concurrent; concurrent callers should read per-batch telemetry via the
 /// UsiBatchStats out-parameter of QueryBatchInto instead.
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -56,10 +55,10 @@ namespace usi {
 class ThreadPool;
 
 /// Outcome of a serving-layer batch (UsiService and UsiMultiService share
-/// the taxonomy). kOk / kBusy / kOverloaded / kUnknownText / kNotReady are
-/// all-or-nothing: no query executed, results untouched. The partial
-/// statuses — kDeadlineExceeded, kIndexUnavailable and kDegraded — return
-/// with every result slot WRITTEN (answered queries carry real answers,
+/// the taxonomy). kOk / kBusy / kOverloaded / kUnknownText / kNotReady /
+/// kInvalidArgument are all-or-nothing: no query executed, results
+/// untouched. The partial statuses — kDeadlineExceeded, kIndexUnavailable
+/// and kDegraded — return with every result slot WRITTEN (answered queries carry real answers,
 /// unreached ones are default QueryResult{} or, on the degraded paths,
 /// tier answers tagged with their provenance), so callers can use what was
 /// served.
@@ -74,6 +73,9 @@ enum class ServeStatus : u8 {
   kDegraded,      ///< Batch answered, at least partly, by the degraded tier
                   ///< (hot-pattern cache / sketch estimates) instead of the
                   ///< exact index; per-result provenance says which rung.
+  kInvalidArgument,  ///< Caller-supplied sizes disagree (a results span
+                     ///< shorter than the batch, text and weights of
+                     ///< different lengths); nothing was done.
 };
 
 /// Display name of a ServeStatus ("ok", "busy", ...).
@@ -87,10 +89,6 @@ struct UsiServiceOptions {
   /// Floor on patterns per shard; small batches stay on one thread rather
   /// than paying fan-out overhead.
   std::size_t min_shard_size = 16;
-  /// Backpressure: max concurrently executing QueryBatchInto calls; 0 =
-  /// unbounded. A batch over the cap is rejected with kBusy before any
-  /// query executes (and before scratch is touched).
-  std::size_t max_inflight_batches = 0;
 };
 
 /// Per-batch serving knobs.
@@ -118,13 +116,12 @@ struct UsiBatchStats {
 /// service was constructed. Unlike last_batch(), these survive batch
 /// boundaries, so a supervising layer (UsiMultiService) can report per-text
 /// lifetime totals; reading them is safe concurrently with serving.
-/// `queries` counts ANSWERED queries; rejected batches touch only
-/// `rejected` (a shed batch must not corrupt the served totals).
+/// `queries` counts ANSWERED queries; a kInvalidArgument batch touches no
+/// total.
 struct UsiServiceTotals {
   u64 batches = 0;
   u64 queries = 0;
   u64 hash_hits = 0;
-  u64 rejected = 0;           ///< Batches shed by the in-flight cap.
   u64 deadline_expired = 0;   ///< Batches that returned kDeadlineExceeded.
   u64 serve_failures = 0;     ///< Batches that returned kIndexUnavailable.
 };
@@ -151,19 +148,20 @@ class UsiService {
   /// sequentially in order otherwise — the results are identical either way.
   std::vector<QueryResult> QueryBatch(std::span<const Text> patterns);
 
-  /// As QueryBatch, into caller-owned storage (results.size() must be >=
-  /// patterns.size()). This is the steady-state serving entry point: the
-  /// service reuses leased per-worker scratch, so after warm-up a repeated
-  /// batch shape performs zero heap allocations on the sequential path.
-  /// When \p stats is non-null it receives this batch's telemetry — the
-  /// race-free way to observe per-batch stats from concurrent callers.
+  /// As QueryBatch, into caller-owned storage. This is the steady-state
+  /// serving entry point: the service reuses leased per-worker scratch, so
+  /// after warm-up a repeated batch shape performs zero heap allocations on
+  /// the sequential path. When \p stats is non-null it receives this
+  /// batch's telemetry — the race-free way to observe per-batch stats from
+  /// concurrent callers.
   ///
-  /// Returns kOk when every query was answered; kBusy when the in-flight
-  /// cap rejected the batch (results untouched); kDeadlineExceeded when
-  /// \p batch_options.deadline expired mid-batch (partial results, see
-  /// ServeStatus); kIndexUnavailable when the engine faulted (a truncated
-  /// mapped index, or an exception out of the fallback path) — the process
-  /// survives and the batch reports the failure instead.
+  /// Returns kOk when every query was answered; kInvalidArgument when
+  /// results.size() < patterns.size() (results and stats untouched);
+  /// kDeadlineExceeded when \p batch_options.deadline expired mid-batch
+  /// (partial results, see ServeStatus); kIndexUnavailable when the engine
+  /// faulted (a truncated mapped index, or an exception out of the fallback
+  /// path) — the process survives and the batch reports the failure
+  /// instead.
   ServeStatus QueryBatchInto(std::span<const Text> patterns,
                              std::span<QueryResult> results,
                              UsiBatchStats* stats = nullptr,
@@ -227,8 +225,6 @@ class UsiService {
 
   std::mutex scratch_mu_;  ///< Guards scratch_free_.
   std::vector<std::unique_ptr<ScratchBlock>> scratch_free_;
-
-  std::atomic<u64> inflight_batches_{0};  ///< For max_inflight_batches.
 
   mutable std::mutex stats_mu_;  ///< Guards last_batch_ and totals_.
   UsiBatchStats last_batch_;

@@ -137,8 +137,9 @@ class LearnedSa {
   std::vector<u8> Serialize() const;
 
   /// Adopts a serialized payload in place (no copy); \p data must stay
-  /// 8-byte aligned and outlive the model (v3 keeps the mmap alive via
-  /// UsiIndex::mapping_). Returns false on a malformed payload; the model
+  /// 8-byte aligned and outlive the model (an opened index keeps its file
+  /// image alive via UsiIndex::image_). Returns false on a malformed
+  /// payload; the model
   /// is left empty in that case.
   bool AdoptView(const u8* data, u64 length);
 

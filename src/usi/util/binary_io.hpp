@@ -2,16 +2,12 @@
 #define USI_UTIL_BINARY_IO_HPP_
 
 /// \file binary_io.hpp
-/// Minimal binary (de)serialization over stdio, used to persist indexes.
-/// Little-endian host assumed (checked via a magic word on load); values are
-/// written raw, vectors as a u64 length followed by the elements.
+/// Minimal buffered binary writer over stdio, used to persist index images
+/// (raw bytes plus zero padding to section offsets).
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "usi/util/common.hpp"
 
@@ -50,32 +46,11 @@ class BinaryWriter {
     return !failed_;
   }
 
-  /// Writes one trivially-copyable value.
-  template <typename T>
-  void Write(const T& value) {
-    WriteRaw(&value, sizeof(T));
-    static_assert(std::is_trivially_copyable_v<T>);
-  }
-
   /// Writes \p bytes raw bytes.
   void WriteRaw(const void* data, std::size_t bytes) {
     if (!ok() || bytes == 0) return;
     failed_ |= std::fwrite(data, 1, bytes, file_) != bytes;
     if (!failed_) bytes_written_ += bytes;
-  }
-
-  /// Writes a span as a u64 length + raw elements (the vector wire format).
-  template <typename T>
-  void WriteSpan(std::span<const T> values) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Write<u64>(values.size());
-    WriteRaw(values.data(), values.size_bytes());
-  }
-
-  /// Writes a vector as length + raw elements.
-  template <typename T>
-  void WriteVector(const std::vector<T>& values) {
-    WriteSpan(std::span<const T>(values.data(), values.size()));
   }
 
   /// Pads with zero bytes up to absolute \p offset (section alignment).
@@ -99,87 +74,6 @@ class BinaryWriter {
   std::FILE* file_;
   bool failed_ = false;
   u64 bytes_written_ = 0;
-};
-
-/// Buffered binary reader mirroring BinaryWriter.
-class BinaryReader {
- public:
-  explicit BinaryReader(const std::string& path)
-      : file_(std::fopen(path.c_str(), "rb")) {
-    if (file_ != nullptr) {
-      // Size errors (FIFOs, special files) degrade the remaining-bytes bound
-      // to "unknown", leaving only the element cap — never to an empty file.
-      std::error_code ec;
-      const auto size = std::filesystem::file_size(path, ec);
-      total_bytes_ = ec ? kUnknownSize : static_cast<u64>(size);
-    }
-  }
-
-  ~BinaryReader() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-
-  BinaryReader(const BinaryReader&) = delete;
-  BinaryReader& operator=(const BinaryReader&) = delete;
-
-  /// Whether every read so far succeeded.
-  bool ok() const { return file_ != nullptr && !failed_; }
-
-  /// Reads one trivially-copyable value.
-  template <typename T>
-  bool Read(T* value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (!ok()) return false;
-    failed_ |= std::fread(value, sizeof(T), 1, file_) != 1;
-    if (!failed_) consumed_bytes_ += sizeof(T);
-    return ok();
-  }
-
-  /// Reads a vector written by WriteVector. Lengths above \p max_elements or
-  /// beyond what the rest of the file can hold are treated as corruption, so
-  /// a flipped length field fails the read instead of attempting a huge
-  /// allocation.
-  template <typename T>
-  bool ReadVector(std::vector<T>* values, u64 max_elements = u64{1} << 40) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    u64 size = 0;
-    if (!Read(&size) || size > max_elements ||
-        size > RemainingBytes() / sizeof(T)) {
-      failed_ = true;
-      return false;
-    }
-    values->resize(size);
-    if (size == 0) return true;
-    failed_ |= std::fread(values->data(), sizeof(T), size, file_) != size;
-    if (!failed_) consumed_bytes_ += sizeof(T) * size;
-    return ok();
-  }
-
-  /// Whether the reads so far consumed the file exactly — no trailing bytes
-  /// remain. Loaders finish with this so a concatenated, extended, or
-  /// mismatched file is rejected instead of silently accepted on a prefix.
-  /// False for files whose size could not be determined (FIFOs, special
-  /// files): "exactly consumed" cannot be asserted there.
-  bool ExactlyConsumed() const {
-    return ok() && total_bytes_ != kUnknownSize &&
-           consumed_bytes_ == total_bytes_;
-  }
-
- private:
-  static constexpr u64 kUnknownSize = static_cast<u64>(-1);
-
-  /// Bytes between the current position and the end of the file. Computed
-  /// from the size captured at open plus a consumed-bytes counter, so it
-  /// stays correct for files beyond 2 GiB even where long is 32 bits.
-  u64 RemainingBytes() const {
-    if (total_bytes_ == kUnknownSize) return kUnknownSize;
-    return total_bytes_ > consumed_bytes_ ? total_bytes_ - consumed_bytes_ : 0;
-  }
-
-  std::FILE* file_;
-  bool failed_ = false;
-  u64 total_bytes_ = 0;
-  u64 consumed_bytes_ = 0;
 };
 
 }  // namespace usi

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <new>
 #include <system_error>
 
 #include <fcntl.h>
@@ -128,9 +129,9 @@ u64 MappedFaultGuard::RecoveredFaults() {
   return g_recovered.load(std::memory_order_relaxed);
 }
 
-MappedFile::MappedFile(const u8* data, std::size_t size)
-    : data_(data), size_(size) {
-  RegisterRange(data_, size_);
+MappedFile::MappedFile(const u8* data, std::size_t size, bool mapped)
+    : data_(data), size_(size), mapped_(mapped) {
+  if (mapped_) RegisterRange(data_, size_);
 }
 
 std::unique_ptr<MappedFile> MappedFile::OpenReadOnly(const std::string& path,
@@ -158,24 +159,64 @@ std::unique_ptr<MappedFile> MappedFile::OpenReadOnly(const std::string& path,
   ::close(fd);
   if (addr == MAP_FAILED) return nullptr;
   return std::unique_ptr<MappedFile>(
-      new MappedFile(static_cast<const u8*>(addr), size));
+      new MappedFile(static_cast<const u8*>(addr), size, /*mapped=*/true));
+}
+
+std::unique_ptr<MappedFile> MappedFile::ReadIntoMemory(const std::string& path,
+                                                       int* out_errno) {
+  if (out_errno != nullptr) *out_errno = 0;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (out_errno != nullptr) *out_errno = errno;
+    return nullptr;
+  }
+  struct FdCloser {
+    int fd;
+    ~FdCloser() { ::close(fd); }
+  } closer{fd};
+  struct stat st {};
+  const int stat_errno = ::fstat(fd, &st) != 0 ? errno : 0;
+  if (stat_errno != 0 || !S_ISREG(st.st_mode)) {
+    if (out_errno != nullptr) *out_errno = stat_errno;
+    return nullptr;
+  }
+  const auto size = static_cast<std::size_t>(st.st_size);
+  // The image owns the buffer as soon as it is allocated, so every exit
+  // below frees it.
+  std::unique_ptr<MappedFile> image(
+      new MappedFile(nullptr, size, /*mapped=*/false));
+  auto* const buffer = static_cast<u8*>(
+      ::operator new[](size, std::align_val_t{kHeapImageAlign}));
+  image->data_ = buffer;
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t got = ::read(fd, buffer + done, size - done);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;  // Error, or the file shrank under us.
+    done += static_cast<std::size_t>(got);
+  }
+  return done == size ? std::move(image) : nullptr;
 }
 
 MappedFile::~MappedFile() {
-  if (data_ != nullptr) {
-    UnregisterRange(data_);
-    ::munmap(const_cast<u8*>(data_), size_);
+  if (data_ == nullptr) return;
+  if (!mapped_) {
+    ::operator delete[](const_cast<u8*>(data_),
+                        std::align_val_t{kHeapImageAlign});
+    return;
   }
+  UnregisterRange(data_);
+  ::munmap(const_cast<u8*>(data_), size_);
 }
 
 void MappedFile::AdviseWillNeed() const {
-  if (data_ != nullptr) {
+  if (mapped_ && data_ != nullptr) {
     (void)::madvise(const_cast<u8*>(data_), size_, MADV_WILLNEED);
   }
 }
 
 void MappedFile::AdviseRandom() const {
-  if (data_ != nullptr) {
+  if (mapped_ && data_ != nullptr) {
     (void)::madvise(const_cast<u8*>(data_), size_, MADV_RANDOM);
   }
 }

@@ -2,7 +2,8 @@
 #define USI_UTIL_MAPPED_FILE_HPP_
 
 /// \file mapped_file.hpp
-/// Memory-mapped file access and the atomic publish protocol.
+/// Read-only file images (memory-mapped, or read into an owned heap buffer)
+/// and the atomic publish protocol.
 ///
 /// This is the substrate of index format v3 (core/index_format.hpp): an
 /// index file whose on-disk layout IS the in-memory layout is opened with
@@ -36,13 +37,16 @@
 
 namespace usi {
 
-/// Read-only memory-mapped file. The mapping lives for the object's
+/// Read-only image of a whole file: mmap'd (OpenReadOnly) or copied into an
+/// owned heap buffer (ReadIntoMemory). The image lives for the object's
 /// lifetime; spans handed out by data() are invalidated by destruction.
 ///
 /// Every open mapping is registered with the process-wide SIGBUS guard (see
 /// MappedFaultGuard): a fault on a registered range — a page whose backing
 /// file was truncated or revoked after open — can be converted into a clean
-/// "this batch failed" return instead of crashing the process.
+/// "this batch failed" return instead of crashing the process. A heap image
+/// is process memory, so it is never registered: truncating the file
+/// afterwards cannot fault a reader.
 class MappedFile {
  public:
   /// Maps \p path read-only (MAP_SHARED, so identical pages are shared with
@@ -54,31 +58,49 @@ class MappedFile {
   static std::unique_ptr<MappedFile> OpenReadOnly(const std::string& path,
                                                   int* out_errno = nullptr);
 
+  /// The heap counterpart of OpenReadOnly: reads all of \p path into one
+  /// owned buffer aligned to kHeapImageAlign. Returns nullptr on open, stat
+  /// or read failure (or when the file shrinks mid-read); \p out_errno as
+  /// for OpenReadOnly.
+  static std::unique_ptr<MappedFile> ReadIntoMemory(const std::string& path,
+                                                    int* out_errno = nullptr);
+
+  /// Alignment of ReadIntoMemory buffers: one cache line, the section
+  /// alignment of the v3 index image, so section casts land aligned.
+  static constexpr std::size_t kHeapImageAlign = 64;
+
   ~MappedFile();
 
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
-  /// First mapped byte. Page-aligned (mmap guarantee), so any section offset
-  /// aligned in the file is equally aligned in memory.
+  /// First byte of the image. Page-aligned when mapped (mmap guarantee),
+  /// kHeapImageAlign-aligned otherwise, so any section offset aligned in
+  /// the file is equally aligned in memory.
   const u8* data() const { return data_; }
 
-  /// Mapped length in bytes (the file size at open time).
+  /// Image length in bytes (the file size at open time).
   std::size_t size() const { return size_; }
 
+  /// Whether the image is an mmap of the file (OpenReadOnly).
+  bool mapped() const { return mapped_; }
+
   /// Advises the kernel the whole mapping will be read sequentially soon
-  /// (readahead for eager validation passes). Best-effort.
+  /// (readahead for eager validation passes). Best-effort; no-op on a heap
+  /// image.
   void AdviseWillNeed() const;
 
   /// Advises random access (index serving probes pages out of order;
-  /// default readahead would drag in neighbours pointlessly). Best-effort.
+  /// default readahead would drag in neighbours pointlessly). Best-effort;
+  /// no-op on a heap image.
   void AdviseRandom() const;
 
  private:
-  MappedFile(const u8* data, std::size_t size);
+  MappedFile(const u8* data, std::size_t size, bool mapped);
 
   const u8* data_ = nullptr;
   std::size_t size_ = 0;
+  bool mapped_ = true;
 };
 
 namespace detail {

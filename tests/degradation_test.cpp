@@ -461,7 +461,6 @@ TEST_F(DegradationTest, UnregisterMakesTextUnknown) {
   EXPECT_EQ(service.Query("t", ws.Fragment(0, 4), result),
             ServeStatus::kUnknownText);
   EXPECT_FALSE(service.UnregisterText("t")) << "second removal reports false";
-  EXPECT_FALSE(service.RemoveText("t")) << "alias shares the semantics";
 
   // The id is immediately reusable with fresh content.
   const WeightedString ws2 = RandomWeighted(1600, 8, 302);

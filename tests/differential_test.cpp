@@ -2,12 +2,14 @@
 // kinds) cross-checked against an independently-built ExhaustiveQueryEngine
 // and the brute-force oracles of test_helpers.hpp over generated texts. One
 // sweep exercises the hash-hit path, the SA+PSW fallback path, and the
-// save/load round-trip, so any divergence between the fast and slow paths —
-// or between a fresh and a restored index — fails here first.
+// save/heap-read round-trip, so any divergence between the fast and slow
+// paths — or between a fresh and a restored index — fails here first.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,12 @@ namespace {
 constexpr GlobalUtilityKind kAllKinds[] = {
     GlobalUtilityKind::kSum, GlobalUtilityKind::kMin, GlobalUtilityKind::kMax,
     GlobalUtilityKind::kAvg};
+
+std::vector<char> ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
 
 /// One generated input for the sweep.
 struct TextCase {
@@ -66,7 +74,8 @@ std::vector<Text> SweepPatterns(const WeightedString& ws, u64 seed) {
 
 /// Runs one (text, miner, kind) configuration through every pattern, checking
 /// the index against the reference engine and the brute-force oracle, then
-/// repeats the workload on a save/load round-trip of the index.
+/// repeats the workload on a save/heap-read round-trip of the index, whose
+/// own save must reproduce the source image byte for byte.
 void RunConfiguration(const TextCase& text_case, UsiMiner miner,
                       GlobalUtilityKind kind) {
   const WeightedString& ws = text_case.ws;
@@ -87,6 +96,11 @@ void RunConfiguration(const TextCase& text_case, UsiMiner miner,
   ASSERT_TRUE(index.SaveToFile(path));
   const std::unique_ptr<UsiIndex> restored = UsiIndex::LoadFromFile(ws, path);
   ASSERT_NE(restored, nullptr);
+  EXPECT_FALSE(restored->IsMapped());
+  const std::string resaved = path + ".again";
+  ASSERT_TRUE(restored->SaveToFile(resaved));
+  EXPECT_EQ(ReadAll(resaved), ReadAll(path)) << "re-save of the heap read";
+  std::remove(resaved.c_str());
 
   int table_hits = 0;
   int fallbacks = 0;

@@ -255,6 +255,9 @@ TEST(LearnedSa, V3RoundTripWithAndWithoutLearnedSection) {
   const WeightedString ws = testing::RandomWeighted(4000, 4, 0x2A);
   UsiOptions options;
   options.k = 64;
+  // Off the default, so a reader that refit instead of carrying the saved
+  // model would show a different ε.
+  options.learned_epsilon = kDefaultLearnedEpsilon / 2;
   UsiIndex index(ws, options);
   ASSERT_FALSE(index.learned_sa().empty());
 
@@ -278,12 +281,14 @@ TEST(LearnedSa, V3RoundTripWithAndWithoutLearnedSection) {
   ASSERT_NE(without, nullptr);
   EXPECT_TRUE(without->learned_sa().empty());
 
-  // And v2 load refits: same answers again.
-  const std::string v2_path = dir + "/learned_sa_test_v2.bin";
-  ASSERT_TRUE(index.SaveToFile(v2_path, IndexFileFormat::kV2Heap));
-  const std::unique_ptr<UsiIndex> v2 = UsiIndex::LoadFromFile(ws, v2_path);
-  ASSERT_NE(v2, nullptr);
-  EXPECT_FALSE(v2->learned_sa().empty());
+  // The heap read carries the saved model losslessly (same ε, same
+  // segments), and serves the same answers again.
+  const std::unique_ptr<UsiIndex> heap = UsiIndex::LoadFromFile(ws, with_path);
+  ASSERT_NE(heap, nullptr);
+  EXPECT_FALSE(heap->IsMapped());
+  EXPECT_EQ(heap->learned_sa().epsilon(), index.learned_sa().epsilon());
+  EXPECT_EQ(heap->learned_sa().num_segments(),
+            index.learned_sa().num_segments());
 
   Rng rng(0x3B);
   for (int q = 0; q < 400; ++q) {
@@ -297,7 +302,7 @@ TEST(LearnedSa, V3RoundTripWithAndWithoutLearnedSection) {
     const QueryResult a = index.Query(p);
     const QueryResult b = with->Query(p);
     const QueryResult c = without->Query(p);
-    const QueryResult d = v2->Query(p);
+    const QueryResult d = heap->Query(p);
     ASSERT_DOUBLE_EQ(a.utility, b.utility);
     ASSERT_EQ(a.occurrences, b.occurrences);
     ASSERT_DOUBLE_EQ(a.utility, c.utility);
@@ -307,7 +312,6 @@ TEST(LearnedSa, V3RoundTripWithAndWithoutLearnedSection) {
   }
   std::remove(with_path.c_str());
   std::remove(without_path.c_str());
-  std::remove(v2_path.c_str());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Index format v3 (mmap-backed) behavioral equivalence: a v3 mapped index
-// and a v2 heap-loaded index must be indistinguishable through the whole
-// QueryEngine contract — same answers bit-for-bit, same hash-table hits —
-// and the v3 image must be byte-deterministic. Also covers the non-owning
+// Index format v3 behavioral equivalence: a mapped index (OpenMapped) and a
+// heap-read index (LoadFromFile) of the same image must be
+// indistinguishable through the whole QueryEngine contract — same answers
+// bit-for-bit, same hash-table hits — and the image must be
+// byte-deterministic. Also covers the non-owning
 // view modes the mapped path is built on (FingerprintTable, RankBitVector)
 // and the UsiMultiService instant-start registration.
 
@@ -29,7 +30,7 @@ std::vector<char> ReadAll(const std::string& path) {
                            std::istreambuf_iterator<char>());
 }
 
-/// Fixture: one built index saved in both formats, loaded back both ways.
+/// Fixture: one built index saved once, opened back both ways.
 class MappedIndexTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -37,22 +38,17 @@ class MappedIndexTest : public ::testing::Test {
     UsiOptions options;
     options.k = 120;
     built_ = std::make_unique<UsiIndex>(ws_, options);
-    v2_path_ = ::testing::TempDir() + "usi_mapped_test_v2.bin";
     v3_path_ = ::testing::TempDir() + "usi_mapped_test_v3.bin";
-    ASSERT_TRUE(built_->SaveToFile(v2_path_, IndexFileFormat::kV2Heap));
     ASSERT_TRUE(built_->SaveToFile(v3_path_, IndexFileFormat::kV3Mapped));
-    v2_ = UsiIndex::LoadFromFile(ws_, v2_path_);
+    heap_ = UsiIndex::LoadFromFile(ws_, v3_path_);
     v3_ = UsiIndex::OpenMapped(ws_, v3_path_);
-    ASSERT_NE(v2_, nullptr);
+    ASSERT_NE(heap_, nullptr);
     ASSERT_NE(v3_, nullptr);
-    ASSERT_FALSE(v2_->IsMapped());
+    ASSERT_FALSE(heap_->IsMapped());
     ASSERT_TRUE(v3_->IsMapped());
   }
 
-  void TearDown() override {
-    std::remove(v2_path_.c_str());
-    std::remove(v3_path_.c_str());
-  }
+  void TearDown() override { std::remove(v3_path_.c_str()); }
 
   /// Differential pattern set: every fragment start/length combination on a
   /// stride (hits and misses, short and long), plus patterns absent from
@@ -83,32 +79,31 @@ class MappedIndexTest : public ::testing::Test {
 
   WeightedString ws_;
   std::unique_ptr<UsiIndex> built_;
-  std::unique_ptr<UsiIndex> v2_;
+  std::unique_ptr<UsiIndex> heap_;
   std::unique_ptr<UsiIndex> v3_;
-  std::string v2_path_;
   std::string v3_path_;
 };
 
 TEST_F(MappedIndexTest, QueryParityAcrossFormats) {
   for (const Text& pattern : DifferentialPatterns()) {
     const QueryResult from_built = built_->Query(pattern);
-    const QueryResult from_v2 = v2_->Query(pattern);
+    const QueryResult from_heap = heap_->Query(pattern);
     const QueryResult from_v3 = v3_->Query(pattern);
-    ExpectIdentical(from_v2, from_v3, "v2 vs v3");
-    ExpectIdentical(from_built, from_v3, "built vs v3");
+    ExpectIdentical(from_heap, from_v3, "heap vs mapped");
+    ExpectIdentical(from_built, from_v3, "built vs mapped");
   }
 }
 
 TEST_F(MappedIndexTest, QueryBatchParityAcrossFormats) {
   const std::vector<Text> patterns = DifferentialPatterns();
-  std::vector<QueryResult> from_v2(patterns.size());
+  std::vector<QueryResult> from_heap(patterns.size());
   std::vector<QueryResult> from_v3(patterns.size());
-  v2_->PrepareBatch(patterns);
+  heap_->PrepareBatch(patterns);
   v3_->PrepareBatch(patterns);
-  v2_->QueryBatch(patterns, std::span<QueryResult>(from_v2), nullptr);
+  heap_->QueryBatch(patterns, std::span<QueryResult>(from_heap), nullptr);
   v3_->QueryBatch(patterns, std::span<QueryResult>(from_v3), nullptr);
   for (std::size_t i = 0; i < patterns.size(); ++i) {
-    ExpectIdentical(from_v2[i], from_v3[i], "batch v2 vs v3");
+    ExpectIdentical(from_heap[i], from_v3[i], "batch heap vs mapped");
   }
 }
 
@@ -116,18 +111,18 @@ TEST_F(MappedIndexTest, QueryAllWindowsParityAcrossFormats) {
   const Text document = ws_.Fragment(50, 200);
   constexpr index_t kWindow = 6;
   const std::size_t windows = document.size() - kWindow + 1;
-  std::vector<QueryResult> from_v2(windows);
+  std::vector<QueryResult> from_heap(windows);
   std::vector<QueryResult> from_v3(windows);
-  v2_->QueryAllWindows(document, kWindow, std::span<QueryResult>(from_v2));
+  heap_->QueryAllWindows(document, kWindow, std::span<QueryResult>(from_heap));
   v3_->QueryAllWindows(document, kWindow, std::span<QueryResult>(from_v3));
   for (std::size_t i = 0; i < windows; ++i) {
-    ExpectIdentical(from_v2[i], from_v3[i], "windows v2 vs v3");
+    ExpectIdentical(from_heap[i], from_v3[i], "windows heap vs mapped");
   }
 }
 
 TEST_F(MappedIndexTest, MappedIndexMatchesBruteForce) {
-  // Not just format parity: the mapped path must agree with first
-  // principles, so a bug shared by both loaders cannot hide.
+  // Not just backing parity: the mapped path must agree with first
+  // principles, so a bug shared by both openers cannot hide.
   for (index_t i = 0; i + 5 <= ws_.size(); i += 97) {
     const Text pattern = ws_.Fragment(i, 5);
     const QueryResult expected =
@@ -139,42 +134,34 @@ TEST_F(MappedIndexTest, MappedIndexMatchesBruteForce) {
 }
 
 TEST_F(MappedIndexTest, StructuralAccessorsAgree) {
-  ASSERT_EQ(v2_->sa().size(), v3_->sa().size());
-  EXPECT_TRUE(std::equal(v2_->sa().begin(), v2_->sa().end(),
+  ASSERT_EQ(heap_->sa().size(), v3_->sa().size());
+  EXPECT_TRUE(std::equal(heap_->sa().begin(), heap_->sa().end(),
                          v3_->sa().begin()));
-  EXPECT_EQ(v2_->HashTableEntries(), v3_->HashTableEntries());
-  EXPECT_EQ(std::string(v2_->Name()), std::string(v3_->Name()));
-  EXPECT_EQ(v2_->build_info().k, v3_->build_info().k);
-  EXPECT_EQ(v2_->build_info().tau_k, v3_->build_info().tau_k);
-  EXPECT_EQ(v2_->build_info().num_lengths, v3_->build_info().num_lengths);
+  EXPECT_TRUE(std::equal(built_->sa().begin(), built_->sa().end(),
+                         heap_->sa().begin()));
+  EXPECT_EQ(heap_->HashTableEntries(), v3_->HashTableEntries());
+  EXPECT_EQ(std::string(heap_->Name()), std::string(v3_->Name()));
+  EXPECT_EQ(heap_->build_info().k, v3_->build_info().k);
+  EXPECT_EQ(heap_->build_info().tau_k, v3_->build_info().tau_k);
+  EXPECT_EQ(heap_->build_info().num_lengths, v3_->build_info().num_lengths);
+  EXPECT_EQ(heap_->learned_sa().epsilon(), built_->learned_sa().epsilon());
+  EXPECT_EQ(heap_->learned_sa().num_segments(),
+            built_->learned_sa().num_segments());
 }
 
 TEST_F(MappedIndexTest, V3BytesAreDeterministic) {
   // The v3 image is a pure function of index content: saving again — from
-  // the original, from a v2 reload, and from the mapped index itself —
+  // the original, from the heap read, and from the mapped index itself —
   // must reproduce identical bytes.
   const std::vector<char> first = ReadAll(v3_path_);
   const std::string again = ::testing::TempDir() + "usi_mapped_test_v3b.bin";
   ASSERT_TRUE(built_->SaveToFile(again, IndexFileFormat::kV3Mapped));
   EXPECT_EQ(ReadAll(again), first) << "rewrite from built index";
-  ASSERT_TRUE(v2_->SaveToFile(again, IndexFileFormat::kV3Mapped));
-  EXPECT_EQ(ReadAll(again), first) << "rewrite from v2-loaded index";
+  ASSERT_TRUE(heap_->SaveToFile(again, IndexFileFormat::kV3Mapped));
+  EXPECT_EQ(ReadAll(again), first) << "rewrite from heap-read index";
   ASSERT_TRUE(v3_->SaveToFile(again, IndexFileFormat::kV3Mapped));
   EXPECT_EQ(ReadAll(again), first) << "rewrite from mapped index";
   std::remove(again.c_str());
-}
-
-TEST_F(MappedIndexTest, ConversionRoundTripsBothWays) {
-  const std::string converted = ::testing::TempDir() + "usi_mapped_conv.bin";
-  // v3 -> v2: a mapped index re-serializes through the portable format...
-  ASSERT_TRUE(v3_->SaveToFile(converted, IndexFileFormat::kV2Heap));
-  EXPECT_EQ(ReadAll(converted), ReadAll(v2_path_))
-      << "v3->v2 must reproduce the original v2 bytes";
-  // ...and v2 -> v3 lands back on the canonical mapped image.
-  ASSERT_TRUE(v2_->SaveToFile(converted, IndexFileFormat::kV3Mapped));
-  EXPECT_EQ(ReadAll(converted), ReadAll(v3_path_))
-      << "v2->v3 must reproduce the original v3 bytes";
-  std::remove(converted.c_str());
 }
 
 TEST(FingerprintTableViewTest, AdoptedViewAnswersLikeTheOwner) {
@@ -305,17 +292,18 @@ TEST(MultiServiceInstantStartTest, BadFileRegistersNothing) {
             0u);
   EXPECT_FALSE(service.HasText("ghost"));
 
-  // A v2 file is not OpenMapped-able either: instant start requires the
-  // mapped format, and the failure must leave the registry untouched.
-  const WeightedString original = testing::RandomWeighted(300, 3, 10);
-  const UsiIndex index(original, UsiOptions{});
-  const std::string v2_path = ::testing::TempDir() + "usi_instant_v2.bin";
-  ASSERT_TRUE(index.SaveToFile(v2_path, IndexFileFormat::kV2Heap));
-  WeightedString copy = original;
-  EXPECT_EQ(service.RegisterTextFromFile("corpus", std::move(copy), v2_path),
+  // A file that is not a v3 image is refused too, and the failure must
+  // leave the registry untouched.
+  const std::string junk_path = ::testing::TempDir() + "usi_instant_junk.bin";
+  {
+    std::ofstream out(junk_path, std::ios::binary);
+    out << std::string(512, 'x');
+  }
+  WeightedString copy = testing::RandomWeighted(300, 3, 10);
+  EXPECT_EQ(service.RegisterTextFromFile("corpus", std::move(copy), junk_path),
             0u);
   EXPECT_FALSE(service.HasText("corpus"));
-  std::remove(v2_path.c_str());
+  std::remove(junk_path.c_str());
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST(MultiService, UnknownTextRejectsTheWholeBatch) {
 
   EXPECT_FALSE(service.HasText("nope"));
   EXPECT_EQ(service.WaitForText("nope"), BuildState::kUnknown);
-  EXPECT_FALSE(service.RemoveText("nope"));
+  EXPECT_FALSE(service.UnregisterText("nope"));
   QueryResult single;
   EXPECT_EQ(service.Query("nope", pattern, single), ServeStatus::kUnknownText);
 }
@@ -222,7 +222,7 @@ TEST(MultiService, UpdateTextPublishesNewGenerationsMonotonically) {
   EXPECT_EQ(stats->builds_scheduled, 2u);
   EXPECT_EQ(stats->builds_completed, 2u);
 
-  EXPECT_TRUE(service.RemoveText("t"));
+  EXPECT_TRUE(service.UnregisterText("t"));
   QueryResult single;
   EXPECT_EQ(service.Query("t", patterns[0], single),
             ServeStatus::kUnknownText);

@@ -87,6 +87,7 @@ TEST_F(ReliabilityTest, ServeStatusNamesAreDistinct) {
       ServeStatus::kUnknownText, ServeStatus::kNotReady,
       ServeStatus::kOverloaded, ServeStatus::kDeadlineExceeded,
       ServeStatus::kIndexUnavailable, ServeStatus::kDegraded,
+      ServeStatus::kInvalidArgument,
   };
   std::vector<std::string> names;
   for (ServeStatus status : all) {
@@ -250,17 +251,15 @@ TEST_F(ReliabilityTest, LoadErrorsAreTyped) {
   const UsiIndex index(ws, options);
   const std::string dir = ::testing::TempDir();
   const std::string v3 = dir + "reliab_load_v3.bin";
-  const std::string v2 = dir + "reliab_load_v2.bin";
   const std::string junk = dir + "reliab_load_junk.bin";
   ASSERT_TRUE(index.SaveToFile(v3, IndexFileFormat::kV3Mapped));
-  ASSERT_TRUE(index.SaveToFile(v2, IndexFileFormat::kV2Heap));
 
   LoadError error;
-  // Success leaves the error at kOk with no message.
+  // Success leaves the error at kOk with no message, both ways of opening.
   EXPECT_NE(UsiIndex::LoadFromFile(ws, v3, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kOk);
   EXPECT_TRUE(error.message.empty());
-  EXPECT_NE(UsiIndex::LoadFromFile(ws, v2, &error), nullptr);
+  EXPECT_NE(UsiIndex::OpenMapped(ws, v3, {}, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kOk);
 
   // Missing file.
@@ -288,16 +287,17 @@ TEST_F(ReliabilityTest, LoadErrorsAreTyped) {
   }
   EXPECT_EQ(UsiIndex::OpenMapped(ws, junk, {}, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kCorrupt);
+  EXPECT_EQ(UsiIndex::LoadFromFile(ws, junk, &error), nullptr);
+  EXPECT_EQ(error.code, LoadErrorCode::kCorrupt);
 
   // Built over a different text.
   const WeightedString other = RandomWeighted(2100, 8, 12);
   EXPECT_EQ(UsiIndex::OpenMapped(other, v3, {}, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kTextMismatch);
-  EXPECT_EQ(UsiIndex::LoadFromFile(other, v2, &error), nullptr);
+  EXPECT_EQ(UsiIndex::LoadFromFile(other, v3, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kTextMismatch);
 
   std::remove(v3.c_str());
-  std::remove(v2.c_str());
   std::remove(junk.c_str());
 }
 
@@ -310,9 +310,7 @@ TEST_F(ReliabilityTest, LoadFailpointsInjectIoErrors) {
   const UsiIndex index(ws, options);
   const std::string dir = ::testing::TempDir();
   const std::string v3 = dir + "reliab_fp_v3.bin";
-  const std::string v2 = dir + "reliab_fp_v2.bin";
   ASSERT_TRUE(index.SaveToFile(v3, IndexFileFormat::kV3Mapped));
-  ASSERT_TRUE(index.SaveToFile(v2, IndexFileFormat::kV2Heap));
 
   LoadError error;
   failpoint::Arm("open.mapped", failpoint::Action::kError, /*fires=*/1);
@@ -321,13 +319,12 @@ TEST_F(ReliabilityTest, LoadFailpointsInjectIoErrors) {
   EXPECT_NE(UsiIndex::OpenMapped(ws, v3, {}, &error), nullptr)
       << "fire budget exhausted: the next open must succeed";
 
-  failpoint::Arm("load.v2", failpoint::Action::kError, /*fires=*/1);
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws, v2, &error), nullptr);
+  failpoint::Arm("load.heap", failpoint::Action::kError, /*fires=*/1);
+  EXPECT_EQ(UsiIndex::LoadFromFile(ws, v3, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kIo);
-  EXPECT_NE(UsiIndex::LoadFromFile(ws, v2, &error), nullptr);
+  EXPECT_NE(UsiIndex::LoadFromFile(ws, v3, &error), nullptr);
 
   std::remove(v3.c_str());
-  std::remove(v2.c_str());
 }
 
 TEST_F(ReliabilityTest, SaveFailpointsLeaveNoPartialFile) {
@@ -433,12 +430,11 @@ TEST_F(ReliabilityTest, ServiceDeadlineExpiredReturnsPartialResults) {
   ExpectSameResults(results, want);
 
   // Totals: the expired batch contributed no served queries, exactly one
-  // deadline_expired tick, and no rejected/serve_failure counts.
+  // deadline_expired tick, and no serve_failure counts.
   const UsiServiceTotals totals = service.totals();
   EXPECT_EQ(totals.batches, 2u);
   EXPECT_EQ(totals.queries, patterns.size());
   EXPECT_EQ(totals.deadline_expired, 1u);
-  EXPECT_EQ(totals.rejected, 0u);
   EXPECT_EQ(totals.serve_failures, 0u);
 }
 
@@ -486,6 +482,91 @@ TEST_F(ReliabilityTest, MultiServiceDeadlinePartialAndRecovery) {
     EXPECT_TRUE(SameResult(results[pa.size() + i], oracle_b.Query(pb[i])))
         << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Typed errors for bad client sizes: all-or-nothing kInvalidArgument, no
+// result slot (or any other state) touched, never a process abort.
+
+TEST_F(ReliabilityTest, ShortResultsSpanIsInvalidArgumentForService) {
+  const WeightedString ws = RandomWeighted(1500, 8, 131);
+  UsiOptions options;
+  options.k = 80;
+  options.threads = 1;
+  UsiIndex index(ws, options);
+  UsiServiceOptions service_options;
+  service_options.threads = 1;
+  UsiService service(index, service_options);
+  const std::vector<Text> patterns = PatternsFor(ws, 132);
+  std::vector<QueryResult> results(patterns.size() - 1,
+                                   QueryResult{/*utility=*/-1, 777});
+  UsiBatchStats stats;
+  stats.patterns = 999;  // Sentinel: a refused batch writes no telemetry.
+  EXPECT_EQ(service.QueryBatchInto(std::span<const Text>(patterns),
+                                   std::span<QueryResult>(results), &stats),
+            ServeStatus::kInvalidArgument);
+  for (const QueryResult& r : results) {
+    EXPECT_EQ(r.utility, -1);
+    EXPECT_EQ(r.occurrences, 777u);
+  }
+  EXPECT_EQ(stats.patterns, 999u);
+  EXPECT_EQ(service.totals().batches, 0u);
+}
+
+TEST_F(ReliabilityTest, ShortResultsSpanIsInvalidArgumentForMultiService) {
+  UsiMultiServiceOptions options;
+  options.threads = 2;
+  UsiMultiService service(options);
+  const WeightedString ws = RandomWeighted(1500, 8, 133);
+  service.SubmitText("t", ws);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+  const std::vector<Text> patterns = PatternsFor(ws, 134);
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"t", p});
+  std::vector<QueryResult> results(queries.size() - 1,
+                                   QueryResult{/*utility=*/-1, 777});
+  EXPECT_EQ(service.QueryBatchInto(queries, results),
+            ServeStatus::kInvalidArgument);
+  for (const QueryResult& r : results) {
+    EXPECT_EQ(r.utility, -1);
+    EXPECT_EQ(r.occurrences, 777u);
+  }
+  EXPECT_EQ(service.stats().batches, 0u);
+  EXPECT_EQ(service.StatsFor("t")->batches, 0u);
+}
+
+TEST_F(ReliabilityTest, MismatchedAppendIsInvalidArgument) {
+  UsiMultiServiceOptions options;
+  options.threads = 2;
+  UsiMultiService service(options);
+  const WeightedString ws = RandomWeighted(1500, 8, 135);
+  service.SubmitText("t", ws);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+  const Text text = ws.Fragment(0, 8);
+  const std::vector<double> weights(7, 1.0);
+  EXPECT_EQ(service.AppendText("t", text, weights),
+            ServeStatus::kInvalidArgument);
+  // Checked before the id: an unknown text with bad sizes is still a bad
+  // argument, and nothing was registered or appended either way.
+  EXPECT_EQ(service.AppendText("nope", text, weights),
+            ServeStatus::kInvalidArgument);
+  EXPECT_FALSE(service.HasText("nope"));
+  const std::optional<UsiTextStats> stats = service.StatsFor("t");
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->appends, 0u);
+  EXPECT_FALSE(stats->delta.has_value());
+  EXPECT_EQ(service.stats().appends, 0u);
+
+  // The text still answers exactly over its unchanged content.
+  UsiOptions direct;
+  direct.threads = 1;
+  const UsiIndex oracle(ws, direct);
+  const std::vector<Text> patterns = PatternsFor(ws, 136);
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"t", p});
+  const MultiBatchResult batch = service.QueryBatch(queries);
+  EXPECT_EQ(batch.status, ServeStatus::kOk);
+  ExpectSameResults(batch.results, DirectAnswers(oracle, patterns));
 }
 
 // ---------------------------------------------------------------------------
@@ -707,7 +788,9 @@ TEST_F(ReliabilityTest, SimulatedBadAllocQuarantinesWithCause) {
 // ---------------------------------------------------------------------------
 // Mapped-index degradation: a faulted mmap-backed generation fails the
 // batch with kIndexUnavailable (partial results), is demoted, and the text
-// recovers by rebuild — the process never crashes and answers stay correct.
+// recovers — by a heap read of its source file when that file is still
+// good, by rebuild otherwise. The process never crashes and answers stay
+// correct.
 
 TEST_F(ReliabilityTest, MappedFaultFailsBatchThenRecovers) {
   if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
@@ -744,9 +827,54 @@ TEST_F(ReliabilityTest, MappedFaultFailsBatchThenRecovers) {
   EXPECT_EQ(batch.results.size(), queries.size());
   EXPECT_EQ(service.stats().index_unavailable, 1u);
 
-  // Recovery: the demoted text rebuilds from its retained weighted string
-  // and serves correct answers again — same differential oracle.
+  // Recovery: the demoted text reloads its source file into the heap and
+  // serves correct answers again — same differential oracle.
   EXPECT_EQ(service.WaitForText("m"), BuildState::kReady);
+  batch = service.QueryBatch(queries);
+  EXPECT_EQ(batch.status, ServeStatus::kOk);
+  ExpectSameResults(batch.results, want);
+  std::remove(path.c_str());
+}
+
+TEST_F(ReliabilityTest, MappedFaultRecoversByHeapReadWhenBuildsFail) {
+  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
+  // Recovery must not depend on a rebuild: with every SA construction
+  // failing, the only way back to kReady is the heap read of the (intact)
+  // source file.
+  const WeightedString ws = RandomWeighted(3000, 8, 103);
+  UsiOptions build;
+  build.k = 150;
+  build.threads = 1;
+  const UsiIndex direct(ws, build);
+  const std::string path = ::testing::TempDir() + "reliab_mapped_heap.bin";
+  ASSERT_TRUE(direct.SaveToFile(path));
+
+  UsiMultiServiceOptions options;
+  options.threads = 2;
+  options.default_build = build;
+  options.max_build_retries = 1;
+  options.build_retry_backoff_ms = 1;
+  UsiMultiService service(options);
+  ASSERT_GT(service.RegisterTextFromFile("m", ws, path), 0u);
+
+  const std::vector<Text> patterns = PatternsFor(ws, 104);
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"m", p});
+  const std::vector<QueryResult> want = DirectAnswers(direct, patterns);
+
+  failpoint::Arm("build.sa", failpoint::Action::kThrow);
+  failpoint::Arm("serve.mapped_fault", failpoint::Action::kError,
+                 /*fires=*/1);
+  MultiBatchResult batch = service.QueryBatch(queries);
+  EXPECT_EQ(batch.status, ServeStatus::kIndexUnavailable);
+
+  EXPECT_EQ(service.WaitForText("m"), BuildState::kReady);
+  EXPECT_EQ(failpoint::FireCount("build.sa"), 0u)
+      << "recovery must load, not rebuild";
+  const std::optional<UsiTextStats> stats = service.StatsFor("m");
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->generation, 2u);
+  EXPECT_EQ(stats->builds_failed, 0u);
   batch = service.QueryBatch(queries);
   EXPECT_EQ(batch.status, ServeStatus::kOk);
   ExpectSameResults(batch.results, want);

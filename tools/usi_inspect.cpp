@@ -1,28 +1,30 @@
 // usi_inspect — operator tooling for persisted UsiIndex files.
 //
 //   usi_inspect info <file> [--deep]
-//       Dumps the header (and, for v3, the section directory) of an index
-//       file and validates it: magic/version, header checksum, directory
-//       geometry, exact file size. --deep also re-checksums every v3
-//       section payload. Valid files additionally get the degraded-tier
-//       block: the per-text tier UsiMultiService attaches at registration
-//       (cache capacity and hit rate, sketch width/depth/epsilon, learned
-//       mass, footprint). Exit 0 = valid, 1 = corrupt/unreadable.
+//       Dumps the header and section directory of a v3 index file and
+//       validates it: magic/version, header checksum, directory geometry,
+//       exact file size. --deep also re-checksums every section payload.
+//       Valid files additionally get the degraded-tier block: the per-text
+//       tier UsiMultiService attaches at registration (cache capacity and
+//       hit rate, sketch width/depth/epsilon, learned mass, footprint).
+//       Exit 0 = valid, 1 = corrupt/unreadable.
 //
-//   usi_inspect convert <in> <out> (--to v2|v3)
+//   usi_inspect convert <in> <out>
 //                       (--dataset NAME [--n N] | --text FILE [--seed S])
-//       Re-serializes an index in the other format. Conversion must load
-//       the index, and index files do not embed the text — so the weighted
-//       string has to be re-materialized the same way it was at build time:
-//       either a registry dataset (--dataset, deterministic stand-in) or a
-//       raw text file with the paper's synthetic-utility recipe (--text,
-//       same --seed as the original run).
+//       Re-saves an index through a verifying heap read, producing the
+//       canonical image (an image saved without the learned section gains
+//       one). The read needs the weighted string, and index files do not
+//       embed the text — so it has to be re-materialized the same way it
+//       was at build time: either a registry dataset (--dataset,
+//       deterministic stand-in) or a raw text file with the paper's
+//       synthetic-utility recipe (--text, same --seed as the original run).
 //
 //   usi_inspect selftest
-//       End-to-end check run by CTest: builds a small index, saves both
-//       formats, validates them through the info path, converts v3->v2->v3,
-//       verifies the round trip is byte-identical with matching query
-//       answers, and drives the degraded tier (exact batches feed it, the
+//       End-to-end check run by CTest: builds a small index, saves it,
+//       validates it through the info path, re-saves it through convert,
+//       verifies the re-save is byte-identical, that the heap read is not
+//       mapped, and that every way of opening answers like the build, and
+//       drives the degraded tier (exact batches feed it, the
 //       cache rung replays them exactly, the sketch rung honors its bound,
 //       and a deadline-expired allow_degraded batch serves from it).
 
@@ -42,7 +44,6 @@
 #include "usi/core/usi_index.hpp"
 #include "usi/parallel/thread_pool.hpp"
 #include "usi/text/dataset.hpp"
-#include "usi/util/binary_io.hpp"
 #include "usi/util/failpoint.hpp"
 #include "usi/util/mapped_file.hpp"
 
@@ -54,7 +55,7 @@ int Usage() {
       stderr,
       "usage:\n"
       "  usi_inspect info <file> [--deep]\n"
-      "  usi_inspect convert <in> <out> --to v2|v3\n"
+      "  usi_inspect convert <in> <out>\n"
       "              (--dataset NAME [--n N] | --text FILE [--seed S])\n"
       "  usi_inspect failpoints\n"
       "  usi_inspect selftest\n");
@@ -128,10 +129,10 @@ int Reject(LoadErrorCode code, const char* detail) {
   return 1;
 }
 
-/// info for a v3 file: print the full header + directory, then validate
-/// exactly what OpenMapped validates (sans the text-length check, which
-/// needs the weighted string). Returns process exit code.
-int InfoV3(const std::string& path, bool deep) {
+/// info: print the full header + directory, then validate exactly what
+/// OpenMapped validates (sans the text-length check, which needs the
+/// weighted string). Returns process exit code.
+int InfoImage(const std::string& path, bool deep) {
   using namespace format_v3;
   const std::unique_ptr<MappedFile> mapping = MappedFile::OpenReadOnly(path);
   if (mapping == nullptr || mapping->size() < sizeof(FileHeader)) {
@@ -141,6 +142,11 @@ int InfoV3(const std::string& path, bool deep) {
   }
   FileHeader header;
   std::memcpy(&header, mapping->data(), sizeof(header));
+  if (header.magic != kMagic || header.version != kVersion) {
+    std::fprintf(stderr, "error: %s is not a v3 UsiIndex file (magic 0x%08X, "
+                 "version %u)\n", path.c_str(), header.magic, header.version);
+    return Reject(LoadErrorCode::kBadFormat, "(magic/version mismatch)");
+  }
 
   std::printf("format:        v3 mapped (magic 0x%08X, version %u)\n",
               header.magic, header.version);
@@ -235,104 +241,31 @@ int InfoV3(const std::string& path, bool deep) {
   return 0;
 }
 
-/// info for a v2 stream file: parse the packed header and the two array
-/// length prefixes. Returns process exit code.
-int InfoV2(const std::string& path) {
-  BinaryReader reader(path);
-  u32 magic = 0, version = 0, n = 0;
-  u8 kind = 0, miner = 0;
-  u64 base = 0, k = 0;
-  u32 tau_k = 0, num_lengths = 0;
-  if (!reader.Read(&magic) || !reader.Read(&version) || !reader.Read(&n) ||
-      !reader.Read(&kind) || !reader.Read(&miner) || !reader.Read(&base) ||
-      !reader.Read(&k) || !reader.Read(&tau_k) || !reader.Read(&num_lengths)) {
-    std::fprintf(stderr, "error: truncated v2 header in %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("format:        v2 heap (magic 0x%08X, version %u)\n", magic,
-              version);
-  std::printf("n:             %u\n", n);
-  std::printf("utility kind:  %s\n", KindName(kind));
-  std::printf("miner:         %s\n", MinerName(miner));
-  std::printf("kr base:       0x%llX\n", static_cast<unsigned long long>(base));
-  std::printf("K:             %llu\n", static_cast<unsigned long long>(k));
-  std::printf("tau_K:         %u\n", tau_k);
-  std::printf("num_lengths:   %u\n", num_lengths);
-  if (version != format_v2::kVersion) {
-    return Reject(LoadErrorCode::kBadFormat, "(unsupported version)");
-  }
-  std::vector<index_t> sa;
-  if (!reader.ReadVector(&sa) || sa.size() != n) {
-    return Reject(LoadErrorCode::kCorrupt, "(suffix array truncated)");
-  }
-  // The serialized entry record (usi_index.cpp): u64 fp, u32 len,
-  // u32 count, double value — 24 bytes.
-  struct V2Entry {
-    u64 fp;
-    u32 len;
-    u32 count;
-    double value;
-  };
-  static_assert(sizeof(V2Entry) == 24);
-  std::vector<V2Entry> entries;
-  if (!reader.ReadVector(&entries)) {
-    return Reject(LoadErrorCode::kCorrupt, "(entry array truncated)");
-  }
-  std::printf("sa entries:    %zu\n", sa.size());
-  std::printf("table entries: %zu\n", entries.size());
-  if (!reader.ExactlyConsumed()) {
-    return Reject(LoadErrorCode::kCorrupt, "(trailing bytes after entry array)");
-  }
-  std::printf("verdict:       OK\n");
-  return 0;
-}
-
 int Info(const std::string& path, bool deep) {
-  BinaryReader sniff(path);
-  u32 magic = 0;
-  if (!sniff.Read(&magic)) {
-    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
-    return 1;
+  const int rc = InfoImage(path, deep);
+  if (rc == 0) {
+    // The serving-side companion of the file: the per-text degradation
+    // tier UsiMultiService attaches when this index is registered
+    // (default geometry; counters accrue at serve time — query a live
+    // service's StatsFor for trafficked numbers).
+    const DegradedTier tier(UsiMultiServiceOptions{}.degraded);
+    std::printf("degraded tier (attached per text at registration):\n");
+    PrintDegradedTier(tier.stats());
+    std::printf("  footprint:   %zu KiB\n", tier.SizeInBytes() / 1024);
+    // And the update tier: appends land in a per-text delta overlay and
+    // compact into fresh generations of this same file format.
+    const UsiMultiServiceOptions defaults;
+    std::printf("update tier (attached per text at registration):\n");
+    std::printf("  delta:       window %u, compaction threshold %u appended "
+                "symbols\n",
+                defaults.delta_context, defaults.delta_compact_threshold);
   }
-  if (magic == format_v3::kMagic || magic == format_v2::kMagic) {
-    const int rc =
-        magic == format_v3::kMagic ? InfoV3(path, deep) : InfoV2(path);
-    if (rc == 0) {
-      // The serving-side companion of the file: the per-text degradation
-      // tier UsiMultiService attaches when this index is registered
-      // (default geometry; counters accrue at serve time — query a live
-      // service's StatsFor for trafficked numbers).
-      const DegradedTier tier(UsiMultiServiceOptions{}.degraded);
-      std::printf("degraded tier (attached per text at registration):\n");
-      PrintDegradedTier(tier.stats());
-      std::printf("  footprint:   %zu KiB\n", tier.SizeInBytes() / 1024);
-      // And the update tier: appends land in a per-text delta overlay and
-      // compact into fresh generations of this same file format.
-      const UsiMultiServiceOptions defaults;
-      std::printf("update tier (attached per text at registration):\n");
-      std::printf("  delta:       window %u, compaction threshold %u appended "
-                  "symbols\n",
-                  defaults.delta_context, defaults.delta_compact_threshold);
-    }
-    return rc;
-  }
-  std::fprintf(stderr, "error: %s is not a UsiIndex file (magic 0x%08X)\n",
-               path.c_str(), magic);
-  return Reject(LoadErrorCode::kBadFormat, "(unrecognized magic)");
+  return rc;
 }
 
 int Convert(const std::string& in, const std::string& out,
-            const std::string& to, const std::string& dataset, index_t n,
+            const std::string& dataset, index_t n,
             const std::string& text_file, u64 seed) {
-  IndexFileFormat format;
-  if (to == "v2") {
-    format = IndexFileFormat::kV2Heap;
-  } else if (to == "v3") {
-    format = IndexFileFormat::kV3Mapped;
-  } else {
-    std::fprintf(stderr, "error: --to must be v2 or v3\n");
-    return 2;
-  }
   WeightedString ws;
   if (!dataset.empty()) {
     ws = MakeDataset(DatasetSpecByName(dataset), n);
@@ -357,19 +290,18 @@ int Convert(const std::string& in, const std::string& out,
                  load_error.message.c_str());
     return 1;
   }
-  if (!index->SaveToFile(out, format)) {
+  if (!index->SaveToFile(out)) {
     std::fprintf(stderr, "error: writing %s failed\n", out.c_str());
     return 1;
   }
-  std::printf("converted %s (%s) -> %s (%s)\n", in.c_str(),
-              index->IsMapped() ? "v3" : "v2", out.c_str(), to.c_str());
+  std::printf("converted %s -> %s\n", in.c_str(), out.c_str());
   return 0;
 }
 
 /// Lists the failpoint sites this binary's library paths register. Sites
 /// materialize lazily (first macro evaluation), so a tiny end-to-end pass
-/// runs first to touch every site: a staged build, v3 save/open and v2
-/// save/load, a multi-service build (pool task + build lane + serve span),
+/// runs first to touch every site: a staged build, a save with a mapped open
+/// and a heap read, a multi-service build (pool task + build lane + serve span),
 /// and a table-miss query (fallback). Exit 0 when failpoints are compiled
 /// in, 3 when the build has them off (macros are no-ops and no site list
 /// exists).
@@ -385,13 +317,9 @@ int Failpoints() {
   options.k = 50;
   options.threads = 1;
   const UsiIndex index(ws, options);
-  if (index.SaveToFile(path, IndexFileFormat::kV3Mapped)) {
+  if (index.SaveToFile(path)) {
     UsiIndex::OpenMapped(ws, path);
-    std::remove(path.c_str());
-  }
-  if (index.SaveToFile(path, IndexFileFormat::kV2Heap)) {
-    WeightedString ws_copy = ws;
-    UsiIndex::LoadFromFile(std::move(ws_copy), path);
+    UsiIndex::LoadFromFile(ws, path);
     std::remove(path.c_str());
   }
   index.Query(ws.Fragment(0, 4));
@@ -423,13 +351,11 @@ std::vector<char> ReadAll(const std::string& path) {
 int Selftest() {
   const std::string dir = P_tmpdir;
   const std::string v3_path = dir + "/usi_inspect_selftest_v3.bin";
-  const std::string v2_path = dir + "/usi_inspect_selftest_v2.bin";
   const std::string rt_path = dir + "/usi_inspect_selftest_rt.bin";
   const std::string nolearn_path = dir + "/usi_inspect_selftest_nolearn.bin";
   const auto fail = [&](const char* what) {
     std::fprintf(stderr, "selftest FAILED: %s\n", what);
     std::remove(v3_path.c_str());
-    std::remove(v2_path.c_str());
     std::remove(rt_path.c_str());
     std::remove(nolearn_path.c_str());
     return 1;
@@ -439,30 +365,25 @@ int Selftest() {
   UsiOptions options;
   options.k = 300;
   const UsiIndex index(ws, options);
-  if (!index.SaveToFile(v3_path, IndexFileFormat::kV3Mapped) ||
-      !index.SaveToFile(v2_path, IndexFileFormat::kV2Heap)) {
-    return fail("save");
-  }
-  if (Info(v3_path, /*deep=*/true) != 0) return fail("v3 info");
-  if (Info(v2_path, /*deep=*/false) != 0) return fail("v2 info");
+  if (!index.SaveToFile(v3_path)) return fail("save");
+  if (Info(v3_path, /*deep=*/true) != 0) return fail("info");
 
-  // v3 -> v2 -> v3 must land back on the exact original bytes.
-  if (Convert(v3_path, rt_path, "v2", "XML", 20000, "", 0) != 0) {
-    return fail("v3->v2 convert");
+  // A re-save through the verifying heap read lands on the exact original
+  // bytes.
+  if (Convert(v3_path, rt_path, "XML", 20000, "", 0) != 0) {
+    return fail("convert");
   }
-  if (ReadAll(rt_path) != ReadAll(v2_path)) return fail("v3->v2 bytes");
-  if (Convert(rt_path, rt_path, "v3", "XML", 20000, "", 0) != 0) {
-    return fail("v2->v3 convert");
-  }
-  if (ReadAll(rt_path) != ReadAll(v3_path)) return fail("v2->v3 bytes");
+  if (ReadAll(rt_path) != ReadAll(v3_path)) return fail("convert bytes");
 
-  // The reopened mapped image answers like the freshly built index; so
-  // does a v3 image saved WITHOUT the learned section (the shape every
-  // pre-extension file has — it opens, serves misses by plain binary
+  // The mapped image and the heap read answer like the freshly built
+  // index; so does an image saved WITHOUT the learned section (the shape
+  // every pre-extension file has — it opens, serves misses by plain binary
   // search, and must agree byte-for-byte on every answer).
   const std::unique_ptr<UsiIndex> mapped = UsiIndex::OpenMapped(ws, rt_path);
   if (mapped == nullptr) return fail("reopen");
   if (mapped->learned_sa().empty()) return fail("mapped learned absent");
+  const std::unique_ptr<UsiIndex> heap = UsiIndex::LoadFromFile(ws, rt_path);
+  if (heap == nullptr || heap->IsMapped()) return fail("heap read");
   UsiIndex::SaveOptions no_learned;
   no_learned.learned_section = false;
   if (!index.SaveToFile(nolearn_path, IndexFileFormat::kV3Mapped,
@@ -479,13 +400,14 @@ int Selftest() {
     const QueryResult a = index.Query(pattern);
     const QueryResult b = mapped->Query(pattern);
     const QueryResult c = plain->Query(pattern);
+    const QueryResult d = heap->Query(pattern);
     if (a.utility != b.utility || a.occurrences != b.occurrences ||
-        a.utility != c.utility || a.occurrences != c.occurrences) {
+        a.utility != c.utility || a.occurrences != c.occurrences ||
+        a.utility != d.utility || a.occurrences != d.occurrences) {
       return fail("query parity");
     }
   }
   std::remove(v3_path.c_str());
-  std::remove(v2_path.c_str());
   std::remove(rt_path.c_str());
   std::remove(nolearn_path.c_str());
 
@@ -621,18 +543,17 @@ int Main(int argc, char** argv) {
   }
   if (mode == "convert") {
     if (argc < 4) return Usage();
-    std::string to, dataset, text_file;
+    std::string dataset, text_file;
     index_t n = 0;
     u64 seed = 0;
     for (int i = 4; i + 1 < argc; ++i) {
       const std::string flag = argv[i];
-      if (flag == "--to") to = argv[++i];
-      else if (flag == "--dataset") dataset = argv[++i];
+      if (flag == "--dataset") dataset = argv[++i];
       else if (flag == "--n") n = static_cast<index_t>(std::atoll(argv[++i]));
       else if (flag == "--text") text_file = argv[++i];
       else if (flag == "--seed") seed = static_cast<u64>(std::atoll(argv[++i]));
     }
-    return Convert(argv[2], argv[3], to, dataset, n, text_file, seed);
+    return Convert(argv[2], argv[3], dataset, n, text_file, seed);
   }
   if (mode == "failpoints") return Failpoints();
   if (mode == "selftest") return Selftest();
