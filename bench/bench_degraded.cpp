@@ -2,12 +2,15 @@
 // with degradation ON vs the PR 8 reject-only baseline — sheds that answer
 // from the tier must lift goodput strictly above sheds that answer nothing;
 // (b) the sketch rung's bound honesty — the measured bound-violation rate
-// over distinct patterns vs the advertised (epsilon, delta) guarantee; and
+// over distinct patterns vs the advertised (epsilon, delta) guarantee;
 // (c, failpoint builds only) quarantine serving: answered fraction when the
-// index is gone and every answer comes from the tier. --json PATH emits
-// BENCH_degraded.json for the CI perf artifact.
+// index is gone and every answer comes from the tier; and (d) the exact
+// path's record cost: ns per answer of a per-answer RecordExact loop vs
+// RecordExactBatch over three tiers that together exceed a core's L2.
+// --json PATH emits BENCH_degraded.json for the CI perf artifact.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -23,6 +26,7 @@
 #include "usi/core/workload.hpp"
 #include "usi/text/dataset.hpp"
 #include "usi/util/failpoint.hpp"
+#include "usi/util/memory.hpp"
 #include "usi/util/rng.hpp"
 #include "usi/util/table_printer.hpp"
 
@@ -298,6 +302,132 @@ void RunQuarantineServing(const WeightedString& ws,
            static_cast<double>(degraded_batches), "count");
 }
 
+/// (d) Record-path cost, single-threaded. Three default-geometry tiers
+/// (~1.1 MB of cache, popularity, filter and count-min state each, so ~3.3
+/// MB together: more than a 2 MiB L2) learn a W2-like stream — mostly short
+/// frequent-looking fragments plus a 2.5% tail of long random substrings
+/// (up to 5000 symbols) — in round-robin mixed-text batches of 256, the
+/// shape the multi-service serves. The per-answer mode calls
+/// RecordExact(KeyFor(p), r) for every answer; the batch mode gathers each
+/// text's group and calls RecordExactBatch once per group. Both modes feed
+/// their own identical tier set with the same stream, alternating passes;
+/// the median pass is reported.
+void RunRecordPath(const WeightedString& ws, bench::BenchJson& json) {
+  constexpr std::size_t kTexts = 3;
+  constexpr std::size_t kBatch = 256;
+  constexpr std::size_t kAnswers = 3 * 32'768;
+  constexpr std::size_t kPoolPerText = 16'384;
+  constexpr int kPasses = 7;
+  const Text& text = ws.text();
+  const index_t n = static_cast<index_t>(text.size());
+
+  Rng rng(0x4EC0BD);
+  std::vector<std::vector<Text>> pools(kTexts);
+  for (std::vector<Text>& pool : pools) {
+    for (std::size_t i = 0; i < kPoolPerText; ++i) {
+      const index_t len = static_cast<index_t>(
+          rng.UniformInRange(1, std::min<index_t>(16, n)));
+      pool.push_back(
+          ws.Fragment(static_cast<index_t>(rng.UniformBelow(n - len + 1)),
+                      len));
+    }
+  }
+  std::vector<Text> stream;
+  std::vector<QueryResult> answers;
+  for (std::size_t i = 0; i < kAnswers; ++i) {
+    const std::size_t t = i % kTexts;
+    if (rng.UniformDouble() < 0.025) {
+      const index_t len = static_cast<index_t>(
+          rng.UniformInRange(1, std::min<index_t>(5'000, n)));
+      stream.push_back(ws.Fragment(
+          static_cast<index_t>(rng.UniformBelow(n - len + 1)), len));
+    } else {
+      stream.push_back(pools[t][rng.UniformBelow(kPoolPerText)]);
+    }
+    QueryResult answer;
+    answer.utility = rng.UniformDouble() * 100.0;
+    answer.occurrences = static_cast<index_t>(1 + rng.UniformBelow(64));
+    answers.push_back(answer);
+  }
+
+  // Per-text gathered groups of every batch, as the serving path builds
+  // them (spans into the stream, answers copied alongside).
+  struct Group {
+    std::vector<PatternSpan> patterns;
+    std::vector<QueryResult> results;
+  };
+  std::vector<std::array<Group, kTexts>> batches(kAnswers / kBatch);
+  for (std::size_t i = 0; i < kAnswers; ++i) {
+    Group& group = batches[i / kBatch][i % kTexts];
+    group.patterns.push_back(stream[i]);
+    group.results.push_back(answers[i]);
+  }
+
+  using Tiers = std::vector<std::unique_ptr<DegradedTier>>;
+  const auto make_tiers = [] {
+    Tiers tiers;
+    for (std::size_t t = 0; t < kTexts; ++t) {
+      tiers.push_back(std::make_unique<DegradedTier>());
+    }
+    return tiers;
+  };
+  Tiers loop_tiers = make_tiers();
+  Tiers batch_tiers = make_tiers();
+  const auto loop_pass = [&] {
+    Timer timer;
+    for (std::size_t i = 0; i < kAnswers; ++i) {
+      loop_tiers[i % kTexts]->RecordExact(DegradedTier::KeyFor(stream[i]),
+                                          answers[i]);
+    }
+    return timer.ElapsedSeconds() * 1e9 / static_cast<double>(kAnswers);
+  };
+  const auto batch_pass = [&] {
+    Timer timer;
+    for (const std::array<Group, kTexts>& batch : batches) {
+      for (std::size_t t = 0; t < kTexts; ++t) {
+        batch_tiers[t]->RecordExactBatch(batch[t].patterns, batch[t].results,
+                                         batch_tiers[t]->epoch());
+      }
+    }
+    return timer.ElapsedSeconds() * 1e9 / static_cast<double>(kAnswers);
+  };
+  loop_pass();  // Warm-up: both tier sets reach their steady occupancy.
+  batch_pass();
+  std::vector<double> loop_ns, batch_ns;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    loop_ns.push_back(loop_pass());
+    batch_ns.push_back(batch_pass());
+  }
+  std::sort(loop_ns.begin(), loop_ns.end());
+  std::sort(batch_ns.begin(), batch_ns.end());
+  const double loop_median = loop_ns[kPasses / 2];
+  const double batch_median = batch_ns[kPasses / 2];
+
+  std::size_t footprint = 0;
+  for (const auto& tier : batch_tiers) footprint += tier->SizeInBytes();
+  TablePrinter table("Record path — " + std::to_string(kTexts) +
+                     " tiers (" + FormatBytes(footprint) + "), " +
+                     TablePrinter::Int(kAnswers) +
+                     " answers in mixed batches of " +
+                     TablePrinter::Int(kBatch) + ", 1 thread");
+  table.SetHeader({"mode", "ns/answer (median)", "ns/answer (best)"});
+  char median[32], best[32];
+  std::snprintf(median, sizeof median, "%.1f", loop_median);
+  std::snprintf(best, sizeof best, "%.1f", loop_ns.front());
+  table.AddRow({"RecordExact per answer", median, best});
+  std::snprintf(median, sizeof median, "%.1f", batch_median);
+  std::snprintf(best, sizeof best, "%.1f", batch_ns.front());
+  table.AddRow({"RecordExactBatch per group", median, best});
+  table.Print();
+  std::printf("  speedup (per-answer / batch): %.2fx\n\n",
+              batch_median == 0 ? 0 : loop_median / batch_median);
+
+  json.Add("record_path", "per_answer_ns", loop_median, "ns/answer");
+  json.Add("record_path", "batch_ns", batch_median, "ns/answer");
+  json.Add("record_path", "tier_footprint_bytes",
+           static_cast<double>(footprint), "bytes");
+}
+
 int Main(int argc, char** argv) {
   const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   bench::PrintBanner("bench_degraded",
@@ -321,6 +451,7 @@ int Main(int argc, char** argv) {
   RunSaturationComparison(ws, queries, json);
   RunBoundViolationRate(ws, json);
   RunQuarantineServing(ws, queries, json);
+  RunRecordPath(ws, json);
 
   if (!args.json_path.empty() && !json.WriteTo(args.json_path, "degraded")) {
     std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());

@@ -1,6 +1,7 @@
 #include "usi/core/degraded_tier.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "usi/util/rng.hpp"
 
@@ -14,6 +15,24 @@ std::size_t RoundUpPow2(std::size_t v) {
   std::size_t p = 1;
   while (p < v) p <<= 1;
   return p;
+}
+
+/// KeyFor's lane arithmetic (64-bit multiply-rotate rounds).
+constexpr u64 kKeyPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr u64 kKeyPrime2 = 0xC2B2AE3D27D4EB4FULL;
+
+u64 Load64(const Symbol* p) {
+  u64 word;
+  std::memcpy(&word, p, sizeof word);
+  return word;
+}
+
+u64 Rotl(u64 x, int r) { return (x << r) | (x >> (64 - r)); }
+
+/// Absorbs one word into a lane. Bijective in both the lane and the word,
+/// so a changed word always leaves a changed lane.
+u64 KeyRound(u64 lane, u64 word) {
+  return Rotl(lane + word * kKeyPrime2, 31) * kKeyPrime1;
 }
 
 }  // namespace
@@ -45,17 +64,45 @@ DegradedTier::DegradedTier(const DegradedTierOptions& options)
 }
 
 PatternKey DegradedTier::KeyFor(std::span<const Symbol> pattern) {
-  // FNV-1a over the symbol bytes, finished with a splitmix round: the tier
+  // Four independent lanes over 8-byte words (word k feeds lane k % 4), so
+  // consecutive rounds do not wait on each other's multiplies. The tier
   // only needs identity consistent with itself, not the index's Karp-Rabin
   // fingerprints.
-  u64 h = 0xCBF29CE484222325ULL;
-  for (const Symbol s : pattern) {
-    h ^= static_cast<u64>(s);
-    h *= 0x100000001B3ULL;
+  const Symbol* p = pattern.data();
+  const std::size_t n = pattern.size();
+  u64 lanes[4] = {kKeyPrime1 + kKeyPrime2, kKeyPrime2, 0, 0 - kKeyPrime1};
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    lanes[0] = KeyRound(lanes[0], Load64(p + i));
+    lanes[1] = KeyRound(lanes[1], Load64(p + i + 8));
+    lanes[2] = KeyRound(lanes[2], Load64(p + i + 16));
+    lanes[3] = KeyRound(lanes[3], Load64(p + i + 24));
   }
-  u64 state = h;
-  return PatternKey{Rng::SplitMix64(&state),
-                    static_cast<u32>(pattern.size())};
+  std::size_t lane = 0;
+  for (; i + 8 <= n; i += 8, ++lane) {
+    lanes[lane] = KeyRound(lanes[lane], Load64(p + i));
+  }
+  if (i < n) {
+    // 1-7 tail bytes packed into one word without a variable-length copy:
+    // two overlapping 4-byte loads, or bytes 0, r/2 and r-1 of a shorter
+    // tail. Either packing covers every tail byte, so for a fixed length
+    // (mixed in below) distinct tails give distinct words.
+    const std::size_t r = n - i;
+    const Symbol* t = p + i;
+    u64 tail;
+    if (r >= 4) {
+      u32 lo, hi;
+      std::memcpy(&lo, t, sizeof lo);
+      std::memcpy(&hi, t + r - 4, sizeof hi);
+      tail = u64{lo} | (u64{hi} << 32);
+    } else {
+      tail = u64{t[0]} | (u64{t[r / 2]} << 8) | (u64{t[r - 1]} << 16);
+    }
+    lanes[lane] = KeyRound(lanes[lane], tail);
+  }
+  u64 state = Rotl(lanes[0], 1) + Rotl(lanes[1], 7) + Rotl(lanes[2], 12) +
+              Rotl(lanes[3], 18) + static_cast<u64>(n) * kKeyPrime2;
+  return PatternKey{Rng::SplitMix64(&state), static_cast<u32>(n)};
 }
 
 std::size_t DegradedTier::CmsBucket(u64 hash, std::size_t row) const {
@@ -72,6 +119,45 @@ void DegradedTier::RecordExact(const PatternKey& key,
     return;
   }
   std::lock_guard<std::mutex> lock(mu_, std::adopt_lock);
+  RecordLocked(key, hash, result);
+}
+
+void DegradedTier::RecordExactBatch(std::span<const PatternSpan> patterns,
+                                    std::span<const QueryResult> results,
+                                    u64 epoch) {
+  USI_DCHECK(results.size() >= patterns.size());
+  PatternKey keys[kRecordChunk];
+  u64 hashes[kRecordChunk];
+  for (std::size_t begin = 0; begin < patterns.size(); begin += kRecordChunk) {
+    const std::size_t n = std::min(kRecordChunk, patterns.size() - begin);
+    // Hashing needs no shared state: do it before touching the lock so the
+    // critical section is only the tier update.
+    for (std::size_t j = 0; j < n; ++j) {
+      keys[j] = KeyFor(patterns[begin + j]);
+      hashes[j] = HashPatternKey(keys[j]);
+    }
+    if (!mu_.try_lock()) {
+      record_drops_.fetch_add(n, std::memory_order_relaxed);
+      continue;
+    }
+    std::lock_guard<std::mutex> lock(mu_, std::adopt_lock);
+    if (epoch != epoch_.load(std::memory_order_relaxed)) {
+      // Learned from content a Clear() has since retired: these answers
+      // (and every later chunk's) would be replayed against the new content.
+      stale_drops_ += patterns.size() - begin;
+      return;
+    }
+    // Prefetch only now that the chunk will certainly be applied: the lines
+    // are ours until unlock, and a dropped chunk costs no cache traffic.
+    for (std::size_t j = 0; j < n; ++j) PrefetchLocked(hashes[j]);
+    for (std::size_t j = 0; j < n; ++j) {
+      RecordLocked(keys[j], hashes[j], results[begin + j]);
+    }
+  }
+}
+
+void DegradedTier::RecordLocked(const PatternKey& key, u64 hash,
+                                const QueryResult& result) {
   ++records_;
   const u32 popularity = popularity_.Insert(hash);
   if (!cache_.empty()) CacheUpsertLocked(key, hash, result, popularity);
@@ -86,6 +172,27 @@ void DegradedTier::RecordExact(const PatternKey& key,
       cms_occurrences_[bucket] += static_cast<u32>(result.occurrences);
     }
     sketch_mass_ += result.utility;
+  }
+}
+
+void DegradedTier::PrefetchLocked(u64 hash) const {
+  popularity_.Prefetch(hash);
+  if (!cache_.empty()) {
+    // 32-byte slots on a 64-byte-aligned array: slots w and w+1 share a
+    // line for even absolute positions, so touching window offsets
+    // 0, 2, 4, 6 and 7 reaches every line of the window whatever its
+    // parity (and wraps like the probe does).
+    const std::size_t mask = cache_.size() - 1;
+    const std::size_t base = hash & mask;
+    const std::size_t window = std::min(kProbeWindow, cache_.size());
+    for (std::size_t w = 0; w < window; w += 2) {
+      __builtin_prefetch(&cache_[(base + w) & mask], 1);
+    }
+    __builtin_prefetch(&cache_[(base + window - 1) & mask], 1);
+  }
+  if (width_ != 0) {
+    const u64 slot_hash = hash == 0 ? 1 : hash;
+    __builtin_prefetch(&seen_[slot_hash & (seen_.size() - 1)]);
   }
 }
 
@@ -140,7 +247,7 @@ void DegradedTier::CacheUpsertLocked(const PatternKey& key, u64 hash,
       if (free_slot == cache_.size()) free_slot = slot;
       continue;
     }
-    if (entry.key == key) {
+    if (entry.fp == key.fp && entry.len == key.len) {
       entry.utility = result.utility;
       entry.occurrences = result.occurrences;
       entry.popularity = std::max(entry.popularity, popularity);
@@ -151,18 +258,16 @@ void DegradedTier::CacheUpsertLocked(const PatternKey& key, u64 hash,
       victim = slot;
     }
   }
+  const CacheSlot fresh{key.fp, result.utility, key.len, result.occurrences,
+                       popularity, true};
   if (free_slot != cache_.size()) {
-    cache_[free_slot] =
-        CacheSlot{key, result.utility, result.occurrences, popularity, true};
+    cache_[free_slot] = fresh;
     ++cache_size_;
     return;
   }
   // BSL3/BSL4 admission, windowed: a newcomer only displaces the least
   // popular incumbent of its probe window when it is strictly hotter.
-  if (popularity > victim_popularity) {
-    cache_[victim] =
-        CacheSlot{key, result.utility, result.occurrences, popularity, true};
-  }
+  if (popularity > victim_popularity) cache_[victim] = fresh;
 }
 
 bool DegradedTier::CacheFindLocked(const PatternKey& key, u64 hash,
@@ -171,8 +276,8 @@ bool DegradedTier::CacheFindLocked(const PatternKey& key, u64 hash,
   const std::size_t base = hash & mask;
   const std::size_t window = std::min(kProbeWindow, cache_.size());
   for (std::size_t w = 0; w < window; ++w) {
-    CacheSlot& entry = cache_[(base + w) & mask];
-    if (!entry.used || !(entry.key == key)) continue;
+    const CacheSlot& entry = cache_[(base + w) & mask];
+    if (!entry.used || entry.fp != key.fp || entry.len != key.len) continue;
     out->utility = entry.utility;
     out->occurrences = entry.occurrences;
     return true;
@@ -214,9 +319,8 @@ void DegradedTier::Clear() {
   std::fill(cms_utility_.begin(), cms_utility_.end(), 0.0);
   std::fill(cms_occurrences_.begin(), cms_occurrences_.end(), 0);
   sketch_mass_ = 0;
-  popularity_ = DecaySketch(
-      std::max<std::size_t>(64, options_.cache_capacity * 2), 2, 1.08,
-      options_.seed ^ 0x9E3779B97F4A7C15ULL);
+  popularity_.Reset();
+  epoch_.fetch_add(1, std::memory_order_release);
 }
 
 DegradedTierStats DegradedTier::stats() const {
@@ -226,6 +330,7 @@ DegradedTierStats DegradedTier::stats() const {
   stats.cache_size = cache_size_;
   stats.records = records_;
   stats.record_drops = record_drops_.load(std::memory_order_relaxed);
+  stats.stale_drops = stale_drops_;
   stats.lookups = lookups_;
   stats.cache_hits = cache_hits_;
   stats.sketch_answers = sketch_answers_;

@@ -40,13 +40,32 @@
 ///    the serving layer writes a kNone filler slot.
 ///
 /// \par Exact-path cost
-/// RecordExact is called for every exactly-served query, so it is built to
-/// vanish from the hot path: all structures are fixed-capacity arrays sized
-/// at construction (no per-operation allocation, pinned by
-/// query_alloc_test), and the tier lock is only ever *try*-acquired on the
-/// record path — under contention the update is dropped, trading a little
-/// learning for zero queueing. Degraded-path lookups take the lock (they
-/// run when the exact path is not serving).
+/// The exact serving path offers every answered group to RecordExactBatch,
+/// so recording is built to stay off the critical path. All structures are
+/// fixed-capacity arrays sized at construction (no per-operation
+/// allocation, pinned by query_alloc_test). A group is recorded in chunks
+/// of kRecordChunk keys held on the stack: each chunk is hashed (KeyFor, a
+/// word-at-a-time hash) before the lock is touched, then the tier lock is
+/// *try*-acquired ONCE for the chunk. Under contention the whole chunk is
+/// dropped and counted in record_drops — a little learning traded for zero
+/// queueing. Only with the lock held does the chunk prefetch each key's
+/// tier lines (its popularity buckets, cache probe window and home slot in
+/// the membership filter) and then apply the records in order, through the
+/// same body the single-answer RecordExact uses; prefetching before the
+/// lock would pull lines away from whoever holds it (a Clear, another
+/// recorder) for a chunk that may yet be dropped. The tier state after a
+/// batch is identical to recording the same answers one by one. Degraded-
+/// path lookups take the lock (they run when the exact path is not
+/// serving).
+///
+/// \par Content epochs
+/// Clear() bumps epoch(). A recorder reads the epoch BEFORE it pins the
+/// generation it serves from and passes it to RecordExactBatch; a batch
+/// whose epoch is no longer current is dropped under the tier lock
+/// (counted in stale_drops). The multi-service also clears a text's tier
+/// after every content-changing publish, so answers a reader computed from
+/// the outgoing content — recorded before or after the clear — can never
+/// be replayed as kCached against the new content.
 ///
 /// \par Thread safety
 /// All members are safe to call concurrently; one mutex guards the
@@ -62,6 +81,7 @@
 #include "usi/hash/pattern_key.hpp"
 #include "usi/text/alphabet.hpp"
 #include "usi/util/common.hpp"
+#include "usi/util/memory.hpp"
 
 namespace usi {
 
@@ -87,6 +107,7 @@ struct DegradedTierStats {
   std::size_t cache_size = 0;
   u64 records = 0;         ///< Exact answers observed (post-drop).
   u64 record_drops = 0;    ///< Records dropped by try_lock contention.
+  u64 stale_drops = 0;     ///< Records dropped for a superseded epoch.
   u64 lookups = 0;         ///< Degraded-path consults.
   u64 cache_hits = 0;      ///< Lookups answered by the cache rung.
   u64 sketch_answers = 0;  ///< Lookups answered by the sketch rung.
@@ -113,16 +134,30 @@ class DegradedTier {
  public:
   explicit DegradedTier(const DegradedTierOptions& options = {});
 
+  /// Keys recorded per try_lock by RecordExactBatch.
+  static constexpr std::size_t kRecordChunk = 32;
+
   /// The tier's pattern identity: a 64-bit hash of the pattern bytes plus
   /// the length. Self-consistent within the tier (it need not match the
   /// index's Karp-Rabin key — the tier is only ever consulted against what
-  /// it recorded itself).
+  /// it recorded itself). Reads the bytes 8 at a time into four
+  /// independent lanes, so long patterns hash at word rather than byte
+  /// speed; every single-byte change alters the key.
   static PatternKey KeyFor(std::span<const Symbol> pattern);
 
-  /// Observes one exactly-served answer (the exact path calls this for
-  /// every answered query). Never blocks: under lock contention the update
-  /// is dropped. Never allocates.
+  /// Observes one exactly-served answer. Never blocks: under lock
+  /// contention the update is dropped. Never allocates. Prefer
+  /// RecordExactBatch for groups of answers.
   void RecordExact(const PatternKey& key, const QueryResult& result);
+
+  /// Observes a group of exactly-served answers (patterns[i] answered
+  /// results[i]) learned from content epoch \p epoch. Records in chunks of
+  /// kRecordChunk, one try_lock per chunk (a contended chunk is dropped
+  /// whole); drops everything once \p epoch is no longer epoch(). Given
+  /// the same answers in the same order, leaves the tier exactly as a
+  /// RecordExact loop would. Never blocks, never allocates.
+  void RecordExactBatch(std::span<const PatternSpan> patterns,
+                        std::span<const QueryResult> results, u64 epoch);
 
   /// Degraded-path lookup: tries the cache rung then the sketch rung.
   /// On success writes utility/occurrences and tags \p out with
@@ -131,9 +166,14 @@ class DegradedTier {
   bool TryAnswer(const PatternKey& key, QueryResult* out);
 
   /// Forgets everything (the owning text's content changed: recorded
-  /// answers and bounds no longer describe it). Cumulative telemetry
-  /// counters survive; structures and sketch mass reset.
+  /// answers and bounds no longer describe it) and bumps epoch().
+  /// Cumulative telemetry counters survive; structures and sketch mass
+  /// reset in place (no allocation).
   void Clear();
+
+  /// Content epoch: the number of Clear() calls so far. Read it before
+  /// pinning the content an answer is computed from.
+  u64 epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Telemetry snapshot.
   DegradedTierStats stats() const;
@@ -142,16 +182,26 @@ class DegradedTier {
   std::size_t SizeInBytes() const;
 
  private:
-  /// One answer-cache slot (open addressing, bounded probe window).
+  /// One answer-cache slot (open addressing, bounded probe window). The
+  /// key is stored unpacked (fp/len) so a slot is 32 bytes: on the 64-byte
+  /// aligned array no slot straddles two lines and a probe window spans 4
+  /// or 5 lines.
   struct CacheSlot {
-    PatternKey key;
+    u64 fp = 0;
     double utility = 0;
+    u32 len = 0;
     index_t occurrences = 0;
     u32 popularity = 0;  ///< HeavyKeeper estimate when last touched.
     bool used = false;
   };
+  static_assert(sizeof(CacheSlot) == 32);
   static constexpr std::size_t kProbeWindow = 8;
 
+  /// One record's state update; caller holds mu_.
+  void RecordLocked(const PatternKey& key, u64 hash, const QueryResult& result);
+  /// Prefetches the lines RecordLocked will touch for \p hash; caller holds
+  /// mu_.
+  void PrefetchLocked(u64 hash) const;
   void CacheUpsertLocked(const PatternKey& key, u64 hash,
                          const QueryResult& result, u32 popularity);
   bool CacheFindLocked(const PatternKey& key, u64 hash, QueryResult* out);
@@ -167,7 +217,8 @@ class DegradedTier {
   /// Query-popularity sketch feeding cache admission (HeavyKeeper).
   DecaySketch popularity_;
 
-  std::vector<CacheSlot> cache_;  ///< Power-of-two slots; empty = disabled.
+  /// Power-of-two slots; empty = disabled.
+  std::vector<CacheSlot, CacheAlignedAllocator<CacheSlot>> cache_;
   std::size_t cache_size_ = 0;
 
   /// Single-insertion membership filter: open-addressed key-hash set.
@@ -184,8 +235,12 @@ class DegradedTier {
   std::vector<u32> cms_occurrences_;
   double sketch_mass_ = 0;
 
+  /// Bumped by Clear() under mu_; read lock-free by recorders.
+  std::atomic<u64> epoch_{0};
+
   u64 records_ = 0;
   std::atomic<u64> record_drops_{0};  ///< Bumped without the lock held.
+  u64 stale_drops_ = 0;
   u64 lookups_ = 0;
   u64 cache_hits_ = 0;
   u64 sketch_answers_ = 0;

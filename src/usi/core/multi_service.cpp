@@ -175,6 +175,9 @@ struct UsiMultiService::BatchScratch {
     /// The update-tier overlay pinned WITH gen (one entry-lock critical
     /// section), so the group's base and delta describe the same boundary.
     std::shared_ptr<DeltaOverlay> delta;
+    /// The text tier's epoch, read just BEFORE the pin: answers recorded
+    /// with it are dropped if a content change cleared the tier since.
+    u64 tier_epoch = 0;
     std::vector<u32> indices;  ///< Positions in the incoming batch.
   };
   std::vector<Group> groups;  ///< groups[0..used) active this batch.
@@ -316,6 +319,9 @@ u64 UsiMultiService::RegisterTextFromFile(std::string_view id,
       entry->last_failed = false;
     }
   }
+  // As in BuildOne: retire what readers of the previous generation recorded
+  // between the clear above and this publish.
+  if (entry->tier != nullptr) entry->tier->Clear();
   entry->cv.notify_all();
   {
     std::lock_guard<std::mutex> lock(build_mu_);
@@ -687,6 +693,7 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
       std::make_unique<UsiService>(*gen->index, pool_, service_options);
 
   bool compaction_published = false;
+  bool content_published = false;
   {
     std::lock_guard<std::mutex> lock(entry.mu);
     Timer publish_timer;  // Measures the lock hold appenders/pinners see.
@@ -757,12 +764,19 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
       entry.published = gen->number;
       entry.current = std::move(gen);
       entry.last_failed = false;
+      content_published = !job.compaction;
     }
     if (compaction_published) {
       entry.compact_publish_ns =
           static_cast<u64>(publish_timer.ElapsedSeconds() * 1e9);
     }
   }
+  // New content is now what readers pin. The schedule-time clear could not
+  // stop readers still serving the outgoing generation from re-teaching the
+  // tier its answers; this one retires them (and bumps the epoch, so groups
+  // pinned before the publish cannot record after it). A compaction folds
+  // the same content into a new base, so its answers stay valid.
+  if (content_published && entry.tier != nullptr) entry.tier->Clear();
   entry.cv.notify_all();
   if (compaction_published) {
     compactions_.fetch_add(1, std::memory_order_relaxed);
@@ -993,6 +1007,12 @@ ServeStatus UsiMultiService::QueryBatchInto(
           cleanup();
           return ServeStatus::kUnknownText;
         }
+        // Epoch first, pin second: every content change (rebuild publish,
+        // append) clears the tier only after it has swapped under the entry
+        // lock. If this pin came before the swap, the epoch read before the
+        // pin is older than that clear, so the group's records are dropped.
+        const u64 tier_epoch =
+            entry->tier != nullptr ? entry->tier->epoch() : 0;
         std::shared_ptr<const Generation> gen;
         std::shared_ptr<DeltaOverlay> delta;
         entry->PinServing(&gen, &delta);
@@ -1010,6 +1030,7 @@ ServeStatus UsiMultiService::QueryBatchInto(
         last_group->entry = std::move(entry);
         last_group->gen = std::move(gen);
         last_group->delta = std::move(delta);
+        last_group->tier_epoch = tier_epoch;
         last_group->indices.clear();
       }
       last_id = q.text_id;
@@ -1114,14 +1135,14 @@ ServeStatus UsiMultiService::QueryBatchInto(
       // Feed the tier from the exact path: every served (pattern, answer)
       // pair is popularity evidence and a candidate cache/sketch entry.
       // Recording happens whether or not THIS batch opted into degraded
-      // serving — learning must precede the first failure. RecordExact
-      // never blocks (try_lock, drop on contention) and never allocates.
+      // serving — learning must precede the first failure. The batch
+      // record never blocks (one try_lock per chunk, drop on contention),
+      // never allocates, and drops the group if its epoch went stale.
       if (group.entry->tier != nullptr) {
-        DegradedTier& learn = *group.entry->tier;
-        for (std::size_t j = 0; j < n; ++j) {
-          learn.RecordExact(DegradedTier::KeyFor(scratch->patterns[j]),
-                            scratch->results[j]);
-        }
+        group.entry->tier->RecordExactBatch(
+            std::span<const PatternSpan>(scratch->patterns.data(), n),
+            std::span<const QueryResult>(scratch->results.data(), n),
+            group.tier_epoch);
       }
       // Cost-model calibration: only fully-served groups feed the estimate
       // (a partial group's bytes/time ratio is not the text's). Wall time

@@ -83,7 +83,11 @@
 ///
 /// \par Graceful degradation
 /// Every registered text carries a DegradedTier (core/degraded_tier.hpp)
-/// that records exact answers as they are served. A batch that opts in
+/// that records exact answers as they are served, one batch record per
+/// served group. Content changes clear it (at schedule time, after every
+/// append, and again when the new generation publishes), and each group
+/// records under the tier epoch it read before pinning, so answers about
+/// replaced content are never learned. A batch that opts in
 /// (MultiBatchOptions::allow_degraded) falls through the degradation ladder
 /// instead of being rejected: overload/busy sheds serve the whole batch
 /// from the tiers, a quarantined or faulted text answers from its tier

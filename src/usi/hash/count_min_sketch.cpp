@@ -31,7 +31,12 @@ u32 CountMinSketch::Estimate(u64 key) const {
 
 DecaySketch::DecaySketch(std::size_t width, std::size_t depth,
                          double decay_base, u64 seed)
-    : width_(width), depth_(depth), decay_base_(decay_base), rng_(seed) {
+    : width_(width),
+      pow2_width_((width & (width - 1)) == 0),
+      depth_(depth),
+      decay_base_(decay_base),
+      seed_(seed),
+      rng_(seed) {
   USI_CHECK(width >= 1 && depth >= 1);
   USI_CHECK(decay_base > 1.0);
   seeds_.resize(depth);
@@ -44,6 +49,11 @@ DecaySketch::DecaySketch(std::size_t width, std::size_t depth,
   for (u32 c = 0; c < kDecayTableSize; ++c) {
     decay_table_[c] = std::pow(decay_base_, -static_cast<double>(c));
   }
+}
+
+void DecaySketch::Reset() {
+  std::fill(buckets_.begin(), buckets_.end(), Bucket{});
+  rng_.Reseed(seed_);
 }
 
 u32 DecaySketch::Insert(u64 key) {

@@ -60,6 +60,20 @@ class DecaySketch {
   /// Max-over-rows estimate for \p key (0 if it owns no bucket).
   u32 Estimate(u64 key) const;
 
+  /// Issues a prefetch for every bucket \p key maps to (one per row), so a
+  /// batch of inserts can overlap their cache misses. No state change.
+  void Prefetch(u64 key) const {
+    for (std::size_t row = 0; row < depth_; ++row) {
+      __builtin_prefetch(&buckets_[Index(key, row)], 1);
+    }
+  }
+
+  /// Returns the sketch to its freshly-constructed state (empty buckets,
+  /// decay coin re-seeded) without reallocating or recomputing the decay
+  /// table: a Reset sketch and a new one with the same arguments behave
+  /// identically on any insert stream.
+  void Reset();
+
   /// Heap footprint in bytes.
   std::size_t SizeInBytes() const { return buckets_.capacity() * sizeof(Bucket); }
 
@@ -70,16 +84,23 @@ class DecaySketch {
   };
   static constexpr u32 kDecayTableSize = 256;
 
+  /// Power-of-two widths map with a mask (h % 2^k == h & (2^k - 1), so the
+  /// bucket choice is the same as the modulo's, minus a 64-bit division).
   std::size_t Index(u64 key, std::size_t row) const {
-    return (Rng::Mix(key, seeds_[row]) % width_) + row * width_;
+    const u64 h = Rng::Mix(key, seeds_[row]);
+    return static_cast<std::size_t>(pow2_width_ ? h & (width_ - 1)
+                                                : h % width_) +
+           row * width_;
   }
 
   /// b^-count, from the precomputed table for small counts.
   double DecayProbability(u32 count);
 
   std::size_t width_;
+  bool pow2_width_;  ///< Index masks instead of dividing.
   std::size_t depth_;
   double decay_base_;
+  u64 seed_;
   std::vector<u64> seeds_;
   std::vector<Bucket> buckets_;
   Rng rng_;

@@ -58,39 +58,9 @@
 
 #include "usi/hash/pattern_key.hpp"
 #include "usi/util/common.hpp"
+#include "usi/util/memory.hpp"
 
 namespace usi {
-
-/// Cache-line-aligned allocator for the table's arrays. glibc hands large
-/// allocations back at (page + 16), which would make half of the 32-byte
-/// entry records straddle two cache lines — measurably slower probes. A
-/// 64-byte base keeps every record and every control group load within the
-/// minimum number of lines.
-template <typename T>
-struct CacheAlignedAllocator {
-  using value_type = T;
-  static constexpr std::align_val_t kAlign{64};
-
-  CacheAlignedAllocator() = default;
-  template <typename U>
-  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, kAlign);
-  }
-
-  template <typename U>
-  bool operator==(const CacheAlignedAllocator<U>&) const {
-    return true;
-  }
-  template <typename U>
-  bool operator!=(const CacheAlignedAllocator<U>&) const {
-    return false;
-  }
-};
 
 /// Open-addressing map PatternKey -> V, tagged layout (see file header).
 ///

@@ -442,6 +442,66 @@ TEST_F(DegradationTest, ContentUpdateForgetsStaleTierAnswers) {
   }
 }
 
+// Runs in every build (no failpoints): between UpdateText and the new
+// generation's publish, readers still pin the outgoing generation and feed
+// its answers back into the tier AFTER the schedule-time clear. The publish
+// must retire them too, or they replay as "cached, bound 0" answers about
+// content that no longer exists.
+TEST_F(DegradationTest, PublishRetiresAnswersServedFromTheOutgoingGeneration) {
+  UsiMultiServiceOptions options;
+  options.threads = 1;  // One worker: the build lane serializes everything.
+  UsiMultiService service(options);
+  const WeightedString ws1 = RandomWeighted(2000, 8, 291);
+  const WeightedString ws2 = RandomWeighted(2100, 8, 292);
+  service.SubmitText("t", ws1);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  const std::vector<Text> patterns = PatternsFor(ws1, 293);
+  const std::vector<MultiQuery> queries = QueriesFor("t", patterns);
+  UsiOptions direct_options;
+  direct_options.threads = 1;
+  const std::vector<QueryResult> want_old =
+      DirectAnswers(UsiIndex(ws1, direct_options), patterns);
+  const std::vector<QueryResult> want_new =
+      DirectAnswers(UsiIndex(ws2, direct_options), patterns);
+
+  // A large build hogs the lane, so the content update queues behind it
+  // while the batches below are served from the outgoing generation.
+  service.SubmitText("hog", RandomWeighted(200'000, 8, 294));
+  service.UpdateText("t", ws2);
+  std::vector<QueryResult> results(queries.size());
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_EQ(service.QueryBatchInto(queries, results), ServeStatus::kOk);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_EQ(results[i].utility, want_old[i].utility) << "slot " << i;
+    }
+  }
+  ASSERT_EQ(service.TextState("t"), BuildState::kPending)
+      << "the hog build must still hold the lane while the old "
+         "generation serves";
+  ASSERT_GT(service.StatsFor("t")->degraded->records, 0u)
+      << "the outgoing generation's answers must have reached the tier";
+
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+  MultiBatchOptions batch_options;
+  batch_options.allow_degraded = true;
+  batch_options.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
+  EXPECT_EQ(service.QueryBatchInto(queries, results, batch_options),
+            ServeStatus::kDeadlineExceeded);
+  std::size_t stale = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results[i].provenance == AnswerProvenance::kCached &&
+        (results[i].utility != want_new[i].utility ||
+         results[i].occurrences != want_new[i].occurrences)) {
+      ++stale;
+    }
+  }
+  EXPECT_EQ(stale, 0u)
+      << "answers about the replaced content replayed as cached, bound 0";
+  ExpectWithinBounds(results, want_new);
+}
+
 // ---------------------------------------------------------------------------
 // UnregisterText (satellite): RCU removal, queue purge, no hangs.
 

@@ -3,7 +3,15 @@
 // answers within its advertised epsilon * mass bound and never
 // under-estimates, unknown patterns stay unanswered (kNone at the serving
 // layer), Clear forgets learned state, and the telemetry snapshot reports
-// the geometry usi_inspect prints.
+// the geometry usi_inspect prints. The batch record path must leave the
+// tier exactly as the per-answer path does, and its epoch gate must keep
+// answers learned before a Clear from ever being replayed (a concurrent
+// hammer, labelled "concurrency" for the TSan job).
+
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -185,6 +193,191 @@ TEST(DegradedTier, StatsReportGeometryAndFootprint) {
   EXPECT_DOUBLE_EQ(stats.CacheHitRate(), 0.0);
   EXPECT_GT(tier.SizeInBytes(),
             1024u * 5u * (sizeof(double) + sizeof(u32)));
+}
+
+void ExpectSameStats(const DegradedTierStats& a, const DegradedTierStats& b) {
+  EXPECT_EQ(a.cache_capacity, b.cache_capacity);
+  EXPECT_EQ(a.cache_size, b.cache_size);
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_EQ(a.record_drops, b.record_drops);
+  EXPECT_EQ(a.stale_drops, b.stale_drops);
+  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.sketch_answers, b.sketch_answers);
+  EXPECT_EQ(a.unanswered, b.unanswered);
+  EXPECT_EQ(a.sketched_keys, b.sketched_keys);
+  EXPECT_EQ(a.sketch_mass, b.sketch_mass);
+}
+
+TEST(DegradedTier, BatchRecordMatchesPerAnswerLoop) {
+  // A small cache and filter force displacement and admission decisions,
+  // so any divergence in record order or content would show in the state.
+  DegradedTierOptions small;
+  small.cache_capacity = 64;
+  small.sketch_width = 64;
+  small.max_sketched_keys = 256;
+  for (const DegradedTierOptions& options : {DegradedTierOptions{}, small}) {
+    for (const std::size_t group : {0u, 1u, 31u, 32u, 33u, 1000u}) {
+      SCOPED_TRACE(::testing::Message() << "group " << group << " cache "
+                                        << options.cache_capacity);
+      Rng rng(0xBA7C + group);
+      // Repeats (a pool smaller than the group) and a long-pattern tail,
+      // as served traffic has; some negative utilities stay cache-only.
+      std::vector<Text> pool;
+      for (int i = 0; i < 300; ++i) {
+        Text pattern(1 + rng.UniformBelow(i % 50 == 0 ? 400 : 12));
+        for (Symbol& c : pattern) c = static_cast<Symbol>(rng.UniformBelow(6));
+        pool.push_back(std::move(pattern));
+      }
+      std::vector<PatternSpan> patterns;
+      std::vector<QueryResult> results;
+      for (std::size_t i = 0; i < group; ++i) {
+        patterns.push_back(pool[rng.UniformBelow(pool.size())]);
+        results.push_back(Exact(rng.UniformDouble() * 20.0 - 1.0,
+                                static_cast<index_t>(rng.UniformBelow(50))));
+      }
+
+      DegradedTier loop(options);
+      DegradedTier batch(options);
+      for (std::size_t i = 0; i < group; ++i) {
+        loop.RecordExact(DegradedTier::KeyFor(patterns[i]), results[i]);
+      }
+      batch.RecordExactBatch(patterns, results, batch.epoch());
+      ExpectSameStats(loop.stats(), batch.stats());
+      EXPECT_EQ(batch.stats().records, group);
+
+      // Same lookups in the same order on both (a lookup feeds popularity
+      // too, so the two tiers stay in lockstep throughout).
+      for (const Text& pattern : pool) {
+        const PatternKey key = DegradedTier::KeyFor(pattern);
+        QueryResult from_loop, from_batch;
+        const bool loop_hit = loop.TryAnswer(key, &from_loop);
+        ASSERT_EQ(batch.TryAnswer(key, &from_batch), loop_hit);
+        EXPECT_EQ(from_batch.provenance, from_loop.provenance);
+        EXPECT_EQ(from_batch.utility, from_loop.utility);
+        EXPECT_EQ(from_batch.occurrences, from_loop.occurrences);
+        EXPECT_EQ(from_batch.error_bound, from_loop.error_bound);
+      }
+      ExpectSameStats(loop.stats(), batch.stats());
+    }
+  }
+}
+
+TEST(DegradedTier, StaleEpochBatchIsDropped) {
+  DegradedTier tier;
+  const Text pattern = T("before");
+  const std::vector<PatternSpan> patterns = {pattern};
+  const std::vector<QueryResult> results = {Exact(5.0, 2)};
+  const u64 epoch = tier.epoch();
+  tier.Clear();  // The content the answer came from is gone.
+  EXPECT_EQ(tier.epoch(), epoch + 1);
+  tier.RecordExactBatch(patterns, results, epoch);
+  QueryResult got;
+  EXPECT_FALSE(tier.TryAnswer(DegradedTier::KeyFor(pattern), &got));
+  DegradedTierStats stats = tier.stats();
+  EXPECT_EQ(stats.records, 0u);
+  EXPECT_EQ(stats.stale_drops, 1u);
+
+  tier.RecordExactBatch(patterns, results, tier.epoch());
+  EXPECT_TRUE(tier.TryAnswer(DegradedTier::KeyFor(pattern), &got));
+  EXPECT_EQ(got.utility, 5.0);
+  stats = tier.stats();
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(stats.stale_drops, 1u);
+}
+
+TEST(DegradedTier, KeyForSeesEveryByteAndIgnoresAlignment) {
+  Rng rng(0xF11B);
+  // Room for every length at every alignment offset.
+  std::vector<Symbol> buffer(80 + 16);
+  for (std::size_t len = 0; len <= 80; ++len) {
+    Text pattern(len);
+    for (Symbol& c : pattern) c = static_cast<Symbol>(rng.UniformBelow(256));
+    const PatternKey key = DegradedTier::KeyFor(pattern);
+    EXPECT_EQ(key.len, len);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      std::copy(pattern.begin(), pattern.end(), buffer.begin() + offset);
+      const PatternKey moved =
+          DegradedTier::KeyFor(PatternSpan(buffer.data() + offset, len));
+      EXPECT_TRUE(moved == key) << "len " << len << " offset " << offset;
+    }
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      for (const Symbol flip : {Symbol{0x01}, Symbol{0x80}, Symbol{0xFF}}) {
+        Text changed = pattern;
+        changed[pos] ^= flip;
+        EXPECT_NE(DegradedTier::KeyFor(changed).fp, key.fp)
+            << "len " << len << " pos " << pos << " flip " << int{flip};
+      }
+    }
+  }
+}
+
+TEST(DegradedTier, EpochGateNeverReplaysPreClearAnswersUnderConcurrency) {
+  // Every answer a recorder offers carries, as its utility, the epoch it
+  // read before "computing" it — a stand-in for the content version the
+  // answer describes. A lookup that starts after some Clear() (epoch e1)
+  // may only see answers learned at epoch >= e1: anything older is an
+  // answer about content that Clear retired.
+  DegradedTierOptions options;
+  options.cache_capacity = 256;
+  options.sketch_width = 256;
+  options.max_sketched_keys = 1024;
+  DegradedTier tier(options);
+
+  Rng rng(0xC1EA);
+  std::vector<Text> pool;
+  for (int i = 0; i < 96; ++i) {
+    Text pattern(1 + rng.UniformBelow(10));
+    for (Symbol& c : pattern) c = static_cast<Symbol>(rng.UniformBelow(4));
+    pool.push_back(std::move(pattern));
+  }
+  const std::vector<PatternSpan> patterns(pool.begin(), pool.end());
+
+  std::atomic<bool> stop{false};
+  std::atomic<u64> violations{0}, answered{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      std::vector<QueryResult> results(patterns.size());
+      while (!stop.load(std::memory_order_relaxed)) {
+        const u64 epoch = tier.epoch();
+        for (QueryResult& result : results) {
+          result = Exact(static_cast<double>(epoch), 1);
+        }
+        tier.RecordExactBatch(patterns, results, epoch);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    std::size_t i = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const u64 before = tier.epoch();
+      QueryResult got;
+      const bool hit =
+          tier.TryAnswer(DegradedTier::KeyFor(pool[i++ % pool.size()]), &got);
+      const u64 after = tier.epoch();
+      if (!hit) continue;
+      answered.fetch_add(1, std::memory_order_relaxed);
+      // Cached answers replay one record exactly; sketch answers only ever
+      // over-estimate the record they stand for.
+      const bool stale = got.utility < static_cast<double>(before);
+      const bool future = got.provenance == AnswerProvenance::kCached &&
+                          got.utility > static_cast<double>(after);
+      if (stale || future) violations.fetch_add(1);
+    }
+  });
+  for (int round = 0; round < 2'000; ++round) {
+    tier.Clear();
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(violations.load(), 0u);
+  const DegradedTierStats stats = tier.stats();
+  EXPECT_EQ(tier.epoch(), 2'000u);
+  EXPECT_GT(stats.records, 0u) << "recorders never got through";
+  EXPECT_GT(stats.lookups, 0u);
 }
 
 }  // namespace

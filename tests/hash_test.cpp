@@ -206,6 +206,30 @@ TEST(DecaySketch, ColdItemDoesNotEvictHot) {
   EXPECT_EQ(sketch.Estimate(2), 0u);
 }
 
+TEST(DecaySketch, ResetMatchesAFreshSketch) {
+  // Power-of-two (masked) and other (modulo) widths alike: after Reset the
+  // sketch must behave exactly like a new one built with the same
+  // arguments — same buckets, same decay coin sequence.
+  for (const std::size_t width : {64u, 100u}) {
+    DecaySketch reused(width, 2, 1.08, 0xF00D);
+    Rng rng(0x5E7);
+    for (int i = 0; i < 5'000; ++i) reused.Insert(rng.UniformBelow(300));
+    reused.Reset();
+    DecaySketch fresh(width, 2, 1.08, 0xF00D);
+    for (u64 key = 0; key < 300; ++key) {
+      ASSERT_EQ(reused.Estimate(key), 0u) << "width " << width;
+    }
+    for (int i = 0; i < 5'000; ++i) {
+      const u64 key = rng.UniformBelow(300);
+      ASSERT_EQ(reused.Insert(key), fresh.Insert(key))
+          << "width " << width << " insert " << i;
+    }
+    for (u64 key = 0; key < 300; ++key) {
+      EXPECT_EQ(reused.Estimate(key), fresh.Estimate(key)) << "width " << width;
+    }
+  }
+}
+
 TEST(LruCache, EvictsLeastRecentlyUsed) {
   LruCache cache(2);
   cache.Put(PatternKey{1, 1}, 1.0);

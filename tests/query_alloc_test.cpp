@@ -146,25 +146,30 @@ TEST(QueryAlloc, SteadyStateQueryBatchIntoAllocatesNothing) {
 }
 
 TEST(QueryAlloc, DegradedTierRecordAndLookupAllocateNothing) {
-  // RecordExact rides on every exactly-served query, so the tier shares the
-  // hot path's contract: all structures are sized at construction, and
-  // steady-state records AND degraded lookups never touch the heap.
+  // The exact path records every answered group into the tier, so the tier
+  // shares the hot path's contract: all structures are sized at
+  // construction, and steady-state records (per answer AND per batch, whose
+  // chunk scratch lives on the stack), degraded lookups and Clear never
+  // touch the heap.
   DegradedTier tier;
   Rng rng(0x7EE4);
+  std::vector<Text> patterns;
   std::vector<PatternKey> keys;
   std::vector<QueryResult> answers;
   for (int i = 0; i < 2'000; ++i) {
     Text pattern;
-    const std::size_t len = 2 + rng.UniformBelow(14);
+    const std::size_t len = 2 + rng.UniformBelow(i % 100 == 0 ? 600 : 14);
     for (std::size_t j = 0; j < len; ++j) {
       pattern.push_back(static_cast<Symbol>(rng.UniformBelow(16)));
     }
     keys.push_back(DegradedTier::KeyFor(pattern));
+    patterns.push_back(std::move(pattern));
     QueryResult answer;
     answer.utility = rng.UniformDouble() * 5.0;
     answer.occurrences = static_cast<index_t>(1 + rng.UniformBelow(9));
     answers.push_back(answer);
   }
+  const std::vector<PatternSpan> spans(patterns.begin(), patterns.end());
 
   for (std::size_t i = 0; i < keys.size(); ++i) {  // Warm-up.
     tier.RecordExact(keys[i], answers[i]);
@@ -177,10 +182,18 @@ TEST(QueryAlloc, DegradedTierRecordAndLookupAllocateNothing) {
       tier.RecordExact(keys[i], answers[i]);
       tier.TryAnswer(keys[i], &out);
     }
+    // Group shapes around the chunk size, plus the whole stream at once.
+    for (const std::size_t group : {1u, 31u, 32u, 33u, 2'000u}) {
+      tier.RecordExactBatch(std::span<const PatternSpan>(spans).first(group),
+                            std::span<const QueryResult>(answers).first(group),
+                            tier.epoch());
+    }
+    tier.Clear();
   }
   const std::size_t after = AllocationsNow();
   EXPECT_EQ(after, before)
       << "steady-state tier traffic must not touch the heap";
+  EXPECT_GT(tier.stats().records, 3u * keys.size());
 }
 
 TEST(QueryAlloc, SteadyStateServeWithDeltaAllocatesNothing) {

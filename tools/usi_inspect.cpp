@@ -96,10 +96,11 @@ void PrintDegradedTier(const DegradedTierStats& s) {
               "mass)\n",
               s.sketch_width, s.sketch_depth, s.epsilon);
   std::printf("  learned:     %zu/%zu keys, mass %.1f, %llu records "
-              "(%llu dropped)\n",
+              "(%llu dropped, %llu stale)\n",
               s.sketched_keys, s.max_sketched_keys, s.sketch_mass,
               static_cast<unsigned long long>(s.records),
-              static_cast<unsigned long long>(s.record_drops));
+              static_cast<unsigned long long>(s.record_drops),
+              static_cast<unsigned long long>(s.stale_drops));
 }
 
 /// Prints one text's update-tier telemetry: the live delta overlay (size,
