@@ -284,17 +284,19 @@ void RunBatchSection(const bench::BenchArgs& args, bench::BenchJson& json) {
         std::pair<const char*, const Workload*>{"repeat-heavy",
                                                 &repeat_heavy}}) {
     const std::vector<Text>& patterns = workload->patterns;
+    const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
     std::vector<QueryResult> results(patterns.size());
+    UsiBatchStats seq_stats;
     const double per_query = MeasureRate(patterns.size(), [&] {
       for (const Text& pattern : patterns) {
         (void)static_cast<const UsiIndex&>(index).Query(pattern);
       }
     });
     const double batch_seq = MeasureRate(patterns.size(), [&] {
-      sequential.QueryBatchInto(patterns, results);
+      sequential.QueryBatchInto(spans, results, &seq_stats);
     });
     const double batch_par = MeasureRate(patterns.size(), [&] {
-      parallel.QueryBatchInto(patterns, results);
+      parallel.QueryBatchInto(spans, results);
     });
     table.AddRow({label, "per-query Query loop", TablePrinter::Num(per_query, 0),
                   TablePrinter::Num(1.0, 2)});
@@ -315,7 +317,7 @@ void RunBatchSection(const bench::BenchArgs& args, bench::BenchJson& json) {
     json.Add("batch", prefix + "_batch_seq_qps", batch_seq, "qps");
     json.Add("batch", prefix + "_batch_parallel_qps", batch_par, "qps");
     json.Add("batch", prefix + "_hash_hit_fraction",
-             static_cast<double>(sequential.last_batch().hash_hits) /
+             static_cast<double>(seq_stats.hash_hits) /
                  static_cast<double>(patterns.size()),
              "ratio");
   }

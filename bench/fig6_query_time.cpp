@@ -33,8 +33,9 @@ double AvgMicros(QueryEngine& engine, const std::vector<Text>& patterns) {
   UsiServiceOptions sequential;
   sequential.threads = 1;
   UsiService service(engine, sequential);
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
   Timer timer;
-  const std::vector<QueryResult> results = service.QueryBatch(patterns);
+  const std::vector<QueryResult> results = service.QueryBatch(spans);
   const double micros = timer.ElapsedSeconds() * 1e6 / patterns.size();
   double checksum = 0;
   for (const QueryResult& r : results) checksum += r.utility;
@@ -48,11 +49,12 @@ double QueriesPerSecond(QueryEngine& engine, unsigned threads,
   UsiServiceOptions options;
   options.threads = threads;
   UsiService service(engine, options);
-  service.QueryBatch(patterns);  // Warm-up: page in tables, prime the pool.
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
+  service.QueryBatch(spans);  // Warm-up: page in tables, prime the pool.
   std::size_t served = 0;
   Timer timer;
   do {
-    service.QueryBatch(patterns);
+    service.QueryBatch(spans);
     served += patterns.size();
   } while (timer.ElapsedSeconds() < 0.2 && served < 400'000);
   return static_cast<double>(served) / timer.ElapsedSeconds();

@@ -56,11 +56,14 @@ int main() {
   for (const char* raw : {"ATA", "CCCC", "TACCCC", "GGG"}) {
     batch.push_back(alphabet.EncodeString(raw));
   }
-  const std::vector<QueryResult> answers = service.QueryBatch(batch);
-  // last_batch() reports what actually happened — a batch this small stays
-  // on one thread rather than paying fan-out overhead.
+  // The service borrows patterns as spans; AsPatternSpans views the owned
+  // Texts. The stats out-parameter reports what actually happened — a batch
+  // this small stays on one thread rather than paying fan-out overhead.
+  std::vector<QueryResult> answers(batch.size());
+  UsiBatchStats stats;
+  service.QueryBatchInto(AsPatternSpans(batch), answers, &stats);
   std::printf("QueryBatch: served %zu patterns on %u thread(s):",
-              answers.size(), service.last_batch().threads_used);
+              answers.size(), stats.threads_used);
   for (const QueryResult& answer : answers) {
     std::printf(" %.2f", answer.utility);
   }

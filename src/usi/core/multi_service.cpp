@@ -30,6 +30,20 @@ namespace {
 /// pattern bytes; below the threshold the configured prior is used.
 constexpr u64 kCostCalibrationBytes = 1024;
 
+/// Writes one degraded result slot: \p tier's answer for \p pattern, or
+/// kNone filler when there is no tier or no rung answers. Returns whether a
+/// rung answered.
+bool AnswerFromTier(DegradedTier* tier, PatternSpan pattern,
+                    QueryResult& slot) {
+  slot = QueryResult{};
+  if (tier != nullptr &&
+      tier->TryAnswer(DegradedTier::KeyFor(pattern), &slot)) {
+    return true;
+  }
+  slot.provenance = AnswerProvenance::kNone;
+  return false;
+}
+
 }  // namespace
 
 /// One immutable index generation. The weighted string lives here because
@@ -1233,14 +1247,7 @@ std::size_t UsiMultiService::FillFromTier(DegradedTier* tier,
                                           std::span<QueryResult> results) {
   std::size_t filled = 0;
   for (const u32 idx : indices) {
-    QueryResult& slot = results[idx];
-    slot = QueryResult{};
-    if (tier != nullptr &&
-        tier->TryAnswer(DegradedTier::KeyFor(queries[idx].pattern), &slot)) {
-      ++filled;
-    } else {
-      slot.provenance = AnswerProvenance::kNone;
-    }
+    filled += AnswerFromTier(tier, queries[idx].pattern, results[idx]) ? 1 : 0;
   }
   return filled;
 }
@@ -1268,15 +1275,8 @@ ServeStatus UsiMultiService::ServeDegradedBatch(
       entry = FindEntry(q.text_id);  // May be gone since validation: kNone.
       last_id = q.text_id;
     }
-    QueryResult& slot = results[i];
-    slot = QueryResult{};
     DegradedTier* tier = entry == nullptr ? nullptr : entry->tier.get();
-    if (tier != nullptr &&
-        tier->TryAnswer(DegradedTier::KeyFor(q.pattern), &slot)) {
-      ++filled;
-    } else {
-      slot.provenance = AnswerProvenance::kNone;
-    }
+    filled += AnswerFromTier(tier, q.pattern, results[i]) ? 1 : 0;
   }
   degraded_batches_.fetch_add(1, std::memory_order_relaxed);
   if (filled != 0) {

@@ -11,11 +11,11 @@
 /// through one interface, and so batched serving can ask an engine whether
 /// concurrent queries are safe before fanning a batch across a thread pool.
 ///
-/// Batches are first-class: PrepareBatch runs once per batch before any
-/// fan-out (engines pre-grow shared read-only state, e.g. the Karp-Rabin
-/// power table), and QueryBatch answers a span of patterns into a span of
-/// results using caller-owned QueryScratch buffers — the hot path allocates
-/// nothing once the scratch has warmed up to the workload's pattern lengths.
+/// Batches are first-class: QueryBatch answers a span of borrowed patterns
+/// into a span of results using caller-owned QueryScratch buffers — the hot
+/// path allocates nothing once the scratch has warmed up to the workload's
+/// pattern lengths. There is no per-batch preparation: a concurrent-safe
+/// engine is read-only while it serves.
 
 #include <atomic>
 #include <chrono>
@@ -37,6 +37,14 @@ namespace usi {
 /// copying bytes into scratch Texts. The referenced bytes must stay alive
 /// and unchanged for the duration of the batch call.
 using PatternSpan = std::span<const Symbol>;
+
+/// Borrowed views of owned patterns, for callers that hold
+/// std::vector<Text> (tests, benches, examples, tools). It allocates, so no
+/// hot path uses it; the views are valid while \p patterns is.
+inline std::vector<PatternSpan> AsPatternSpans(
+    std::span<const Text> patterns) {
+  return std::vector<PatternSpan>(patterns.begin(), patterns.end());
+}
 
 /// Where an answer came from — the rung of the degradation ladder that
 /// produced it (exact → hot-pattern cache → sketch estimate → none). The
@@ -138,18 +146,13 @@ struct QueryScratch {
 /// \par Thread safety
 /// The contract is opt-in per engine:
 ///  * SupportsConcurrentQuery() == true promises Query / QueryBatch are
-///    safe from multiple threads *provided* each concurrent call owns its
-///    QueryScratch and shared state covers the batch (PrepareBatch ran, or
-///    BatchPrepared() returned true). UsiIndex qualifies: it is immutable
-///    after construction except for the monotonically-grown Karp-Rabin
-///    power table, which PrepareBatch pre-grows.
+///    safe from multiple threads provided each concurrent call owns its
+///    QueryScratch. UsiIndex qualifies: it is immutable after construction,
+///    and its query paths fingerprint by Horner's rule, which reads no
+///    shared mutable state.
 ///  * SupportsConcurrentQuery() == false (the caching baselines) means the
 ///    engine mutates per-query state; callers must serialize, and answer
 ///    streams depend on query order.
-///  * PrepareBatch is the single mutating entry point on concurrent-safe
-///    engines; it must be externally excluded from running alongside
-///    serving (UsiService holds a reader/writer lock: batches share,
-///    preparation is exclusive, warm batches skip it via BatchPrepared).
 class QueryEngine {
  public:
   virtual ~QueryEngine() = default;
@@ -168,61 +171,11 @@ class QueryEngine {
   /// false; UsiService then serves their batches sequentially, in order.
   virtual bool SupportsConcurrentQuery() const { return false; }
 
-  /// Called once per batch, before any QueryBatch fan-out, with the full
-  /// batch. Engines pre-grow state shared read-only by the batch (UsiIndex
-  /// reserves Karp-Rabin powers for the batch's max pattern length so no
-  /// concurrent shard ever grows the table). Default: nothing to prepare.
-  ///
-  /// PrepareBatch may mutate engine state, so it must never run while
-  /// another batch is being served on the same engine. UsiService enforces
-  /// this with a reader/writer protocol: serving holds a shared lock,
-  /// PrepareBatch runs under the exclusive lock, and BatchPrepared() lets
-  /// warm batches skip the exclusive section entirely.
-  virtual void PrepareBatch(std::span<const Text> patterns) {
-    (void)patterns;
-  }
-
-  /// Span-of-spans variant of PrepareBatch, same contract.
-  virtual void PrepareBatch(std::span<const PatternSpan> patterns) {
-    (void)patterns;
-  }
-
-  /// Whether PrepareBatch(\p patterns) would be a no-op — i.e. the shared
-  /// state it grows already covers this batch, so serving may proceed
-  /// without mutating the engine. Called concurrently with serving; must
-  /// only read state that PrepareBatch grows monotonically. Default:
-  /// false (always prepare), matching the default no-op PrepareBatch being
-  /// free to run under the exclusive lock.
-  virtual bool BatchPrepared(std::span<const Text> patterns) const {
-    (void)patterns;
-    return false;
-  }
-
-  /// Span-of-spans variant of BatchPrepared, same contract.
-  virtual bool BatchPrepared(std::span<const PatternSpan> patterns) const {
-    (void)patterns;
-    return false;
-  }
-
   /// Answers patterns[i] into results[i] for every i; results.size() must
   /// be >= patterns.size(). \p scratch may be null (the engine then uses
   /// call-local buffers). The answers are exactly what per-pattern Query
   /// calls in batch order would produce. Default: that loop, verbatim —
   /// which is also the only correct serving mode for caching engines.
-  virtual void QueryBatch(std::span<const Text> patterns,
-                          std::span<QueryResult> results,
-                          QueryScratch* scratch) {
-    (void)scratch;
-    USI_DCHECK(results.size() >= patterns.size());
-    for (std::size_t i = 0; i < patterns.size(); ++i) {
-      results[i] = Query(patterns[i]);
-    }
-  }
-
-  /// Span-of-spans variant of QueryBatch, same contract: patterns are
-  /// borrowed rather than owned, so gather stages can point into request
-  /// storage instead of copying bytes. The default loop makes every engine
-  /// correct under it; engines with a real batch path (UsiIndex) override.
   virtual void QueryBatch(std::span<const PatternSpan> patterns,
                           std::span<QueryResult> results,
                           QueryScratch* scratch) {

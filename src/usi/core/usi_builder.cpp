@@ -178,13 +178,11 @@ void UsiBuilder::PopulateTable(UsiIndex& index, const TopKList& mined,
     std::size_t end;
   };
   std::vector<Group> groups;
-  index_t max_len = 0;
   for (std::size_t begin = 0; begin < by_length.size();) {
     const index_t len = by_length[begin]->length;
     std::size_t end = begin;
     while (end < by_length.size() && by_length[end]->length == len) ++end;
     groups.push_back({len, begin, end});
-    max_len = std::max(max_len, len);
     begin = end;
   }
   index.build_info_.num_lengths = static_cast<index_t>(groups.size());
@@ -195,18 +193,14 @@ void UsiBuilder::PopulateTable(UsiIndex& index, const TopKList& mined,
           : static_cast<unsigned>(std::min<std::size_t>(pool->thread_count(),
                                                         groups.size()));
 
-  // Thread-confined scratch: each worker gets its own Karp-Rabin hasher
-  // (copied after pre-growing the power table, so RollingHasher setup never
-  // mutates shared state) and its own occurrence-mark bit vector B.
-  index.hasher_.ReservePowers(max_len);
-  struct Scratch {
-    KarpRabinHasher hasher;
-    BitVector marks;
-  };
-  std::vector<Scratch> scratch;
-  scratch.reserve(std::max(1u, workers));
+  // Workers share the hasher read-only (Hash, Append and RollingHasher
+  // setup never touch its power table); each gets its own occurrence-mark
+  // bit vector B.
+  const KarpRabinHasher& hasher = index.hasher_;
+  std::vector<BitVector> marks;
+  marks.reserve(std::max(1u, workers));
   for (unsigned w = 0; w < std::max(1u, workers); ++w) {
-    scratch.push_back(Scratch{index.hasher_, BitVector(mined.exact ? n : 0)});
+    marks.emplace_back(mined.exact ? n : 0);
   }
 
   // Each length group aggregates into a private table; groups touch
@@ -220,7 +214,7 @@ void UsiBuilder::PopulateTable(UsiIndex& index, const TopKList& mined,
     const Group& group = groups[g];
     const index_t len = group.len;
     if (len > n || len == 0) return;  // Nothing of this length fits.
-    Scratch& s = scratch[worker];
+    BitVector& worker_marks = marks[worker];
     FingerprintTable<TableValue> local(group.end - group.begin);
 
     if (mined.exact) {
@@ -228,7 +222,7 @@ void UsiBuilder::PopulateTable(UsiIndex& index, const TopKList& mined,
       for (std::size_t i = group.begin; i < group.end; ++i) {
         const TopKSubstring& item = *by_length[i];
         for (index_t k = item.lb; k <= item.rb; ++k) {
-          s.marks.Set(sa[k]);
+          worker_marks.Set(sa[k]);
         }
       }
     } else {
@@ -236,7 +230,7 @@ void UsiBuilder::PopulateTable(UsiIndex& index, const TopKList& mined,
       // so the window pass below runs in update-only mode.
       for (std::size_t i = group.begin; i < group.end; ++i) {
         const TopKSubstring& item = *by_length[i];
-        const u64 fp = s.hasher.Hash(
+        const u64 fp = hasher.Hash(
             std::span<const Symbol>(text.data() + item.witness, len));
         local.FindOrInsert(PatternKey{fp, len}, TableValue{});
       }
@@ -244,7 +238,7 @@ void UsiBuilder::PopulateTable(UsiIndex& index, const TopKList& mined,
 
     // Slide a length-len window over S; O(1) fingerprint and local utility
     // per position (Section IV, phase (ii)).
-    RollingHasher window(s.hasher, len);
+    RollingHasher window(hasher, len);
     for (index_t i = 0; i + 1 < len && i < n; ++i) window.Push(text[i]);
     for (index_t i = 0; i + len <= n; ++i) {
       if (i == 0) {
@@ -254,7 +248,7 @@ void UsiBuilder::PopulateTable(UsiIndex& index, const TopKList& mined,
       }
       const PatternKey key{window.Fingerprint(), len};
       if (mined.exact) {
-        if (!s.marks.Test(i)) continue;
+        if (!worker_marks.Test(i)) continue;
         local.FindOrInsert(key, TableValue{})
             ->Add(psw.LocalUtility(i, len), kind);
       } else {
@@ -268,7 +262,7 @@ void UsiBuilder::PopulateTable(UsiIndex& index, const TopKList& mined,
       for (std::size_t i = group.begin; i < group.end; ++i) {
         const TopKSubstring& item = *by_length[i];
         for (index_t k = item.lb; k <= item.rb; ++k) {
-          s.marks.Clear(sa[k]);
+          worker_marks.Clear(sa[k]);
         }
       }
     }

@@ -58,9 +58,8 @@ constexpr std::size_t kShareDetectInverse = 8;
 /// Packed ordering key for prefix clustering: 6 prefix bytes then the
 /// (capped) length, so repeats of one pattern — the common case in serving
 /// traffic — end up adjacent with a full-length LCP, and comparisons never
-/// indirect into the pattern storage. P is Text or PatternSpan.
-template <typename P>
-u64 PackedOrderKey(const P& pattern) {
+/// indirect into the pattern storage.
+u64 PackedOrderKey(PatternSpan pattern) {
   u64 packed = 0;
   const std::size_t take = std::min<std::size_t>(6, pattern.size());
   for (std::size_t j = 0; j < take; ++j) {
@@ -124,58 +123,9 @@ QueryResult UsiIndex::Query(std::span<const Symbol> pattern) const {
   return fallback_.Compute(pattern);
 }
 
-namespace {
-
-/// Longest pattern in a batch (P is Text or PatternSpan).
-template <typename P>
-std::size_t MaxPatternLen(std::span<const P> patterns) {
-  std::size_t max_len = 0;
-  for (const P& pattern : patterns) {
-    max_len = std::max(max_len, pattern.size());
-  }
-  return max_len;
-}
-
-}  // namespace
-
-void UsiIndex::PrepareBatch(std::span<const Text> patterns) {
-  // One shared pre-grow instead of per-query growth: every power any shard
-  // can need is now a read-only lookup, so concurrent shards never mutate
-  // the hasher (the precondition ReservePowers documents).
-  hasher_.ReservePowers(MaxPatternLen(patterns));
-}
-
-void UsiIndex::PrepareBatch(std::span<const PatternSpan> patterns) {
-  hasher_.ReservePowers(MaxPatternLen(patterns));
-}
-
-bool UsiIndex::BatchPrepared(std::span<const Text> patterns) const {
-  // powers_.size() only grows, and growth happens under UsiService's
-  // exclusive prepare lock — so a true answer here cannot be invalidated
-  // by a concurrent batch.
-  return hasher_.PowersCover(MaxPatternLen(patterns));
-}
-
-bool UsiIndex::BatchPrepared(std::span<const PatternSpan> patterns) const {
-  return hasher_.PowersCover(MaxPatternLen(patterns));
-}
-
-void UsiIndex::QueryBatch(std::span<const Text> patterns,
-                          std::span<QueryResult> results,
-                          QueryScratch* scratch) const {
-  QueryBatchImpl(patterns, results, scratch);
-}
-
 void UsiIndex::QueryBatch(std::span<const PatternSpan> patterns,
                           std::span<QueryResult> results,
                           QueryScratch* scratch) const {
-  QueryBatchImpl(patterns, results, scratch);
-}
-
-template <typename P>
-void UsiIndex::QueryBatchImpl(std::span<const P> patterns,
-                              std::span<QueryResult> results,
-                              QueryScratch* scratch) const {
   USI_CHECK(results.size() >= patterns.size());
   QueryScratch local;
   if (scratch == nullptr) scratch = &local;
@@ -184,7 +134,7 @@ void UsiIndex::QueryBatchImpl(std::span<const P> patterns,
 
   std::size_t max_len = 0;
   std::size_t total_len = 0;
-  for (const P& pattern : patterns) {
+  for (const PatternSpan pattern : patterns) {
     max_len = std::max(max_len, pattern.size());
     total_len += pattern.size();
   }
@@ -240,9 +190,9 @@ void UsiIndex::QueryBatchImpl(std::span<const P> patterns,
     // Pair order (key, index): deterministic, and ties keep batch order.
     std::sort(cluster_order.begin(), cluster_order.end());
 
-    const P* prev = nullptr;
+    const PatternSpan* prev = nullptr;
     for (const auto& [packed, idx] : cluster_order) {
-      const P& pattern = patterns[idx];
+      const PatternSpan& pattern = patterns[idx];
       std::size_t lcp = 0;
       if (prev != nullptr) {
         const std::size_t bound = std::min(prev->size(), pattern.size());
@@ -279,7 +229,7 @@ void UsiIndex::QueryBatchImpl(std::span<const P> patterns,
   misses.clear();
   miss_patterns.clear();
   const auto answer = [&](std::size_t i, const TableValue* value) {
-    const P& pattern = patterns[i];
+    const PatternSpan pattern = patterns[i];
     QueryResult result;
     if (pattern.empty() || pattern.size() > ws_->size()) {
       results[i] = result;
@@ -293,7 +243,7 @@ void UsiIndex::QueryBatchImpl(std::span<const P> patterns,
       return;
     }
     misses.push_back(static_cast<u32>(i));
-    miss_patterns.push_back(PatternSpan(pattern.data(), pattern.size()));
+    miss_patterns.push_back(pattern);
   };
   if (table_.SizeInBytes() >= kPipelinedProbeMinTableBytes) {
     table_.VisitBatch(std::span<const PatternKey>(keys.data(), batch),
@@ -364,9 +314,6 @@ void UsiIndex::QueryAllWindows(std::span<const Symbol> document,
   if (window_len == 0 || document.size() < window_len) return;
   const std::size_t windows = document.size() - window_len + 1;
   USI_CHECK(results.size() >= windows);
-  // RollingHasher reads base^(window_len-1) at construction; growing the
-  // power table here (not per window) keeps the loop read-only.
-  hasher_.ReservePowers(window_len);
   RollingHasher window(hasher_, window_len);
   for (index_t i = 0; i + 1 < window_len; ++i) window.Push(document[i]);
   for (std::size_t i = 0; i < windows; ++i) {
@@ -396,12 +343,10 @@ std::size_t UsiIndex::SizeInBytes() const {
   // loaders read them exact, so slack must never inflate the figure; for a
   // mapped index this counts the file-backed bytes the views reference.
   // The fallback engine borrows the SA/PSW (counted once, above); only its
-  // own object footprint is added. The hasher's power table counts too:
-  // PrepareBatch grows it to the longest pattern ever served and it stays
-  // resident for the index lifetime.
+  // own object footprint is added. No query path grows the hasher's power
+  // table, so the figure never depends on the patterns served.
   return sa_span_.size() * sizeof(index_t) + psw_.SizeInBytes() +
-         table_.SizeInBytes() + sizeof(fallback_) + hasher_.SizeInBytes() +
-         learned_.SizeInBytes();
+         table_.SizeInBytes() + sizeof(fallback_) + learned_.SizeInBytes();
 }
 
 UsiIndex::UsiIndex(LoadTag, const WeightedString& ws)

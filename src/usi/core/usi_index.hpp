@@ -208,18 +208,10 @@ class UsiIndex : public QueryEngine {
   /// substantially cheaper: patterns are probed in sorted order so prefix
   /// fingerprints extend from the longest common prefix instead of being
   /// recomputed per pattern, and table probes run with software prefetch
-  /// pipelined ahead. Allocation-free once \p scratch (may be null) has
-  /// grown to the workload's batch shape. Safe to call concurrently as long
-  /// as each call owns its scratch and PrepareBatch (or ReservePowers) ran
-  /// for the batch's max pattern length first — UsiService guarantees both.
-  void QueryBatch(std::span<const Text> patterns,
-                  std::span<QueryResult> results,
-                  QueryScratch* scratch) const;
-
-  /// Span-of-spans QueryBatch: identical behavior, patterns borrowed from
-  /// caller storage (UsiMultiService scatters pointers into request memory
-  /// instead of copying bytes into scratch Texts). Same concurrency
-  /// contract as the Text overload.
+  /// pipelined ahead. Patterns are borrowed from caller storage, and the
+  /// call is allocation-free once \p scratch (may be null) has grown to the
+  /// workload's batch shape. Safe to call concurrently as long as each call
+  /// owns its scratch.
   void QueryBatch(std::span<const PatternSpan> patterns,
                   std::span<QueryResult> results,
                   QueryScratch* scratch) const;
@@ -228,23 +220,13 @@ class UsiIndex : public QueryEngine {
   /// window of \p document (results[i] = U(document[i..i+window_len-1]);
   /// results.size() must be document.size() - window_len + 1). One O(1)
   /// rolling-hash step per window instead of an O(window_len) rehash, so
-  /// table hits cost O(|document|) total. Concurrent calls are safe once
-  /// the hasher's powers cover window_len (PrepareBatch/ReservePowers).
+  /// table hits cost O(|document|) total. Safe to call concurrently.
   void QueryAllWindows(std::span<const Symbol> document, index_t window_len,
                        std::span<QueryResult> results) const;
 
   /// QueryEngine interface.
   QueryResult Query(std::span<const Symbol> pattern) override {
     return static_cast<const UsiIndex*>(this)->Query(pattern);
-  }
-  void PrepareBatch(std::span<const Text> patterns) override;
-  void PrepareBatch(std::span<const PatternSpan> patterns) override;
-  bool BatchPrepared(std::span<const Text> patterns) const override;
-  bool BatchPrepared(std::span<const PatternSpan> patterns) const override;
-  void QueryBatch(std::span<const Text> patterns,
-                  std::span<QueryResult> results,
-                  QueryScratch* scratch) override {
-    static_cast<const UsiIndex*>(this)->QueryBatch(patterns, results, scratch);
   }
   void QueryBatch(std::span<const PatternSpan> patterns,
                   std::span<QueryResult> results,
@@ -315,12 +297,6 @@ class UsiIndex : public QueryEngine {
   static std::unique_ptr<UsiIndex> ParseImage(
       const WeightedString& ws, std::unique_ptr<MappedFile> image,
       bool verify_payloads, LoadError* error);
-
-  /// Shared body of both QueryBatch overloads; P is Text or PatternSpan.
-  template <typename P>
-  void QueryBatchImpl(std::span<const P> patterns,
-                      std::span<QueryResult> results,
-                      QueryScratch* scratch) const;
 
   const WeightedString* ws_;
   GlobalUtilityKind kind_;

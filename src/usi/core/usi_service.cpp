@@ -62,7 +62,7 @@ unsigned UsiService::threads() const {
 }
 
 std::vector<QueryResult> UsiService::QueryBatch(
-    std::span<const Text> patterns) {
+    std::span<const PatternSpan> patterns) {
   std::vector<QueryResult> results(patterns.size());
   QueryBatchInto(patterns, results);
   return results;
@@ -88,35 +88,18 @@ void UsiService::ReleaseScratch(std::unique_ptr<ScratchBlock> block) {
   scratch_free_.push_back(std::move(block));
 }
 
-ServeStatus UsiService::QueryBatchInto(std::span<const Text> patterns,
-                                       std::span<QueryResult> results,
-                                       UsiBatchStats* stats,
-                                       const UsiBatchOptions& batch_options) {
-  return QueryBatchIntoImpl(patterns, results, stats, batch_options);
-}
-
 ServeStatus UsiService::QueryBatchInto(std::span<const PatternSpan> patterns,
                                        std::span<QueryResult> results,
                                        UsiBatchStats* stats,
                                        const UsiBatchOptions& batch_options) {
-  return QueryBatchIntoImpl(patterns, results, stats, batch_options);
-}
-
-template <typename P>
-ServeStatus UsiService::QueryBatchIntoImpl(
-    std::span<const P> patterns, std::span<QueryResult> results,
-    UsiBatchStats* stats, const UsiBatchOptions& batch_options) {
   // A client-sized span mismatch is refused before any work: no result
-  // slot, scratch or total is touched.
+  // slot, scratch or stats is touched.
   if (results.size() < patterns.size()) return ServeStatus::kInvalidArgument;
   Timer timer;
   UsiBatchStats batch;
   batch.patterns = patterns.size();
 
   if (patterns.empty()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    last_batch_ = batch;
-    totals_.batches += 1;
     if (stats != nullptr) *stats = batch;
     return ServeStatus::kOk;
   }
@@ -127,26 +110,6 @@ ServeStatus UsiService::QueryBatchIntoImpl(
     control.deadline = *batch_options.deadline;
   }
   std::unique_ptr<ScratchBlock> scratch = AcquireScratch();
-
-  // Once per batch, before any fan-out: the engine pre-grows state the
-  // whole batch shares read-only (UsiIndex reserves Karp-Rabin powers for
-  // the batch's max pattern length). Growth may reallocate under a
-  // concurrent batch's readers, so it runs with the write side of the
-  // prepare lock while every serving batch holds the read side. The engine
-  // reports (via BatchPrepared) when its monotonically-grown state already
-  // covers this batch — the warm steady state — and the exclusive section
-  // is skipped entirely.
-  std::shared_lock<std::shared_mutex> serving(prepare_rw_);
-  if (!engine_->BatchPrepared(patterns)) {
-    serving.unlock();
-    {
-      std::unique_lock<std::shared_mutex> preparing(prepare_rw_);
-      engine_->PrepareBatch(patterns);
-    }
-    // No re-check needed: preparation grows state monotonically, so this
-    // batch stays covered no matter how the locks interleave from here.
-    serving.lock();
-  }
 
   // The batch's cancellation state rides through the leased scratch (one
   // pointer per worker slot); it MUST be cleared before the block returns
@@ -161,7 +124,7 @@ ServeStatus UsiService::QueryBatchIntoImpl(
   // the process or the pool worker.
   std::atomic<bool> unavailable{false};
   std::atomic<std::size_t> answered{0};
-  const auto serve_span = [&](std::span<const P> span_patterns,
+  const auto serve_span = [&](std::span<const PatternSpan> span_patterns,
                               std::span<QueryResult> span_results,
                               QueryScratch* span_scratch) {
     bool ok = false;
@@ -247,23 +210,9 @@ ServeStatus UsiService::QueryBatchIntoImpl(
   }
   batch.seconds = timer.ElapsedSeconds();
   if (stats != nullptr) *stats = batch;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    last_batch_ = batch;
-    totals_.batches += 1;
-    totals_.queries += batch.answered;
-    totals_.hash_hits += batch.hash_hits;
-    totals_.deadline_expired += batch.deadline_expired ? 1 : 0;
-    totals_.serve_failures += failed ? 1 : 0;
-  }
   if (failed) return ServeStatus::kIndexUnavailable;
   if (batch.deadline_expired) return ServeStatus::kDeadlineExceeded;
   return ServeStatus::kOk;
-}
-
-UsiServiceTotals UsiService::totals() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return totals_;
 }
 
 }  // namespace usi

@@ -7,9 +7,7 @@
 /// UsiService is the throughput layer the ROADMAP's serving story builds on:
 /// a batch of patterns is split into contiguous shards and fanned out across
 /// a thread pool, with each shard answered independently through the
-/// engine's QueryBatch. Before the fan-out, PrepareBatch runs exactly once
-/// (UsiIndex pre-grows the shared Karp-Rabin power table to the batch's max
-/// pattern length), and every shard gets a reusable QueryScratch owned by
+/// engine's QueryBatch. Every shard gets a reusable QueryScratch owned by
 /// the service — after warm-up, a steady-state batch allocates nothing
 /// beyond what the caller hands in. Results land in per-pattern slots, so
 /// the output is byte-for-byte the sequential answer in the original order,
@@ -21,29 +19,20 @@
 ///
 /// \par Thread safety
 /// QueryBatch / QueryBatchInto may be called concurrently from multiple
-/// client threads when the engine's SupportsConcurrentQuery() is true: each
+/// client threads when the engine's SupportsConcurrentQuery() is true. Each
 /// in-flight batch leases its own block of per-worker QueryScratch from an
-/// internal free list, so concurrent batches never share scratch, and the
-/// cumulative counters behind totals() are updated under a lock. With C
-/// concurrent callers the free list converges on C blocks and stops
-/// allocating. PrepareBatch — the one engine call allowed to mutate shared
-/// state — runs under a reader/writer protocol: serving holds the shared
-/// side, preparation takes the exclusive side, and a batch the engine
-/// reports BatchPrepared() for skips the exclusive section, so the warm
-/// steady state is contention-free. The engine must not be driven through
-/// two different UsiService instances concurrently (each instance owns its
-/// own prepare lock). For engines without concurrent-query support the
-/// caller must serialize batches externally (the engine itself is the
-/// shared mutable state). last_batch() reports the most recently
-/// *completed* batch and is only meaningful when batches are not
-/// concurrent; concurrent callers should read per-batch telemetry via the
-/// UsiBatchStats out-parameter of QueryBatchInto instead.
+/// internal free list, so concurrent batches never share scratch; that
+/// lease is the only lock a batch takes. With C concurrent callers the free
+/// list converges on C blocks and stops allocating. The service keeps no
+/// cumulative counters: each batch's telemetry goes to the caller through
+/// the UsiBatchStats out-parameter of QueryBatchInto. For engines without
+/// concurrent-query support the caller must serialize batches externally
+/// (the engine itself is the shared mutable state).
 
 #include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -112,20 +101,6 @@ struct UsiBatchStats {
   bool deadline_expired = false;  ///< The batch hit its deadline.
 };
 
-/// Cumulative serving telemetry, accumulated across every batch since the
-/// service was constructed. Unlike last_batch(), these survive batch
-/// boundaries, so a supervising layer (UsiMultiService) can report per-text
-/// lifetime totals; reading them is safe concurrently with serving.
-/// `queries` counts ANSWERED queries; a kInvalidArgument batch touches no
-/// total.
-struct UsiServiceTotals {
-  u64 batches = 0;
-  u64 queries = 0;
-  u64 hash_hits = 0;
-  u64 deadline_expired = 0;   ///< Batches that returned kDeadlineExceeded.
-  u64 serve_failures = 0;     ///< Batches that returned kIndexUnavailable.
-};
-
 /// Serves batches of utility queries through one QueryEngine.
 class UsiService {
  public:
@@ -146,14 +121,14 @@ class UsiService {
   /// Answers every pattern; results[i] corresponds to patterns[i]. Sharded
   /// across the pool when the engine supports concurrent queries, served
   /// sequentially in order otherwise — the results are identical either way.
-  std::vector<QueryResult> QueryBatch(std::span<const Text> patterns);
+  std::vector<QueryResult> QueryBatch(std::span<const PatternSpan> patterns);
 
   /// As QueryBatch, into caller-owned storage. This is the steady-state
-  /// serving entry point: the service reuses leased per-worker scratch, so
-  /// after warm-up a repeated batch shape performs zero heap allocations on
-  /// the sequential path. When \p stats is non-null it receives this
-  /// batch's telemetry — the race-free way to observe per-batch stats from
-  /// concurrent callers.
+  /// serving entry point: patterns are borrowed from caller storage (bytes
+  /// must stay alive and unchanged for the call), and the service reuses
+  /// leased per-worker scratch, so after warm-up a repeated batch shape
+  /// performs zero heap allocations on the sequential path. When \p stats
+  /// is non-null it receives this batch's telemetry.
   ///
   /// Returns kOk when every query was answered; kInvalidArgument when
   /// results.size() < patterns.size() (results and stats untouched);
@@ -162,15 +137,6 @@ class UsiService {
   /// faulted (a truncated mapped index, or an exception out of the fallback
   /// path) — the process survives and the batch reports the failure
   /// instead.
-  ServeStatus QueryBatchInto(std::span<const Text> patterns,
-                             std::span<QueryResult> results,
-                             UsiBatchStats* stats = nullptr,
-                             const UsiBatchOptions& batch_options = {});
-
-  /// Span-of-spans QueryBatchInto: patterns are borrowed from caller
-  /// storage (bytes must stay alive and unchanged for the call), so gather
-  /// stages scatter pointers instead of copying pattern bytes. Identical
-  /// serving behavior and telemetry.
   ServeStatus QueryBatchInto(std::span<const PatternSpan> patterns,
                              std::span<QueryResult> results,
                              UsiBatchStats* stats = nullptr,
@@ -187,13 +153,6 @@ class UsiService {
   /// Worker threads available for fan-out (1 = sequential serving).
   unsigned threads() const;
 
-  /// Telemetry of the most recent completed QueryBatch. Only meaningful when
-  /// batches are not issued concurrently; see the thread-safety note above.
-  const UsiBatchStats& last_batch() const { return last_batch_; }
-
-  /// Cumulative totals since construction; safe to call while serving.
-  UsiServiceTotals totals() const;
-
  private:
   /// One leased block: a QueryScratch per pool worker, handed to exactly one
   /// in-flight batch at a time.
@@ -206,29 +165,13 @@ class UsiService {
   /// Returns a block to the free list.
   void ReleaseScratch(std::unique_ptr<ScratchBlock> block);
 
-  /// Shared body of both QueryBatchInto overloads; P is Text or
-  /// PatternSpan.
-  template <typename P>
-  ServeStatus QueryBatchIntoImpl(std::span<const P> patterns,
-                                 std::span<QueryResult> results,
-                                 UsiBatchStats* stats,
-                                 const UsiBatchOptions& batch_options);
-
   QueryEngine* engine_;
   ThreadPool* pool_ = nullptr;            ///< Borrowed, may be null.
   std::unique_ptr<ThreadPool> owned_pool_;
   UsiServiceOptions options_;
 
-  /// Serving holds this shared; PrepareBatch (which may mutate the engine)
-  /// runs exclusive, so no batch ever reads state mid-growth.
-  std::shared_mutex prepare_rw_;
-
   std::mutex scratch_mu_;  ///< Guards scratch_free_.
   std::vector<std::unique_ptr<ScratchBlock>> scratch_free_;
-
-  mutable std::mutex stats_mu_;  ///< Guards last_batch_ and totals_.
-  UsiBatchStats last_batch_;
-  UsiServiceTotals totals_;
 };
 
 }  // namespace usi

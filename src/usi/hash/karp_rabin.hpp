@@ -58,12 +58,12 @@ class Mersenne61 {
 /// letter first. Stateless of the text; carries only the base and its powers.
 ///
 /// Thread-safety: Hash() and Append() never touch the lazily-grown power
-/// table and are safe to call concurrently. PowerOfBase() (and anything built
-/// on it: Concat, SuffixOf, RollingHasher construction) grows the table on a
-/// cache miss, so concurrent use requires either (a) ReservePowers() up to
-/// the largest exponent needed before sharing the hasher across threads, or
-/// (b) thread-confined scratch: give each worker its own copy (the class is
-/// cheaply copyable) — the parallel build pipeline does both.
+/// table and are safe to call concurrently; so is constructing a
+/// RollingHasher, which computes its one power with Mersenne61::Pow. Every
+/// query path of the index fingerprints through these alone. PowerOfBase()
+/// (and what is built on it: Concat, SuffixOf, PrefixFingerprints) grows the
+/// table on a cache miss, so sharing those across threads requires
+/// ReservePowers() up to the largest exponent needed first.
 class KarpRabinHasher {
  public:
   /// Derives a random base in [256, p-1) from \p seed.
@@ -86,21 +86,11 @@ class KarpRabinHasher {
   u64 PowerOfBase(std::size_t k) const;
 
   /// Pre-grows the power table through base^upto so every subsequent
-  /// PowerOfBase(k <= upto) is a read-only lookup — the precondition for
-  /// sharing one hasher across concurrently-querying threads.
+  /// PowerOfBase(k <= upto) is a read-only lookup.
   void ReservePowers(std::size_t upto) const { (void)PowerOfBase(upto); }
-
-  /// Whether PowerOfBase(k <= upto) is already a read-only lookup, i.e.
-  /// ReservePowers(upto) would be a no-op. Serving layers use this to skip
-  /// their exclusive prepare section once the table has warmed up.
-  bool PowersCover(std::size_t upto) const { return powers_.size() > upto; }
 
   /// O(len) fingerprint of an explicit string.
   u64 Hash(std::span<const Symbol> s) const;
-
-  /// Heap footprint of the lazily-grown power table (index-size accounting:
-  /// ReservePowers keeps it resident for the hasher's lifetime).
-  std::size_t SizeInBytes() const { return powers_.capacity() * sizeof(u64); }
 
   /// Extends fingerprint \p fp of a string X to the fingerprint of X.c.
   u64 Append(u64 fp, Symbol c) const {
@@ -165,7 +155,8 @@ class RollingHasher {
   RollingHasher(const KarpRabinHasher& hasher, index_t window_len)
       : hasher_(&hasher),
         window_len_(window_len),
-        top_power_(hasher.PowerOfBase(window_len > 0 ? window_len - 1 : 0)) {}
+        top_power_(Mersenne61::Pow(hasher.base(),
+                                   window_len > 0 ? window_len - 1 : 0)) {}
 
   /// Slides the window: removes \p outgoing (the letter window_len positions
   /// back) and appends \p incoming. For the first window_len letters pass

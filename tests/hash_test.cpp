@@ -102,6 +102,67 @@ TEST(KarpRabin, RollingWindowMatchesDirectHash) {
   }
 }
 
+/// base^k mod p by square-and-multiply over 128-bit remainders: an oracle
+/// that shares no code with Mersenne61.
+u64 ReferencePow(u64 base, u64 k) {
+  using u128 = unsigned __int128;
+  const u128 p = Mersenne61::kPrime;
+  u128 result = 1;
+  u128 square = base % p;
+  for (; k > 0; k >>= 1) {
+    if (k & 1) result = result * square % p;
+    square = square * square % p;
+  }
+  return static_cast<u64>(result);
+}
+
+TEST(KarpRabin, PowIsBitIdenticalToThePowerTable) {
+  // RollingHasher takes base^(w-1) from Mersenne61::Pow, the build path
+  // used to take it from PowerOfBase: both must be the same fully reduced
+  // residue, or fingerprints (and saved images) would change.
+  const KarpRabinHasher hasher(6);
+  for (u64 k = 0; k <= 4096; ++k) {
+    ASSERT_EQ(Mersenne61::Pow(hasher.base(), k), hasher.PowerOfBase(k))
+        << "k=" << k;
+  }
+  // Exponents up to 2^32 (any index_t window length). A power table that
+  // long would take 32 GiB, so these check Pow against the independent
+  // oracle and against the table through b^k = (b^4096)^(k/4096) * b^(k%4096).
+  Rng rng(0x90E);
+  for (int trial = 0; trial < 64; ++trial) {
+    const u64 k = rng.UniformBelow(u64{1} << 32);
+    const u64 pow = Mersenne61::Pow(hasher.base(), k);
+    EXPECT_EQ(pow, ReferencePow(hasher.base(), k)) << "k=" << k;
+    EXPECT_EQ(pow, Mersenne61::Mul(
+                       Mersenne61::Pow(hasher.PowerOfBase(4096), k / 4096),
+                       hasher.PowerOfBase(k % 4096)))
+        << "k=" << k;
+    EXPECT_LT(pow, Mersenne61::kPrime);
+  }
+}
+
+TEST(KarpRabin, RollingWindowsMatchDirectHashAtEveryLength) {
+  // A hasher rebuilt from its base (as an index load does) has computed no
+  // powers; every window length must still roll to the direct fingerprint.
+  const KarpRabinHasher hasher =
+      KarpRabinHasher::FromBase(KarpRabinHasher(8).base());
+  const Text text = testing::RandomText(400, 5, 23);
+  for (index_t len = 1; len <= 300; ++len) {
+    RollingHasher window(hasher, len);
+    for (index_t i = 0; i + 1 < len; ++i) window.Push(text[i]);
+    for (index_t i = 0; i + len <= text.size(); ++i) {
+      if (i == 0) {
+        window.Push(text[len - 1]);
+      } else {
+        window.Roll(text[i - 1], text[i + len - 1]);
+      }
+      ASSERT_EQ(window.Fingerprint(),
+                hasher.Hash(std::span<const Symbol>(text.data() + i, len)))
+          << "len=" << len << " at " << i;
+    }
+  }
+}
+
 TEST(KarpRabin, DifferentSeedsDifferentBases) {
   KarpRabinHasher a(1);
   KarpRabinHasher b(2);

@@ -223,27 +223,25 @@ TEST(LearnedSa, IndexMissPathParityThroughServiceThreads) {
     expected[i] = static_cast<const UsiIndex&>(index).Query(patterns[i]);
   }
 
-  std::vector<PatternSpan> spans;
-  for (const Text& p : patterns) spans.emplace_back(p.data(), p.size());
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     UsiServiceOptions service_options;
     service_options.threads = threads;
     service_options.min_shard_size = 16;
     UsiService service(index, service_options);
-    // Both batch surfaces: owned Texts and borrowed spans.
-    const std::vector<QueryResult> via_texts = service.QueryBatch(patterns);
-    std::vector<QueryResult> via_spans(patterns.size());
-    service.QueryBatchInto(std::span<const PatternSpan>(spans),
-                           std::span<QueryResult>(via_spans));
+    // Both batch surfaces: owned results and caller-owned storage.
+    const std::vector<QueryResult> via_owned = service.QueryBatch(spans);
+    std::vector<QueryResult> via_into(patterns.size());
+    service.QueryBatchInto(spans, std::span<QueryResult>(via_into));
     for (std::size_t i = 0; i < patterns.size(); ++i) {
-      ASSERT_DOUBLE_EQ(expected[i].utility, via_texts[i].utility)
+      ASSERT_DOUBLE_EQ(expected[i].utility, via_owned[i].utility)
           << "threads=" << threads;
-      ASSERT_EQ(expected[i].occurrences, via_texts[i].occurrences);
-      ASSERT_EQ(expected[i].from_hash_table, via_texts[i].from_hash_table);
-      ASSERT_DOUBLE_EQ(expected[i].utility, via_spans[i].utility)
+      ASSERT_EQ(expected[i].occurrences, via_owned[i].occurrences);
+      ASSERT_EQ(expected[i].from_hash_table, via_owned[i].from_hash_table);
+      ASSERT_DOUBLE_EQ(expected[i].utility, via_into[i].utility)
           << "threads=" << threads;
-      ASSERT_EQ(expected[i].occurrences, via_spans[i].occurrences);
-      ASSERT_EQ(expected[i].from_hash_table, via_spans[i].from_hash_table);
+      ASSERT_EQ(expected[i].occurrences, via_into[i].occurrences);
+      ASSERT_EQ(expected[i].from_hash_table, via_into[i].from_hash_table);
     }
   }
 }

@@ -98,10 +98,9 @@ TEST_F(MappedIndexTest, QueryBatchParityAcrossFormats) {
   const std::vector<Text> patterns = DifferentialPatterns();
   std::vector<QueryResult> from_heap(patterns.size());
   std::vector<QueryResult> from_v3(patterns.size());
-  heap_->PrepareBatch(patterns);
-  v3_->PrepareBatch(patterns);
-  heap_->QueryBatch(patterns, std::span<QueryResult>(from_heap), nullptr);
-  v3_->QueryBatch(patterns, std::span<QueryResult>(from_v3), nullptr);
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
+  heap_->QueryBatch(spans, std::span<QueryResult>(from_heap), nullptr);
+  v3_->QueryBatch(spans, std::span<QueryResult>(from_v3), nullptr);
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     ExpectIdentical(from_heap[i], from_v3[i], "batch heap vs mapped");
   }

@@ -218,14 +218,19 @@ TEST(UsiService, BatchMatchesPerQueryAnswers) {
   service_options.threads = 4;
   UsiService service(index, service_options);
   EXPECT_EQ(service.threads(), 4u);
-  const std::vector<QueryResult> batch = service.QueryBatch(patterns);
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
+  const std::vector<QueryResult> batch = service.QueryBatch(spans);
   ASSERT_EQ(batch.size(), patterns.size());
-  EXPECT_EQ(service.last_batch().patterns, patterns.size());
+  std::vector<QueryResult> into(patterns.size());
+  UsiBatchStats stats;
+  ASSERT_EQ(service.QueryBatchInto(spans, into, &stats), ServeStatus::kOk);
+  EXPECT_EQ(stats.patterns, patterns.size());
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     const QueryResult expected = index.Query(patterns[i]);
     EXPECT_DOUBLE_EQ(batch[i].utility, expected.utility);
     EXPECT_EQ(batch[i].occurrences, expected.occurrences);
     EXPECT_EQ(batch[i].from_hash_table, expected.from_hash_table);
+    EXPECT_DOUBLE_EQ(into[i].utility, expected.utility);
   }
 }
 
@@ -263,7 +268,8 @@ TEST(UsiService, CachingEnginesServeSequentiallyInOrder) {
     service_options.threads = 8;
     UsiService service(*served_engine, service_options);
     EXPECT_EQ(service.threads(), 1u);
-    const std::vector<QueryResult> batch = service.QueryBatch(patterns);
+    const std::vector<QueryResult> batch =
+        service.QueryBatch(AsPatternSpans(patterns));
     ASSERT_EQ(batch.size(), reference.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       EXPECT_DOUBLE_EQ(batch[i].utility, reference[i].utility);
@@ -294,7 +300,8 @@ TEST(UsiService, SharesAnInjectedPool) {
   for (index_t i = 0; i + 5 <= ws.size(); i += 7) {
     patterns.push_back(ws.Fragment(i, 5));
   }
-  const std::vector<QueryResult> batch = service.QueryBatch(patterns);
+  const std::vector<QueryResult> batch =
+      service.QueryBatch(AsPatternSpans(patterns));
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     EXPECT_DOUBLE_EQ(batch[i].utility, index.Query(patterns[i]).utility);
   }

@@ -1,10 +1,9 @@
 // Pins the "allocation-free steady state" contract of the query hot path:
-// once UsiService's per-worker scratch and the Karp-Rabin power table have
-// warmed up to a workload's batch shape, repeated QueryBatchInto calls —
-// hash hits AND SA + PSW fallback misses — perform zero heap allocations,
-// and so does QueryAllWindows. The whole test binary counts operator new
-// invocations; the suite asserts the count stays flat across steady-state
-// batches.
+// once UsiService's per-worker scratch has warmed up to a workload's batch
+// shape, repeated QueryBatchInto calls — hash hits AND SA + PSW fallback
+// misses — perform zero heap allocations, and so does QueryAllWindows.
+// The whole test binary counts operator new invocations; the suite asserts
+// the count stays flat across steady-state batches.
 
 #include <atomic>
 #include <cstdlib>
@@ -125,12 +124,14 @@ TEST(QueryAlloc, SteadyStateQueryBatchIntoAllocatesNothing) {
         Text(static_cast<std::size_t>(rng.UniformInRange(1, 12)),
              static_cast<Symbol>(250)));  // Never occurs: always a miss.
   }
+  // The borrowed views are built once, outside the counted region: the
+  // caller owns them, as a request decoder would.
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
   std::vector<QueryResult> results(patterns.size());
 
-  // Warm-up: grows the per-worker scratch, the result of PrepareBatch's
-  // ReservePowers, and any lazy buffers.
-  service.QueryBatchInto(patterns, results);
-  service.QueryBatchInto(patterns, results);
+  // Warm-up: grows the per-worker scratch and any lazy buffers.
+  service.QueryBatchInto(spans, results);
+  service.QueryBatchInto(spans, results);
 
   std::size_t miss_count = 0;
   for (const QueryResult& r : results) miss_count += r.from_hash_table ? 0 : 1;
@@ -138,7 +139,7 @@ TEST(QueryAlloc, SteadyStateQueryBatchIntoAllocatesNothing) {
 
   const std::size_t before = AllocationsNow();
   for (int round = 0; round < 5; ++round) {
-    service.QueryBatchInto(patterns, results);
+    service.QueryBatchInto(spans, results);
   }
   const std::size_t after = AllocationsNow();
   EXPECT_EQ(after, before)

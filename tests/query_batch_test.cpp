@@ -1,9 +1,16 @@
-// The batch-aware query hot path: UsiIndex::QueryBatch (shared Karp-Rabin
-// powers, sorted prefix-hash reuse, prefetch probing) and QueryAllWindows
-// (rolling-hash sliding windows) must answer exactly like per-pattern
-// Query, for both miners, with and without scratch reuse; UsiService's
-// QueryBatchInto must agree at every thread count.
+// The batch-aware query hot path: UsiIndex::QueryBatch (sorted prefix-hash
+// reuse, prefetch probing) and QueryAllWindows (rolling-hash sliding
+// windows) must answer exactly like per-pattern Query, for both miners,
+// with and without scratch reuse; UsiService's QueryBatchInto must agree at
+// every thread count. Neither path mutates the index, so concurrent callers
+// over a freshly loaded index (whose hasher has grown no powers) must stay
+// race-free and exact.
 
+#include <cstdio>
+#include <latch>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,6 +58,19 @@ void ExpectSameResults(const std::vector<QueryResult>& got,
   }
 }
 
+/// Saves \p built and heap-loads it back over \p ws. Loading rebuilds the
+/// hasher from its base alone, so its power table holds only {1, base}: the
+/// state in which a query path that grew powers would race.
+std::unique_ptr<UsiIndex> SaveAndLoad(const UsiIndex& built,
+                                      const WeightedString& ws,
+                                      const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  if (!built.SaveToFile(path)) return nullptr;
+  std::unique_ptr<UsiIndex> loaded = UsiIndex::LoadFromFile(ws, path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
 class QueryBatchMinerTest : public ::testing::TestWithParam<UsiMiner> {};
 
 TEST_P(QueryBatchMinerTest, BatchMatchesPerQueryOnAllAnswerPaths) {
@@ -60,6 +80,7 @@ TEST_P(QueryBatchMinerTest, BatchMatchesPerQueryOnAllAnswerPaths) {
   options.miner = GetParam();
   UsiIndex index(ws, options);
   const std::vector<Text> patterns = MixedPatterns(ws, 0x1234);
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
 
   std::vector<QueryResult> want(patterns.size());
   for (std::size_t i = 0; i < patterns.size(); ++i) {
@@ -68,14 +89,14 @@ TEST_P(QueryBatchMinerTest, BatchMatchesPerQueryOnAllAnswerPaths) {
 
   // Null scratch (call-local buffers).
   std::vector<QueryResult> got(patterns.size());
-  index.QueryBatch(patterns, got, nullptr);
+  index.QueryBatch(spans, got, nullptr);
   ExpectSameResults(got, want);
 
   // Reused scratch across several batches (the steady-state serving shape).
   QueryScratch scratch;
   for (int round = 0; round < 3; ++round) {
     std::fill(got.begin(), got.end(), QueryResult{});
-    index.QueryBatch(patterns, got, &scratch);
+    index.QueryBatch(spans, got, &scratch);
     ExpectSameResults(got, want);
   }
 }
@@ -111,7 +132,7 @@ TEST(QueryBatch, RepeatHeavyLongPatternBatchMatchesPerQuery) {
   }
   QueryScratch scratch;
   std::vector<QueryResult> got(patterns.size());
-  index.QueryBatch(patterns, got, &scratch);
+  index.QueryBatch(AsPatternSpans(patterns), got, &scratch);
   ExpectSameResults(got, want);
 }
 
@@ -125,7 +146,7 @@ TEST(QueryBatch, HitsComeFromTheHashTable) {
   // exactly which.
   const std::vector<Text> patterns = MixedPatterns(ws, 0x77);
   std::vector<QueryResult> results(patterns.size());
-  index.QueryBatch(patterns, results, nullptr);
+  index.QueryBatch(AsPatternSpans(patterns), results, nullptr);
   std::size_t hits = 0;
   for (const QueryResult& r : results) hits += r.from_hash_table ? 1 : 0;
   EXPECT_GT(hits, 0u) << "a frequent-substring workload must hit H";
@@ -170,17 +191,60 @@ TEST(QueryAllWindows, DegenerateShapesAreNoOps) {
   index.QueryAllWindows(Text{}, 4, results);     // Empty document.
 }
 
+TEST(QueryAllWindows, ConcurrentWindowLengthsOnLoadedIndexMatchQuery) {
+  const WeightedString ws = testing::RandomWeighted(1'200, 4, 0xA11);
+  UsiOptions options;
+  options.k = 150;
+  const UsiIndex built(ws, options);
+  const std::unique_ptr<UsiIndex> index =
+      SaveAndLoad(built, ws, "usi_query_batch_windows.bin");
+  ASSERT_NE(index, nullptr);
+  const UsiIndex& reader = *index;
+
+  // A stretch of the text (hits and fallbacks) plus a tail that never
+  // occurs, so long windows also take the zero-occurrence path.
+  Text document(ws.text().begin() + 100, ws.text().begin() + 700);
+  for (int i = 0; i < 60; ++i) document.push_back(static_cast<Symbol>(230));
+
+  // One window length per thread, all released at once: every thread needs
+  // a power of the base the loaded hasher has never computed.
+  const std::vector<index_t> lengths = {40, 80, 120, 160};
+  std::vector<std::vector<QueryResult>> got(lengths.size());
+  std::latch start(static_cast<std::ptrdiff_t>(lengths.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < lengths.size(); ++t) {
+    got[t].resize(document.size() - lengths[t] + 1);
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      reader.QueryAllWindows(document, lengths[t], got[t]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < lengths.size(); ++t) {
+    for (std::size_t i = 0; i < got[t].size(); ++i) {
+      const QueryResult want = reader.Query(
+          std::span<const Symbol>(document.data() + i, lengths[t]));
+      ASSERT_DOUBLE_EQ(got[t][i].utility, want.utility)
+          << "len=" << lengths[t] << " window " << i;
+      ASSERT_EQ(got[t][i].occurrences, want.occurrences);
+      ASSERT_EQ(got[t][i].from_hash_table, want.from_hash_table);
+    }
+  }
+}
+
 TEST(UsiServiceBatch, IntoMatchesReturningFormAtEveryThreadCount) {
   const WeightedString ws = testing::RandomWeighted(800, 4, 0x5E);
   UsiOptions options;
   options.k = 100;
   UsiIndex index(ws, options);
   const std::vector<Text> patterns = MixedPatterns(ws, 0x99);
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
 
   UsiServiceOptions sequential;
   sequential.threads = 1;
   UsiService reference(index, sequential);
-  const std::vector<QueryResult> want = reference.QueryBatch(patterns);
+  const std::vector<QueryResult> want = reference.QueryBatch(spans);
 
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     UsiServiceOptions service_options;
@@ -189,48 +253,123 @@ TEST(UsiServiceBatch, IntoMatchesReturningFormAtEveryThreadCount) {
     UsiService service(index, service_options);
     std::vector<QueryResult> got(patterns.size());
     // Twice: the second run reuses warmed per-worker scratch.
-    service.QueryBatchInto(patterns, got);
-    service.QueryBatchInto(patterns, got);
+    UsiBatchStats stats;
+    EXPECT_EQ(service.QueryBatchInto(spans, got), ServeStatus::kOk);
+    EXPECT_EQ(service.QueryBatchInto(spans, got, &stats), ServeStatus::kOk);
     ExpectSameResults(got, want);
-    EXPECT_EQ(service.last_batch().patterns, patterns.size());
+    EXPECT_EQ(stats.patterns, patterns.size());
     std::size_t hits = 0;
     for (const QueryResult& r : want) hits += r.from_hash_table ? 1 : 0;
-    EXPECT_EQ(service.last_batch().hash_hits, hits);
+    EXPECT_EQ(stats.hash_hits, hits);
   }
 }
 
-TEST(UsiServiceBatch, CumulativeTotalsAndPerBatchStatsAccumulate) {
+TEST(UsiServiceBatch, PerBatchStatsAccumulateAcrossBatches) {
   const WeightedString ws = testing::RandomWeighted(600, 4, 0x77);
   UsiOptions options;
   options.k = 80;
   UsiIndex index(ws, options);
   const std::vector<Text> patterns = MixedPatterns(ws, 0x88);
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
 
   UsiServiceOptions sequential;
   sequential.threads = 1;
   UsiService service(index, sequential);
   std::size_t hits_per_batch = 0;
 
+  // The UsiBatchStats out-parameter is the service's only telemetry
+  // channel: each batch reports its own counts, which must match the
+  // answers it wrote, and a supervising tier sums them for lifetime totals.
   const int rounds = 4;
+  u64 batches = 0;
+  u64 queries = 0;
+  u64 hash_hits = 0;
   std::vector<QueryResult> got(patterns.size());
   for (int round = 0; round < rounds; ++round) {
-    // The UsiBatchStats out-parameter is the concurrent-safe per-batch
-    // telemetry channel; it must agree with last_batch() when batches are
-    // sequential.
     UsiBatchStats batch;
-    service.QueryBatchInto(patterns, got, &batch);
+    ASSERT_EQ(service.QueryBatchInto(spans, got, &batch), ServeStatus::kOk);
     EXPECT_EQ(batch.patterns, patterns.size());
-    EXPECT_EQ(batch.hash_hits, service.last_batch().hash_hits);
+    std::size_t hits = 0;
+    for (const QueryResult& r : got) hits += r.from_hash_table ? 1 : 0;
+    EXPECT_EQ(batch.hash_hits, hits);
+    EXPECT_FALSE(batch.deadline_expired);
     hits_per_batch = batch.hash_hits;
+    batches += 1;
+    queries += batch.answered;
+    hash_hits += batch.hash_hits;
   }
   EXPECT_GT(hits_per_batch, 0u);
+  EXPECT_EQ(batches, static_cast<u64>(rounds));
+  EXPECT_EQ(queries, static_cast<u64>(rounds) * patterns.size());
+  EXPECT_EQ(hash_hits, static_cast<u64>(rounds) * hits_per_batch);
+}
 
-  // Unlike last_batch() (overwritten per batch), totals() accumulate for
-  // the service's lifetime — the counters a supervising tier reports.
-  const UsiServiceTotals totals = service.totals();
-  EXPECT_EQ(totals.batches, static_cast<u64>(rounds));
-  EXPECT_EQ(totals.queries, static_cast<u64>(rounds) * patterns.size());
-  EXPECT_EQ(totals.hash_hits, static_cast<u64>(rounds) * hits_per_batch);
+TEST(UsiServiceBatch, ConcurrentClientsWithGrowingPatternLengthsMatchQuery) {
+  // Four clients share one service over a freshly loaded index, and every
+  // round's longest pattern is longer than any served before (8 -> 512
+  // symbols). No batch may need to prepare shared state first: the answers
+  // must equal per-pattern Query, with no lock but the scratch lease.
+  const WeightedString ws = testing::RandomWeighted(2'000, 4, 0x5EED);
+  UsiOptions options;
+  options.k = 200;
+  const UsiIndex built(ws, options);
+  const std::unique_ptr<UsiIndex> index =
+      SaveAndLoad(built, ws, "usi_query_batch_clients.bin");
+  ASSERT_NE(index, nullptr);
+
+  UsiServiceOptions service_options;
+  service_options.threads = 4;
+  service_options.min_shard_size = 16;
+  UsiService service(*index, service_options);
+
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kBatch = 96;
+  struct Round {
+    std::vector<Text> patterns;
+    std::vector<QueryResult> results;
+    ServeStatus status = ServeStatus::kInvalidArgument;
+    UsiBatchStats stats;
+  };
+  std::vector<std::vector<Round>> rounds(kClients);
+  std::latch start(static_cast<std::ptrdiff_t>(kClients));
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Rng rng(0xC11E47 + c);
+      start.arrive_and_wait();
+      for (index_t max_len = 8; max_len <= 512; max_len *= 2) {
+        Round& round = rounds[c].emplace_back();
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          const index_t len =
+              i == 0 ? max_len
+                     : static_cast<index_t>(rng.UniformInRange(1, max_len));
+          const index_t begin =
+              static_cast<index_t>(rng.UniformBelow(ws.size() - len + 1));
+          round.patterns.push_back(ws.Fragment(begin, len));
+        }
+        // One pattern that never occurs, at the round's longest length.
+        round.patterns.push_back(Text(max_len, static_cast<Symbol>(240)));
+        round.results.resize(round.patterns.size());
+        round.status = service.QueryBatchInto(
+            AsPatternSpans(round.patterns), round.results, &round.stats);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  const UsiIndex& reader = *index;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(rounds[c].size(), 7u);
+    for (const Round& round : rounds[c]) {
+      EXPECT_EQ(round.status, ServeStatus::kOk);
+      EXPECT_EQ(round.stats.answered, round.patterns.size());
+      std::vector<QueryResult> want(round.patterns.size());
+      for (std::size_t i = 0; i < round.patterns.size(); ++i) {
+        want[i] = reader.Query(round.patterns[i]);
+      }
+      ExpectSameResults(round.results, want);
+    }
+  }
 }
 
 TEST(UsiServiceBatch, CachingBaselineStillServedInOrder) {
@@ -258,9 +397,11 @@ TEST(UsiServiceBatch, CachingBaselineStillServedInOrder) {
   service_options.threads = 4;  // Must be ignored: engine is not concurrent.
   UsiService service(*served, service_options);
   std::vector<QueryResult> got(patterns.size());
-  service.QueryBatchInto(patterns, got);
+  UsiBatchStats stats;
+  EXPECT_EQ(service.QueryBatchInto(AsPatternSpans(patterns), got, &stats),
+            ServeStatus::kOk);
   ExpectSameResults(got, want);
-  EXPECT_EQ(service.last_batch().threads_used, 1u);
+  EXPECT_EQ(stats.threads_used, 1u);
 }
 
 }  // namespace

@@ -399,6 +399,7 @@ TEST_F(ReliabilityTest, ServiceDeadlineExpiredReturnsPartialResults) {
   service_options.threads = 1;
   UsiService service(index, service_options);
   const std::vector<Text> patterns = PatternsFor(ws, 22);
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
   const std::vector<QueryResult> want = DirectAnswers(index, patterns);
 
   // Already-expired deadline: every slot written (defaults), zero answered.
@@ -408,34 +409,33 @@ TEST_F(ReliabilityTest, ServiceDeadlineExpiredReturnsPartialResults) {
   UsiBatchOptions batch_options;
   batch_options.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
-  EXPECT_EQ(service.QueryBatchInto(std::span<const Text>(patterns),
-                                   std::span<QueryResult>(results), &stats,
-                                   batch_options),
+  EXPECT_EQ(service.QueryBatchInto(spans, std::span<QueryResult>(results),
+                                   &stats, batch_options),
             ServeStatus::kDeadlineExceeded);
   EXPECT_TRUE(stats.deadline_expired);
   EXPECT_EQ(stats.answered, 0u);
   for (const QueryResult& r : results) {
     EXPECT_EQ(r.occurrences, 0u) << "expired slots must be defaulted";
   }
+  const UsiBatchStats expired_stats = stats;
 
   // Far-future deadline: the batch serves completely and correctly.
   batch_options.deadline =
       std::chrono::steady_clock::now() + std::chrono::hours(1);
-  EXPECT_EQ(service.QueryBatchInto(std::span<const Text>(patterns),
-                                   std::span<QueryResult>(results), &stats,
-                                   batch_options),
+  EXPECT_EQ(service.QueryBatchInto(spans, std::span<QueryResult>(results),
+                                   &stats, batch_options),
             ServeStatus::kOk);
   EXPECT_FALSE(stats.deadline_expired);
   EXPECT_EQ(stats.answered, patterns.size());
   ExpectSameResults(results, want);
 
-  // Totals: the expired batch contributed no served queries, exactly one
-  // deadline_expired tick, and no serve_failure counts.
-  const UsiServiceTotals totals = service.totals();
-  EXPECT_EQ(totals.batches, 2u);
-  EXPECT_EQ(totals.queries, patterns.size());
-  EXPECT_EQ(totals.deadline_expired, 1u);
-  EXPECT_EQ(totals.serve_failures, 0u);
+  // Summed over both batches' stats: the expired batch contributed no
+  // served queries and the only deadline expiry. Neither status above is
+  // kIndexUnavailable, so neither batch was a serve failure.
+  EXPECT_EQ(expired_stats.answered + stats.answered, patterns.size());
+  EXPECT_EQ((expired_stats.deadline_expired ? 1 : 0) +
+                (stats.deadline_expired ? 1 : 0),
+            1);
 }
 
 TEST_F(ReliabilityTest, MultiServiceDeadlinePartialAndRecovery) {
@@ -500,9 +500,16 @@ TEST_F(ReliabilityTest, ShortResultsSpanIsInvalidArgumentForService) {
   const std::vector<Text> patterns = PatternsFor(ws, 132);
   std::vector<QueryResult> results(patterns.size() - 1,
                                    QueryResult{/*utility=*/-1, 777});
+  // Sentinels in every field: a refused batch writes no telemetry.
   UsiBatchStats stats;
-  stats.patterns = 999;  // Sentinel: a refused batch writes no telemetry.
-  EXPECT_EQ(service.QueryBatchInto(std::span<const Text>(patterns),
+  stats.patterns = 999;
+  stats.answered = 998;
+  stats.hash_hits = 997;
+  stats.shards = 996;
+  stats.threads_used = 95;
+  stats.seconds = -1;
+  stats.deadline_expired = true;
+  EXPECT_EQ(service.QueryBatchInto(AsPatternSpans(patterns),
                                    std::span<QueryResult>(results), &stats),
             ServeStatus::kInvalidArgument);
   for (const QueryResult& r : results) {
@@ -510,7 +517,12 @@ TEST_F(ReliabilityTest, ShortResultsSpanIsInvalidArgumentForService) {
     EXPECT_EQ(r.occurrences, 777u);
   }
   EXPECT_EQ(stats.patterns, 999u);
-  EXPECT_EQ(service.totals().batches, 0u);
+  EXPECT_EQ(stats.answered, 998u);
+  EXPECT_EQ(stats.hash_hits, 997u);
+  EXPECT_EQ(stats.shards, 996u);
+  EXPECT_EQ(stats.threads_used, 95u);
+  EXPECT_EQ(stats.seconds, -1);
+  EXPECT_TRUE(stats.deadline_expired);
 }
 
 TEST_F(ReliabilityTest, ShortResultsSpanIsInvalidArgumentForMultiService) {
@@ -892,21 +904,26 @@ TEST_F(ReliabilityTest, ServiceContainsEngineExceptions) {
   service_options.threads = 1;
   UsiService service(index, service_options);
   const std::vector<Text> patterns = PatternsFor(ws, 112);
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
   std::vector<QueryResult> results(patterns.size());
 
   // An exception out of the engine's miss/fallback stage must not escape:
   // the batch fails soft with kIndexUnavailable and defaulted slots.
   failpoint::Arm("query.fallback", failpoint::Action::kThrow, /*fires=*/1);
   UsiBatchStats stats;
-  EXPECT_EQ(service.QueryBatchInto(std::span<const Text>(patterns),
-                                   std::span<QueryResult>(results), &stats),
+  EXPECT_EQ(service.QueryBatchInto(spans, std::span<QueryResult>(results),
+                                   &stats),
             ServeStatus::kIndexUnavailable);
-  EXPECT_EQ(service.totals().serve_failures, 1u);
+  EXPECT_EQ(stats.answered, 0u);
+  for (const QueryResult& r : results) {
+    EXPECT_EQ(r.provenance, AnswerProvenance::kNone);
+  }
 
   // The service (and its leased scratch) survives: the next batch is clean.
-  EXPECT_EQ(service.QueryBatchInto(std::span<const Text>(patterns),
-                                   std::span<QueryResult>(results), &stats),
+  EXPECT_EQ(service.QueryBatchInto(spans, std::span<QueryResult>(results),
+                                   &stats),
             ServeStatus::kOk);
+  EXPECT_EQ(stats.answered, patterns.size());
   ExpectSameResults(results, DirectAnswers(index, patterns));
 }
 
