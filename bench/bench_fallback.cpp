@@ -6,6 +6,11 @@
 //            (LearnedSa::FindInterval) vs the batched learned search
 //            (FindIntervalBatch, AMAC-pipelined probes), in lookups/s.
 //            Every interval is verified byte-identical across the three.
+//            Two pattern sets: 4-16-symbol fragments (a third mutated), and
+//            the zipf shape of the reference benchmark — Zipf(s=1) over a
+//            pool of 4-64-symbol substrings plus a 10% cold tail — whose
+//            long patterns reach past the packed-key depth of byte-like
+//            texts (JSON keys prefixed zipf_).
 //            Runs on a serving-scale instance of each dataset (64x the
 //            Table II registry length), sized so the suffix array exceeds
 //            the LLC — the regime the batched path exists for: under
@@ -32,6 +37,7 @@
 
 #include "bench_common.hpp"
 #include "usi/core/utility.hpp"
+#include "usi/core/workload.hpp"
 #include "usi/suffix/learned_sa.hpp"
 #include "usi/suffix/sa_search.hpp"
 #include "usi/suffix/suffix_array.hpp"
@@ -103,6 +109,20 @@ std::vector<Text> MakePatterns(const Text& text, u64 seed) {
   return patterns;
 }
 
+/// The reference benchmark's miss-heavy query shape: Zipf(s=1) over 4096
+/// substrings of 4-64 symbols, 10% of lookups a uniform cold tail.
+std::vector<Text> MakeZipfPatterns(const Text& text, u64 seed) {
+  ZipfWorkloadOptions zipf;
+  zipf.num_queries = kLookups;
+  zipf.pool_size = 4096;
+  zipf.s = 1.0;
+  zipf.hot_fraction = 0.9;
+  zipf.min_len = 4;
+  zipf.max_len = 64;
+  zipf.seed = seed;
+  return MakeWorkloadZipf(text, zipf).patterns;
+}
+
 /// Serving-scale text + SA, kept alive across sections so the ε sweep
 /// reuses the largest dataset's (expensive) suffix array.
 struct ServingSet {
@@ -119,49 +139,36 @@ ServingSet MakeServingSet(const DatasetSpec& spec) {
   return set;
 }
 
-struct FallbackRow {
-  std::string name;
+/// Lookups/s of the three interval searches over one pattern set.
+struct LookupRates {
   double plain_warm_per_s = 0;
   double learned_warm_per_s = 0;
   double batched_warm_per_s = 0;
   double plain_cold_per_s = 0;
   double learned_cold_per_s = 0;
   double batched_cold_per_s = 0;
-  double agg_naive_mocc_s = 0;
-  double agg_prefetch_mocc_s = 0;
-  u64 model_segments = 0;
-  double model_mb = 0;
   /// Batched learned lookups / plain binary-search lookups, both in the
   /// evicted regime — the acceptance figure.
   double speedup = 0;
 };
 
-/// One dataset: serving-scale lookup section, registry-scale aggregation
-/// section. When \p keep is non-null the serving text/SA move into it on
-/// return (for section reuse) instead of being freed.
-FallbackRow RunDataset(const char* name, bench::BenchJson* json,
-                       ServingSet* keep) {
-  const DatasetSpec& spec = DatasetSpecByName(name);
-  ServingSet set = MakeServingSet(spec);
-  const Text& text = set.text;
-  const std::vector<index_t>& sa = set.sa;
+struct FallbackRow {
+  std::string name;
+  LookupRates short_set;  ///< 4-16-symbol fragments.
+  LookupRates zipf_set;   ///< Zipf shape, 4-64 symbols.
+  double agg_naive_mocc_s = 0;
+  double agg_prefetch_mocc_s = 0;
+  u64 model_segments = 0;
+  double model_mb = 0;
+};
 
-  LearnedSa model;
-  model.Build(text, sa);
-
-  FallbackRow row;
-  row.name = name;
-  row.model_segments = model.num_segments();
-  row.model_mb = static_cast<double>(model.SizeInBytes()) / 1e6;
-
-  const std::vector<Text> patterns = MakePatterns(text, 0x5EED);
-  std::vector<PatternSpan> spans;
-  spans.reserve(patterns.size());
-  for (const Text& p : patterns) spans.emplace_back(p.data(), p.size());
+/// Verifies the three paths agree byte-for-byte on every interval of
+/// \p patterns, then times each warm and evicted.
+LookupRates TimeLookups(const LearnedSa& model, const Text& text,
+                        const std::vector<index_t>& sa,
+                        const std::vector<Text>& patterns) {
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
   std::vector<SaInterval> batched(patterns.size());
-
-  // Parity first: the three paths must agree byte-for-byte on every
-  // interval before any of them is worth timing.
   model.FindIntervalBatch(text, sa, spans, batched);
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     const SaInterval plain = FindSaInterval(text, sa, spans[i]);
@@ -187,22 +194,63 @@ FallbackRow RunDataset(const char* name, bench::BenchJson* json,
     model.FindIntervalBatch(text, sa, spans, batched);
     sink += batched.back().lb;
   };
-  const double q = static_cast<double>(patterns.size());
-  const double plain_warm_s = BestOf(run_plain);
-  const double learned_warm_s = BestOf(run_learned);
-  const double batched_warm_s = BestOf(run_batched);
-  const double plain_cold_s = ColdBestOf(run_plain);
-  const double learned_cold_s = ColdBestOf(run_learned);
-  const double batched_cold_s = ColdBestOf(run_batched);
-  row.plain_warm_per_s = plain_warm_s > 0 ? q / plain_warm_s : 0;
-  row.learned_warm_per_s = learned_warm_s > 0 ? q / learned_warm_s : 0;
-  row.batched_warm_per_s = batched_warm_s > 0 ? q / batched_warm_s : 0;
-  row.plain_cold_per_s = plain_cold_s > 0 ? q / plain_cold_s : 0;
-  row.learned_cold_per_s = learned_cold_s > 0 ? q / learned_cold_s : 0;
-  row.batched_cold_per_s = batched_cold_s > 0 ? q / batched_cold_s : 0;
-  row.speedup = row.plain_cold_per_s > 0
-                    ? row.batched_cold_per_s / row.plain_cold_per_s
-                    : 0;
+  const auto rate = [&](double seconds) {
+    return seconds > 0 ? static_cast<double>(patterns.size()) / seconds : 0;
+  };
+  LookupRates r;
+  r.plain_warm_per_s = rate(BestOf(run_plain));
+  r.learned_warm_per_s = rate(BestOf(run_learned));
+  r.batched_warm_per_s = rate(BestOf(run_batched));
+  r.plain_cold_per_s = rate(ColdBestOf(run_plain));
+  r.learned_cold_per_s = rate(ColdBestOf(run_learned));
+  r.batched_cold_per_s = rate(ColdBestOf(run_batched));
+  r.speedup = r.plain_cold_per_s > 0
+                  ? r.batched_cold_per_s / r.plain_cold_per_s
+                  : 0;
+  if (sink == 42) std::printf("(unreachable)\n");
+  return r;
+}
+
+/// Writes one set's rates under \p prefix ("" for the 4-16 set, whose
+/// keys predate the zipf set).
+void AddLookupJson(bench::BenchJson* json, const std::string& section,
+                   const std::string& prefix, const LookupRates& r) {
+  json->Add(section, prefix + "plain_lookups_warm", r.plain_warm_per_s,
+            "per_s");
+  json->Add(section, prefix + "learned_lookups_warm", r.learned_warm_per_s,
+            "per_s");
+  json->Add(section, prefix + "batched_lookups_warm", r.batched_warm_per_s,
+            "per_s");
+  json->Add(section, prefix + "plain_lookups_evicted", r.plain_cold_per_s,
+            "per_s");
+  json->Add(section, prefix + "learned_lookups_evicted",
+            r.learned_cold_per_s, "per_s");
+  json->Add(section, prefix + "batched_lookups_evicted",
+            r.batched_cold_per_s, "per_s");
+  json->Add(section, prefix + "speedup_batched_vs_plain_evicted", r.speedup,
+            "x");
+}
+
+/// One dataset: serving-scale lookup section, registry-scale aggregation
+/// section. When \p keep is non-null the serving text/SA move into it on
+/// return (for section reuse) instead of being freed.
+FallbackRow RunDataset(const char* name, bench::BenchJson* json,
+                       ServingSet* keep) {
+  const DatasetSpec& spec = DatasetSpecByName(name);
+  ServingSet set = MakeServingSet(spec);
+  const Text& text = set.text;
+  const std::vector<index_t>& sa = set.sa;
+
+  LearnedSa model;
+  model.Build(text, sa);
+
+  FallbackRow row;
+  row.name = name;
+  row.model_segments = model.num_segments();
+  row.model_mb = static_cast<double>(model.SizeInBytes()) / 1e6;
+
+  row.short_set = TimeLookups(model, text, sa, MakePatterns(text, 0x5EED));
+  row.zipf_set = TimeLookups(model, text, sa, MakeZipfPatterns(text, 0x21BF));
 
   // Occurrence aggregation (registry scale): locate every distinct 4-byte
   // fragment at a coarse stride and aggregate each interval both ways.
@@ -242,18 +290,11 @@ FallbackRow RunDataset(const char* name, bench::BenchJson* json,
   });
   row.agg_naive_mocc_s = naive_s > 0 ? total_occ / naive_s / 1e6 : 0;
   row.agg_prefetch_mocc_s = prefetch_s > 0 ? total_occ / prefetch_s / 1e6 : 0;
-  if (sink == 42 && agg_sink == 42.5) std::printf("(unreachable)\n");
+  if (agg_sink == 42.5) std::printf("(unreachable)\n");
 
   const std::string section = std::string("fallback.") + name;
-  json->Add(section, "plain_lookups_warm", row.plain_warm_per_s, "per_s");
-  json->Add(section, "learned_lookups_warm", row.learned_warm_per_s, "per_s");
-  json->Add(section, "batched_lookups_warm", row.batched_warm_per_s, "per_s");
-  json->Add(section, "plain_lookups_evicted", row.plain_cold_per_s, "per_s");
-  json->Add(section, "learned_lookups_evicted", row.learned_cold_per_s,
-            "per_s");
-  json->Add(section, "batched_lookups_evicted", row.batched_cold_per_s,
-            "per_s");
-  json->Add(section, "speedup_batched_vs_plain_evicted", row.speedup, "x");
+  AddLookupJson(json, section, "", row.short_set);
+  AddLookupJson(json, section, "zipf_", row.zipf_set);
   json->Add(section, "model_payload", row.model_mb * 1e6, "bytes");
   json->Add(section, "model_segments",
             static_cast<double>(row.model_segments), "count");
@@ -319,30 +360,36 @@ int main(int argc, char** argv) {
   usi::TablePrinter warm_table(
       "Miss-path interval lookups, warm LLC (best of 3, byte-identical "
       "answers)");
-  warm_table.SetHeader(
-      {"dataset", "plain/s", "learned/s", "batched/s", "model (MB)",
-       "segments"});
+  warm_table.SetHeader({"dataset", "patterns", "plain/s", "learned/s",
+                        "batched/s", "model (MB)", "segments"});
   for (const auto& row : rows) {
-    warm_table.AddRow(
-        {row.name, usi::TablePrinter::Num(row.plain_warm_per_s, 0),
-         usi::TablePrinter::Num(row.learned_warm_per_s, 0),
-         usi::TablePrinter::Num(row.batched_warm_per_s, 0),
-         usi::TablePrinter::Num(row.model_mb, 2),
-         usi::TablePrinter::Num(static_cast<double>(row.model_segments), 0)});
+    for (const auto& [set, r] : {std::pair{"4-16", &row.short_set},
+                                 std::pair{"zipf 4-64", &row.zipf_set}}) {
+      warm_table.AddRow(
+          {row.name, set, usi::TablePrinter::Num(r->plain_warm_per_s, 0),
+           usi::TablePrinter::Num(r->learned_warm_per_s, 0),
+           usi::TablePrinter::Num(r->batched_warm_per_s, 0),
+           usi::TablePrinter::Num(row.model_mb, 2),
+           usi::TablePrinter::Num(static_cast<double>(row.model_segments),
+                                  0)});
+    }
   }
   warm_table.Print();
 
   usi::TablePrinter cold_table(
       "Miss-path interval lookups, LLC evicted before each repeat (the "
       "sharded-serving regime)");
-  cold_table.SetHeader(
-      {"dataset", "plain/s", "learned/s", "batched/s", "speedup"});
+  cold_table.SetHeader({"dataset", "patterns", "plain/s", "learned/s",
+                        "batched/s", "speedup"});
   for (const auto& row : rows) {
-    cold_table.AddRow(
-        {row.name, usi::TablePrinter::Num(row.plain_cold_per_s, 0),
-         usi::TablePrinter::Num(row.learned_cold_per_s, 0),
-         usi::TablePrinter::Num(row.batched_cold_per_s, 0),
-         usi::TablePrinter::Num(row.speedup, 1) + "x"});
+    for (const auto& [set, r] : {std::pair{"4-16", &row.short_set},
+                                 std::pair{"zipf 4-64", &row.zipf_set}}) {
+      cold_table.AddRow(
+          {row.name, set, usi::TablePrinter::Num(r->plain_cold_per_s, 0),
+           usi::TablePrinter::Num(r->learned_cold_per_s, 0),
+           usi::TablePrinter::Num(r->batched_cold_per_s, 0),
+           usi::TablePrinter::Num(r->speedup, 1) + "x"});
+    }
   }
   cold_table.Print();
 
@@ -362,8 +409,9 @@ int main(int argc, char** argv) {
   std::printf("\nbatched learned vs plain binary search on %s: %.1fx "
               "(acceptance bar: 3.0x; speedup = batched lookups/s / plain "
               "lookups/s, LLC evicted)\n",
-              largest.name.c_str(), largest.speedup);
-  json.Add("fallback.summary", "largest_text_speedup", largest.speedup, "x");
+              largest.name.c_str(), largest.short_set.speedup);
+  json.Add("fallback.summary", "largest_text_speedup",
+           largest.short_set.speedup, "x");
 
   if (!args.json_path.empty() &&
       !json.WriteTo(args.json_path, "bench_fallback")) {

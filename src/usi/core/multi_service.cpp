@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -401,7 +402,13 @@ ServeStatus UsiMultiService::AppendTextImpl(std::string_view id,
                                             std::span<const Symbol> text,
                                             std::span<const double> weights,
                                             const UsiOptions* build_options) {
-  if (text.size() != weights.size()) return ServeStatus::kInvalidArgument;
+  // A non-finite weight would poison every later PSW sum; like a length
+  // mismatch it is rejected before anything changes.
+  if (text.size() != weights.size() ||
+      !std::all_of(weights.begin(), weights.end(),
+                   [](double w) { return std::isfinite(w); })) {
+    return ServeStatus::kInvalidArgument;
+  }
   EntryPtr entry = FindEntry(id);
   if (entry == nullptr) return ServeStatus::kUnknownText;
 

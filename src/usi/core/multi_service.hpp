@@ -350,12 +350,13 @@ class UsiMultiService {
   /// and a background compaction folds them into a new base generation
   /// once the per-text overlay crosses delta_compact_threshold. The whole
   /// span lands atomically: a concurrent batch sees all of it or none.
-  /// Returns kOk; kInvalidArgument when the lengths differ (nothing
-  /// changes); kUnknownText when \p id is not registered; kNotReady
-  /// before the first generation has published (appends extend a published
-  /// base); kIndexUnavailable when the append was rejected (armed
-  /// `delta.append` failpoint, or an allocation failure — in the latter
-  /// case pending uncompacted appends are dropped with the overlay).
+  /// Returns kOk; kInvalidArgument when the lengths differ or a weight is
+  /// not finite (NaN, ±inf; nothing changes); kUnknownText when \p id is
+  /// not registered; kNotReady before the first generation has published
+  /// (appends extend a published base); kIndexUnavailable when the append
+  /// was rejected (armed `delta.append` failpoint, or an allocation
+  /// failure — in the latter case pending uncompacted appends are dropped
+  /// with the overlay).
   ServeStatus AppendText(std::string_view id, std::span<const Symbol> text,
                          std::span<const double> weights);
 

@@ -113,69 +113,215 @@ SuffixCmp CompareSuffix(const Symbol* text, std::size_t n, index_t pos,
   return {0, m};
 }
 
-/// Finds the first i in [0, sa_n] with CompareSuffix(sa[i]).sign >= t
-/// (t = 0 locates lb, t = 1 locates rb + 1), starting from the predicted
-/// window [wlo, whi]. The window edges are verified first — galloping
+/// One equal-range search over the suffix array, as a state machine that
+/// asks for one SA probe at a time: FindInterval drives a single search in
+/// a plain loop, FindIntervalBatch interleaves a group of them.
+///
+/// It locates lb (t = 0: the first i in [0, sa_n] with
+/// CompareSuffix(sa[i]).sign >= 0), then rb + 1 (t = 1: the first i with
+/// sign >= 1). Each boundary is a Manber-Myers binary search inside a
+/// bracket [lo, hi] whose fences are verified: lo == 0 or sa[lo-1] left of
+/// the boundary (llcp its matched length), hi == sa_n or sa[hi] right of it
+/// (rlcp). A seeded window's unverified edges are probed first, galloping
 /// outward with doubling steps when the boundary lies outside (the ε
-/// contract's escape hatch) — then a Manber-Myers binary search with
-/// llcp/rlcp skipping finishes inside the bracket.
-std::size_t SearchBoundary(const Symbol* text, std::size_t n,
-                           const index_t* sa, std::size_t sa_n,
-                           const Symbol* pattern, std::size_t m, int t,
-                           u64 wlo, u64 whi) {
-  std::size_t lo = static_cast<std::size_t>(std::min<u64>(wlo, sa_n));
-  std::size_t hi = static_cast<std::size_t>(std::min<u64>(whi, sa_n));
+/// contract's escape hatch); the leftward gallop stops at `floor`, the
+/// leftmost slot the boundary can take. Probes inside the bracket skip min(llcp, rlcp)
+/// characters: every suffix between two fences shares that prefix with the
+/// pattern.
+///
+/// While locating lb it records the fences rb + 1 needs: ub, the smallest
+/// probed slot above the pattern (sign > 0), and pm, one past the largest
+/// probed slot the pattern prefixes (sign == 0). rb + 1 lies in
+/// [max(first, pm), ub], both fences already compared, so the second
+/// search is a bare binary search with no edge probes. Only when lb's
+/// probes saw nothing above the pattern (a wide interval) does rb + 1 take
+/// the upper model's window, with max(first, pm) as its floor: however far
+/// a misleading prediction overshoots, the gallop lands on that verified
+/// fence instead of passing it.
+struct RangeSearch {
+  enum Stage : u8 { kLeft, kRight, kBinary, kDone };
+  static constexpr std::size_t kNoFence = ~std::size_t{0};
+
+  const Symbol* p = nullptr;
+  std::size_t m = 0;
+  std::size_t sa_n = 0;
+  u64 up_wlo = 0;  ///< Upper model's window, the rb + 1 fallback.
+  u64 up_whi = 0;
+  std::size_t floor = 0;  ///< sa[floor - 1] is left of the boundary.
+  std::size_t lo = 0;
+  std::size_t hi = 0;
   std::size_t llcp = 0;
   std::size_t rlcp = 0;
-  bool right_ok = hi == sa_n;
-
-  // Left edge: establish lo == 0 or sa[lo-1] left of the boundary.
   u64 step = 1;
-  while (lo > 0) {
-    const SuffixCmp c = CompareSuffix(text, n, sa[lo - 1], pattern, m, 0);
-    if (c.sign < t) {
-      llcp = c.lcp;
-      break;
-    }
-    // The probe is right of the boundary: it becomes the right fence and
-    // the window slides left, doubling.
-    hi = lo - 1;
-    rlcp = c.lcp;
-    right_ok = true;
-    lo = lo > step ? lo - step : 0;
-    step <<= 1;
-  }
-  // Right edge: establish hi == sa_n or sa[hi] right of the boundary.
-  step = 1;
-  while (!right_ok && hi < sa_n) {
-    const SuffixCmp c = CompareSuffix(text, n, sa[hi], pattern, m, 0);
-    if (c.sign >= t) {
-      rlcp = c.lcp;
-      break;
-    }
-    lo = hi + 1;
-    llcp = c.lcp;
-    hi = std::min<std::size_t>(sa_n, hi + step);
-    step <<= 1;
+  std::size_t probe = 0;      ///< SA slot the next Apply answers.
+  std::size_t first = 0;      ///< Resolved lb.
+  std::size_t ub = kNoFence;  ///< Smallest probed slot above P.
+  std::size_t ub_lcp = 0;
+  std::size_t pm = 0;  ///< One past the largest probed slot P prefixes.
+  u8 t = 0;            ///< Boundary being located: 0 = lb, 1 = rb + 1.
+  Stage stage = kDone;
+  bool right_ok = false;  ///< sa[hi] already compared right of it.
+
+  /// Seeds the lb search from the lower model's prediction \p plo and the
+  /// upper model's \p phi (each within \p slack of its boundary for a
+  /// fitted key). A pattern longer than the packed key (\p past_key) can
+  /// have lb anywhere inside its key's run, which only [plo, phi] is
+  /// guaranteed to bracket; otherwise lb is the run's start and the tight
+  /// lower window suffices.
+  void Start(std::span<const Symbol> pattern, std::size_t n_sa, u64 plo,
+             u64 phi, u64 slack, bool past_key) {
+    p = pattern.data();
+    m = pattern.size();
+    sa_n = n_sa;
+    up_wlo = phi > slack ? phi - slack : 0;
+    up_whi = phi + slack;
+    t = 0;
+    first = 0;
+    ub = kNoFence;
+    ub_lcp = 0;
+    pm = 0;
+    const u64 lb_hi = past_key ? std::max(plo, phi) : plo;
+    Open(plo > slack ? plo - slack : 0, lb_hi + slack, 0, 0);
   }
 
-  // Bracketed last mile: probes start at min(llcp, rlcp) matched
-  // characters — any suffix between two fences shares at least that prefix
-  // with the pattern, so those bytes are never re-read.
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const SuffixCmp c =
-        CompareSuffix(text, n, sa[mid], pattern, m, std::min(llcp, rlcp));
-    if (c.sign < t) {
-      lo = mid + 1;
-      llcp = c.lcp;
-    } else {
-      hi = mid;
-      rlcp = c.lcp;
+  /// Opens a boundary search on the window [wlo, whi], clipped below at
+  /// \p floor_slot: floor_slot is 0 or sa[floor_slot - 1] is already known
+  /// left of the boundary with lcp \p floor_lcp, so a window starting there
+  /// needs no left edge probe. The right edge is trusted only at sa_n.
+  void Open(u64 wlo, u64 whi, std::size_t floor_slot,
+            std::size_t floor_lcp) {
+    floor = floor_slot;
+    lo = static_cast<std::size_t>(
+        std::min<u64>(std::max<u64>(wlo, floor), sa_n));
+    hi = static_cast<std::size_t>(std::min<u64>(whi, sa_n));
+    llcp = floor_lcp;  // kLeft keeps it until a probe lands left.
+    rlcp = 0;
+    step = 1;
+    right_ok = hi == sa_n;
+    stage = lo == floor ? kRight : kLeft;
+  }
+
+  /// lb is resolved: opens the rb + 1 search on the fences the lb probes
+  /// verified. The left fence is sa[pm-1] (P is its prefix, lcp m) when a
+  /// match was probed, else sa[first-1] (llcp as the lb search left it).
+  void OpenUpper() {
+    first = lo;
+    t = 1;
+    const std::size_t left = std::max(first, pm);
+    const std::size_t left_lcp = pm > first ? m : llcp;
+    if (ub != kNoFence) {
+      lo = left;
+      hi = ub;
+      llcp = left_lcp;
+      rlcp = ub_lcp;
+      stage = kBinary;
+      return;
+    }
+    const u64 wlo = std::max<u64>(left, up_wlo);
+    Open(wlo, std::max(wlo, up_whi), left, left_lcp);
+  }
+
+  /// Runs the probe-free transitions. Returns true with `probe` set when
+  /// the search needs sa[probe] compared, false once it is done.
+  bool Next() {
+    for (;;) {
+      switch (stage) {
+        case kLeft:
+          if (lo == floor) {
+            stage = kRight;
+            step = 1;
+            continue;
+          }
+          probe = lo - 1;
+          return true;
+        case kRight:
+          if (right_ok || hi == sa_n) {
+            stage = kBinary;
+            continue;
+          }
+          probe = hi;
+          return true;
+        case kBinary:
+          if (lo < hi) {
+            probe = lo + (hi - lo) / 2;
+            return true;
+          }
+          if (t == 0) {
+            OpenUpper();
+            continue;
+          }
+          stage = kDone;
+          return false;
+        case kDone:
+          return false;
+      }
     }
   }
-  return lo;
-}
+
+  /// Characters of sa[probe] known to match: only probes inside a
+  /// verified bracket may skip.
+  std::size_t Skip() const {
+    return stage == kBinary ? std::min(llcp, rlcp) : 0;
+  }
+
+  /// Folds in the comparison of sa[probe] against the pattern.
+  void Apply(const SuffixCmp& c) {
+    if (t == 0) {
+      if (c.sign > 0 && probe < ub) {
+        ub = probe;
+        ub_lcp = c.lcp;
+      } else if (c.sign == 0) {
+        pm = std::max(pm, probe + 1);
+      }
+    }
+    const bool left_of = c.sign < t;
+    switch (stage) {
+      case kLeft:
+        if (left_of) {
+          llcp = c.lcp;
+          stage = kRight;
+          step = 1;
+        } else {
+          // The probe is right of the boundary: it becomes the right
+          // fence and the window slides left, doubling, down to the floor.
+          hi = lo - 1;
+          rlcp = c.lcp;
+          right_ok = true;
+          lo = lo - floor > step ? lo - step : floor;
+          step <<= 1;
+        }
+        break;
+      case kRight:
+        if (left_of) {
+          lo = hi + 1;
+          llcp = c.lcp;
+          hi = std::min<std::size_t>(sa_n, hi + step);
+          step <<= 1;
+        } else {
+          rlcp = c.lcp;
+          stage = kBinary;
+        }
+        break;
+      case kBinary:
+        if (left_of) {
+          lo = probe + 1;
+          llcp = c.lcp;
+        } else {
+          hi = probe;
+          rlcp = c.lcp;
+        }
+        break;
+      case kDone:
+        break;
+    }
+  }
+
+  SaInterval Result() const {
+    if (lo <= first) return SaInterval{};
+    return SaInterval{static_cast<index_t>(first),
+                      static_cast<index_t>(lo - 1)};
+  }
+};
 
 }  // namespace
 
@@ -400,6 +546,17 @@ u64 LearnedSa::Predict(std::span<const u32> radix,
   return static_cast<u64>(pred);
 }
 
+void LearnedSa::PredictInterval(std::span<const Symbol> pattern, u64* plo,
+                                u64* phi) const {
+  u64 qlo;
+  u64 qhi;
+  PatternKeyRange(pattern, packing_, &qlo, &qhi);
+  *plo = Predict(radix_lower_, lower_, qlo);
+  // The upper model predicts the first position past qhi's run — exactly
+  // the rb + 1 boundary when the pattern fits in the packed key.
+  *phi = Predict(radix_upper_, upper_, qhi);
+}
+
 SaInterval LearnedSa::FindInterval(const Text& text,
                                    std::span<const index_t> sa,
                                    std::span<const Symbol> pattern) const {
@@ -411,34 +568,17 @@ SaInterval LearnedSa::FindInterval(const Text& text,
   if (empty()) return FindSaInterval(text, sa, pattern);
   USI_DCHECK(n_ == sa.size());
 
-  u64 qlo;
-  u64 qhi;
-  PatternKeyRange(pattern, packing_, &qlo, &qhi);
-  const u64 slack = Slack();
-  const u64 plo = Predict(radix_lower_, lower_, qlo);
-  // The upper model predicts the first position past qhi's run — exactly
-  // the rb + 1 boundary when the pattern fits in the packed key.
-  const u64 phi = Predict(radix_upper_, upper_, qhi);
-
-  // For patterns longer than the packed key the lb boundary can sit
-  // anywhere inside the key's run, which only [plo, phi] is guaranteed to
-  // bracket; for patterns that fit it is the run's start, so the tight
-  // lower window suffices.
-  const u64 lb_hi = pattern.size() > packing_.chars ? std::max(plo, phi) : plo;
-  const Symbol* text_p = text.data();
-  const std::size_t n = text.size();
-  const std::size_t first = SearchBoundary(
-      text_p, n, sa.data(), sa.size(), pattern.data(), pattern.size(),
-      /*t=*/0, plo > slack ? plo - slack : 0, lb_hi + slack);
-  // The upper boundary can never precede the lower one; clamping its window
-  // up to `first` saves the gallop a wasted left probe.
-  const u64 up_lo = std::max<u64>(first, phi > slack ? phi - slack : 0);
-  const std::size_t last1 = SearchBoundary(
-      text_p, n, sa.data(), sa.size(), pattern.data(), pattern.size(),
-      /*t=*/1, up_lo, std::max<u64>(up_lo, phi + slack));
-  if (last1 <= first) return SaInterval{};
-  return SaInterval{static_cast<index_t>(first),
-                    static_cast<index_t>(last1 - 1)};
+  u64 plo;
+  u64 phi;
+  PredictInterval(pattern, &plo, &phi);
+  RangeSearch s;
+  s.Start(pattern, sa.size(), plo, phi, Slack(),
+          pattern.size() > packing_.chars);
+  while (s.Next()) {
+    s.Apply(CompareSuffix(text.data(), text.size(), sa[s.probe], s.p, s.m,
+                          s.Skip()));
+  }
+  return s.Result();
 }
 
 void LearnedSa::FindIntervalBatch(
@@ -457,129 +597,20 @@ void LearnedSa::FindIntervalBatch(
   const std::size_t n = text.size();
   const index_t* sa_p = sa.data();
   const std::size_t sa_n = sa.size();
-  const u64 slack = Slack();
 
-  // One in-flight search per pattern: stage-machine state mirroring
-  // SearchBoundary (gallop-verified window, then bracketed binary search),
-  // resolving the lb boundary first and the rb+1 boundary second. A group
-  // of kGroup searches advances in lock-step rounds of three passes —
-  // pick probe + prefetch &sa[probe], load sa[probe] + prefetch the suffix
-  // bytes, compare + update — so every SA and text cache miss overlaps
-  // kGroup-wide instead of stalling one search at a time.
-  enum Stage : u8 { kLeft, kRight, kBinary, kDone };
-  struct Search {
-    const Symbol* p;
-    std::size_t m;
-    u32 idx;         ///< Index into patterns / out.
-    u8 t;            ///< Boundary being located: 0 = lb, 1 = rb + 1.
-    Stage stage;
-    bool right_ok;
-    std::size_t lo, hi;
-    std::size_t llcp, rlcp;
-    u64 step;
-    u64 phi;         ///< Predicted rb + 1 position (second boundary seed).
-    std::size_t first;  ///< Resolved lb boundary.
-    std::size_t probe;  ///< SA slot probed this round.
-    index_t pos;        ///< sa[probe], loaded in pass B.
+  // A group of kGroup searches advances in lock-step rounds of three
+  // passes — pick probe + prefetch &sa[probe], load sa[probe] + prefetch
+  // the suffix bytes the compare will read first, compare + update — so
+  // the SA and text cache misses of one round overlap kGroup-wide instead
+  // of stalling one search at a time.
+  struct InFlight {
+    RangeSearch s;
+    u32 idx = 0;           ///< Index into patterns / out.
+    index_t pos = 0;       ///< sa[s.probe], loaded in pass B.
+    std::size_t skip = 0;  ///< s.Skip() for this round's compare.
   };
   constexpr std::size_t kGroup = 16;
-  Search group[kGroup];
-
-  const auto start_boundary = [&](Search& s, u64 seed_lo, u64 seed_hi) {
-    s.lo = static_cast<std::size_t>(std::min<u64>(seed_lo, sa_n));
-    s.hi = static_cast<std::size_t>(std::min<u64>(seed_hi, sa_n));
-    s.llcp = 0;
-    s.rlcp = 0;
-    s.step = 1;
-    s.right_ok = s.hi == sa_n;
-    s.stage = kLeft;
-  };
-
-  // Runs probe-free transitions; true when s needs a probe, false when the
-  // search completed (out[s.idx] written).
-  const auto advance = [&](Search& s) -> bool {
-    for (;;) {
-      switch (s.stage) {
-        case kLeft:
-          if (s.lo == 0) {
-            s.stage = s.right_ok ? kBinary : kRight;
-            s.step = 1;
-            continue;
-          }
-          s.probe = s.lo - 1;
-          return true;
-        case kRight:
-          if (s.hi == sa_n) {
-            s.stage = kBinary;
-            continue;
-          }
-          s.probe = s.hi;
-          return true;
-        case kBinary:
-          if (s.lo < s.hi) {
-            s.probe = s.lo + (s.hi - s.lo) / 2;
-            return true;
-          }
-          if (s.t == 0) {
-            s.first = s.lo;
-            s.t = 1;
-            const u64 up_lo = std::max<u64>(
-                s.first, s.phi > slack ? s.phi - slack : 0);
-            start_boundary(s, up_lo, std::max<u64>(up_lo, s.phi + slack));
-            continue;
-          }
-          out[s.idx] = s.lo <= s.first
-                           ? SaInterval{}
-                           : SaInterval{static_cast<index_t>(s.first),
-                                        static_cast<index_t>(s.lo - 1)};
-          s.stage = kDone;
-          return false;
-        case kDone:
-          return false;
-      }
-    }
-  };
-
-  const auto apply = [&](Search& s, const SuffixCmp& c) {
-    const int t = s.t;
-    switch (s.stage) {
-      case kLeft:
-        if (c.sign < t) {
-          s.llcp = c.lcp;
-          s.stage = s.right_ok ? kBinary : kRight;
-          s.step = 1;
-        } else {
-          s.hi = s.lo - 1;
-          s.rlcp = c.lcp;
-          s.right_ok = true;
-          s.lo = s.lo > s.step ? s.lo - s.step : 0;
-          s.step <<= 1;
-        }
-        break;
-      case kRight:
-        if (c.sign >= t) {
-          s.rlcp = c.lcp;
-          s.stage = kBinary;
-        } else {
-          s.lo = s.hi + 1;
-          s.llcp = c.lcp;
-          s.hi = std::min<std::size_t>(sa_n, s.hi + s.step);
-          s.step <<= 1;
-        }
-        break;
-      case kBinary:
-        if (c.sign < t) {
-          s.lo = s.probe + 1;
-          s.llcp = c.lcp;
-        } else {
-          s.hi = s.probe;
-          s.rlcp = c.lcp;
-        }
-        break;
-      case kDone:
-        break;
-    }
-  };
+  InFlight group[kGroup];
 
   for (std::size_t base = 0; base < patterns.size(); base += kGroup) {
     const std::size_t count = std::min(kGroup, patterns.size() - base);
@@ -595,45 +626,40 @@ void LearnedSa::FindIntervalBatch(
         out[i] = SaInterval{};
         continue;
       }
-      Search& s = group[live++];
-      s.p = pattern.data();
-      s.m = pattern.size();
-      s.idx = static_cast<u32>(i);
-      s.t = 0;
-      u64 qlo;
-      u64 qhi;
-      PatternKeyRange(pattern, packing_, &qlo, &qhi);
-      const u64 plo = Predict(radix_lower_, lower_, qlo);
-      s.phi = Predict(radix_upper_, upper_, qhi);
-      // Same lb-window widening as FindInterval: boundaries inside a key
-      // run (m > chars) are only bracketed by [plo, phi].
-      const u64 lb_hi = s.m > packing_.chars ? std::max(plo, s.phi) : plo;
-      start_boundary(s, plo > slack ? plo - slack : 0, lb_hi + slack);
+      InFlight& f = group[live++];
+      f.idx = static_cast<u32>(i);
+      u64 plo;
+      u64 phi;
+      PredictInterval(pattern, &plo, &phi);
+      f.s.Start(pattern, sa_n, plo, phi, Slack(),
+                pattern.size() > packing_.chars);
     }
 
     while (live > 0) {
       // Pass A: pick each search's next probe, prefetch the SA slot.
       std::size_t active = 0;
       for (std::size_t g = 0; g < live; ++g) {
-        Search& s = group[g];
-        if (advance(s)) {
-          group[active++] = s;
-          __builtin_prefetch(sa_p + group[active - 1].probe);
+        InFlight& f = group[g];
+        if (!f.s.Next()) {
+          out[f.idx] = f.s.Result();
+          continue;
         }
+        if (active != g) group[active] = f;
+        __builtin_prefetch(sa_p + group[active++].s.probe);
       }
       live = active;
-      // Pass B: load the (now resident) SA entry, prefetch suffix bytes.
+      // Pass B: load the (now resident) SA entry and prefetch where the
+      // compare starts reading, past the skipped characters.
       for (std::size_t g = 0; g < live; ++g) {
-        Search& s = group[g];
-        s.pos = sa_p[s.probe];
-        __builtin_prefetch(text_p + s.pos);
+        InFlight& f = group[g];
+        f.pos = sa_p[f.s.probe];
+        f.skip = f.s.Skip();
+        __builtin_prefetch(text_p + f.pos + f.skip);
       }
       // Pass C: compare and update.
       for (std::size_t g = 0; g < live; ++g) {
-        Search& s = group[g];
-        const std::size_t skip =
-            s.stage == kBinary ? std::min(s.llcp, s.rlcp) : 0;
-        apply(s, CompareSuffix(text_p, n, s.pos, s.p, s.m, skip));
+        InFlight& f = group[g];
+        f.s.Apply(CompareSuffix(text_p, n, f.pos, f.s.p, f.s.m, f.skip));
       }
     }
   }

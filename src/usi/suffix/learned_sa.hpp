@@ -22,12 +22,19 @@
 /// lands), the UPPER model on the first position AFTER each key's run
 /// (where upper_bound(key) lands) — low-entropy alphabets make equal-key
 /// runs thousands of entries long, and without the upper fit every
-/// interval's right boundary would start a run-length gallop. FindInterval
-/// turns a pattern search into one prediction per boundary, verifies that
-/// the ≤2ε window actually brackets the boundary (galloping outward when it
-/// does not — see below), and finishes with a last-mile binary search that
+/// interval's right boundary would start a run-length gallop.
+///
+/// \par Equal-range search
+/// FindInterval locates lb from the lower model's ≤2ε window: it verifies
+/// that the window edges bracket the boundary (galloping outward when they
+/// do not — see below), then finishes with a last-mile binary search that
 /// uses word-at-a-time compares and Manber-Myers llcp/rlcp skipping so deep
-/// probes never re-read bytes already known equal.
+/// probes never re-read bytes already known equal. Every lb probe also
+/// tells which side of rb + 1 its suffix lies on, so the search keeps the
+/// nearest probed suffix above the pattern and the farthest one the
+/// pattern prefixes. rb + 1 is then a bare binary search between those two
+/// verified fences, with no edge probes. Only a wide interval, whose lb
+/// probes never passed it, takes the upper model's window instead.
 ///
 /// \par ε contract
 /// Each model's prediction is within ε positions of its boundary whenever
@@ -124,10 +131,13 @@ class LearnedSa {
                           std::span<const Symbol> pattern) const;
 
   /// Batched FindInterval: out[i] = FindInterval(patterns[i]) for every i.
-  /// In-flight searches advance in lock-step rounds with the SA probe and
-  /// the probed suffix's text bytes software-prefetched one round ahead of
-  /// their use (the AMAC discipline of FingerprintTable::VisitBatch), so a
-  /// miss-heavy batch overlaps its cache misses instead of serializing them.
+  /// Up to 16 equal-range searches advance in lock-step rounds of three
+  /// passes (the AMAC discipline of FingerprintTable::VisitBatch): every
+  /// search picks its next probe and prefetches that SA slot, then loads
+  /// the slot and prefetches the suffix bytes its compare reads first (past
+  /// the min(llcp, rlcp) characters it skips), then compares. The SA and
+  /// text misses of one round overlap across the group instead of stalling
+  /// one search at a time.
   void FindIntervalBatch(const Text& text, std::span<const index_t> sa,
                          std::span<const std::span<const Symbol>> patterns,
                          std::span<SaInterval> out) const;
@@ -166,6 +176,11 @@ class LearnedSa {
   /// position in [0, n] near that model's boundary for query key \p q.
   u64 Predict(std::span<const u32> radix, std::span<const Segment> segments,
               u64 q) const;
+
+  /// Both models' predictions for \p pattern: \p plo near lb (lower model),
+  /// \p phi near rb + 1 (upper model).
+  void PredictInterval(std::span<const Symbol> pattern, u64* plo,
+                       u64* phi) const;
 
   /// Expected window half-width used by the search paths (ε plus one slack
   /// position for the double-precision floor on evaluation).

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,6 +78,78 @@ std::vector<Text> PatternMix(const Text& text, u64 seed) {
   return patterns;
 }
 
+/// Byte-like text: words from a small vocabulary joined by spaces, so
+/// substrings longer than the 8-character packed key repeat, and interval
+/// boundaries fall inside equal-key runs.
+Text WordText(index_t n, u64 seed) {
+  Rng rng(seed);
+  std::vector<Text> vocabulary(120);
+  for (Text& word : vocabulary) {
+    word.resize(2 + rng.UniformBelow(11));
+    for (Symbol& c : word) c = static_cast<Symbol>('a' + rng.UniformBelow(26));
+  }
+  Text text;
+  while (text.size() < n) {
+    const Text& word = vocabulary[rng.UniformBelow(vocabulary.size())];
+    text.insert(text.end(), word.begin(), word.end());
+    text.push_back(static_cast<Symbol>(' '));
+  }
+  text.resize(n);
+  return text;
+}
+
+/// Names a pattern in a failure message: its length and its symbols, with
+/// anything unprintable escaped.
+std::string Describe(const Text& pattern) {
+  std::string out = "pattern len=" + std::to_string(pattern.size()) + " \"";
+  for (const Symbol c : pattern) {
+    if (c >= 0x20 && c < 0x7F && c != '"' && c != '\\') {
+      out.push_back(static_cast<char>(c));
+    } else {
+      char buf[5];
+      std::snprintf(buf, sizeof(buf), "\\x%02X", c);
+      out += buf;
+    }
+  }
+  return out + "\"";
+}
+
+/// Patterns of lengths 1–80, across the packed-key depth of every text
+/// (8 chars for byte-like texts, 32 for σ=4). The classes pick the branch
+/// the rb + 1 search takes: short substrings occur far more often than the
+/// lb window spans, so lb's probes never pass the interval and rb + 1 takes
+/// the upper model's window; unique long substrings, and absent patterns,
+/// leave a probed suffix above the pattern in lb's window, the fence rb + 1
+/// starts from.
+std::vector<Text> FencePatterns(const Text& text, u64 seed) {
+  Rng rng(seed);
+  const auto substring = [&](index_t len) {
+    len = std::min<index_t>(len, static_cast<index_t>(text.size()));
+    const index_t start =
+        static_cast<index_t>(rng.UniformBelow(text.size() - len + 1));
+    return Text(text.begin() + start, text.begin() + start + len);
+  };
+  std::vector<Text> patterns;
+  for (int q = 0; q < 60; ++q) {
+    patterns.push_back(
+        substring(1 + static_cast<index_t>(rng.UniformBelow(3))));
+    patterns.push_back(
+        substring(20 + static_cast<index_t>(rng.UniformBelow(61))));
+    Text any = substring(1 + static_cast<index_t>(rng.UniformBelow(80)));
+    patterns.push_back(any);
+    // Mutated: one symbol replaced, inside or outside the text's alphabet.
+    any[rng.UniformBelow(any.size())] =
+        q % 2 == 0 ? static_cast<Symbol>(rng.UniformBelow(256))
+                   : text[rng.UniformBelow(text.size())];
+    patterns.push_back(std::move(any));
+    // Absent: random symbols.
+    Text noise(1 + rng.UniformBelow(80));
+    for (Symbol& c : noise) c = static_cast<Symbol>(rng.UniformBelow(256));
+    patterns.push_back(std::move(noise));
+  }
+  return patterns;
+}
+
 TEST(LearnedSa, PackSuffixKeyIsMonotoneInSaOrder) {
   for (const auto& [name, text] : AdversarialTexts()) {
     const std::vector<index_t> sa = BuildSuffixArray(text);
@@ -139,6 +212,141 @@ TEST(LearnedSa, BatchMatchesPerQuery) {
         ASSERT_EQ(one.lb, batch[i].lb) << name << " i=" << i;
         ASSERT_EQ(one.rb, batch[i].rb) << name << " i=" << i;
       }
+    }
+  }
+}
+
+/// Checks \p model against FindSaInterval on every pattern, one query at a
+/// time and in batches of 1, exactly one group, and everything at once (a
+/// ragged last group). \p label names the text and model in a failure.
+void ExpectPlainSearchAnswers(const std::string& label,
+                              const LearnedSa& model, const Text& text,
+                              const std::vector<index_t>& sa,
+                              const std::vector<Text>& patterns) {
+  const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
+  std::vector<SaInterval> want(patterns.size());
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    want[i] = FindSaInterval(text, sa, patterns[i]);
+  }
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    const SaInterval got = model.FindInterval(text, sa, patterns[i]);
+    ASSERT_TRUE(got.lb == want[i].lb && got.rb == want[i].rb)
+        << label << " single " << Describe(patterns[i]) << ": got ["
+        << got.lb << ", " << got.rb << "], want [" << want[i].lb << ", "
+        << want[i].rb << "]";
+  }
+  for (const std::size_t batch :
+       {std::size_t{1}, std::size_t{16}, spans.size()}) {
+    std::vector<SaInterval> got(patterns.size());
+    for (std::size_t at = 0; at < spans.size(); at += batch) {
+      const std::size_t take = std::min(batch, spans.size() - at);
+      model.FindIntervalBatch(
+          text, sa, std::span<const PatternSpan>(spans).subspan(at, take),
+          std::span<SaInterval>(got).subspan(at, take));
+    }
+    for (std::size_t i = 0; i < patterns.size(); ++i) {
+      ASSERT_TRUE(got[i].lb == want[i].lb && got[i].rb == want[i].rb)
+          << label << " batch=" << batch << " " << Describe(patterns[i])
+          << ": got [" << got[i].lb << ", " << got[i].rb << "], want ["
+          << want[i].lb << ", " << want[i].rb << "]";
+    }
+  }
+}
+
+/// The adversarial texts plus a σ=4 text and a byte-like word text.
+std::vector<std::pair<std::string, Text>> FenceTexts() {
+  std::vector<std::pair<std::string, Text>> texts = AdversarialTexts();
+  texts.emplace_back("sigma4", testing::RandomText(12000, 4, 0x5A));
+  texts.emplace_back("byte-like", WordText(16000, 0x6B));
+  return texts;
+}
+
+/// Adds delta(segment index) to the intercept of every segment of one model
+/// in a serialized payload. Layout (learned_sa.hpp "Storage"): a 64-byte
+/// header (num_radix at byte 16, lower segment count at 24, upper at 56),
+/// the lower radix table padded to 8 bytes, the lower segments, the upper
+/// radix table, the upper segments; a segment is (first_key, slope,
+/// intercept), 24 bytes.
+template <typename Delta>
+void ShiftIntercepts(std::vector<u8>* payload, bool upper, Delta delta) {
+  const auto field = [&](std::size_t at) {
+    u64 value;
+    std::memcpy(&value, payload->data() + at, sizeof(value));
+    return static_cast<std::size_t>(value);
+  };
+  const std::size_t radix_bytes =
+      (field(16) * sizeof(u32) + 7) & ~std::size_t{7};
+  const std::size_t lower = field(24);
+  std::size_t at = 64 + radix_bytes;
+  if (upper) at += lower * 24 + radix_bytes;
+  const std::size_t count = upper ? field(56) : lower;
+  for (std::size_t s = 0; s < count; ++s, at += 24) {
+    double intercept;
+    std::memcpy(&intercept, payload->data() + at + 16, sizeof(intercept));
+    intercept += delta(s);
+    std::memcpy(payload->data() + at + 16, &intercept, sizeof(intercept));
+  }
+}
+
+TEST(LearnedSa, BothRbFencesMatchPlainSearch) {
+  for (const auto& [name, text] : FenceTexts()) {
+    const std::vector<index_t> sa = BuildSuffixArray(text);
+    const std::vector<Text> patterns = FencePatterns(text, 0x7C);
+    for (const u32 epsilon : {4u, 32u, 256u}) {
+      LearnedSa model;
+      model.Build(text, sa, {epsilon});
+      ASSERT_FALSE(model.empty()) << name;
+      ASSERT_NO_FATAL_FAILURE(ExpectPlainSearchAnswers(
+          name + " eps=" + std::to_string(epsilon), model, text, sa,
+          patterns));
+    }
+  }
+}
+
+TEST(LearnedSa, MisleadingPredictionsMatchPlainSearch) {
+  // A prediction far outside ε (an unfitted key, or a corrupt payload that
+  // a shallow mapped open accepts) must cost probes, never answers. Upper
+  // predictions pushed far past rb + 1 send the wide-interval rb + 1 search
+  // galloping left across the whole interval, down to slots below lb.
+  for (const auto& [name, text] : FenceTexts()) {
+    const std::vector<index_t> sa = BuildSuffixArray(text);
+    const std::vector<Text> patterns = FencePatterns(text, 0x8D);
+    const double n = static_cast<double>(sa.size());
+    for (const u32 epsilon : {4u, 32u}) {
+      LearnedSa fitted;
+      fitted.Build(text, sa, {epsilon});
+      const std::vector<u8> payload = fitted.Serialize();
+      struct Shift {
+        const char* what;
+        bool upper;
+        double delta;
+      };
+      for (const Shift& shift :
+           {Shift{"upper+40", true, 40}, Shift{"upper+400", true, 400},
+            Shift{"upper+n", true, n}, Shift{"upper-400", true, -400},
+            Shift{"lower+400", false, 400}, Shift{"lower-400", false, -400}}) {
+        std::vector<u8> moved = payload;
+        ShiftIntercepts(&moved, shift.upper,
+                        [&](std::size_t) { return shift.delta; });
+        LearnedSa model;
+        ASSERT_TRUE(model.AdoptView(moved.data(), moved.size()));
+        ASSERT_NO_FATAL_FAILURE(ExpectPlainSearchAnswers(
+            name + " eps=" + std::to_string(epsilon) + " " + shift.what,
+            model, text, sa, patterns));
+      }
+      // Independent noise of up to ±n on every segment of both models.
+      std::vector<u8> noisy = payload;
+      Rng rng(0x9E ^ epsilon);
+      const auto noise = [&](std::size_t) {
+        return static_cast<double>(rng.UniformBelow(2 * sa.size() + 1)) - n;
+      };
+      ShiftIntercepts(&noisy, false, noise);
+      ShiftIntercepts(&noisy, true, noise);
+      LearnedSa model;
+      ASSERT_TRUE(model.AdoptView(noisy.data(), noisy.size()));
+      ASSERT_NO_FATAL_FAILURE(ExpectPlainSearchAnswers(
+          name + " eps=" + std::to_string(epsilon) + " noise", model, text,
+          sa, patterns));
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <latch>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -128,6 +129,47 @@ TEST_F(UpdateTierTest, AppendEdgeCases) {
   release.count_down();
   ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
   EXPECT_EQ(service.AppendText("t", span, w), ServeStatus::kOk);
+}
+
+TEST_F(UpdateTierTest, NonFiniteWeightsAreRejectedWholesale) {
+  UsiMultiServiceOptions options;
+  options.threads = 1;
+  UsiMultiService service(options);
+  const WeightedString seed = RandomIntegerWeighted(300, 3, 0x74);
+  service.SubmitText("t", seed);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+  // Warm the degraded tier so a clear would show in its cache size.
+  const Text pattern = seed.Fragment(10, 3);
+  QueryResult before;
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(service.Query("t", pattern, before), ServeStatus::kOk);
+  }
+  const auto warm = service.StatsFor("t");
+  ASSERT_TRUE(warm.has_value() && warm->degraded.has_value());
+  ASSERT_GT(warm->degraded->cache_size, 0u);
+
+  const Text span = {1, 2, 0};
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    // One bad weight among good ones rejects the whole span.
+    const std::vector<double> w = {1.0, bad, 2.0};
+    EXPECT_EQ(service.AppendText("t", span, w),
+              ServeStatus::kInvalidArgument);
+    const auto stats = service.StatsFor("t");
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->appends, 0u);
+    EXPECT_FALSE(stats->delta.has_value());
+    EXPECT_EQ(stats->degraded->cache_size, warm->degraded->cache_size);
+    QueryResult after;
+    ASSERT_EQ(service.Query("t", pattern, after), ServeStatus::kOk);
+    EXPECT_EQ(after.occurrences, before.occurrences);
+    EXPECT_EQ(after.utility, before.utility);
+  }
+  // The same span with finite weights still lands.
+  EXPECT_EQ(service.AppendText("t", span, std::vector<double>{1.0, 1.0, 2.0}),
+            ServeStatus::kOk);
+  EXPECT_EQ(service.StatsFor("t")->appends, 1u);
 }
 
 // The acceptance pin: a randomized append schedule of 10k symbols, verified
