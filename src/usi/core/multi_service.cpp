@@ -31,17 +31,23 @@ namespace {
 /// pattern bytes; below the threshold the configured prior is used.
 constexpr u64 kCostCalibrationBytes = 1024;
 
-/// Writes one degraded result slot: \p tier's answer for \p pattern, or
-/// kNone filler when there is no tier or no rung answers. Returns whether a
-/// rung answered.
-bool AnswerFromTier(DegradedTier* tier, PatternSpan pattern,
-                    QueryResult& slot) {
-  slot = QueryResult{};
-  if (tier != nullptr &&
-      tier->TryAnswer(DegradedTier::KeyFor(pattern), &slot)) {
-    return true;
-  }
-  slot.provenance = AnswerProvenance::kNone;
+/// A non-finite weight would poison every later PSW sum; every write entry
+/// point rejects one before anything changes.
+bool AllFinite(std::span<const double> weights) {
+  return std::all_of(weights.begin(), weights.end(),
+                     [](double w) { return std::isfinite(w); });
+}
+
+/// The one admission rule, shared by the batch-count and the cost gauge:
+/// charge \p gauge, and admit while what was already in flight is under
+/// \p cap (0 = uncapped). The last admit may overshoot, exactly as a count
+/// cap of N admits the Nth batch regardless of the others' progress, and
+/// prev == 0 always admits: a lone batch serves whatever its charge. A
+/// rejection undoes its charge before returning.
+bool TryCharge(std::atomic<u64>& gauge, u64 charge, u64 cap) {
+  const u64 prev = gauge.fetch_add(charge, std::memory_order_acq_rel);
+  if (cap == 0 || prev < cap) return true;
+  gauge.fetch_sub(charge, std::memory_order_release);
   return false;
 }
 
@@ -55,17 +61,18 @@ struct UsiMultiService::Generation {
   WeightedString ws;
   std::unique_ptr<UsiIndex> index;    ///< Borrows ws.
   std::unique_ptr<UsiService> service;  ///< Borrows index + the shared pool.
-  /// Serving straight out of an mmap'd file (RegisterTextFromFile). A
-  /// mapped generation that faults mid-serve (SIGBUS on a truncated or
-  /// revoked backing file) is demoted and recovered; heap generations
-  /// cannot lose their backing, so a serve failure there is reported but
-  /// never demotes.
-  bool mapped = false;
+  /// Non-empty: serving straight out of this mmap'd file
+  /// (RegisterTextFromFile). A mapped generation that faults mid-serve
+  /// (SIGBUS on a truncated or revoked backing file) is demoted and
+  /// recovered, by a heap read of this file when it is still good; heap
+  /// generations cannot lose their backing, so a serve failure there is
+  /// reported but never demotes.
+  std::string source_path;
 };
 
 /// Registry slot for one named text. `current` is the generation pointer
 /// readers pin (a shared_ptr copy under a pointer-copy-scale lock; see
-/// PinGeneration); everything else behind `mu` is build bookkeeping writers
+/// PinServing); everything else behind `mu` is build bookkeeping writers
 /// touch briefly. Waiters on `cv` release `mu` while blocked, so pinning
 /// never queues behind a WaitForText.
 struct UsiMultiService::TextEntry {
@@ -73,7 +80,7 @@ struct UsiMultiService::TextEntry {
 
   std::mutex mu;  ///< Guards current, build_options, scheduled, completed,
                   ///< published, building, last_failed, last_error,
-                  ///< failed_builds, retries, source_path, removed, delta,
+                  ///< failed_builds, retries, removed, delta,
                   ///< delta_epoch, compaction_scheduled, appends,
                   ///< compactions, compact_publish_ns.
   std::condition_variable cv;  ///< Signals per-text build completions.
@@ -107,9 +114,6 @@ struct UsiMultiService::TextEntry {
   std::string last_error;    ///< Cause of the most recent build failure.
   u64 failed_builds = 0;     ///< Terminal failures (quarantines).
   u64 retries = 0;           ///< Failed attempts that were re-armed.
-  /// Backing file of mapped generations (RegisterTextFromFile); recovery
-  /// after a mapped fault re-loads from here when the file is still good.
-  std::string source_path;
   /// UnregisterText ran: the entry is out of the registry; a build still
   /// holding it must not publish (the generation would be unreachable
   /// anyway — this just skips the wasted service construction).
@@ -130,26 +134,40 @@ struct UsiMultiService::TextEntry {
   std::atomic<u64> served_bytes{0};
   std::atomic<u64> served_ns{0};
 
-  /// The reader-side pin: a shared_ptr copy taken under `mu`. The lock is
-  /// held for a refcount increment — not for the batch — so a rebuild
-  /// publishing concurrently never blocks readers for longer than a
-  /// pointer copy. (std::atomic<std::shared_ptr> would make this genuinely
-  /// lock-free, but libstdc++'s implementation guards the pointer with a
-  /// lock bit ThreadSanitizer cannot model, and the TSan CI job is part of
-  /// this contract.)
-  std::shared_ptr<const Generation> PinGeneration() {
-    std::lock_guard<std::mutex> lock(mu);
-    return current;
-  }
-
-  /// As PinGeneration, additionally pinning the update-tier overlay in the
-  /// SAME critical section: the pair describes one boundary, so a batch
-  /// can never merge a new delta into an old base (or vice versa).
-  void PinServing(std::shared_ptr<const Generation>* gen_out,
+  /// The reader-side pin: shared_ptr copies of the generation and the
+  /// update-tier overlay, taken in ONE critical section of `mu` — the pair
+  /// describes one boundary, so a batch can never merge a new delta into an
+  /// old base (or vice versa). The lock is held for refcount increments —
+  /// not for the batch — so a rebuild publishing concurrently never blocks
+  /// readers for longer than a pointer copy. (std::atomic<std::shared_ptr>
+  /// would make this genuinely lock-free, but libstdc++'s implementation
+  /// guards the pointer with a lock bit ThreadSanitizer cannot model, and
+  /// the TSan CI job is part of this contract.) Returns false when the
+  /// text was unregistered since the batch looked it up.
+  bool PinServing(std::shared_ptr<const Generation>* gen_out,
                   std::shared_ptr<DeltaOverlay>* delta_out) {
     std::lock_guard<std::mutex> lock(mu);
     *gen_out = current;
     *delta_out = delta;
+    return !removed;
+  }
+
+  /// Drops the update-tier overlay and bumps its lineage, so a compaction
+  /// scheduled against the dropped overlay can no longer publish. Caller
+  /// holds `mu`.
+  void DropDeltaLocked() {
+    if (delta == nullptr) return;
+    delta = nullptr;
+    ++delta_epoch;
+  }
+
+  /// Calibrated serving cost in ns per pattern byte, or \p prior until the
+  /// text has served kCostCalibrationBytes.
+  double CostNsPerByte(double prior) const {
+    const u64 bytes = served_bytes.load(std::memory_order_relaxed);
+    if (bytes < kCostCalibrationBytes) return prior;
+    return static_cast<double>(served_ns.load(std::memory_order_relaxed)) /
+           static_cast<double>(bytes);
   }
 
   /// Build-lane state; caller holds `mu`.
@@ -180,13 +198,22 @@ struct UsiMultiService::BuildJob {
   u64 compact_epoch = 0;         ///< Overlay lineage the snapshot saw.
 };
 
-/// Leased per-batch routing buffers: the per-text groups (with their pinned
-/// generations) plus gather/scatter staging. Reused across batches, so a
-/// steady-state batch shape stops allocating once capacities are warm.
+/// One QueryBatchInto call's state as it moves through the stages: the
+/// request, the per-text groups (with their pinned generations and serve
+/// outcomes) and gather/scatter staging. The buffers are reused across
+/// batches, so a steady-state batch shape stops allocating once capacities
+/// are warm.
 struct UsiMultiService::BatchScratch {
+  std::span<const MultiQuery> queries;
+  std::span<QueryResult> results;
+  /// Degradation ladder opt-in: slots no engine answered are answered from
+  /// the per-text tiers (exact -> cache -> sketch -> none), not left kNone.
+  bool degrade = false;
+  bool expired = false;           ///< The deadline expired during Serve.
+  std::size_t tier_answers = 0;   ///< Slots a tier rung answered.
   struct Group {
     EntryPtr entry;
-    std::shared_ptr<const Generation> gen;
+    std::shared_ptr<const Generation> gen;  ///< Null: nothing servable.
     /// The update-tier overlay pinned WITH gen (one entry-lock critical
     /// section), so the group's base and delta describe the same boundary.
     std::shared_ptr<DeltaOverlay> delta;
@@ -194,15 +221,80 @@ struct UsiMultiService::BatchScratch {
     /// with it are dropped if a content change cleared the tier since.
     u64 tier_epoch = 0;
     std::vector<u32> indices;  ///< Positions in the incoming batch.
+    u64 bytes = 0;             ///< Pattern bytes routed to this group.
+    std::size_t offset = 0;    ///< Start of the group's staging range.
+    /// The serve stage got to this group (it counts in the text's batches).
+    bool reached = false;
+    /// What the group's result slots hold. kOk: every one exact.
+    /// kDeadlineExceeded / kIndexUnavailable: every one written, exact or
+    /// kNone filler where the engine did not answer. kNotReady: none
+    /// written yet (shed, skipped past the deadline, or no generation).
+    ServeStatus status = ServeStatus::kNotReady;
+    UsiBatchStats stats;  ///< The engine's telemetry for this group.
   };
-  std::vector<Group> groups;  ///< groups[0..used) active this batch.
-  /// Gathered patterns of one group: spans pointing into the callers'
-  /// request storage (MultiQuery::pattern bytes, alive for the whole
-  /// QueryBatchInto call) — the gather stage scatters pointers, it never
-  /// copies pattern bytes.
+  std::vector<Group> groups;
+  std::size_t used = 0;  ///< groups[0..used) active this batch.
+  /// Gathered patterns, each group's at its offset: spans pointing into the
+  /// callers' request storage (MultiQuery::pattern bytes, alive for the
+  /// whole QueryBatchInto call) — the gather copies pointers, never bytes.
   std::vector<PatternSpan> patterns;
-  std::vector<QueryResult> results;  ///< Group-local results to scatter.
+  std::vector<QueryResult> staged;  ///< Engine answers, staged likewise.
   DeltaOverlay::Scratch delta_scratch;  ///< Crossing-probe reuse buffers.
+};
+
+/// A BatchScratch leased from the free list for one QueryBatchInto call,
+/// and returned with its groups unpinned on every exit. Neither copyable
+/// nor movable (the unique_ptr member and the destructor see to that).
+struct UsiMultiService::ScratchLease {
+  UsiMultiService& service;
+  std::unique_ptr<BatchScratch> scratch;
+
+  explicit ScratchLease(UsiMultiService& owner) : service(owner) {
+    std::lock_guard<std::mutex> lock(service.batch_scratch_mu_);
+    if (service.batch_scratch_free_.empty()) {
+      scratch = std::make_unique<BatchScratch>();
+      return;
+    }
+    scratch = std::move(service.batch_scratch_free_.back());
+    service.batch_scratch_free_.pop_back();
+  }
+
+  ~ScratchLease() {
+    // Unpin outside the lock: dropping the last pin may reclaim an old
+    // generation.
+    for (std::size_t k = 0; k < scratch->used; ++k) {
+      BatchScratch::Group& group = scratch->groups[k];
+      group.entry.reset();
+      group.gen.reset();
+      group.delta.reset();
+    }
+    scratch->used = 0;
+    std::lock_guard<std::mutex> lock(service.batch_scratch_mu_);
+    service.batch_scratch_free_.push_back(std::move(scratch));
+  }
+};
+
+/// The admission charges a batch holds while it serves. The one release
+/// guard: both gauges are undone when the batch leaves, on every exit.
+struct UsiMultiService::AdmissionCharge {
+  UsiMultiService& service;
+  bool batch = false;
+  u64 cost_ns = 0;
+
+  explicit AdmissionCharge(UsiMultiService& owner) : service(owner) {}
+  ~AdmissionCharge() { Release(); }
+  AdmissionCharge(const AdmissionCharge&) = delete;
+  AdmissionCharge& operator=(const AdmissionCharge&) = delete;
+
+  void Release() {
+    if (std::exchange(batch, false)) {
+      service.inflight_batches_.fetch_sub(1, std::memory_order_release);
+    }
+    if (cost_ns != 0) {
+      service.inflight_cost_ns_.fetch_sub(std::exchange(cost_ns, 0),
+                                          std::memory_order_release);
+    }
+  }
 };
 
 UsiMultiService::UsiMultiService(const UsiMultiServiceOptions& options)
@@ -256,27 +348,48 @@ UsiMultiService::EntryPtr UsiMultiService::EnsureEntry(std::string_view id) {
 
 u64 UsiMultiService::SubmitText(std::string_view id, WeightedString ws,
                                 const UsiOptions& build_options) {
+  if (!AllFinite(ws.weights())) return 0;
   EntryPtr entry = EnsureEntry(id);
-  u64 generation;
   {
     std::lock_guard<std::mutex> lock(entry->mu);
     entry->build_options = build_options;
-    generation = ++entry->scheduled;
-    // Full-content replacement supersedes the update tier: pending appends
-    // describe the outgoing text.
-    if (entry->delta != nullptr) {
-      entry->delta = nullptr;
-      ++entry->delta_epoch;
-    }
   }
-  // New content: recorded answers (and their bounds) describe the old text.
-  if (entry->tier != nullptr) entry->tier->Clear();
-  ScheduleBuild(std::move(entry), std::move(ws), generation);
-  return generation;
+  return ReplaceText(std::move(entry), std::move(ws));
 }
 
 u64 UsiMultiService::SubmitText(std::string_view id, WeightedString ws) {
   return SubmitText(id, std::move(ws), options_.default_build);
+}
+
+u64 UsiMultiService::UpdateText(std::string_view id, WeightedString ws) {
+  if (!AllFinite(ws.weights())) return 0;
+  EntryPtr entry = FindEntry(id);
+  if (entry == nullptr) return 0;
+  return ReplaceText(std::move(entry), std::move(ws));
+}
+
+u64 UsiMultiService::ReplaceText(EntryPtr entry, WeightedString ws) {
+  BuildJob job;
+  job.generation = BeginReplacement(*entry);
+  job.entry = std::move(entry);
+  job.ws = std::move(ws);
+  const u64 generation = job.generation;
+  ScheduleBuild(std::move(job));
+  return generation;
+}
+
+u64 UsiMultiService::BeginReplacement(TextEntry& entry) {
+  u64 generation = 0;
+  {
+    std::lock_guard<std::mutex> lock(entry.mu);
+    generation = ++entry.scheduled;
+    // Full-content replacement supersedes the update tier: pending appends
+    // describe the outgoing text.
+    entry.DropDeltaLocked();
+  }
+  // New content: recorded answers (and their bounds) describe the old text.
+  if (entry.tier != nullptr) entry.tier->Clear();
+  return generation;
 }
 
 u64 UsiMultiService::RegisterTextFromFile(std::string_view id,
@@ -292,87 +405,23 @@ u64 UsiMultiService::RegisterTextFromFile(std::string_view id,
   // bad file must not register an id or burn a generation number.
   auto gen = std::make_shared<Generation>();
   gen->ws = std::move(ws);
-  std::unique_ptr<UsiIndex> index = UsiIndex::OpenMapped(gen->ws, path);
-  if (index == nullptr) return 0;
-  gen->index = std::move(index);
-  gen->mapped = true;
-  UsiServiceOptions service_options;
-  service_options.min_shard_size = options_.min_shard_size;
-  gen->service =
-      std::make_unique<UsiService>(*gen->index, pool_, service_options);
+  gen->index = UsiIndex::OpenMapped(gen->ws, path);
+  if (gen->index == nullptr) return 0;
+  gen->source_path = path;
+  WrapGeneration(*gen);
 
   EntryPtr entry = EnsureEntry(id);
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    gen->number = ++entry->scheduled;
-    entry->source_path = path;
-    // Full-content replacement supersedes the update tier.
-    if (entry->delta != nullptr) {
-      entry->delta = nullptr;
-      ++entry->delta_epoch;
-    }
-  }
-  // Upsert may swap in different content; the tier must not replay answers
-  // recorded against the previous text.
-  if (entry->tier != nullptr) entry->tier->Clear();
+  gen->number = BeginReplacement(*entry);
+  const u64 generation = gen->number;
+  Publish(*entry, std::move(gen), nullptr);
   // Account the instant publish as a scheduled-and-completed build so
   // WaitForText/WaitForBuilds targets stay consistent with SubmitText's.
   {
     std::lock_guard<std::mutex> lock(build_mu_);
     ++builds_scheduled_;
-  }
-  const u64 generation = gen->number;
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    ++entry->completed;
-    // Same monotonic publish as BuildOne: an in-flight rebuild that claims
-    // a higher number afterwards supersedes this mapped generation, never
-    // the other way round.
-    if (gen->number > entry->published) {
-      entry->published = gen->number;
-      entry->current = std::move(gen);
-      entry->last_failed = false;
-    }
-  }
-  // As in BuildOne: retire what readers of the previous generation recorded
-  // between the clear above and this publish.
-  if (entry->tier != nullptr) entry->tier->Clear();
-  entry->cv.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(build_mu_);
     ++builds_completed_;
   }
   build_cv_.notify_all();
-  return generation;
-}
-
-u64 UsiMultiService::UpdateText(std::string_view id, WeightedString ws) {
-  return UpdateText(id, std::move(ws), nullptr);
-}
-
-u64 UsiMultiService::UpdateText(std::string_view id, WeightedString ws,
-                                const UsiOptions& build_options) {
-  return UpdateText(id, std::move(ws), &build_options);
-}
-
-u64 UsiMultiService::UpdateText(std::string_view id, WeightedString ws,
-                                const UsiOptions* build_options) {
-  EntryPtr entry = FindEntry(id);
-  if (entry == nullptr) return 0;
-  u64 generation;
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (build_options != nullptr) entry->build_options = *build_options;
-    generation = ++entry->scheduled;
-    // Full-content replacement supersedes the update tier.
-    if (entry->delta != nullptr) {
-      entry->delta = nullptr;
-      ++entry->delta_epoch;
-    }
-  }
-  // New content: recorded answers (and their bounds) describe the old text.
-  if (entry->tier != nullptr) entry->tier->Clear();
-  ScheduleBuild(std::move(entry), std::move(ws), generation);
   return generation;
 }
 
@@ -388,35 +437,15 @@ bool UsiMultiService::SetBuildOptions(std::string_view id,
 ServeStatus UsiMultiService::AppendText(std::string_view id,
                                         std::span<const Symbol> text,
                                         std::span<const double> weights) {
-  return AppendTextImpl(id, text, weights, nullptr);
-}
-
-ServeStatus UsiMultiService::AppendText(std::string_view id,
-                                        std::span<const Symbol> text,
-                                        std::span<const double> weights,
-                                        const UsiOptions& build_options) {
-  return AppendTextImpl(id, text, weights, &build_options);
-}
-
-ServeStatus UsiMultiService::AppendTextImpl(std::string_view id,
-                                            std::span<const Symbol> text,
-                                            std::span<const double> weights,
-                                            const UsiOptions* build_options) {
-  // A non-finite weight would poison every later PSW sum; like a length
-  // mismatch it is rejected before anything changes.
-  if (text.size() != weights.size() ||
-      !std::all_of(weights.begin(), weights.end(),
-                   [](double w) { return std::isfinite(w); })) {
+  // Like a length mismatch, a non-finite weight is rejected before anything
+  // changes.
+  if (text.size() != weights.size() || !AllFinite(weights)) {
     return ServeStatus::kInvalidArgument;
   }
   EntryPtr entry = FindEntry(id);
   if (entry == nullptr) return ServeStatus::kUnknownText;
 
-  bool schedule_compaction = false;
-  WeightedString compact_ws;
-  u64 compact_generation = 0;
-  index_t compact_boundary = 0;
-  u64 compact_epoch = 0;
+  BuildJob compaction;  // Scheduled below when compaction.entry is set.
   {
     // The entry lock is held for the whole append (overlay creation, the
     // append itself, the compaction decision): it serializes appenders and
@@ -425,7 +454,6 @@ ServeStatus UsiMultiService::AppendTextImpl(std::string_view id,
     // Readers are unaffected: they pin (pointer copy) and probe the overlay
     // under ITS lock, never this one.
     std::lock_guard<std::mutex> lock(entry->mu);
-    if (build_options != nullptr) entry->build_options = *build_options;
     if (entry->current == nullptr) {
       // Appends extend a published base; before the first publish there is
       // no boundary to append past (and no index to merge with).
@@ -444,31 +472,26 @@ ServeStatus UsiMultiService::AppendTextImpl(std::string_view id,
     try {
       entry->delta->Append(text, weights);
     } catch (...) {
-      if (entry->delta->poisoned()) {
-        // Mid-span failure tore the overlay: pending appends are lost with
-        // it; the base keeps serving exact answers over its own prefix.
-        entry->delta = nullptr;
-        ++entry->delta_epoch;
-      }
+      // Mid-span failure tore the overlay: pending appends are lost with
+      // it; the base keeps serving exact answers over its own prefix.
+      if (entry->delta->poisoned()) entry->DropDeltaLocked();
       return ServeStatus::kIndexUnavailable;
     }
     ++entry->appends;
-    {
+    if (options_.delta_compact_threshold > 0 && !entry->compaction_scheduled) {
       auto read = entry->delta->LockForRead();
-      if (options_.delta_compact_threshold > 0 &&
-          entry->delta->AppendedLocked() >= options_.delta_compact_threshold &&
-          !entry->compaction_scheduled) {
-        compact_boundary = entry->delta->TotalSizeLocked();
-        compact_epoch = entry->delta->epoch();
-        schedule_compaction = true;
-      }
+      compaction.compaction =
+          entry->delta->AppendedLocked() >= options_.delta_compact_threshold;
+      compaction.compact_boundary = entry->delta->TotalSizeLocked();
+      compaction.compact_epoch = entry->delta->epoch();
     }
-    if (schedule_compaction) {
+    if (compaction.compaction) {
       // Snapshot under the entry lock (appenders are excluded, so the
       // snapshot IS the content compact_boundary describes) and mark the
       // compaction in flight — one at a time per text.
-      compact_ws = entry->delta->SnapshotMerged();
-      compact_generation = ++entry->scheduled;
+      compaction.entry = entry;
+      compaction.ws = entry->delta->SnapshotMerged();
+      compaction.generation = ++entry->scheduled;
       entry->compaction_scheduled = true;
     }
   }
@@ -476,10 +499,7 @@ ServeStatus UsiMultiService::AppendTextImpl(std::string_view id,
   // bounds) describe the shorter text.
   if (entry->tier != nullptr) entry->tier->Clear();
   appends_.fetch_add(1, std::memory_order_relaxed);
-  if (schedule_compaction) {
-    ScheduleBuild(std::move(entry), std::move(compact_ws), compact_generation,
-                  {}, true, compact_boundary, compact_epoch);
-  }
+  if (compaction.entry != nullptr) ScheduleBuild(std::move(compaction));
   return ServeStatus::kOk;
 }
 
@@ -500,14 +520,8 @@ bool UsiMultiService::UnregisterText(std::string_view id) {
   std::size_t dropped = 0;
   {
     std::lock_guard<std::mutex> lock(build_mu_);
-    for (auto it = build_queue_.begin(); it != build_queue_.end();) {
-      if (it->entry == entry) {
-        it = build_queue_.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
+    dropped = std::erase_if(
+        build_queue_, [&](const BuildJob& job) { return job.entry == entry; });
     builds_completed_ += dropped;
   }
   {
@@ -519,10 +533,7 @@ bool UsiMultiService::UnregisterText(std::string_view id) {
     // pinned it keep serving (RCU: their shared_ptrs keep entry and
     // generation alive; the last reader reclaims both).
     entry->current = nullptr;
-    if (entry->delta != nullptr) {
-      entry->delta = nullptr;
-      ++entry->delta_epoch;
-    }
+    entry->DropDeltaLocked();
   }
   entry->cv.notify_all();
   build_cv_.notify_all();
@@ -541,46 +552,27 @@ std::vector<std::string> UsiMultiService::TextIds() const {
   return ids;
 }
 
-void UsiMultiService::ScheduleBuild(EntryPtr entry, WeightedString ws,
-                                    u64 generation, std::string recover_path,
-                                    bool compaction, index_t compact_boundary,
-                                    u64 compact_epoch) {
-  if (pool_ == nullptr) {
-    // Degenerate no-pool configuration: build synchronously, right here —
-    // retries included (the backoff is a sleep on the caller's thread).
-    BuildJob job{std::move(entry), std::move(ws), generation, 0,
-                 std::chrono::steady_clock::time_point{},
-                 std::move(recover_path), compaction, compact_boundary,
-                 compact_epoch};
-    {
-      std::lock_guard<std::mutex> lock(build_mu_);
-      ++builds_scheduled_;
-    }
-    while (!BuildOne(job)) {
-      std::this_thread::sleep_until(job.not_before);
-    }
-    {
-      std::lock_guard<std::mutex> lock(build_mu_);
-      ++builds_completed_;
-    }
-    build_cv_.notify_all();
-    return;
-  }
+void UsiMultiService::ScheduleBuild(BuildJob job) {
   bool start_lane = false;
   {
     std::lock_guard<std::mutex> lock(build_mu_);
-    build_queue_.push_back(BuildJob{std::move(entry), std::move(ws),
-                                    generation, 0,
-                                    std::chrono::steady_clock::time_point{},
-                                    std::move(recover_path), compaction,
-                                    compact_boundary, compact_epoch});
     ++builds_scheduled_;
     // Spawn another lane while the executor is under its configured width;
     // a surplus lane that finds nothing claimable simply retires.
-    if (build_lanes_active_ < std::max(1u, options_.build_lanes)) {
-      ++build_lanes_active_;
-      start_lane = true;
+    if (pool_ != nullptr) {
+      build_queue_.push_back(std::move(job));
+      if (build_lanes_active_ < std::max(1u, options_.build_lanes)) {
+        ++build_lanes_active_;
+        start_lane = true;
+      }
     }
+  }
+  if (pool_ == nullptr) {
+    // Degenerate no-pool configuration: build synchronously, right here —
+    // retries included (the backoff is a sleep on the caller's thread).
+    while (!BuildOne(job)) std::this_thread::sleep_until(job.not_before);
+    std::lock_guard<std::mutex> lock(build_mu_);
+    ++builds_completed_;
   }
   if (start_lane) pool_->Run([this] { BuildLane(); });
   build_cv_.notify_all();
@@ -619,18 +611,15 @@ void UsiMultiService::BuildLane() {
         // Nothing claimable: every remaining job is either backing off or
         // held by another lane. Sleep until the earliest unclaimed backoff
         // expires, or — all claimed — until a lane finishing wakes us.
-        auto earliest = build_queue_.end();
-        for (auto it = build_queue_.begin(); it != build_queue_.end(); ++it) {
-          if (it->entry->lane_claimed) continue;
-          if (earliest == build_queue_.end() ||
-              it->not_before < earliest->not_before) {
-            earliest = it;
-          }
+        constexpr auto kNever = std::chrono::steady_clock::time_point::max();
+        auto wake = kNever;
+        for (const BuildJob& j : build_queue_) {
+          if (!j.entry->lane_claimed) wake = std::min(wake, j.not_before);
         }
-        if (earliest != build_queue_.end()) {
-          build_cv_.wait_until(lock, earliest->not_before);
-        } else {
+        if (wake == kNever) {
           build_cv_.wait(lock);
+        } else {
+          build_cv_.wait_until(lock, wake);
         }
       }
     }
@@ -657,20 +646,19 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
   gen->number = job.generation;
   gen->ws = std::move(job.ws);
   UsiOptions build_options;
+  bool removed = false;
   {
     std::lock_guard<std::mutex> lock(entry.mu);
-    if (entry.removed) {
-      // Unregistered while queued or retrying: the publish target is gone,
-      // so the build (and any remaining retries) would be pure waste.
-      // Count the job completed and stop here.
-      ++entry.completed;
-      entry.building = false;
-      if (job.compaction) entry.compaction_scheduled = false;
-      entry.cv.notify_all();
-      return true;
-    }
     entry.building = true;
+    removed = entry.removed;
     build_options = entry.build_options;
+  }
+  if (removed) {
+    // Unregistered while queued or retrying: the publish target is gone,
+    // so the build (and any remaining retries) would be pure waste. The
+    // publish only accounts the job completed.
+    Publish(entry, std::move(gen), &job);
+    return true;
   }
   // The lane occupies one pool worker, and a task must not ParallelFor on
   // its own pool — so each generation builds through the sequential staged
@@ -708,88 +696,86 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
     job.ws = std::move(gen->ws);
     return HandleBuildFailure(job, "unknown exception");
   }
+  WrapGeneration(*gen);
+  Publish(entry, std::move(gen), &job);
+  return true;
+}
+
+void UsiMultiService::WrapGeneration(Generation& gen) const {
   UsiServiceOptions service_options;
   service_options.min_shard_size = options_.min_shard_size;
-  gen->service =
-      std::make_unique<UsiService>(*gen->index, pool_, service_options);
+  gen.service =
+      std::make_unique<UsiService>(*gen.index, pool_, service_options);
+}
 
-  bool compaction_published = false;
-  bool content_published = false;
+void UsiMultiService::Publish(TextEntry& entry,
+                              std::shared_ptr<Generation> gen,
+                              const BuildJob* job) {
+  const bool compaction = job != nullptr && job->compaction;
+  bool published = false;
   {
     std::lock_guard<std::mutex> lock(entry.mu);
     Timer publish_timer;  // Measures the lock hold appenders/pinners see.
     ++entry.completed;
-    entry.building = false;
-    if (job.compaction) entry.compaction_scheduled = false;
+    if (job != nullptr) entry.building = false;
+    if (compaction) entry.compaction_scheduled = false;
     // Monotonic publish: a stale build can never clobber a newer
-    // generation. Readers that pinned the previous generation keep it
-    // alive until their batch completes; the store reclaims nothing.
-    // A text unregistered mid-build skips the publish entirely (the
-    // generation would be unreachable — it is reclaimed right here).
-    bool publish = !entry.removed && gen->number > entry.published;
-    if (publish && job.compaction &&
-        (entry.delta == nullptr ||
-         entry.delta->epoch() != job.compact_epoch)) {
-      // Epoch gate: this base indexes a snapshot of the overlay lineage
-      // recorded at schedule time. The live overlay was dropped or replaced
-      // since (UpdateText, a poisoned append) — it extends DIFFERENT
-      // content, and merging it over this base would double-count the
-      // positions both cover. The superseding build publishes instead.
-      publish = false;
-    }
-    if (publish) {
-      if (job.compaction) {
-        // Fold: the new base covers [0, ns). Appends that landed during
-        // the build (entry lock excludes appenders NOW, so the count is
-        // exact) replay into a successor overlay warm-started over the new
-        // base; none pending means no overlay at all.
-        std::shared_ptr<DeltaOverlay> old = std::move(entry.delta);
-        const index_t ns = job.compact_boundary;
-        const index_t extra = old->TotalSizeLocked() - ns;
-        if (extra > 0) {
-          bool warm = !USI_FAILPOINT_FIRED("compact.warmstart");
+    // generation (an in-flight rebuild that claimed a higher number
+    // supersedes a mapped registration, never the other way round).
+    // Readers that pinned the previous generation keep it alive until
+    // their batch completes; the store reclaims nothing. A text
+    // unregistered mid-build skips the publish entirely (the generation
+    // would be unreachable — it is reclaimed right here).
+    //
+    // Epoch gate: a compaction's base indexes a snapshot of the overlay
+    // lineage recorded at schedule time. If the live overlay was dropped or
+    // replaced since (UpdateText, a poisoned append), it extends DIFFERENT
+    // content, and merging it over this base would double-count the
+    // positions both cover. The superseding build publishes instead.
+    published = !entry.removed && gen->number > entry.published &&
+                (!compaction || (entry.delta != nullptr &&
+                                 entry.delta->epoch() == job->compact_epoch));
+    if (published) {
+      // Fold: the new base covers [0, ns). Appends that landed during the
+      // build (the entry lock excludes appenders NOW, so the count is
+      // exact) replay into a successor overlay warm-started over the new
+      // base; none pending means no overlay at all. A full rebuild instead
+      // replaces content wholesale: an overlay created against the
+      // outgoing base (appends raced the rebuild) describes text this
+      // generation supersedes, and the last reference releases it.
+      if (!compaction ||
+          entry.delta->TotalSizeLocked() == job->compact_boundary) {
+        entry.DropDeltaLocked();
+      } else {
+        const index_t ns = job->compact_boundary;
+        bool warm = !USI_FAILPOINT_FIRED("compact.warmstart");
+        try {
           if (warm) {
-            try {
-              std::shared_ptr<const WeightedString> base(gen, &gen->ws);
-              auto next = std::make_shared<DeltaOverlay>(
-                  std::move(base), options_.delta_context,
-                  ++entry.delta_epoch, gen->index->utility_kind());
-              next->AppendFrom(*old, ns, extra);
-              entry.delta = std::move(next);
-            } catch (...) {
-              warm = false;
-            }
+            std::shared_ptr<const WeightedString> base(gen, &gen->ws);
+            auto next = std::make_shared<DeltaOverlay>(
+                std::move(base), options_.delta_context, ++entry.delta_epoch,
+                gen->index->utility_kind());
+            next->AppendFrom(*entry.delta, ns,
+                             entry.delta->TotalSizeLocked() - ns);
+            entry.delta = std::move(next);
           }
-          if (!warm) {
-            // Containment fallback: keep the old overlay, move its boundary
-            // to the new base's edge. Still exact — the old window's
-            // content is a prefix slice of the new base — just wider than
-            // needed; the next successful warm start reclaims the memory.
-            old->Rebase(ns);
-            entry.delta = std::move(old);
-          }
-        } else {
-          // `old` (the last reference) releases the overlay — and with it
-          // the pinned previous generation — when it leaves scope.
-          ++entry.delta_epoch;
+        } catch (...) {
+          warm = false;
         }
-        ++entry.compactions;
-        compaction_published = true;
-      } else if (entry.delta != nullptr) {
-        // A full rebuild replaces content wholesale; an overlay created
-        // against the outgoing base (appends raced the rebuild) describes
-        // text this generation supersedes.
-        entry.delta = nullptr;
-        ++entry.delta_epoch;
+        // Containment fallback: keep the old overlay, move its boundary to
+        // the new base's edge. Still exact — the old window's content is a
+        // prefix slice of the new base — just wider than needed; the next
+        // successful warm start reclaims the memory.
+        if (!warm) entry.delta->Rebase(ns);
       }
       entry.published = gen->number;
       entry.current = std::move(gen);
       entry.last_failed = false;
-      content_published = !job.compaction;
-    }
-    if (compaction_published) {
-      entry.compact_publish_ns =
-          static_cast<u64>(publish_timer.ElapsedSeconds() * 1e9);
+      if (compaction) {
+        ++entry.compactions;
+        entry.compact_publish_ns =
+            static_cast<u64>(publish_timer.ElapsedSeconds() * 1e9);
+      }
     }
   }
   // New content is now what readers pin. The schedule-time clear could not
@@ -797,12 +783,11 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
   // tier its answers; this one retires them (and bumps the epoch, so groups
   // pinned before the publish cannot record after it). A compaction folds
   // the same content into a new base, so its answers stay valid.
-  if (content_published && entry.tier != nullptr) entry.tier->Clear();
+  if (published && !compaction && entry.tier != nullptr) entry.tier->Clear();
   entry.cv.notify_all();
-  if (compaction_published) {
+  if (published && compaction) {
     compactions_.fetch_add(1, std::memory_order_relaxed);
   }
-  return true;
 }
 
 bool UsiMultiService::HandleBuildFailure(BuildJob& job,
@@ -867,429 +852,303 @@ void UsiMultiService::WaitForBuilds() {
   build_cv_.wait(lock, [&] { return builds_completed_ >= target; });
 }
 
-std::unique_ptr<UsiMultiService::BatchScratch>
-UsiMultiService::AcquireBatchScratch() {
-  {
-    std::lock_guard<std::mutex> lock(batch_scratch_mu_);
-    if (!batch_scratch_free_.empty()) {
-      auto scratch = std::move(batch_scratch_free_.back());
-      batch_scratch_free_.pop_back();
-      return scratch;
-    }
-  }
-  return std::make_unique<BatchScratch>();
-}
-
-void UsiMultiService::ReleaseBatchScratch(
-    std::unique_ptr<BatchScratch> scratch) {
-  std::lock_guard<std::mutex> lock(batch_scratch_mu_);
-  batch_scratch_free_.push_back(std::move(scratch));
-}
-
 ServeStatus UsiMultiService::QueryBatchInto(
     std::span<const MultiQuery> queries, std::span<QueryResult> results,
     const MultiBatchOptions& batch_options) {
   if (results.size() < queries.size()) return ServeStatus::kInvalidArgument;
   if (queries.empty()) return ServeStatus::kOk;
-
-  // Degradation ladder opt-in: a shed or failed batch is answered from the
-  // per-text tiers (exact -> cache -> sketch -> none) instead of rejected.
-  const bool degrade =
+  ScratchLease lease(*this);
+  BatchScratch& batch = *lease.scratch;
+  batch.queries = queries;
+  batch.results = results;
+  batch.degrade =
       batch_options.allow_degraded && options_.enable_degraded_tier;
+  if (!Route(batch)) return ServeStatus::kUnknownText;
+  AdmissionCharge charge(*this);
+  const ServeStatus admitted = Admit(batch, charge);
+  if (admitted != ServeStatus::kOk && !batch.degrade) {
+    (admitted == ServeStatus::kBusy ? busy_rejected_ : overload_rejected_)
+        .fetch_add(1, std::memory_order_relaxed);
+    return admitted;
+  }
+  // A shed degraded batch skips pin and serve: all its slots are unanswered.
+  if (admitted == ServeStatus::kOk) {
+    const ServeStatus pinned = Pin(batch);
+    if (pinned != ServeStatus::kOk) return pinned;
+    Serve(batch, batch_options.deadline);
+  }
+  FillUnanswered(batch);
+  Record(batch);
+  return Account(batch, admitted);
+}
 
-  // Admission, stage 1 — the in-flight count cap: a counter, not a queue,
-  // so overload is shed with kBusy immediately instead of building an
-  // unbounded backlog.
-  const u64 cap = static_cast<u64>(options_.max_inflight_batches);
-  const u64 inflight =
-      inflight_batches_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (cap != 0 && inflight > cap) {
-    inflight_batches_.fetch_sub(1, std::memory_order_release);
-    // Shedding to the tier costs microseconds and touches no engine, so a
-    // degraded serve does not re-enter admission: the caller still gets an
-    // answer per slot while the exact path stays protected.
-    if (degrade) return ServeDegradedBatch(queries, results);
-    busy_rejected_.fetch_add(1, std::memory_order_relaxed);
+bool UsiMultiService::Route(BatchScratch& batch) {
+  batch.expired = false;
+  batch.tier_answers = 0;
+  BatchScratch::Group* group = nullptr;
+  for (std::size_t i = 0; i < batch.queries.size(); ++i) {
+    const MultiQuery& q = batch.queries[i];
+    if (group == nullptr || q.text_id != group->entry->id) {
+      group = nullptr;
+      for (std::size_t k = 0; k < batch.used; ++k) {
+        if (batch.groups[k].entry->id == q.text_id) {
+          group = &batch.groups[k];
+          break;
+        }
+      }
+      if (group == nullptr) {
+        EntryPtr entry = FindEntry(q.text_id);
+        if (entry == nullptr) return false;
+        if (batch.used == batch.groups.size()) batch.groups.emplace_back();
+        group = &batch.groups[batch.used++];
+        group->entry = std::move(entry);
+        group->indices.clear();
+        group->bytes = 0;
+        group->reached = false;
+        group->status = ServeStatus::kNotReady;
+        group->stats = {};
+      }
+    }
+    group->indices.push_back(static_cast<u32>(i));
+    group->bytes += q.pattern.size_bytes();
+  }
+  return true;
+}
+
+ServeStatus UsiMultiService::Admit(const BatchScratch& batch,
+                                   AdmissionCharge& charge) {
+  // Both caps are counters, not queues: overload is shed immediately
+  // instead of building an unbounded backlog. The batch gauge is charged
+  // even when uncapped, because cost calibration reads it as the
+  // concurrency level.
+  if (!TryCharge(inflight_batches_, 1, options_.max_inflight_batches)) {
     return ServeStatus::kBusy;
   }
-  struct InflightRelease {
-    std::atomic<u64>& counter;
-    ~InflightRelease() { counter.fetch_sub(1, std::memory_order_release); }
-  } inflight_release{inflight_batches_};
-
-  // Admission, stage 2 — the cost cap, checked BEFORE routing and scratch
-  // acquisition: at saturation most batches are shed, and a rejection that
-  // pays for pinning and group-building contends with the batches actually
-  // serving (rejection itself becomes the overload). The pre-pass only
-  // accumulates pattern bytes per distinct text id and prices them with
-  // that text's calibrated ns-per-byte (the prior until a text has served
-  // kCostCalibrationBytes). Unknown ids contribute nothing here; routing
-  // below still reports them as kUnknownText before any query executes.
-  // A lone batch (nothing else in flight) always admits, whatever its
-  // estimate — the cap bounds concurrency pile-up, it must not make a big
-  // batch unservable.
+  charge.batch = true;
   const u64 cost_cap_ns =
       static_cast<u64>(options_.max_inflight_cost_ms * 1e6);
-  u64 est_cost_ns = 0;
-  bool cost_charged = false;
-  if (cost_cap_ns != 0) {
-    struct IdBytes {
-      std::string_view id;
-      double bytes;
-    };
-    // Reused across calls: zero steady-state allocation, thread-confined.
-    thread_local std::vector<IdBytes> per_id;
-    per_id.clear();
-    for (const MultiQuery& q : queries) {
-      IdBytes* found = nullptr;
-      for (IdBytes& entry : per_id) {
-        if (entry.id == q.text_id) {
-          found = &entry;
-          break;
-        }
-      }
-      if (found == nullptr) {
-        per_id.push_back({q.text_id, 0});
-        found = &per_id.back();
-      }
-      found->bytes += static_cast<double>(q.pattern.size_bytes());
-    }
-    double est = 0;
-    for (const IdBytes& id_bytes : per_id) {
-      const EntryPtr entry = FindEntry(id_bytes.id);
-      if (entry == nullptr) continue;
-      const u64 served_bytes =
-          entry->served_bytes.load(std::memory_order_relaxed);
-      const double per_byte =
-          served_bytes >= kCostCalibrationBytes
-              ? static_cast<double>(
-                    entry->served_ns.load(std::memory_order_relaxed)) /
-                    static_cast<double>(served_bytes)
-              : options_.default_cost_ns_per_byte;
-      est += id_bytes.bytes * per_byte;
-    }
-    est_cost_ns = static_cast<u64>(est);
-    // Admit while the cost already in flight is under the budget; the last
-    // admit may overshoot, exactly as a count cap of N admits the Nth batch
-    // regardless of the others' progress. (Charging `prev + est > cap`
-    // instead would reject the second batch whenever its estimate drifts a
-    // hair past half the budget — effectively halving concurrency relative
-    // to the count cap it replaces.) prev == 0 admits unconditionally: a
-    // lone batch must serve whatever its estimate.
-    const u64 prev =
-        inflight_cost_ns_.fetch_add(est_cost_ns, std::memory_order_acq_rel);
-    if (prev >= cost_cap_ns) {
-      inflight_cost_ns_.fetch_sub(est_cost_ns, std::memory_order_release);
-      if (degrade) return ServeDegradedBatch(queries, results);
-      overload_rejected_.fetch_add(1, std::memory_order_relaxed);
-      return ServeStatus::kOverloaded;
-    }
-    cost_charged = true;
+  if (cost_cap_ns == 0) return ServeStatus::kOk;
+  // Price each routed group's bytes at its text's calibrated ns per byte.
+  double estimate = 0;
+  for (std::size_t k = 0; k < batch.used; ++k) {
+    const BatchScratch::Group& group = batch.groups[k];
+    estimate += static_cast<double>(group.bytes) *
+                group.entry->CostNsPerByte(options_.default_cost_ns_per_byte);
   }
-  struct CostRelease {
-    std::atomic<u64>* counter;
-    u64 charge;
-    ~CostRelease() {
-      if (counter != nullptr) {
-        counter->fetch_sub(charge, std::memory_order_release);
-      }
-    }
-  } cost_release{cost_charged ? &inflight_cost_ns_ : nullptr, est_cost_ns};
+  const u64 cost_ns = static_cast<u64>(estimate);
+  if (!TryCharge(inflight_cost_ns_, cost_ns, cost_cap_ns)) {
+    charge.Release();
+    return ServeStatus::kOverloaded;
+  }
+  charge.cost_ns = cost_ns;
+  return ServeStatus::kOk;
+}
 
-  std::unique_ptr<BatchScratch> scratch = AcquireBatchScratch();
-  std::size_t used_groups = 0;
-  const auto cleanup = [&] {
-    for (std::size_t k = 0; k < used_groups; ++k) {
-      scratch->groups[k].entry.reset();
-      scratch->groups[k].gen.reset();  // Unpin: may reclaim an old generation.
-      scratch->groups[k].delta.reset();
+ServeStatus UsiMultiService::Pin(BatchScratch& batch) {
+  // One pin per text for the whole batch: every query of a text is answered
+  // from the same (generation, overlay) snapshot, whatever the build lane
+  // does meanwhile.
+  for (std::size_t k = 0; k < batch.used; ++k) {
+    BatchScratch::Group& group = batch.groups[k];
+    // Epoch first, pin second: every content change (rebuild publish,
+    // append) clears the tier only after it has swapped under the entry
+    // lock. If this pin came before the swap, the epoch read before the
+    // pin is older than that clear, so the group's records are dropped.
+    group.tier_epoch =
+        group.entry->tier != nullptr ? group.entry->tier->epoch() : 0;
+    // An id unregistered after routing is as unknown as one never
+    // registered, degraded opt-in or not.
+    if (!group.entry->PinServing(&group.gen, &group.delta)) {
+      return ServeStatus::kUnknownText;
     }
-    ReleaseBatchScratch(std::move(scratch));
-  };
-
-  // Route: group query positions per text, pinning each text's current
-  // generation exactly once — the whole batch is answered from a consistent
-  // snapshot per text, whatever the rebuild lane does meanwhile.
-  BatchScratch::Group* last_group = nullptr;
-  std::string_view last_id{};
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const MultiQuery& q = queries[i];
-    if (last_group == nullptr || q.text_id != last_id) {
-      last_group = nullptr;
-      for (std::size_t k = 0; k < used_groups; ++k) {
-        if (scratch->groups[k].entry->id == q.text_id) {
-          last_group = &scratch->groups[k];
-          break;
-        }
-      }
-      if (last_group == nullptr) {
-        EntryPtr entry = FindEntry(q.text_id);
-        if (entry == nullptr) {
-          cleanup();
-          return ServeStatus::kUnknownText;
-        }
-        // Epoch first, pin second: every content change (rebuild publish,
-        // append) clears the tier only after it has swapped under the entry
-        // lock. If this pin came before the swap, the epoch read before the
-        // pin is older than that clear, so the group's records are dropped.
-        const u64 tier_epoch =
-            entry->tier != nullptr ? entry->tier->epoch() : 0;
-        std::shared_ptr<const Generation> gen;
-        std::shared_ptr<DeltaOverlay> delta;
-        entry->PinServing(&gen, &delta);
-        if (gen == nullptr && !(degrade && entry->tier != nullptr)) {
-          cleanup();
-          return ServeStatus::kNotReady;
-        }
-        // gen may be null past this point: a degraded-opt-in batch admits a
-        // generation-less text (first build pending, or quarantined while
-        // the build lane retries) and serves that group from its tier.
-        if (used_groups == scratch->groups.size()) {
-          scratch->groups.emplace_back();
-        }
-        last_group = &scratch->groups[used_groups++];
-        last_group->entry = std::move(entry);
-        last_group->gen = std::move(gen);
-        last_group->delta = std::move(delta);
-        last_group->tier_epoch = tier_epoch;
-        last_group->indices.clear();
-      }
-      last_id = q.text_id;
-    }
-    last_group->indices.push_back(static_cast<u32>(i));
-  }
-
-  // Serve each group through its generation's UsiService: gather the
-  // group's patterns contiguously, answer (sharded across the shared pool
-  // for batches worth fanning out), scatter back to the callers' slots.
-  // The deadline checkpoint sits between groups (and, via the forwarded
-  // batch options, between shards inside each group); once it trips, the
-  // remaining groups' result slots are default-filled, honoring the
-  // partial-status contract that every slot is written.
-  const bool has_deadline = batch_options.deadline.has_value();
-  bool expired = false;
-  bool unavailable = false;
-  bool degraded_used = false;
-  std::size_t answered = 0;
-  std::size_t answered_degraded = 0;
-  for (std::size_t k = 0; k < used_groups; ++k) {
-    BatchScratch::Group& group = scratch->groups[k];
-    const std::size_t n = group.indices.size();
-    DegradedTier* tier = degrade ? group.entry->tier.get() : nullptr;
-    if (expired ||
-        (has_deadline &&
-         std::chrono::steady_clock::now() >= *batch_options.deadline)) {
-      expired = true;
-      // Deadline rung: unreached slots get tier answers instead of bare
-      // defaults (status stays kDeadlineExceeded; provenance tells the
-      // caller which slots the tier filled).
-      answered_degraded += FillFromTier(tier, queries, group.indices, results);
-      continue;
-    }
-    if (group.gen == nullptr) {
-      // Quarantine rung: no servable generation, whole group from the tier
-      // while the build lane retries in the background.
-      answered_degraded += FillFromTier(tier, queries, group.indices, results);
-      degraded_used = true;
-      group.entry->batches.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (scratch->patterns.size() < n) scratch->patterns.resize(n);
-    if (scratch->results.size() < n) scratch->results.resize(n);
-    u64 group_bytes = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      scratch->patterns[j] = queries[group.indices[j]].pattern;
-      group_bytes += scratch->patterns[j].size_bytes();
-    }
-    UsiBatchStats batch_stats;
-    UsiBatchOptions sub_options;
-    sub_options.deadline = batch_options.deadline;
-    Timer group_timer;
-    const ServeStatus group_status = group.gen->service->QueryBatchInto(
-        std::span<const PatternSpan>(scratch->patterns.data(), n),
-        std::span<QueryResult>(scratch->results.data(), n), &batch_stats,
-        sub_options);
-    // Update-tier merge: the pinned base answered occurrences ending inside
-    // its own prefix; the pinned overlay answers those ending past it. One
-    // read lock spans the whole group, so every slot merges against the
-    // same append snapshot. Taken only after the entry lock was released
-    // (pinning) — the service-wide lock order.
-    bool delta_discarded = false;
-    if (group.delta != nullptr) {
-      auto read = group.delta->LockForRead();
-      if (group.delta->AppendedLocked() > 0) {
-        if (group_status == ServeStatus::kOk) {
-          const GlobalUtilityKind kind = group.gen->index->utility_kind();
-          for (std::size_t j = 0; j < n; ++j) {
-            const QueryResult cross = group.delta->QueryCrossingLocked(
-                scratch->patterns[j], scratch->delta_scratch);
-            if (cross.occurrences > 0) {
-              scratch->results[j] =
-                  MergeQueryResults(scratch->results[j], cross, kind);
-              // The table's precomputed answer covered the base only.
-              scratch->results[j].from_hash_table = false;
-            }
-          }
-        } else if (group_status == ServeStatus::kDeadlineExceeded) {
-          // The deadline tripped mid-group: which slots the base reached is
-          // known, but an "answered" slot here carries a base-only answer —
-          // NOT a full-text answer — and the caller cannot tell it from a
-          // complete one. Discard to defaults (the partial-status contract:
-          // unreached slots carry QueryResult{}).
-          for (std::size_t j = 0; j < n; ++j) {
-            scratch->results[j] = QueryResult{};
-          }
-          delta_discarded = true;
-        }
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      results[group.indices[j]] = scratch->results[j];
-    }
-    if (!delta_discarded) answered += batch_stats.answered;
-    group.entry->batches.fetch_add(1, std::memory_order_relaxed);
-    group.entry->queries.fetch_add(batch_stats.answered,
-                                   std::memory_order_relaxed);
-    group.entry->hash_hits.fetch_add(batch_stats.hash_hits,
-                                     std::memory_order_relaxed);
-    if (group_status == ServeStatus::kOk) {
-      // Feed the tier from the exact path: every served (pattern, answer)
-      // pair is popularity evidence and a candidate cache/sketch entry.
-      // Recording happens whether or not THIS batch opted into degraded
-      // serving — learning must precede the first failure. The batch
-      // record never blocks (one try_lock per chunk, drop on contention),
-      // never allocates, and drops the group if its epoch went stale.
-      if (group.entry->tier != nullptr) {
-        group.entry->tier->RecordExactBatch(
-            std::span<const PatternSpan>(scratch->patterns.data(), n),
-            std::span<const QueryResult>(scratch->results.data(), n),
-            group.tier_epoch);
-      }
-      // Cost-model calibration: only fully-served groups feed the estimate
-      // (a partial group's bytes/time ratio is not the text's). Wall time
-      // under a shared pool scales with the number of concurrent batches,
-      // so charge the CPU share instead: otherwise saturation inflates the
-      // calibrated ns/byte and the cost cap under-admits against a budget
-      // expressed in intrinsic (unloaded) serving cost.
-      const u64 concurrent = std::max<u64>(
-          1, static_cast<u64>(
-                 inflight_batches_.load(std::memory_order_relaxed)));
-      group.entry->served_bytes.fetch_add(group_bytes,
-                                          std::memory_order_relaxed);
-      group.entry->served_ns.fetch_add(
-          static_cast<u64>(group_timer.ElapsedSeconds() * 1e9) / concurrent,
-          std::memory_order_relaxed);
-    } else if (group_status == ServeStatus::kDeadlineExceeded) {
-      expired = true;
-    } else if (group_status == ServeStatus::kIndexUnavailable) {
-      if (tier != nullptr) {
-        // Fault rung: the group's engine failed mid-serve (mapped fault or
-        // an exception out of the fallback path). Which slots it reached is
-        // unknowable from here — a legitimate exact answer and a failure
-        // default are both representable as zeros — so the WHOLE group is
-        // re-answered from the tier with honest provenance on every slot.
-        answered_degraded +=
-            FillFromTier(tier, queries, group.indices, results);
-        degraded_used = true;
-      } else {
-        unavailable = true;
-      }
-      if (group.gen->mapped) {
-        // A mapped generation faulted (truncated or revoked backing file):
-        // demote it so no later batch serves from the bad mapping, and
-        // schedule a recovery build — heap load of the source file when it
-        // is still good, full rebuild otherwise. Only the first batch to
-        // observe the fault demotes (the pointer compare); concurrent
-        // failures of the same generation are no-ops here.
-        TextEntry& entry = *group.entry;
-        bool demoted = false;
-        u64 generation = 0;
-        std::string recover_path;
-        {
-          std::lock_guard<std::mutex> lock(entry.mu);
-          if (entry.current == group.gen) {
-            entry.current = nullptr;
-            // The overlay extends the demoted base; the recovery build
-            // re-indexes the base content alone, so pending appends are
-            // dropped with the mapping that lost them.
-            if (entry.delta != nullptr) {
-              entry.delta = nullptr;
-              ++entry.delta_epoch;
-            }
-            generation = ++entry.scheduled;
-            recover_path = entry.source_path;
-            demoted = true;
-          }
-        }
-        if (demoted) {
-          ScheduleBuild(group.entry, WeightedString(group.gen->ws),
-                        generation, std::move(recover_path));
-        }
-      }
-    }
-  }
-
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  queries_.fetch_add(answered, std::memory_order_relaxed);
-  if (answered_degraded != 0) {
-    degraded_answers_.fetch_add(answered_degraded, std::memory_order_relaxed);
-  }
-  if (expired) deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-  if (unavailable) {
-    index_unavailable_.fetch_add(1, std::memory_order_relaxed);
-  }
-  cleanup();
-  if (unavailable) return ServeStatus::kIndexUnavailable;
-  if (expired) return ServeStatus::kDeadlineExceeded;
-  if (degraded_used) {
-    degraded_batches_.fetch_add(1, std::memory_order_relaxed);
-    return ServeStatus::kDegraded;
+    // A degraded-opt-in batch admits a generation-less text (first build
+    // pending, or quarantined while the build lane retries): the fill
+    // stage answers that group from its tier.
+    if (group.gen == nullptr && !batch.degrade) return ServeStatus::kNotReady;
   }
   return ServeStatus::kOk;
 }
 
-std::size_t UsiMultiService::FillFromTier(DegradedTier* tier,
-                                          std::span<const MultiQuery> queries,
-                                          std::span<const u32> indices,
-                                          std::span<QueryResult> results) {
-  std::size_t filled = 0;
-  for (const u32 idx : indices) {
-    filled += AnswerFromTier(tier, queries[idx].pattern, results[idx]) ? 1 : 0;
+void UsiMultiService::Serve(
+    BatchScratch& batch,
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
+  batch.patterns.resize(
+      std::max(batch.patterns.size(), batch.queries.size()));
+  batch.staged.resize(batch.patterns.size());
+  UsiBatchOptions sub_options;
+  sub_options.deadline = deadline;
+  std::size_t offset = 0;  // Each group's staging range follows the last.
+  for (std::size_t k = 0; k < batch.used && !batch.expired; ++k) {
+    // The deadline checkpoint sits between groups (and, through
+    // sub_options, between shards inside each group). Groups past it stay
+    // unreached.
+    if (deadline.has_value() && std::chrono::steady_clock::now() >= *deadline) {
+      batch.expired = true;
+      return;
+    }
+    BatchScratch::Group& group = batch.groups[k];
+    const std::size_t n = group.indices.size();
+    group.reached = true;
+    group.offset = offset;
+    offset += n;
+    if (group.gen == nullptr) continue;
+    const auto patterns = std::span(batch.patterns).subspan(group.offset, n);
+    const auto answers = std::span(batch.staged).subspan(group.offset, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      patterns[j] = batch.queries[group.indices[j]].pattern;
+    }
+    group.status = group.gen->service->QueryBatchInto(
+        patterns, answers, &group.stats, sub_options);
+    // Update-tier merge: the pinned base answered occurrences ending inside
+    // its own prefix; the pinned overlay answers those ending past it.
+    // Every slot the base answered merges, whatever the group status; one
+    // read lock spans the group, so all of them see the same append
+    // snapshot. Taken after the entry lock was released (pinning): the
+    // service-wide lock order.
+    if (group.delta != nullptr) {
+      auto read = group.delta->LockForRead();
+      if (group.delta->AppendedLocked() > 0) {
+        const GlobalUtilityKind kind = group.gen->index->utility_kind();
+        for (std::size_t j = 0; j < n; ++j) {
+          if (answers[j].provenance != AnswerProvenance::kExact) continue;
+          const QueryResult cross = group.delta->QueryCrossingLocked(
+              patterns[j], batch.delta_scratch);
+          if (cross.occurrences > 0) {
+            answers[j] = MergeQueryResults(answers[j], cross, kind);
+            // The table's precomputed answer covered the base only.
+            answers[j].from_hash_table = false;
+          }
+        }
+      }
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      batch.results[group.indices[j]] = answers[j];
+    }
+    if (group.status == ServeStatus::kIndexUnavailable &&
+        !group.gen->source_path.empty()) {
+      DemoteFaulted(group.entry, group.gen);
+    }
+    batch.expired = group.status == ServeStatus::kDeadlineExceeded;
   }
-  return filled;
 }
 
-ServeStatus UsiMultiService::ServeDegradedBatch(
-    std::span<const MultiQuery> queries, std::span<QueryResult> results) {
-  // Validation pass first: the all-or-nothing kUnknownText contract (no
-  // result slot touched) holds on the degraded path too.
+void UsiMultiService::DemoteFaulted(
+    const EntryPtr& entry, const std::shared_ptr<const Generation>& gen) {
+  BuildJob recovery;
   {
-    std::string_view last_id{};
-    bool have_last = false;
-    for (const MultiQuery& q : queries) {
-      if (have_last && q.text_id == last_id) continue;
-      if (FindEntry(q.text_id) == nullptr) return ServeStatus::kUnknownText;
-      last_id = q.text_id;
-      have_last = true;
+    std::lock_guard<std::mutex> lock(entry->mu);
+    // Only the first batch to observe the fault demotes (the pointer
+    // compare); concurrent failures of the same generation are no-ops.
+    if (entry->current != gen) return;
+    entry->current = nullptr;
+    // The overlay extends the demoted base; the recovery build re-indexes
+    // the base content alone, so pending appends are dropped with the
+    // mapping that lost them.
+    entry->DropDeltaLocked();
+    recovery.generation = ++entry->scheduled;
+  }
+  recovery.entry = entry;
+  recovery.ws = gen->ws;
+  recovery.recover_path = gen->source_path;
+  ScheduleBuild(std::move(recovery));
+}
+
+void UsiMultiService::FillUnanswered(BatchScratch& batch) {
+  for (std::size_t k = 0; k < batch.used; ++k) {
+    const BatchScratch::Group& group = batch.groups[k];
+    if (group.status == ServeStatus::kOk) continue;
+    DegradedTier* tier = batch.degrade ? group.entry->tier.get() : nullptr;
+    for (const u32 idx : group.indices) {
+      // A group the engine served keeps the slots it answered; the others
+      // already carry kNone filler that only a tier can improve on.
+      QueryResult& slot = batch.results[idx];
+      if (group.status != ServeStatus::kNotReady &&
+          slot.provenance != AnswerProvenance::kNone) {
+        continue;
+      }
+      slot = UnansweredResult();
+      if (tier != nullptr &&
+          tier->TryAnswer(DegradedTier::KeyFor(batch.queries[idx].pattern),
+                          &slot)) {
+        ++batch.tier_answers;
+      }
     }
   }
-  std::size_t filled = 0;
-  std::string_view last_id{};
-  EntryPtr entry;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const MultiQuery& q = queries[i];
-    if (entry == nullptr || q.text_id != last_id) {
-      entry = FindEntry(q.text_id);  // May be gone since validation: kNone.
-      last_id = q.text_id;
+}
+
+void UsiMultiService::Record(const BatchScratch& batch) {
+  // Calibration charges each group its CPU share: wall time under a shared
+  // pool scales with the number of concurrent batches, and saturation must
+  // not inflate the calibrated ns/byte (the cost cap would then under-admit
+  // against a budget expressed in unloaded serving cost).
+  const u64 concurrent = std::max<u64>(
+      1, inflight_batches_.load(std::memory_order_relaxed));
+  for (std::size_t k = 0; k < batch.used; ++k) {
+    const BatchScratch::Group& group = batch.groups[k];
+    if (!group.reached) continue;
+    TextEntry& entry = *group.entry;
+    entry.batches.fetch_add(1, std::memory_order_relaxed);
+    entry.queries.fetch_add(group.stats.answered, std::memory_order_relaxed);
+    entry.hash_hits.fetch_add(group.stats.hash_hits,
+                              std::memory_order_relaxed);
+    if (group.status != ServeStatus::kOk) continue;
+    // Feed the tier from the exact path: every served (pattern, answer)
+    // pair is popularity evidence and a candidate cache/sketch entry.
+    // Recording happens whether or not THIS batch opted into degraded
+    // serving — learning must precede the first failure. The batch record
+    // never blocks (one try_lock per chunk, drop on contention), never
+    // allocates, and drops the group if its epoch went stale.
+    const std::size_t n = group.indices.size();
+    if (entry.tier != nullptr) {
+      entry.tier->RecordExactBatch(
+          std::span(batch.patterns).subspan(group.offset, n),
+          std::span(batch.staged).subspan(group.offset, n), group.tier_epoch);
     }
-    DegradedTier* tier = entry == nullptr ? nullptr : entry->tier.get();
-    filled += AnswerFromTier(tier, q.pattern, results[i]) ? 1 : 0;
+    // Only fully-served groups feed the cost model: a partial group's
+    // bytes/time ratio is not the text's.
+    entry.served_bytes.fetch_add(group.bytes, std::memory_order_relaxed);
+    entry.served_ns.fetch_add(
+        static_cast<u64>(group.stats.seconds * 1e9) / concurrent,
+        std::memory_order_relaxed);
   }
-  degraded_batches_.fetch_add(1, std::memory_order_relaxed);
-  if (filled != 0) {
-    degraded_answers_.fetch_add(filled, std::memory_order_relaxed);
+}
+
+ServeStatus UsiMultiService::Account(const BatchScratch& batch,
+                                     ServeStatus admitted) {
+  if (batch.tier_answers != 0) {
+    degraded_answers_.fetch_add(batch.tier_answers, std::memory_order_relaxed);
   }
-  return ServeStatus::kDegraded;
+  if (admitted != ServeStatus::kOk) {
+    // Shedding to the tier costs microseconds and touches no engine, so it
+    // holds no admission charge: the caller still gets an answer per slot
+    // while the exact path stays protected.
+    degraded_batches_.fetch_add(1, std::memory_order_relaxed);
+    return ServeStatus::kDegraded;
+  }
+  std::size_t answered = 0;
+  bool partial = false;  // Some group was not answered whole by its engine.
+  bool unavailable = false;
+  for (std::size_t k = 0; k < batch.used; ++k) {
+    const BatchScratch::Group& group = batch.groups[k];
+    answered += group.stats.answered;
+    partial |= group.status != ServeStatus::kOk;
+    unavailable |= group.status == ServeStatus::kIndexUnavailable;
+  }
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  queries_.fetch_add(answered, std::memory_order_relaxed);
+  if (batch.expired) deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+  // Without the opt-in a fault fails the batch. With it, the faulted and
+  // the generation-less groups were answered from their tiers.
+  if (unavailable && !batch.degrade) {
+    index_unavailable_.fetch_add(1, std::memory_order_relaxed);
+    return ServeStatus::kIndexUnavailable;
+  }
+  if (batch.expired) return ServeStatus::kDeadlineExceeded;
+  if (partial) {
+    degraded_batches_.fetch_add(1, std::memory_order_relaxed);
+    return ServeStatus::kDegraded;
+  }
+  return ServeStatus::kOk;
 }
 
 MultiBatchResult UsiMultiService::QueryBatch(
@@ -1297,8 +1156,9 @@ MultiBatchResult UsiMultiService::QueryBatch(
   MultiBatchResult out;
   out.results.resize(queries.size());
   out.status = QueryBatchInto(queries, out.results);
-  // The partial statuses return written (if partly default) slots; only the
-  // all-or-nothing rejections leave nothing worth returning.
+  // The partial statuses return every slot written (kNone filler where
+  // unanswered); only the all-or-nothing rejections leave nothing worth
+  // returning.
   if (out.status != ServeStatus::kOk &&
       out.status != ServeStatus::kDeadlineExceeded &&
       out.status != ServeStatus::kIndexUnavailable &&
@@ -1321,13 +1181,11 @@ std::optional<UsiTextStats> UsiMultiService::StatsFor(
   EntryPtr entry = FindEntry(id);
   if (entry == nullptr) return std::nullopt;
   UsiTextStats stats;
-  if (std::shared_ptr<const Generation> gen = entry->PinGeneration()) {
-    stats.generation = gen->number;
-    stats.last_build = gen->index->build_info();
-  }
+  std::shared_ptr<const Generation> gen;
   std::shared_ptr<DeltaOverlay> delta;
   {
     std::lock_guard<std::mutex> lock(entry->mu);
+    gen = entry->current;
     stats.builds_scheduled = entry->scheduled;
     stats.builds_completed = entry->completed;
     stats.builds_failed = entry->failed_builds;
@@ -1339,17 +1197,15 @@ std::optional<UsiTextStats> UsiMultiService::StatsFor(
     stats.compact_publish_ns = entry->compact_publish_ns;
     delta = entry->delta;  // Snapshot OUTSIDE the entry lock (lock order).
   }
+  if (gen != nullptr) {
+    stats.generation = gen->number;
+    stats.last_build = gen->index->build_info();
+  }
   if (delta != nullptr) stats.delta = delta->StatsSnapshot();
   stats.batches = entry->batches.load(std::memory_order_relaxed);
   stats.queries = entry->queries.load(std::memory_order_relaxed);
   stats.hash_hits = entry->hash_hits.load(std::memory_order_relaxed);
-  const u64 served_bytes =
-      entry->served_bytes.load(std::memory_order_relaxed);
-  if (served_bytes >= kCostCalibrationBytes) {
-    stats.cost_ns_per_byte =
-        static_cast<double>(entry->served_ns.load(std::memory_order_relaxed)) /
-        static_cast<double>(served_bytes);
-  }
+  stats.cost_ns_per_byte = entry->CostNsPerByte(0);
   if (entry->tier != nullptr) stats.degraded = entry->tier->stats();
   return stats;
 }

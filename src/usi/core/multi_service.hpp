@@ -69,31 +69,42 @@
 /// serving and the overlay keeps absorbing appends. SubmitText/UpdateText
 /// replace content wholesale and therefore drop the overlay.
 ///
+/// \par Serving pipeline
+/// QueryBatchInto runs one batch through named stages: *route* (look up
+/// each distinct text id once and group the queries per text, so an
+/// unknown id rejects the whole batch before anything is charged),
+/// *admit*, *pin* (one (generation, overlay) snapshot per text), *serve*
+/// (each group through its generation's UsiService, then the overlay merge
+/// into every exact slot), *fill* (slots no engine answered), *record*
+/// (per-text telemetry and the tier learning from fully served groups) and
+/// *account* (service-wide counters and the batch status).
+///
 /// \par Admission control
 /// Two caps, both counters rather than queues, so overload sheds load
-/// instead of growing an unbounded backlog, and both checked before any
-/// routing:
+/// instead of growing an unbounded backlog. Both are checked after routing
+/// and before any generation is pinned, by one rule: a batch is charged
+/// and admitted while what was already in flight is under the cap.
 ///  * max_inflight_batches bounds the number of concurrently executing
 ///    QueryBatch calls; a batch over it returns ServeStatus::kBusy (counted
 ///    in stats().busy_rejected).
 ///  * max_inflight_cost_ms bounds the estimated serving cost of all
-///    in-flight batches, priced per text from calibrated ns-per-pattern-byte
-///    telemetry; a batch over it returns kOverloaded (counted in
-///    stats().overload_rejected). A lone batch always admits.
+///    in-flight batches, priced per routed text from calibrated
+///    ns-per-pattern-byte telemetry; a batch over it returns kOverloaded
+///    (counted in stats().overload_rejected). A lone batch always admits.
 ///
 /// \par Graceful degradation
 /// Every registered text carries a DegradedTier (core/degraded_tier.hpp)
 /// that records exact answers as they are served, one batch record per
-/// served group. Content changes clear it (at schedule time, after every
-/// append, and again when the new generation publishes), and each group
-/// records under the tier epoch it read before pinning, so answers about
-/// replaced content are never learned. A batch that opts in
-/// (MultiBatchOptions::allow_degraded) falls through the degradation ladder
-/// instead of being rejected: overload/busy sheds serve the whole batch
-/// from the tiers, a quarantined or faulted text answers from its tier
-/// while the build lane retries, and deadline expiry fills unreached slots
-/// from the tier. Such batches return ServeStatus::kDegraded (or keep
-/// kDeadlineExceeded) with per-result provenance and error bounds.
+/// fully served group. Content changes clear it (at schedule time, after
+/// every append, and again when the new generation publishes), and each
+/// group records under the tier epoch it read before pinning, so answers
+/// about replaced content are never learned. Slots no engine answered are
+/// kNone filler: a shed batch, a text with no servable generation, a group
+/// past the deadline, and the slots a faulted or expired group did not
+/// reach. A batch that opts in (MultiBatchOptions::allow_degraded) instead
+/// gets every such slot answered from its text's tier, while the slots the
+/// engine did answer stay exact. Such batches return ServeStatus::kDegraded
+/// (or keep kDeadlineExceeded) with per-result provenance and error bounds.
 ///
 /// \par Thread safety
 /// All public members are safe to call concurrently. QueryBatch never
@@ -215,9 +226,10 @@ struct MultiBatchOptions {
   /// estimate -> none): instead of rejecting, an overloaded/busy batch, a
   /// text with no servable generation (quarantined build lane) or a group
   /// that lost its index mid-serve is answered from the text's DegradedTier
-  /// and the batch returns kDegraded with every slot written — each answer
-  /// tagged with its provenance and error bound (QueryResult::provenance /
-  /// error_bound). A deadline-expired batch additionally fills *unreached*
+  /// and the batch returns kDegraded with every slot written — slots the
+  /// engine answered stay exact, the rest carry tier answers tagged with
+  /// their provenance and error bound (QueryResult::provenance /
+  /// error_bound). A deadline-expired batch likewise fills its *unreached*
   /// slots from the tier (status stays kDeadlineExceeded; provenance says
   /// which slots are tier answers). Off by default: callers that cannot
   /// consume approximate answers keep the PR 8 fail-clean behavior.
@@ -279,9 +291,9 @@ struct UsiMultiStats {
 struct MultiBatchResult {
   ServeStatus status = ServeStatus::kOk;
   /// Populated on kOk and on the partial statuses (kDeadlineExceeded /
-  /// kIndexUnavailable / kDegraded — unreached slots are default
-  /// QueryResult{} or provenance-tagged tier answers); cleared on the
-  /// all-or-nothing rejections.
+  /// kIndexUnavailable / kDegraded — unanswered slots are kNone filler or
+  /// provenance-tagged tier answers); cleared on the all-or-nothing
+  /// rejections.
   std::vector<QueryResult> results;
 };
 
@@ -307,7 +319,8 @@ class UsiMultiService {
   /// keep draining from the previous generation until the new one is
   /// published; a brand-new text serves kNotReady until its first build
   /// lands. Returns the scheduled generation number (monotonic per text,
-  /// starting at 1).
+  /// starting at 1), or 0 when a weight is not finite (NaN, ±inf) — then
+  /// nothing is registered or changed.
   u64 SubmitText(std::string_view id, WeightedString ws,
                  const UsiOptions& build_options);
 
@@ -323,25 +336,24 @@ class UsiMultiService {
   /// id that is currently serving built ones (and vice versa — a later
   /// UpdateText rebuild supersedes the mapped generation normally).
   /// Returns the published generation number, or 0 if the file cannot be
-  /// opened (missing, corrupt, or built over a different text) — in which
-  /// case the registry is left untouched.
+  /// opened (missing, corrupt, or built over a text of different length) —
+  /// in which case the registry is left untouched. Unlike SubmitText, the
+  /// weights are not scanned for NaN/±inf: that O(n) pass would dominate
+  /// an O(1) registration, and the image carries its own prefix sums.
   u64 RegisterTextFromFile(std::string_view id, WeightedString ws,
                            const std::string& path);
 
   /// Schedules a rebuild of an existing text with new content, reusing the
-  /// build options it was submitted with. Returns the scheduled generation
-  /// number, or 0 if \p id is not registered. Replacing content supersedes
-  /// the update tier: a live delta overlay is dropped with its appends.
+  /// text's build options (see SetBuildOptions). Returns the scheduled
+  /// generation number, or 0 if \p id is not registered or a weight is not
+  /// finite (nothing changes). Replacing content supersedes the update
+  /// tier: a live delta overlay is dropped with its appends.
   u64 UpdateText(std::string_view id, WeightedString ws);
 
-  /// As above, additionally replacing the text's build options (applied to
-  /// this rebuild and every later build, compactions included).
-  u64 UpdateText(std::string_view id, WeightedString ws,
-                 const UsiOptions& build_options);
-
   /// Replaces \p id's build options without scheduling anything: later
-  /// rebuilds and compactions use them. Returns false when \p id is not
-  /// registered.
+  /// rebuilds and compactions use them. Apart from a SubmitText upsert,
+  /// the one way to re-option a registered text. Returns false when \p id
+  /// is not registered.
   bool SetBuildOptions(std::string_view id, const UsiOptions& build_options);
 
   /// Appends \p text / \p weights (equal length) past \p id's published
@@ -359,13 +371,6 @@ class UsiMultiService {
   /// with the overlay).
   ServeStatus AppendText(std::string_view id, std::span<const Symbol> text,
                          std::span<const double> weights);
-
-  /// As above, first replacing the text's build options (the per-text
-  /// build-option update surface of the update tier — the next compaction
-  /// or rebuild uses them).
-  ServeStatus AppendText(std::string_view id, std::span<const Symbol> text,
-                         std::span<const double> weights,
-                         const UsiOptions& build_options);
 
   /// Unregisters \p id, RCU-style: the registry entry is removed
   /// immediately (new batches answer kUnknownText), in-flight batches that
@@ -398,15 +403,15 @@ class UsiMultiService {
   /// Blocks until every build scheduled so far (all texts) has completed.
   void WaitForBuilds();
 
-  /// Answers queries[i] into results[i]. Routes by text id, pins one
-  /// generation per referenced text for the whole batch, then serves each
-  /// per-text group through that generation's UsiService (sharded across
-  /// the shared pool). On the all-or-nothing statuses (kInvalidArgument
-  /// when results.size() < queries.size(), kBusy / kOverloaded /
-  /// kUnknownText / kNotReady) no query executes and results are
-  /// untouched; the partial statuses (kDeadlineExceeded /
+  /// Answers queries[i] into results[i]. Routes by text id, admits, pins
+  /// one generation per referenced text for the whole batch, then serves
+  /// each per-text group through that generation's UsiService (sharded
+  /// across the shared pool). On the all-or-nothing statuses — checked in
+  /// this order: kInvalidArgument (results.size() < queries.size()),
+  /// kUnknownText, kBusy / kOverloaded, kNotReady — no query executes and
+  /// results are untouched; the partial statuses (kDeadlineExceeded /
   /// kIndexUnavailable / kDegraded) return with every result slot written —
-  /// unreached queries carry default QueryResult{}. With
+  /// unanswered queries carry kNone filler. With
   /// batch_options.allow_degraded, the rejecting statuses other than
   /// kInvalidArgument and kUnknownText are replaced by degraded serving
   /// from the per-text tier (see MultiBatchOptions::allow_degraded).
@@ -435,6 +440,8 @@ class UsiMultiService {
   struct TextEntry;
   struct BuildJob;
   struct BatchScratch;
+  struct ScratchLease;
+  struct AdmissionCharge;
 
   using EntryPtr = std::shared_ptr<TextEntry>;
 
@@ -445,17 +452,17 @@ class UsiMultiService {
   /// (registry lock taken inside).
   EntryPtr EnsureEntry(std::string_view id);
 
-  /// Registers the job in the build queue and wakes the build lanes (or,
+  /// Shared body of SubmitText and UpdateText: begins the replacement and
+  /// schedules the build of \p ws. Returns the scheduled generation.
+  u64 ReplaceText(EntryPtr entry, WeightedString ws);
+
+  /// Starts a full-content replacement: claims the next generation number,
+  /// drops the update-tier overlay and clears the tier. Returns the number.
+  u64 BeginReplacement(TextEntry& entry);
+
+  /// Registers \p job in the build queue and wakes the build lanes (or,
   /// with no pool, builds synchronously — including synchronous retries).
-  /// \p recover_path non-empty marks a recovery job: BuildOne first tries a
-  /// heap-read LoadFromFile of that path before falling back to a full
-  /// rebuild.
-  /// \p compaction jobs fold a delta overlay: \p compact_boundary is the
-  /// snapshot length and \p compact_epoch the overlay lineage the publish
-  /// must still observe.
-  void ScheduleBuild(EntryPtr entry, WeightedString ws, u64 generation,
-                     std::string recover_path = {}, bool compaction = false,
-                     index_t compact_boundary = 0, u64 compact_epoch = 0);
+  void ScheduleBuild(BuildJob job);
 
   /// Body of one build-lane pool task: claims ready jobs whose text no
   /// other lane holds, runs them (delayed retry jobs wait out their
@@ -468,37 +475,48 @@ class UsiMultiService {
   /// caller requeues it (build lane) or sleeps and retries (no-pool path).
   bool BuildOne(BuildJob& job);
 
+  /// Makes a generation whose index is in place servable: its UsiService
+  /// over the shared pool.
+  void WrapGeneration(Generation& gen) const;
+
+  /// The one publish path, for lane builds (\p job) and file
+  /// registrations (\p job null): accounts the completed build and swaps
+  /// \p gen in unless a newer generation, the text's removal or (for a
+  /// compaction) a replaced overlay supersedes it.
+  void Publish(TextEntry& entry, std::shared_ptr<Generation> gen,
+               const BuildJob* job);
+
   /// Failure bookkeeping for BuildOne: re-arms \p job with backoff and
   /// returns false while retries remain, else quarantines the text
   /// (BuildState::kFailed) and returns true.
   bool HandleBuildFailure(BuildJob& job, const std::string& what);
 
-  /// Shared body of the AppendText overloads; \p build_options may be null
-  /// (keep the text's current options).
-  ServeStatus AppendTextImpl(std::string_view id, std::span<const Symbol> text,
-                             std::span<const double> weights,
-                             const UsiOptions* build_options);
+  // QueryBatchInto's stages, in order (see "Serving pipeline" above).
 
-  /// Shared body of the UpdateText overloads; \p build_options may be null.
-  u64 UpdateText(std::string_view id, WeightedString ws,
-                 const UsiOptions* build_options);
+  /// Groups the queries per text. False when an id is not registered.
+  bool Route(BatchScratch& batch);
+  /// Charges the batch against both caps: kOk, kBusy or kOverloaded.
+  ServeStatus Admit(const BatchScratch& batch, AdmissionCharge& charge);
+  /// Pins each group's snapshot: kOk; kUnknownText when a text was
+  /// unregistered since routing; kNotReady when a text has no generation
+  /// and the batch may not degrade.
+  ServeStatus Pin(BatchScratch& batch);
+  /// Serves the groups in order until \p deadline.
+  void Serve(BatchScratch& batch,
+             std::optional<std::chrono::steady_clock::time_point> deadline);
+  /// Gives every slot no engine answered a tier answer (degraded batches)
+  /// or kNone filler.
+  void FillUnanswered(BatchScratch& batch);
+  /// Per-text counters, tier learning and cost calibration.
+  void Record(const BatchScratch& batch);
+  /// Service-wide counters; returns the batch status (\p admitted is
+  /// Admit's verdict: not kOk means the degraded batch was shed).
+  ServeStatus Account(const BatchScratch& batch, ServeStatus admitted);
 
-  std::unique_ptr<BatchScratch> AcquireBatchScratch();
-  void ReleaseBatchScratch(std::unique_ptr<BatchScratch> scratch);
-
-  /// Degraded whole-batch serve (the overload/busy shed path): every slot
-  /// answered from its text's tier (kNone filler where no rung answers).
-  /// Returns kDegraded, or kUnknownText when a query names an unregistered
-  /// id (results untouched in that case).
-  ServeStatus ServeDegradedBatch(std::span<const MultiQuery> queries,
-                                 std::span<QueryResult> results);
-
-  /// Fills \p indices' result slots from \p tier (kNone filler where no
-  /// rung answers); returns how many slots a rung actually answered.
-  std::size_t FillFromTier(DegradedTier* tier,
-                           std::span<const MultiQuery> queries,
-                           std::span<const u32> indices,
-                           std::span<QueryResult> results);
+  /// Demotes a mapped generation that faulted mid-serve and schedules its
+  /// recovery (heap read of the source file, rebuild otherwise).
+  void DemoteFaulted(const EntryPtr& entry,
+                     const std::shared_ptr<const Generation>& gen);
 
   ThreadPool* pool_ = nullptr;  ///< Borrowed, may be null.
   std::unique_ptr<ThreadPool> owned_pool_;

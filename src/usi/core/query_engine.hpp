@@ -87,6 +87,15 @@ struct QueryResult {
   double error_bound = 0;
 };
 
+/// Filler for a result slot a batch never reached (deadline expiry) or lost
+/// (engine fault): zeros tagged kNone, so callers can tell "no answer" from
+/// an exact answer that happens to be zero.
+inline QueryResult UnansweredResult() {
+  QueryResult result;
+  result.provenance = AnswerProvenance::kNone;
+  return result;
+}
+
 /// Cooperative cancellation state shared by every worker of one batch.
 ///
 /// The serving layer (UsiService) creates one per deadline-carrying batch

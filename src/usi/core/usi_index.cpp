@@ -261,14 +261,15 @@ void UsiIndex::QueryBatch(std::span<const PatternSpan> patterns,
   //
   // This is the expensive stage (O(m log n + occ) per miss), so the
   // batch's cooperative deadline is checkpointed here: with a BatchControl
-  // attached the batched pass runs in chunks, and expiry default-fills the
-  // unreached miss slots and returns early (hits were already answered in
-  // place above). Overshoot past the deadline is bounded by one chunk.
+  // attached the batched pass runs in chunks, and expiry writes kNone
+  // filler into the unreached miss slots and returns early (hits were
+  // already answered in place above). Overshoot past the deadline is
+  // bounded by one chunk.
   if (misses.empty()) return;
   USI_FAILPOINT("query.fallback");
   const BatchControl* control = scratch->control;
   const auto expire_from = [&](std::size_t j) {
-    for (; j < misses.size(); ++j) results[misses[j]] = QueryResult{};
+    for (; j < misses.size(); ++j) results[misses[j]] = UnansweredResult();
   };
   if (!learned_.empty() && misses.size() >= kBatchedMissMin) {
     std::vector<SaInterval>& intervals = scratch->miss_intervals;

@@ -26,19 +26,6 @@ const char* ServeStatusName(ServeStatus status) {
   return "?";
 }
 
-namespace {
-
-/// Filler for result slots a batch never reached (deadline expiry) or lost
-/// (engine fault): zeros, tagged kNone so callers can tell "no answer" from
-/// an exact answer that happens to be zero.
-QueryResult UnansweredResult() {
-  QueryResult result;
-  result.provenance = AnswerProvenance::kNone;
-  return result;
-}
-
-}  // namespace
-
 UsiService::UsiService(QueryEngine& engine, const UsiServiceOptions& options)
     : engine_(&engine), options_(options) {
   const unsigned threads = options.threads == 0
@@ -98,12 +85,6 @@ ServeStatus UsiService::QueryBatchInto(std::span<const PatternSpan> patterns,
   Timer timer;
   UsiBatchStats batch;
   batch.patterns = patterns.size();
-
-  if (patterns.empty()) {
-    if (stats != nullptr) *stats = batch;
-    return ServeStatus::kOk;
-  }
-
   BatchControl control;
   if (batch_options.deadline.has_value()) {
     control.has_deadline = true;
@@ -116,87 +97,71 @@ ServeStatus UsiService::QueryBatchInto(std::span<const PatternSpan> patterns,
   // to the free list — `control` lives on this stack frame.
   for (QueryScratch& s : *scratch) s.control = &control;
 
-  // Containment wrapper around every engine call: a SIGBUS on a registered
-  // mapped range (MappedFaultGuard), a simulated fault (the
-  // serve.mapped_fault failpoint, the TSan-safe chaos path), or an
-  // exception escaping the engine all turn into "this span failed" —
-  // default results, batch reported kIndexUnavailable — instead of killing
-  // the process or the pool worker.
+  // Sequential serving runs in batch order (also the only correct mode for
+  // caching engines, whose answers depend on query order): one engine call,
+  // or min_shard-sized shards when a deadline needs checkpoints. Parallel
+  // serving cuts contiguous shards, a few per worker so uneven per-pattern
+  // costs (hash hit vs SA fallback) balance out; every pattern writes its
+  // own result slot, so the output is schedule-independent. Each shard runs
+  // the engine's batch path with the scratch of the worker it landed on.
+  const unsigned workers = threads();
+  const std::size_t min_shard =
+      std::max<std::size_t>(1, options_.min_shard_size);
+  const bool parallel = workers > 1 && patterns.size() >= 2 * min_shard;
+  std::size_t shard_size = std::max<std::size_t>(1, patterns.size());
+  if (parallel) {
+    const std::size_t target_shards = static_cast<std::size_t>(workers) * 4;
+    shard_size = std::max(
+        min_shard, (patterns.size() + target_shards - 1) / target_shards);
+  } else if (control.has_deadline) {
+    shard_size = min_shard;
+  }
+  const std::size_t shards = (patterns.size() + shard_size - 1) / shard_size;
+
+  // The deadline checkpoint sits between shards: an expired shard writes
+  // kNone filler and returns, so overshoot is bounded by one shard of work.
+  // Every engine call is contained: a SIGBUS on a registered mapped range
+  // (MappedFaultGuard), a simulated fault (the serve.mapped_fault
+  // failpoint, the TSan-safe chaos path), or an exception escaping the
+  // engine all turn into "this shard failed" — kNone filler, batch reported
+  // kIndexUnavailable — instead of killing the process or the pool worker.
   std::atomic<bool> unavailable{false};
   std::atomic<std::size_t> answered{0};
-  const auto serve_span = [&](std::span<const PatternSpan> span_patterns,
-                              std::span<QueryResult> span_results,
-                              QueryScratch* span_scratch) {
+  const auto serve_shard = [&](std::size_t s, unsigned worker) {
+    const std::size_t begin = s * shard_size;
+    const std::size_t size = std::min(patterns.size(), begin + shard_size) -
+                             begin;
+    const auto shard_patterns = patterns.subspan(begin, size);
+    const auto shard_results = results.subspan(begin, size);
     bool ok = false;
-    try {
-      if (USI_FAILPOINT_FIRED("serve.mapped_fault")) {
+    if (!control.Expired()) {
+      try {
+        ok = !USI_FAILPOINT_FIRED("serve.mapped_fault") &&
+             MappedFaultGuard::Run([&] {
+               engine_->QueryBatch(shard_patterns, shard_results,
+                                   &(*scratch)[worker]);
+             });
+      } catch (...) {
         ok = false;
-      } else {
-        ok = MappedFaultGuard::Run([&] {
-          engine_->QueryBatch(span_patterns, span_results, span_scratch);
-        });
       }
-    } catch (...) {
-      ok = false;
+      if (!ok) unavailable.store(true, std::memory_order_relaxed);
     }
     if (ok) {
-      answered.fetch_add(span_patterns.size(), std::memory_order_relaxed);
+      answered.fetch_add(size, std::memory_order_relaxed);
     } else {
-      std::fill(span_results.begin(), span_results.end(), UnansweredResult());
-      unavailable.store(true, std::memory_order_relaxed);
+      std::fill(shard_results.begin(), shard_results.end(),
+                UnansweredResult());
     }
   };
-
-  const unsigned workers = threads();
-  const std::size_t min_shard = std::max<std::size_t>(1, options_.min_shard_size);
-  if (workers <= 1 || patterns.size() < 2 * min_shard) {
-    // Sequential serving, in batch order (also the only correct mode for
-    // caching engines, whose answers depend on query order). With a
-    // deadline the batch runs in min_shard-sized chunks so the cooperative
-    // checkpoints exist here too; without one it stays a single engine call.
-    if (!control.has_deadline) {
-      serve_span(patterns, results.first(patterns.size()), &(*scratch)[0]);
-    } else {
-      for (std::size_t begin = 0; begin < patterns.size();
-           begin += min_shard) {
-        const std::size_t end =
-            std::min(patterns.size(), begin + min_shard);
-        if (control.Expired()) {
-          std::fill(results.begin() + begin,
-                    results.begin() + patterns.size(), UnansweredResult());
-          break;
-        }
-        serve_span(patterns.subspan(begin, end - begin),
-                   results.subspan(begin, end - begin), &(*scratch)[0]);
-      }
-    }
-  } else {
-    // Contiguous shards, a few per worker so uneven per-pattern costs (hash
-    // hit vs SA fallback) balance out. Every pattern writes its own result
-    // slot, so the output is schedule-independent. Each shard runs the
-    // engine's batch path with the scratch of the worker it landed on.
-    // The deadline checkpoint sits between shards: an expired shard writes
-    // defaults and returns, so overshoot is bounded by one shard of work.
-    const std::size_t target_shards = static_cast<std::size_t>(workers) * 4;
-    const std::size_t shard_size = std::max(
-        min_shard, (patterns.size() + target_shards - 1) / target_shards);
-    const std::size_t shards = (patterns.size() + shard_size - 1) / shard_size;
-    ParallelFor(pool_, shards, [&](std::size_t s, unsigned worker) {
-      const std::size_t begin = s * shard_size;
-      const std::size_t end = std::min(patterns.size(), begin + shard_size);
-      if (control.Expired()) {
-        std::fill(results.begin() + begin, results.begin() + end,
-                  UnansweredResult());
-        return;
-      }
-      serve_span(patterns.subspan(begin, end - begin),
-                 results.subspan(begin, end - begin), &(*scratch)[worker]);
-    });
+  if (parallel) {
+    ParallelFor(pool_, shards, serve_shard);
     batch.shards = shards;
     // Fewer shards than workers means only that many bodies ever ran
     // concurrently; report the parallelism the timing actually reflects.
     batch.threads_used =
         static_cast<unsigned>(std::min<std::size_t>(workers, shards));
+  } else {
+    for (std::size_t s = 0; s < shards; ++s) serve_shard(s, 0);
   }
   for (QueryScratch& s : *scratch) s.control = nullptr;
   ReleaseScratch(std::move(scratch));

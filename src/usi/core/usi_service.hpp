@@ -47,10 +47,10 @@ class ThreadPool;
 /// the taxonomy). kOk / kBusy / kOverloaded / kUnknownText / kNotReady /
 /// kInvalidArgument are all-or-nothing: no query executed, results
 /// untouched. The partial statuses — kDeadlineExceeded, kIndexUnavailable
-/// and kDegraded — return with every result slot WRITTEN (answered queries carry real answers,
-/// unreached ones are default QueryResult{} or, on the degraded paths,
-/// tier answers tagged with their provenance), so callers can use what was
-/// served.
+/// and kDegraded — return with every result slot WRITTEN (answered queries
+/// carry real answers, unanswered ones are kNone filler or, on the degraded
+/// paths, tier answers tagged with their provenance), so callers can use
+/// what was served.
 enum class ServeStatus : u8 {
   kOk = 0,
   kBusy,          ///< Admission: over the in-flight batch cap.

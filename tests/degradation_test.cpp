@@ -305,60 +305,71 @@ TEST_F(DegradationTest, DeadlineExpiryFillsUnreachedSlotsFromTier) {
 }
 
 TEST_F(DegradationTest, OverloadShedsToTierNotRejection) {
-  UsiMultiServiceOptions options;
-  options.threads = 2;
-  options.max_inflight_cost_ms = 1e-6;  // Any concurrent pair overflows.
-  UsiMultiService service(options);
-  const WeightedString ws = RandomWeighted(4000, 8, 251);
-  service.SubmitText("t", ws);
-  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
-
-  std::vector<Text> patterns = PatternsFor(ws, 252);
-  std::vector<MultiQuery> queries;
-  for (int rep = 0; rep < 40; ++rep) {
-    for (const Text& p : patterns) queries.push_back({"t", p});
-  }
-  std::vector<QueryResult> warm(queries.size());
-  ASSERT_EQ(service.QueryBatchInto(queries, warm), ServeStatus::kOk);
-  UsiOptions direct_options;
-  direct_options.threads = 1;
-  const UsiIndex direct(ws, direct_options);
-  std::vector<QueryResult> want;
-  for (const MultiQuery& q : queries) {
-    want.push_back(direct.Query(q.pattern));
-  }
-
-  MultiBatchOptions batch_options;
-  batch_options.allow_degraded = true;
-  std::atomic<u64> ok{0}, degraded{0}, other{0};
-  for (int round = 0; round < 25 && degraded.load() == 0; ++round) {
-    constexpr int kThreads = 4;
-    std::latch start(kThreads);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
-        std::vector<QueryResult> results(queries.size());
-        start.arrive_and_wait();
-        const ServeStatus status =
-            service.QueryBatchInto(queries, results, batch_options);
-        if (status == ServeStatus::kOk) {
-          ok.fetch_add(1);
-        } else if (status == ServeStatus::kDegraded) {
-          degraded.fetch_add(1);
-          ExpectWithinBounds(results, want);
-        } else {
-          other.fetch_add(1);
-        }
-      });
+  // Once per admission cap: the batch-count cap and the cost cap shed
+  // through the same path.
+  for (const bool count_cap : {true, false}) {
+    SCOPED_TRACE(count_cap ? "max_inflight_batches = 1"
+                           : "max_inflight_cost_ms = 1e-6");
+    UsiMultiServiceOptions options;
+    options.threads = 2;
+    if (count_cap) {
+      options.max_inflight_batches = 1;
+    } else {
+      options.max_inflight_cost_ms = 1e-6;  // Any concurrent pair overflows.
     }
-    for (std::thread& t : threads) t.join();
+    UsiMultiService service(options);
+    const WeightedString ws = RandomWeighted(4000, 8, 251);
+    service.SubmitText("t", ws);
+    ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+    std::vector<Text> patterns = PatternsFor(ws, 252);
+    std::vector<MultiQuery> queries;
+    for (int rep = 0; rep < 40; ++rep) {
+      for (const Text& p : patterns) queries.push_back({"t", p});
+    }
+    std::vector<QueryResult> warm(queries.size());
+    ASSERT_EQ(service.QueryBatchInto(queries, warm), ServeStatus::kOk);
+    UsiOptions direct_options;
+    direct_options.threads = 1;
+    const UsiIndex direct(ws, direct_options);
+    std::vector<QueryResult> want;
+    for (const MultiQuery& q : queries) {
+      want.push_back(direct.Query(q.pattern));
+    }
+
+    MultiBatchOptions batch_options;
+    batch_options.allow_degraded = true;
+    std::atomic<u64> ok{0}, degraded{0}, other{0};
+    for (int round = 0; round < 25 && degraded.load() == 0; ++round) {
+      constexpr int kThreads = 4;
+      std::latch start(kThreads);
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+          std::vector<QueryResult> results(queries.size());
+          start.arrive_and_wait();
+          const ServeStatus status =
+              service.QueryBatchInto(queries, results, batch_options);
+          if (status == ServeStatus::kOk) {
+            ok.fetch_add(1);
+          } else if (status == ServeStatus::kDegraded) {
+            degraded.fetch_add(1);
+            ExpectWithinBounds(results, want);
+          } else {
+            other.fetch_add(1);
+          }
+        });
+      }
+      for (std::thread& t : threads) t.join();
+    }
+    EXPECT_GT(ok.load(), 0u) << "someone must always be admitted";
+    EXPECT_GT(degraded.load(), 0u) << "sheds must degrade, not reject";
+    EXPECT_EQ(other.load(), 0u)
+        << "with allow_degraded no batch is rejected outright";
+    EXPECT_EQ(service.stats().busy_rejected, 0u);
+    EXPECT_EQ(service.stats().overload_rejected, 0u);
+    EXPECT_GE(service.stats().degraded_batches, degraded.load());
   }
-  EXPECT_GT(ok.load(), 0u) << "someone must always be admitted";
-  EXPECT_GT(degraded.load(), 0u) << "sheds must degrade, not reject";
-  EXPECT_EQ(other.load(), 0u)
-      << "with allow_degraded no batch is rejected outright";
-  EXPECT_EQ(service.stats().overload_rejected, 0u);
-  EXPECT_GE(service.stats().degraded_batches, degraded.load());
 }
 
 TEST_F(DegradationTest, UnknownTextStaysAllOrNothingWhenDegraded) {

@@ -6,6 +6,7 @@
 // hammers QueryBatch from several threads while rebuilds cycle; it runs
 // under ThreadSanitizer in CI via the "concurrency" label.
 
+#include <algorithm>
 #include <atomic>
 #include <latch>
 #include <thread>
@@ -333,6 +334,51 @@ TEST(MultiService, AdmissionControlShedsOverCapBatches) {
             static_cast<u64>(kThreads) * kBatchesPerThread);
   EXPECT_GE(ok.load(), 1u);
   EXPECT_EQ(service.stats().busy_rejected, busy.load());
+
+  // Routing precedes admission: while another batch holds the only slot, a
+  // batch naming an unknown id is kUnknownText (not kBusy), results
+  // untouched. A second thread keeps long batches in flight. A kBusy probe
+  // shows one of them holds the slot; if the holder's batch count has not
+  // moved by the end of the unknown-id batch, that same batch held the
+  // slot throughout.
+  std::vector<MultiQuery> long_queries;
+  for (int rep = 0; rep < 200; ++rep) {
+    for (const Text& p : patterns) long_queries.push_back({"t", p});
+  }
+  std::vector<MultiQuery> unknown = queries;
+  unknown.back().text_id = "nope";
+  const u64 busy_before = service.stats().busy_rejected;
+  std::atomic<bool> stop{false};
+  std::atomic<u64> holder_batches{0};
+  std::thread holder([&] {
+    std::vector<QueryResult> results(long_queries.size());
+    while (!stop.load()) {
+      service.QueryBatchInto(long_queries, results);
+      holder_batches.fetch_add(1);
+    }
+  });
+  bool probed_over_cap = false;
+  std::vector<QueryResult> probe(queries.size());
+  std::vector<QueryResult> results(unknown.size());
+  for (int attempt = 0; attempt < 100000 && !probed_over_cap; ++attempt) {
+    const u64 before = holder_batches.load();
+    if (service.QueryBatchInto(queries, probe) != ServeStatus::kBusy) {
+      continue;
+    }
+    std::fill(results.begin(), results.end(), QueryResult{-1, 777});
+    const ServeStatus status = service.QueryBatchInto(unknown, results);
+    if (holder_batches.load() != before) continue;
+    EXPECT_EQ(status, ServeStatus::kUnknownText);
+    for (const QueryResult& r : results) {
+      EXPECT_EQ(r.utility, -1);
+      EXPECT_EQ(r.occurrences, 777u);
+    }
+    probed_over_cap = true;
+  }
+  stop.store(true);
+  holder.join();
+  EXPECT_TRUE(probed_over_cap) << "never observed the cap held";
+  EXPECT_GT(service.stats().busy_rejected, busy_before);
 }
 
 TEST(MultiService, GenerationSwapUnderLoadNeverMixesGenerations) {

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <fstream>
 #include <latch>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,6 +70,69 @@ void ExpectSameResults(const std::vector<QueryResult>& got,
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_TRUE(SameResult(got[i], want[i])) << "pattern " << i;
   }
+}
+
+/// Registers \p id with \p base_len integer-weighted symbols, waits for the
+/// build, then appends \p appended more in one span, so the text's update
+/// tier holds a live overlay. Returns the full content (base + appended).
+WeightedString SubmitWithOverlay(UsiMultiService& service, std::string_view id,
+                                 index_t base_len, index_t appended,
+                                 u64 seed) {
+  const WeightedString full =
+      testing::RandomIntegerWeighted(base_len + appended, 4, seed);
+  const Text& text = full.text();
+  const std::vector<double>& weights = full.weights();
+  service.SubmitText(id, WeightedString(Text(text.begin(),
+                                             text.begin() + base_len),
+                                        std::vector<double>(
+                                            weights.begin(),
+                                            weights.begin() + base_len)));
+  EXPECT_EQ(service.WaitForText(id), BuildState::kReady);
+  EXPECT_EQ(service.AppendText(
+                id, std::span<const Symbol>(text).subspan(base_len),
+                std::span<const double>(weights).subspan(base_len)),
+            ServeStatus::kOk);
+  return full;
+}
+
+/// \p count substrings of \p full (lengths 1-8), every other one starting
+/// in the last \p tail + 8 positions: the crossing and appended-only
+/// occurrences only the overlay can count.
+std::vector<Text> TailBiasedPatterns(const WeightedString& full, index_t tail,
+                                     int count, u64 seed) {
+  Rng rng(seed);
+  std::vector<Text> patterns;
+  for (int i = 0; i < count; ++i) {
+    const index_t from = i % 2 == 0 ? 0 : full.size() - tail - 8;
+    const index_t start = static_cast<index_t>(
+        rng.UniformInRange(from, full.size() - 1));
+    const index_t max_len = std::min<index_t>(8, full.size() - start);
+    patterns.push_back(full.Fragment(
+        start, static_cast<index_t>(rng.UniformInRange(1, max_len))));
+  }
+  return patterns;
+}
+
+/// The exactness contract of a partial batch: every kExact slot equals
+/// brute force over the full text, every other slot is kNone filler.
+/// Returns the number of kExact slots.
+std::size_t ExpectExactOrNone(const std::vector<QueryResult>& got,
+                              const WeightedString& full,
+                              const std::vector<Text>& patterns) {
+  std::size_t exact = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].provenance != AnswerProvenance::kExact) {
+      EXPECT_EQ(got[i].provenance, AnswerProvenance::kNone) << "slot " << i;
+      EXPECT_EQ(got[i].occurrences, 0u) << "slot " << i;
+      continue;
+    }
+    ++exact;
+    const QueryResult want =
+        testing::BruteUtility(full, patterns[i], GlobalUtilityKind::kSum);
+    EXPECT_EQ(got[i].utility, want.utility) << "slot " << i;
+    EXPECT_EQ(got[i].occurrences, want.occurrences) << "slot " << i;
+  }
+  return exact;
 }
 
 /// Every test disarms every site on the way out, so an armed failpoint can
@@ -581,6 +645,50 @@ TEST_F(ReliabilityTest, MismatchedAppendIsInvalidArgument) {
   ExpectSameResults(batch.results, DirectAnswers(oracle, patterns));
 }
 
+TEST_F(ReliabilityTest, NonFiniteWeightsAreRejectedBeforeAnyChange) {
+  UsiMultiServiceOptions options;
+  options.threads = 2;
+  UsiMultiService service(options);
+  const WeightedString ws = RandomWeighted(1500, 8, 137);
+  UsiOptions build;
+  build.k = 80;
+  build.threads = 1;
+  const UsiIndex oracle(ws, build);
+  service.SubmitText("t", ws, build);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+  const std::vector<Text> patterns = PatternsFor(ws, 138);
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"t", p});
+  ASSERT_EQ(service.QueryBatch(queries).status, ServeStatus::kOk);
+  const std::size_t tier_size = service.StatsFor("t")->degraded->cache_size;
+  ASSERT_GT(tier_size, 0u);
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> weights = ws.weights();
+    weights[7] = bad;
+    const WeightedString poisoned(ws.text(), weights);
+    EXPECT_EQ(service.SubmitText("new", poisoned), 0u);
+    EXPECT_FALSE(service.HasText("new"));
+    EXPECT_EQ(service.SubmitText("t", poisoned, build), 0u);
+    EXPECT_EQ(service.UpdateText("t", poisoned), 0u);
+  }
+
+  // Nothing was scheduled, published or cleared: the text serves its old
+  // generation, and its tier still holds what it learned.
+  EXPECT_EQ(service.stats().texts, 1u);
+  EXPECT_EQ(service.stats().builds_scheduled, 1u);
+  const std::optional<UsiTextStats> stats = service.StatsFor("t");
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->generation, 1u);
+  EXPECT_EQ(stats->builds_scheduled, 1u);
+  EXPECT_EQ(stats->degraded->cache_size, tier_size);
+  const MultiBatchResult batch = service.QueryBatch(queries);
+  EXPECT_EQ(batch.status, ServeStatus::kOk);
+  ExpectSameResults(batch.results, DirectAnswers(oracle, patterns));
+}
+
 // ---------------------------------------------------------------------------
 // Cost-aware admission.
 
@@ -925,6 +1033,83 @@ TEST_F(ReliabilityTest, ServiceContainsEngineExceptions) {
             ServeStatus::kOk);
   EXPECT_EQ(stats.answered, patterns.size());
   ExpectSameResults(results, DirectAnswers(index, patterns));
+}
+
+// ---------------------------------------------------------------------------
+// Partial batches over a live update-tier overlay: the slots the base did
+// answer are merged with the overlay like any other exact answer, and the
+// rest are kNone — never a base-only answer or a zero tagged kExact.
+
+TEST_F(ReliabilityTest, MultiServiceFaultWithDeltaKeepsExactSlotsExact) {
+  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
+  UsiMultiServiceOptions options;
+  options.threads = 2;
+  UsiMultiService service(options);
+  const WeightedString full = SubmitWithOverlay(service, "t", 3000, 600, 141);
+  const std::vector<Text> patterns = TailBiasedPatterns(full, 600, 256, 142);
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"t", p});
+
+  // One shard of the group faults; the others answer.
+  failpoint::Arm("serve.mapped_fault", failpoint::Action::kError,
+                 /*fires=*/1);
+  std::vector<QueryResult> results(queries.size());
+  EXPECT_EQ(service.QueryBatchInto(queries, results),
+            ServeStatus::kIndexUnavailable);
+  const std::size_t exact = ExpectExactOrNone(results, full, patterns);
+  EXPECT_GT(exact, 0u) << "the shards that did not fault must answer";
+  EXPECT_LT(exact, results.size()) << "the faulted shard must leave kNone";
+}
+
+TEST_F(ReliabilityTest,
+       MultiServiceMidGroupDeadlineWithDeltaKeepsExactSlotsExact) {
+  UsiMultiServiceOptions options;
+  options.threads = 2;
+  UsiMultiService service(options);
+  const WeightedString full =
+      SubmitWithOverlay(service, "t", 20000, 600, 151);
+  const std::vector<Text> patterns = TailBiasedPatterns(full, 600, 3000, 152);
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"t", p});
+
+  // One full batch's time, the best of three warm runs.
+  std::vector<QueryResult> results(queries.size());
+  double full_seconds = 1e9;
+  for (int run = 0; run < 3; ++run) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(service.QueryBatchInto(queries, results), ServeStatus::kOk);
+    full_seconds = std::min(
+        full_seconds, std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  EXPECT_EQ(ExpectExactOrNone(results, full, patterns), results.size());
+
+  // Deadlines from 80% of that time down to ~0.2%, by a factor of 0.85 a
+  // round: the engine's share of a batch (the rest is the overlay merge
+  // and the tier record) shrinks in sanitizer builds, so the window that
+  // expires inside the engine moves down. A mid-group expiry is one where
+  // the text's group was reached (its batch count grew) and still expired.
+  bool mid_group = false;
+  double fraction = 0.8;
+  for (int round = 0; round < 40 && !mid_group; ++round, fraction *= 0.85) {
+    const u64 before = service.StatsFor("t")->batches;
+    MultiBatchOptions batch_options;
+    batch_options.deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(fraction * full_seconds));
+    const ServeStatus status =
+        service.QueryBatchInto(queries, results, batch_options);
+    if (status != ServeStatus::kDeadlineExceeded) {
+      ASSERT_EQ(status, ServeStatus::kOk);
+      continue;
+    }
+    if (service.StatsFor("t")->batches == before) continue;
+    mid_group = true;
+    ExpectExactOrNone(results, full, patterns);
+  }
+  EXPECT_TRUE(mid_group) << "no round expired inside the group";
 }
 
 // ---------------------------------------------------------------------------

@@ -91,6 +91,22 @@ inline WeightedString RandomWeighted(index_t n, u32 sigma, u64 seed) {
   return WeightedString(std::move(text), std::move(weights));
 }
 
+/// Random weighted string with INTEGER weights in [1, 5]: integer local
+/// sums make kSum merges exactly associative in double (any grouping of the
+/// base/delta split produces the bit-identical total), so differential
+/// tests of merged update-tier answers can demand operator== instead of a
+/// tolerance.
+inline WeightedString RandomIntegerWeighted(index_t n, u32 sigma, u64 seed) {
+  Rng rng(seed);
+  Text text(n);
+  for (auto& c : text) c = static_cast<Symbol>(rng.UniformBelow(sigma));
+  std::vector<double> weights(n);
+  for (auto& w : weights) {
+    w = static_cast<double>(rng.UniformInRange(1, 5));
+  }
+  return WeightedString(std::move(text), std::move(weights));
+}
+
 /// Materializes a TopKSubstring as a std::string via its witness.
 inline std::string MaterializeString(const Text& text,
                                      const TopKSubstring& item) {

@@ -27,20 +27,7 @@
 namespace usi {
 namespace {
 
-/// Random weighted string with INTEGER weights in [1, 5]: integer local
-/// sums make kSum merges exactly associative in double (any grouping of the
-/// base/delta split produces the bit-identical total), so the differential
-/// tests can demand operator== instead of a tolerance.
-WeightedString RandomIntegerWeighted(index_t n, u32 sigma, u64 seed) {
-  Rng rng(seed);
-  Text text(n);
-  for (auto& c : text) c = static_cast<Symbol>(rng.UniformBelow(sigma));
-  std::vector<double> weights(n);
-  for (auto& w : weights) {
-    w = static_cast<double>(rng.UniformInRange(1, 5));
-  }
-  return WeightedString(std::move(text), std::move(weights));
-}
+using testing::RandomIntegerWeighted;
 
 /// Every test disarms every failpoint on the way out.
 class UpdateTierTest : public ::testing::Test {
@@ -489,15 +476,15 @@ TEST_F(UpdateTierTest, PerTextBuildOptionsFollowAppendAndUpdate) {
   ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
   EXPECT_EQ(service.StatsFor("t")->last_build.k, 64u);
 
-  // AppendText's options overload re-options the text: the compaction this
-  // append run triggers must build with the new K.
+  // Re-optioning before an append run: the compaction the run triggers
+  // must build with the new K.
   UsiOptions appended_options;
   appended_options.k = 24;
+  ASSERT_TRUE(service.SetBuildOptions("t", appended_options));
   const Text one = testing::T("a");
   const std::vector<double> w = {1.0};
   for (int i = 0; i < 16; ++i) {
-    ASSERT_EQ(service.AppendText("t", one, w, appended_options),
-              ServeStatus::kOk);
+    ASSERT_EQ(service.AppendText("t", one, w), ServeStatus::kOk);
   }
   service.WaitForBuilds();
   auto stats = service.StatsFor("t");
@@ -515,11 +502,12 @@ TEST_F(UpdateTierTest, PerTextBuildOptionsFollowAppendAndUpdate) {
   ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
   EXPECT_EQ(service.StatsFor("t")->last_build.k, 12u);
 
-  // UpdateText's options overload wins over the stored ones.
+  // Re-optioning right before an UpdateText: the rebuild uses the newest
+  // options.
   UsiOptions update_options;
   update_options.k = 40;
-  service.UpdateText("t", RandomIntegerWeighted(300, 3, 0xD3),
-                     update_options);
+  ASSERT_TRUE(service.SetBuildOptions("t", update_options));
+  service.UpdateText("t", RandomIntegerWeighted(300, 3, 0xD3));
   ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
   EXPECT_EQ(service.StatsFor("t")->last_build.k, 40u);
 }
