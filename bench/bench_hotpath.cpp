@@ -237,8 +237,8 @@ void RunBatchSection(const bench::BenchArgs& args, bench::BenchJson& json) {
   hot_opts.seed = spec.seed ^ 0xF00D;
   const Workload hot = MakeWorkloadW1(ws.text(), pool.items, hot_opts);
   // Repeat-heavy traffic: 4000 draws from the 64 longest frequent
-  // substrings. Massive duplication + long patterns is the regime the
-  // clustered (sorted, LCP-shared) fingerprint stage exists for.
+  // substrings. Massive duplication of long patterns is where per-pattern
+  // fingerprinting costs the most, so this row tracks the hashing stage.
   Workload repeat_heavy;
   {
     std::vector<const TopKSubstring*> by_len;

@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the substrates: suffix-array
-// construction, Karp-Rabin hashing, the fingerprint table vs
-// std::unordered_map, LCE backends, and RMQ.
+// construction, Karp-Rabin hashing (prefix tables, query patterns, rolling
+// windows), the fingerprint table vs std::unordered_map, LCE backends, and
+// RMQ.
 
 #include <unordered_map>
 
@@ -62,6 +63,43 @@ void BM_KarpRabinPrefixBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_KarpRabinPrefixBuild)->Arg(1 << 17)->Arg(1 << 20);
+
+/// Query-pattern fingerprinting: KarpRabinHasher::Hash (block Horner, one
+/// modular multiply per 8 symbols) over patterns of state.range(0) symbols
+/// drawn from a cache-resident text. BM_KarpRabinAppendChain is the
+/// per-symbol Append chain it replaces, kept as the reference.
+template <bool kBlock>
+void KarpRabinPatterns(benchmark::State& state) {
+  const Text text = Text(BenchText(1 << 16));
+  const KarpRabinHasher hasher(1);
+  const std::size_t len = static_cast<std::size_t>(state.range(0));
+  const std::size_t starts = text.size() - len;
+  std::size_t start = 0;
+  for (auto _ : state) {
+    const std::span<const Symbol> pattern(text.data() + start, len);
+    if constexpr (kBlock) {
+      benchmark::DoNotOptimize(hasher.Hash(pattern));
+    } else {
+      u64 fp = 0;
+      for (Symbol c : pattern) fp = hasher.Append(fp, c);
+      benchmark::DoNotOptimize(fp);
+    }
+    start += 61;
+    if (start >= starts) start -= starts;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+void BM_KarpRabinHash(benchmark::State& state) {
+  KarpRabinPatterns<true>(state);
+}
+BENCHMARK(BM_KarpRabinHash)->Arg(8)->Arg(16)->Arg(35)->Arg(64);
+
+void BM_KarpRabinAppendChain(benchmark::State& state) {
+  KarpRabinPatterns<false>(state);
+}
+BENCHMARK(BM_KarpRabinAppendChain)->Arg(8)->Arg(16)->Arg(35)->Arg(64);
 
 void BM_RollingWindow(benchmark::State& state) {
   const Text text = Text(BenchText(1 << 18));

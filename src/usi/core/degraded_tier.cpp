@@ -286,6 +286,10 @@ bool DegradedTier::CacheFindLocked(const PatternKey& key, u64 hash,
 }
 
 bool DegradedTier::SeenInsertLocked(u64 hash) {
+  // Filter full: stop learning. Checked before the probe because the
+  // answer is false either way, and at the cap an absent key's probe run
+  // is long.
+  if (seen_size_ >= seen_cap_) return false;
   if (hash == 0) hash = 1;  // 0 marks an empty filter slot.
   const std::size_t mask = seen_.size() - 1;
   std::size_t slot = static_cast<std::size_t>(hash) & mask;
@@ -293,7 +297,6 @@ bool DegradedTier::SeenInsertLocked(u64 hash) {
     if (seen_[slot] == hash) return false;  // Already sketched.
     slot = (slot + 1) & mask;
   }
-  if (seen_size_ >= seen_cap_) return false;  // Filter full: stop learning.
   seen_[slot] = hash;
   ++seen_size_;
   return true;

@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "usi/hash/pattern_key.hpp"
@@ -132,11 +131,9 @@ struct BatchControl {
 ///    to a different engine, or dropping it between batches, affects only
 ///    performance, never answers.
 struct QueryScratch {
-  /// (packed prefix+length, pattern index) pairs — sorting these contiguous
-  /// values clusters shared prefixes without indirecting into the patterns.
-  std::vector<std::pair<u64, u32>> cluster;
-  std::vector<u64> prefix_fps;   ///< Incremental prefix fingerprints.
-  std::vector<PatternKey> keys;  ///< Per-pattern table keys.
+  /// Per-pattern table keys (fingerprint, length), written by the
+  /// fingerprint stage in batch order and read by the probe stage.
+  std::vector<PatternKey> keys;
   /// Table-miss staging for the batched learned-fallback path: the batch
   /// positions that missed H, their borrowed pattern bytes, and the SA
   /// intervals the batched last-mile search resolves them to.
@@ -157,8 +154,8 @@ struct QueryScratch {
 ///  * SupportsConcurrentQuery() == true promises Query / QueryBatch are
 ///    safe from multiple threads provided each concurrent call owns its
 ///    QueryScratch. UsiIndex qualifies: it is immutable after construction,
-///    and its query paths fingerprint by Horner's rule, which reads no
-///    shared mutable state.
+///    and its query paths fingerprint with KarpRabinHasher::Hash, which
+///    reads no shared mutable state.
 ///  * SupportsConcurrentQuery() == false (the caching baselines) means the
 ///    engine mutates per-query state; callers must serialize, and answer
 ///    streams depend on query order.

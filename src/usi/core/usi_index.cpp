@@ -40,34 +40,6 @@ std::unique_ptr<UsiIndex> LoadFail(LoadError* error, LoadErrorCode code,
 /// Number of UsiMiner enumerators; loaders validate the serialized byte.
 constexpr u8 kNumUsiMiners = static_cast<u8>(UsiMiner::kApproximate) + 1;
 
-/// QueryBatch fingerprints in prefix-clustered order only when the average
-/// pattern is at least this long; below it, hashing a pattern outright is
-/// cheaper than placing it in the clustered order.
-constexpr std::size_t kClusterMinAvgLen = 16;
-
-/// Sharing detector: the smallest batch worth clustering (service shards
-/// are often ~100-500 patterns, so this must stay well below shard size),
-/// the most packed prefixes sampled (batches at or below it are sampled
-/// exhaustively), and the sampled duplicate fraction
-/// (dupes * kShareDetectInverse >= sample size) above which clustering is
-/// predicted to pay for its sort.
-constexpr std::size_t kClusterMinBatch = 64;
-constexpr std::size_t kShareSampleSize = 256;
-constexpr std::size_t kShareDetectInverse = 8;
-
-/// Packed ordering key for prefix clustering: 6 prefix bytes then the
-/// (capped) length, so repeats of one pattern — the common case in serving
-/// traffic — end up adjacent with a full-length LCP, and comparisons never
-/// indirect into the pattern storage.
-u64 PackedOrderKey(PatternSpan pattern) {
-  u64 packed = 0;
-  const std::size_t take = std::min<std::size_t>(6, pattern.size());
-  for (std::size_t j = 0; j < take; ++j) {
-    packed |= static_cast<u64>(pattern[j]) << (56 - 8 * j);
-  }
-  return packed | std::min<std::size_t>(pattern.size(), 0xFFFF);
-}
-
 /// QueryBatch uses the table's pipelined VisitBatch only for tables at
 /// least this large; smaller tables are cache-resident, where the
 /// pipeline's bookkeeping costs more than the misses it hides (~L2 size).
@@ -132,98 +104,21 @@ void UsiIndex::QueryBatch(std::span<const PatternSpan> patterns,
   const std::size_t batch = patterns.size();
   if (batch == 0) return;
 
-  std::size_t max_len = 0;
-  std::size_t total_len = 0;
-  for (const PatternSpan pattern : patterns) {
-    max_len = std::max(max_len, pattern.size());
-    total_len += pattern.size();
-  }
-  std::vector<u64>& fps = scratch->prefix_fps;
-  if (fps.size() < max_len + 1) fps.resize(max_len + 1);
-  fps[0] = 0;
+  // Fingerprint stage: one block-Horner hash per pattern.
   std::vector<PatternKey>& keys = scratch->keys;
   keys.resize(batch);
-
-  // Fingerprint stage. When the batch shows real prefix sharing,
-  // fingerprint in clustered order: patterns sharing a prefix sit adjacent,
-  // and each one extends the running prefix-fingerprint chain from the
-  // longest common prefix with its predecessor instead of rehashing from
-  // scratch. The order only needs to CLUSTER shared prefixes, not be truly
-  // lexicographic (each fingerprint is recomputed from its actual LCP with
-  // its predecessor either way), so the sort compares a packed 8-byte
-  // prefix — O(1) per comparison instead of O(m).
-  //
-  // Clustering is gated twice, because its sort is a pure loss on batches
-  // of short or near-distinct patterns: (1) the average pattern must be
-  // long enough that hashing dominates the ordering overhead, and (2) a
-  // strided sample of the packed prefixes, sorted, must actually contain
-  // repeats. Heavy sharing — hot queries repeated across a batch,
-  // hierarchical key families — shows up as sampled duplicates; a
-  // near-distinct batch does not, and hashes directly instead.
-  bool cluster =
-      total_len >= batch * kClusterMinAvgLen && batch >= kClusterMinBatch;
-  if (cluster) {
-    // Detector first, on a strided sample only — a rejected batch must not
-    // pay for packing all its keys. Ceil stride: a floor would leave the
-    // batch's tail unsampled, hiding sharing concentrated there.
-    u64 sample[kShareSampleSize];
-    const std::size_t stride =
-        (batch + kShareSampleSize - 1) / kShareSampleSize;
-    std::size_t sampled = 0;
-    for (std::size_t i = 0; i < batch && sampled < kShareSampleSize;
-         i += stride) {
-      sample[sampled++] = PackedOrderKey(patterns[i]);
-    }
-    std::sort(sample, sample + sampled);
-    std::size_t repeats = 0;
-    for (std::size_t i = 1; i < sampled; ++i) {
-      repeats += sample[i] == sample[i - 1] ? 1 : 0;
-    }
-    cluster = repeats * kShareDetectInverse >= sampled;
-  }
-  if (cluster) {
-    std::vector<std::pair<u64, u32>>& cluster_order = scratch->cluster;
-    cluster_order.resize(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      cluster_order[i] = {PackedOrderKey(patterns[i]), static_cast<u32>(i)};
-    }
-    // Pair order (key, index): deterministic, and ties keep batch order.
-    std::sort(cluster_order.begin(), cluster_order.end());
-
-    const PatternSpan* prev = nullptr;
-    for (const auto& [packed, idx] : cluster_order) {
-      const PatternSpan& pattern = patterns[idx];
-      std::size_t lcp = 0;
-      if (prev != nullptr) {
-        const std::size_t bound = std::min(prev->size(), pattern.size());
-        while (lcp < bound && (*prev)[lcp] == pattern[lcp]) ++lcp;
-      }
-      // The running fingerprint stays in a register: routing the chain
-      // through fps[] would put a store-to-load forward on the critical
-      // path of every Append.
-      u64 fp = fps[lcp];
-      for (std::size_t j = lcp; j < pattern.size(); ++j) {
-        fp = hasher_.Append(fp, pattern[j]);
-        fps[j + 1] = fp;
-      }
-      keys[idx] = PatternKey{pattern.empty() ? 0 : fps[pattern.size()],
-                            static_cast<u32>(pattern.size())};
-      prev = &pattern;
-    }
-  } else {
-    for (std::size_t i = 0; i < batch; ++i) {
-      keys[i] = PatternKey{hasher_.Hash(patterns[i]),
-                          static_cast<u32>(patterns[i].size())};
-    }
+  for (std::size_t i = 0; i < batch; ++i) {
+    keys[i] = PatternKey{hasher_.Hash(patterns[i]),
+                         static_cast<u32>(patterns[i].size())};
   }
 
-  // Probe stage, answering in original order either way. The pipelined
-  // VisitBatch exists to overlap out-of-cache line and TLB fetches; when H
-  // is small enough to live in the fast cache levels its bookkeeping is
-  // pure overhead, so cache-resident tables take the plain loop. Hits are
-  // answered in place; misses are STAGED (position + borrowed bytes) rather
-  // than resolved — the miss path is the expensive one, and deferring it
-  // lets the batched learned search overlap the SA probes of all misses.
+  // Probe stage. The pipelined VisitBatch exists to overlap out-of-cache
+  // line and TLB fetches; when H is small enough to live in the fast cache
+  // levels its bookkeeping is pure overhead, so cache-resident tables take
+  // the plain loop. Hits are answered in place; misses are STAGED
+  // (position + borrowed bytes) rather than resolved — the miss path is the
+  // expensive one, and deferring it lets the batched learned search overlap
+  // the SA probes of all misses.
   std::vector<u32>& misses = scratch->misses;
   std::vector<PatternSpan>& miss_patterns = scratch->miss_patterns;
   misses.clear();

@@ -54,8 +54,9 @@ class Mersenne61 {
   }
 };
 
-/// Fingerprint of S[i..j] = sum S[k] * base^(j-k) mod p, i.e. most significant
-/// letter first. Stateless of the text; carries only the base and its powers.
+/// Fingerprint of S[i..j] = sum (S[k] + 1) * base^(j-k) mod p, i.e. most
+/// significant letter first. Stateless of the text; carries only the base
+/// and its powers.
 ///
 /// Thread-safety: Hash() and Append() never touch the lazily-grown power
 /// table and are safe to call concurrently; so is constructing a
@@ -89,7 +90,13 @@ class KarpRabinHasher {
   /// PowerOfBase(k <= upto) is a read-only lookup.
   void ReservePowers(std::size_t upto) const { (void)PowerOfBase(upto); }
 
-  /// O(len) fingerprint of an explicit string.
+  /// O(len) fingerprint of an explicit string: Horner's rule over blocks
+  /// of 8 symbols, fp <- fp * base^8 + sum_j (c_j + 1) * base^(7-j). Each
+  /// block sum is formed in 128-bit arithmetic off the dependency chain,
+  /// so the chain pays one modular multiply per 8 symbols; the tail is one
+  /// 4-symbol block and at most 3 Append steps. The value is bit-identical
+  /// to an Append loop over \p s. Reads only the base and its fixed first
+  /// powers, never the power table, so it is safe to call concurrently.
   u64 Hash(std::span<const Symbol> s) const;
 
   /// Extends fingerprint \p fp of a string X to the fingerprint of X.c.
@@ -110,7 +117,10 @@ class KarpRabinHasher {
   }
 
  private:
+  void SetBase(u64 base);
+
   u64 base_;
+  u64 block_powers_[9] = {};         // block_powers_[k] = base^k, fixed.
   mutable std::vector<u64> powers_;  // powers_[k] = base^k.
 };
 

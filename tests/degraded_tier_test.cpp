@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -130,6 +131,37 @@ TEST(DegradedTier, UnknownPatternStaysUnanswered) {
   EXPECT_FALSE(tier.TryAnswer(DegradedTier::KeyFor(T("stranger")), &got));
   EXPECT_EQ(got.utility, -7.0);
   EXPECT_EQ(tier.stats().unanswered, 1u);
+}
+
+TEST(DegradedTier, FullFilterStopsAdmittingButKeepsAnswering) {
+  // Cache rung off so the sketch answers; 16 keys round to a 32-slot
+  // filter that stops admitting at 7/8 occupancy (28 keys).
+  DegradedTierOptions options;
+  options.cache_capacity = 0;
+  options.max_sketched_keys = 16;
+  DegradedTier tier(options);
+  std::vector<PatternKey> keys;
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back(DegradedTier::KeyFor(T("key-" + std::to_string(i))));
+    tier.RecordExact(keys.back(), Exact(1.0, 1));
+  }
+
+  const DegradedTierStats stats = tier.stats();
+  EXPECT_EQ(stats.records, 64u);
+  EXPECT_EQ(stats.max_sketched_keys, 28u);
+  EXPECT_EQ(stats.sketched_keys, stats.max_sketched_keys);
+  // Only admitted keys added mass.
+  EXPECT_DOUBLE_EQ(stats.sketch_mass, 28.0);
+  for (std::size_t i = 0; i < 4; ++i) {
+    QueryResult got;
+    ASSERT_TRUE(tier.TryAnswer(keys[i], &got)) << i;
+    EXPECT_EQ(got.provenance, AnswerProvenance::kApproximate);
+    EXPECT_GE(got.utility, 1.0);
+  }
+  QueryResult late;
+  EXPECT_FALSE(tier.TryAnswer(keys.back(), &late));
+  EXPECT_EQ(late.provenance, AnswerProvenance::kExact);  // Untouched.
+  EXPECT_EQ(tier.stats().sketched_keys, stats.max_sketched_keys);
 }
 
 TEST(DegradedTier, ClearForgetsAnswersButKeepsCounters) {

@@ -163,6 +163,65 @@ TEST(KarpRabin, RollingWindowsMatchDirectHashAtEveryLength) {
   }
 }
 
+TEST(KarpRabin, BlockHashMatchesHornerChain) {
+  // Hash folds 8 symbols per modular step, then one 4-symbol step, then
+  // single Appends; lengths 0..80 cover every 8/4/1 split. The texts put
+  // the extreme symbols 0 and 255 in every block position, and the extreme
+  // bases push the 128-bit block sums to their largest values.
+  Text mixed = testing::RandomText(96, 256, 31);
+  for (std::size_t i = 0; i < mixed.size(); i += 5) mixed[i] = 0;
+  for (std::size_t i = 2; i < mixed.size(); i += 7) mixed[i] = 255;
+  const std::vector<Text> texts = {mixed, Text(96, 0), Text(96, 255)};
+
+  std::vector<KarpRabinHasher> hashers;
+  for (u64 seed = 1; seed <= 4; ++seed) {
+    hashers.emplace_back(seed);
+    hashers.push_back(KarpRabinHasher::FromBase(hashers.back().base()));
+  }
+  for (u64 base : {u64{257}, Mersenne61::kPrime - 2, Mersenne61::kPrime - 1}) {
+    hashers.push_back(KarpRabinHasher::FromBase(base));
+  }
+  for (const KarpRabinHasher& hasher : hashers) {
+    for (std::size_t t = 0; t < texts.size(); ++t) {
+      for (std::size_t offset : {std::size_t{0}, std::size_t{3}}) {
+        for (std::size_t len = 0; len <= 80; ++len) {
+          const std::span<const Symbol> s(texts[t].data() + offset, len);
+          u64 chain = 0;
+          for (Symbol c : s) chain = hasher.Append(chain, c);
+          ASSERT_EQ(hasher.Hash(s), chain)
+              << "base=" << hasher.base() << " text=" << t
+              << " offset=" << offset << " len=" << len;
+        }
+      }
+    }
+  }
+}
+
+TEST(KarpRabin, FingerprintsArePinned) {
+  // Saved tables key H by these values: a kernel that changed them would
+  // turn every stored image's hits into misses. Computed by the
+  // per-symbol Horner chain under the default UsiOptions::hash_seed.
+  const KarpRabinHasher hasher(0x05111);
+  EXPECT_EQ(hasher.base(), 629855516094832853ULL);
+  EXPECT_EQ(hasher.Hash(testing::T("")), 0u);
+  EXPECT_EQ(hasher.Hash(testing::T("a")), 0x0000000000000062ULL);
+  EXPECT_EQ(hasher.Hash(testing::T("banana")), 0x0083b46e696e2ba0ULL);
+  EXPECT_EQ(hasher.Hash(testing::T("abracadabra")), 0x1588022e954053d0ULL);
+  EXPECT_EQ(hasher.Hash(testing::T("the quick brown fox jumps over it!")),
+            0x0df94fb5dd0d90ebULL);
+  EXPECT_EQ(hasher.Hash(testing::T(
+                "utility-weighted strings: index them all, then query fast")),
+            0x07db483bc7f55dfcULL);
+  Text ramp;
+  for (int i = 0; i < 70; ++i) ramp.push_back(static_cast<Symbol>(i * 37));
+  ramp[0] = 0;
+  ramp[1] = 255;
+  ramp[69] = 255;
+  EXPECT_EQ(hasher.Hash(ramp), 0x19da5121ebe4366dULL);
+  EXPECT_EQ(hasher.Hash(Text(19, 0)), 0x06d73d07d53f995dULL);
+  EXPECT_EQ(hasher.Hash(Text(23, 255)), 0x098915d1f2768725ULL);
+}
+
 TEST(KarpRabin, DifferentSeedsDifferentBases) {
   KarpRabinHasher a(1);
   KarpRabinHasher b(2);

@@ -106,9 +106,9 @@ INSTANTIATE_TEST_SUITE_P(BothMiners, QueryBatchMinerTest,
                                            UsiMiner::kApproximate));
 
 TEST(QueryBatch, RepeatHeavyLongPatternBatchMatchesPerQuery) {
-  // Long patterns with massive duplication trigger the clustered (sorted,
-  // LCP-shared) fingerprint stage; the answers must be indistinguishable
-  // from the direct-hash path and from per-pattern Query.
+  // Long patterns with massive duplication, every length hashed through
+  // the 8/4/1 block splits; the batch answers must be indistinguishable
+  // from per-pattern Query.
   const WeightedString ws = testing::RandomWeighted(1'000, 4, 0x7A57);
   UsiOptions options;
   options.k = 120;

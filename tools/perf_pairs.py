@@ -1,0 +1,345 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of perfbench runs, and their verdicts.
+
+Runs the reference benchmark (perfbench/run.py) on two source trees in
+ABBA order, one fresh seed per pair, and judges every end-to-end metric of
+BENCHMARK.json by the rules a performance claim is held to:
+
+  * bound: the change's median may be worse than the parent's by at most
+    the metric's bound (relative); when the parent's runs spread (IQR over
+    median) wider than the bound, the metric is unresolved instead, unless
+    every change run beats every parent run;
+  * claim: the change wins at least 9 of every 10 pairs, and its median is
+    better than the parent's by more than the parent's interquartile range.
+
+The median per-pair ratio (change / parent) is printed beside them: pairs
+run back to back, so it is robust to a host whose speed drifts during a
+set. It is a figure to read, never a substitute for the rule.
+
+Run pairs (each tree's perfbench is built once, into its own build
+directory, then every run reuses that build):
+
+  git worktree add ../parent HEAD~1
+  tools/perf_pairs.py --parent ../parent --change . \\
+      --workload zipf-miss-mapped --seeds 5001-5010 --seconds 20 \\
+      --log pairs.jsonl
+
+Every run appends one JSON object to the log as soon as it finishes:
+{"set", "workload", "seed", "pair", "side", "seconds", "exit_code",
+"result"}, where "result" is perfbench's result object (null when the run
+printed none). Re-print the analysis of a saved log with
+
+  tools/perf_pairs.py --analyze pairs.jsonl
+
+--selftest analyzes the committed fixture under tools/testdata and checks
+the verdicts it must give (the `perf_pairs_selftest` CTest entry).
+
+Standard library only, like check_links.py.
+"""
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+FIXTURE = os.path.join(HERE, "testdata", "perf_pairs_fixture.jsonl")
+
+# Used when no BENCHMARK.json is found next to the change tree.
+DEFAULT_METRICS = [
+    {"name": "query_qps", "better": "higher", "bound": 0.25},
+    {"name": "batch_p50_us", "better": "lower", "bound": 0.25},
+    {"name": "batch_p99_us", "better": "lower", "bound": 0.25},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.2},
+]
+
+CLAIM_MIN_PAIRS = 10
+CLAIM_WIN_SHARE = 0.9
+
+
+def load_metrics(root):
+    path = os.path.join(root, "BENCHMARK.json")
+    if not os.path.isfile(path):
+        return DEFAULT_METRICS
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)["end_to_end"]
+
+
+def parse_seeds(text):
+    """"5001-5010" -> [5001, ..., 5010]; "7" -> [7]."""
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+# ---------------------------------------------------------------- running
+
+
+def build(tree, target):
+    """Builds tree's perfbench the way perfbench/run.py does, so the runs
+    that follow find it up to date."""
+    build_dir = os.path.join(target, "perfbench")
+    if not os.path.isfile(os.path.join(build_dir, "CMakeCache.txt")):
+        subprocess.run(["cmake", "-S", os.path.join(tree, "perfbench"),
+                        "-B", build_dir, "-DCMAKE_BUILD_TYPE=Release"],
+                       stdout=sys.stderr, check=True)
+    subprocess.run(["cmake", "--build", build_dir, "--target",
+                    "usi_perfbench", "-j", str(min(4, os.cpu_count() or 1))],
+                   stdout=sys.stderr, check=True)
+
+
+def run_one(tree, target, workload, seed, seconds):
+    env = dict(os.environ, CARGO_TARGET_DIR=target)
+    done = subprocess.run(
+        [sys.executable, os.path.join(tree, "perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=False)
+    result = None
+    lines = done.stdout.strip().splitlines()
+    if lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            result = None
+    return done.returncode, result
+
+
+def run_pairs(args):
+    trees = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    build_root = os.path.abspath(args.build_dir)
+    targets = {side: os.path.join(build_root, side) for side in trees}
+    for side, tree in trees.items():
+        print(f"perf_pairs: building {side} perfbench ({tree})",
+              file=sys.stderr)
+        build(tree, targets[side])
+
+    seeds = parse_seeds(args.seeds)
+    label = args.set or f"{args.workload}:{seeds[0]}-{seeds[-1]}"
+    records = []
+    for pair, seed in enumerate(seeds):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            code, result = run_one(trees[side], targets[side], args.workload,
+                                   seed, args.seconds)
+            record = {"set": label, "workload": args.workload, "seed": seed,
+                      "pair": pair, "side": side, "seconds": args.seconds,
+                      "exit_code": code, "result": result}
+            records.append(record)
+            with open(args.log, "a", encoding="utf-8") as log:
+                log.write(json.dumps(record, sort_keys=True) + "\n")
+            qps = metric_value(record, "query_qps")
+            shown = "no result" if qps is None else f"query_qps {fmt(qps)}"
+            print(f"perf_pairs: pair {pair + 1}/{len(seeds)} seed {seed} "
+                  f"{side}: exit {code}, {shown}", file=sys.stderr)
+    return records
+
+
+# --------------------------------------------------------------- analysis
+
+
+def metric_value(record, name):
+    result = record.get("result") or {}
+    metric = (result.get("metrics") or {}).get(name)
+    return None if metric is None else float(metric["value"])
+
+
+def quartiles(values):
+    """(Q1, median, Q3); Q1/Q3 by the exclusive method of
+    statistics.quantiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def fmt(value):
+    magnitude = abs(value)
+    if magnitude >= 1e6:
+        return f"{value / 1e6:.3f}M"
+    if magnitude >= 1e4:
+        return f"{value / 1e3:.1f}k"
+    return f"{value:.4g}"
+
+
+def judge(metric, parent, change):
+    """Verdicts for one metric over aligned per-pair values."""
+    higher = metric["better"] == "higher"
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    pairs = len(parent)
+    wins = sum(1 for p, c in zip(parent, change) if (c > p if higher else c < p))
+    ratios = [c / p for p, c in zip(parent, change) if p != 0]
+    ratio = statistics.median(ratios) if ratios else math.nan
+
+    delta = (cm - pm) / abs(pm) if pm != 0 else 0.0
+    worse = (pm - cm) if higher else (cm - pm)
+    worse_share = worse / abs(pm) if pm != 0 else 0.0
+    spread = (p3 - p1) / abs(pm) if pm != 0 else 0.0
+    separated = (min(change) > max(parent)) if higher else \
+        (max(change) < min(parent))
+    bound = metric.get("bound")
+    if bound is None:
+        state, why = "-", ""
+    elif worse_share > bound:
+        state = "REGRESSED"
+        why = f" (worse by {worse_share:.1%} > bound {bound:.0%})"
+    elif spread > bound and not separated:
+        # Runs spread wider than the bound cannot show "no regression".
+        state = "UNRESOLVED"
+        why = f" (parent spread {spread:.1%} > bound {bound:.0%})"
+    else:
+        state, why = "within bound", f" {bound:.0%}"
+    bound_verdict = f"median {delta:+.1%}, {state}{why}"
+
+    gap = -worse
+    iqr = p3 - p1
+    met = (pairs >= CLAIM_MIN_PAIRS and wins >= CLAIM_WIN_SHARE * pairs
+           and gap > iqr)
+    claim = (f"{'met' if met else 'not met'} "
+             f"(wins {wins}/{pairs}, gap {fmt(gap)} vs IQR {fmt(iqr)})")
+    return {"parent": (p1, pm, p3), "change": (c1, cm, c3), "wins": wins,
+            "pairs": pairs, "ratio": ratio, "bound": bound_verdict,
+            "state": state, "claim": claim, "met": met}
+
+
+def group_sets(records):
+    """{(set, workload): {seed: {side: record}}}, in log order."""
+    sets = {}
+    for record in records:
+        key = (record["set"], record["workload"])
+        sides = sets.setdefault(key, {}).setdefault(record["seed"], {})
+        sides[record["side"]] = record  # A re-run replaces the earlier one.
+    return sets
+
+
+def run_ok(record):
+    result = record.get("result")
+    return (record.get("exit_code") == 0 and result is not None
+            and result.get("correct", False) and result.get("failed", 0) == 0)
+
+
+def spread_text(q1_median_q3):
+    q1, median, q3 = q1_median_q3
+    return f"{fmt(median)} [{fmt(q1)}, {fmt(q3)}]"
+
+
+def analyze(records, metrics):
+    """Prints one table per (set, workload); returns their verdicts."""
+    verdicts = {}
+    for (label, workload), by_seed in group_sets(records).items():
+        complete = [s for s in by_seed.values()
+                    if "parent" in s and "change" in s]
+        runs = [r for s in by_seed.values() for r in s.values()]
+        ok = sum(1 for r in runs if run_ok(r))
+        failed = {"parent": 0, "change": 0}
+        for run in runs:
+            failed[run["side"]] += (run.get("result") or {}).get("failed", 0)
+        print(f"\nset {label}  workload {workload}  pairs {len(complete)}  "
+              f"runs correct {ok}/{len(runs)}  failed ops parent "
+              f"{failed['parent']} change {failed['change']}")
+        print(f"{'metric':<14} {'parent median [Q1, Q3]':<32} "
+              f"{'change median [Q1, Q3]':<32} {'wins':>6} "
+              f"{'pair ratio':>10}  bound / claim")
+        set_verdicts = {}
+        for metric in metrics:
+            name = metric["name"]
+            pairs = [(metric_value(s["parent"], name),
+                      metric_value(s["change"], name)) for s in complete]
+            pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
+            if not pairs:
+                continue
+            verdict = judge(metric, [p for p, _ in pairs],
+                            [c for _, c in pairs])
+            set_verdicts[name] = verdict
+            wins = f"{verdict['wins']}/{verdict['pairs']}"
+            print(f"{name:<14} {spread_text(verdict['parent']):<32} "
+                  f"{spread_text(verdict['change']):<32} {wins:>6} "
+                  f"{verdict['ratio']:>10.3f}  {verdict['bound']}; "
+                  f"claim {verdict['claim']}")
+        verdicts[(label, workload)] = set_verdicts
+    return verdicts
+
+
+def read_log(path):
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip()]
+
+
+# --------------------------------------------------------------- selftest
+
+
+def selftest():
+    """The fixture holds the query_qps pairs of three recorded claim sets
+    for the equal-range learned miss search: two missed the claim rule (one
+    on host drift, one by ~2% of the IQR rule), the third met it. The
+    drifting set's parent runs spread wider than the bound."""
+    failures = []
+    verdicts = analyze(read_log(FIXTURE), DEFAULT_METRICS)
+    expected = {"2001-2010": (False, "UNRESOLVED"),
+                "2011-2020": (False, "within bound"),
+                "4001-4010": (True, "within bound")}
+    for label, (met, state) in expected.items():
+        got = verdicts.get((label, "zipf-miss-mapped"), {}).get("query_qps")
+        if got is None:
+            failures.append(f"set {label}: no query_qps verdict")
+        elif (got["met"], got["state"]) != (met, state):
+            failures.append(f"set {label}: claim met={got['met']}, bound "
+                            f"{got['state']}; want met={met}, bound {state}")
+
+    # A uniform 30% slowdown must read as a regression and never as a claim.
+    slow = []
+    for pair in range(10):
+        for side, qps in (("parent", 1.0e6 + pair), ("change", 0.7e6 + pair)):
+            slow.append({"set": "slow", "workload": "w2-hot-large",
+                         "seed": pair, "pair": pair, "side": side,
+                         "exit_code": 0,
+                         "result": {"correct": True, "failed": 0, "metrics": {
+                             "query_qps": {"value": qps, "unit": "1/s"}}}})
+    got = analyze(slow, DEFAULT_METRICS)[("slow", "w2-hot-large")]["query_qps"]
+    if got["state"] != "REGRESSED" or got["met"]:
+        failures.append("a 30% slowdown was not reported as regressed")
+
+    for failure in failures:
+        print(f"perf_pairs selftest: FAIL {failure}", file=sys.stderr)
+    if not failures:
+        print("perf_pairs selftest: ok")
+    return 1 if failures else 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", help="source tree of the parent commit")
+    parser.add_argument("--change", help="source tree of the change")
+    parser.add_argument("--workload", help="perfbench workload name")
+    parser.add_argument("--seeds", help="one seed per pair, e.g. 5001-5010")
+    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--log", default="perf_pairs.jsonl",
+                        help="JSONL log every run is appended to")
+    parser.add_argument("--set", help="set label (default workload:seeds)")
+    parser.add_argument("--build-dir", default=".bench_build/perf_pairs",
+                        help="holds one build directory per side")
+    parser.add_argument("--analyze", metavar="LOG",
+                        help="print the analysis of a saved log and exit")
+    parser.add_argument("--selftest", action="store_true")
+    args = parser.parse_args()
+
+    if args.selftest:
+        return selftest()
+    if args.analyze:
+        analyze(read_log(args.analyze), load_metrics(REPO))
+        return 0
+    if not (args.parent and args.change and args.workload and args.seeds):
+        parser.error("--parent, --change, --workload and --seeds are required")
+    records = run_pairs(args)
+    analyze(records, load_metrics(os.path.abspath(args.change)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
