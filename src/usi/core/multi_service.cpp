@@ -200,9 +200,9 @@ struct UsiMultiService::BuildJob {
 
 /// One QueryBatchInto call's state as it moves through the stages: the
 /// request, the per-text groups (with their pinned generations and serve
-/// outcomes) and gather/scatter staging. The buffers are reused across
-/// batches, so a steady-state batch shape stops allocating once capacities
-/// are warm.
+/// outcomes) and gather/scatter staging. Each thread keeps one, reused
+/// across its batches, so a steady-state batch shape stops allocating once
+/// capacities are warm.
 struct UsiMultiService::BatchScratch {
   std::span<const MultiQuery> queries;
   std::span<QueryResult> results;
@@ -242,35 +242,20 @@ struct UsiMultiService::BatchScratch {
   DeltaOverlay::Scratch delta_scratch;  ///< Crossing-probe reuse buffers.
 };
 
-/// A BatchScratch leased from the free list for one QueryBatchInto call,
-/// and returned with its groups unpinned on every exit. Neither copyable
-/// nor movable (the unique_ptr member and the destructor see to that).
-struct UsiMultiService::ScratchLease {
-  UsiMultiService& service;
-  std::unique_ptr<BatchScratch> scratch;
+/// Drops the groups' pins and empties the group list on every exit of
+/// QueryBatchInto; the thread's BatchScratch keeps its buffers. Dropping
+/// the last pin may reclaim an old generation.
+struct UsiMultiService::UnpinGuard {
+  BatchScratch& batch;
 
-  explicit ScratchLease(UsiMultiService& owner) : service(owner) {
-    std::lock_guard<std::mutex> lock(service.batch_scratch_mu_);
-    if (service.batch_scratch_free_.empty()) {
-      scratch = std::make_unique<BatchScratch>();
-      return;
-    }
-    scratch = std::move(service.batch_scratch_free_.back());
-    service.batch_scratch_free_.pop_back();
-  }
-
-  ~ScratchLease() {
-    // Unpin outside the lock: dropping the last pin may reclaim an old
-    // generation.
-    for (std::size_t k = 0; k < scratch->used; ++k) {
-      BatchScratch::Group& group = scratch->groups[k];
+  ~UnpinGuard() {
+    for (std::size_t k = 0; k < batch.used; ++k) {
+      BatchScratch::Group& group = batch.groups[k];
       group.entry.reset();
       group.gen.reset();
       group.delta.reset();
     }
-    scratch->used = 0;
-    std::lock_guard<std::mutex> lock(service.batch_scratch_mu_);
-    service.batch_scratch_free_.push_back(std::move(scratch));
+    batch.used = 0;
   }
 };
 
@@ -857,8 +842,11 @@ ServeStatus UsiMultiService::QueryBatchInto(
     const MultiBatchOptions& batch_options) {
   if (results.size() < queries.size()) return ServeStatus::kInvalidArgument;
   if (queries.empty()) return ServeStatus::kOk;
-  ScratchLease lease(*this);
-  BatchScratch& batch = *lease.scratch;
+  // One BatchScratch per thread: a thread runs at most one QueryBatchInto
+  // at a time (no stage re-enters it), so it needs no lock and keeps its
+  // warm buffers across generation publishes.
+  thread_local BatchScratch batch;
+  UnpinGuard unpin{batch};
   batch.queries = queries;
   batch.results = results;
   batch.degrade =

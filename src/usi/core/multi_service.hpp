@@ -440,7 +440,7 @@ class UsiMultiService {
   struct TextEntry;
   struct BuildJob;
   struct BatchScratch;
-  struct ScratchLease;
+  struct UnpinGuard;
   struct AdmissionCharge;
 
   using EntryPtr = std::shared_ptr<TextEntry>;
@@ -532,9 +532,6 @@ class UsiMultiService {
   u64 builds_scheduled_ = 0;
   u64 builds_completed_ = 0;
   std::condition_variable build_cv_;  ///< Signals build completions.
-
-  std::mutex batch_scratch_mu_;
-  std::vector<std::unique_ptr<BatchScratch>> batch_scratch_free_;
 
   std::atomic<u64> inflight_batches_{0};
   std::atomic<u64> batches_{0};

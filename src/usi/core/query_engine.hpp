@@ -122,13 +122,14 @@ struct BatchControl {
 ///
 /// \par Reuse rules
 ///  * One scratch must never be shared by two concurrently-running
-///    QueryBatch calls — it is mutable working memory. UsiService leases a
-///    block of one-per-worker scratches to each in-flight batch.
+///    QueryBatch calls — it is mutable working memory. UsiService keeps one
+///    per thread, and a thread runs at most one shard at a time.
 ///  * Sequential reuse across batches is the point: buffers only ever
 ///    grow, so a steady-state workload (same batch shape repeated) stops
 ///    allocating after the first batch (pinned by query_alloc_test).
 ///  * A scratch is engine-agnostic and carries no result state; passing it
-///    to a different engine, or dropping it between batches, affects only
+///    to a different engine (as one thread's scratch does when it serves
+///    several indexes), or dropping it between batches, affects only
 ///    performance, never answers.
 struct QueryScratch {
   /// Per-pattern table keys (fingerprint, length), written by the
@@ -142,8 +143,8 @@ struct QueryScratch {
   std::vector<SaInterval> miss_intervals;
   /// Cancellation state of the in-flight batch (null = no deadline). Set by
   /// the serving layer for the duration of one QueryBatch call; engines
-  /// poll it at checkpoint boundaries and leave unreached results
-  /// default-constructed. Never owned by the scratch.
+  /// poll it at checkpoint boundaries and write UnansweredResult() into
+  /// unreached slots. Never owned by the scratch.
   const BatchControl* control = nullptr;
 };
 

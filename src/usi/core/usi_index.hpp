@@ -205,11 +205,12 @@ class UsiIndex : public QueryEngine {
   QueryResult Query(std::span<const Symbol> pattern) const;
 
   /// Batch-aware answer path, identical results to per-pattern Query but
-  /// substantially cheaper: patterns are probed in sorted order so prefix
-  /// fingerprints extend from the longest common prefix instead of being
-  /// recomputed per pattern, and table probes run with software prefetch
-  /// pipelined ahead. Patterns are borrowed from caller storage, and the
-  /// call is allocation-free once \p scratch (may be null) has grown to the
+  /// substantially cheaper: every pattern is fingerprinted on its own (the
+  /// 8-symbol block hash), table probes on large tables run with software
+  /// prefetch pipelined ahead, and misses are staged and then resolved in
+  /// bulk (one batched learned search when the index has a learned model).
+  /// Patterns are borrowed from caller storage, and the call is
+  /// allocation-free once \p scratch (may be null) has grown to the
   /// workload's batch shape. Safe to call concurrently as long as each call
   /// owns its scratch.
   void QueryBatch(std::span<const PatternSpan> patterns,

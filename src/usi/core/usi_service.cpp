@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <utility>
 
 #include "usi/parallel/thread_pool.hpp"
 #include "usi/util/failpoint.hpp"
@@ -10,6 +9,16 @@
 #include "usi/util/timer.hpp"
 
 namespace usi {
+
+namespace {
+
+/// The engine scratch of the serving thread. A thread runs at most one
+/// shard at a time (a ParallelFor caller only waits on its latch), and a
+/// QueryScratch is engine-agnostic, so one per thread serves every batch,
+/// service and generation, and a publish never resets warm buffers.
+thread_local QueryScratch thread_scratch;
+
+}  // namespace
 
 const char* ServeStatusName(ServeStatus status) {
   switch (status) {
@@ -55,26 +64,6 @@ std::vector<QueryResult> UsiService::QueryBatch(
   return results;
 }
 
-std::unique_ptr<UsiService::ScratchBlock> UsiService::AcquireScratch() {
-  const std::size_t workers = std::max(1u, threads());
-  std::unique_ptr<ScratchBlock> block;
-  {
-    std::lock_guard<std::mutex> lock(scratch_mu_);
-    if (!scratch_free_.empty()) {
-      block = std::move(scratch_free_.back());
-      scratch_free_.pop_back();
-    }
-  }
-  if (block == nullptr) block = std::make_unique<ScratchBlock>();
-  if (block->size() < workers) block->resize(workers);
-  return block;
-}
-
-void UsiService::ReleaseScratch(std::unique_ptr<ScratchBlock> block) {
-  std::lock_guard<std::mutex> lock(scratch_mu_);
-  scratch_free_.push_back(std::move(block));
-}
-
 ServeStatus UsiService::QueryBatchInto(std::span<const PatternSpan> patterns,
                                        std::span<QueryResult> results,
                                        UsiBatchStats* stats,
@@ -90,12 +79,6 @@ ServeStatus UsiService::QueryBatchInto(std::span<const PatternSpan> patterns,
     control.has_deadline = true;
     control.deadline = *batch_options.deadline;
   }
-  std::unique_ptr<ScratchBlock> scratch = AcquireScratch();
-
-  // The batch's cancellation state rides through the leased scratch (one
-  // pointer per worker slot); it MUST be cleared before the block returns
-  // to the free list — `control` lives on this stack frame.
-  for (QueryScratch& s : *scratch) s.control = &control;
 
   // Sequential serving runs in batch order (also the only correct mode for
   // caching engines, whose answers depend on query order): one engine call,
@@ -103,7 +86,7 @@ ServeStatus UsiService::QueryBatchInto(std::span<const PatternSpan> patterns,
   // serving cuts contiguous shards, a few per worker so uneven per-pattern
   // costs (hash hit vs SA fallback) balance out; every pattern writes its
   // own result slot, so the output is schedule-independent. Each shard runs
-  // the engine's batch path with the scratch of the worker it landed on.
+  // the engine's batch path with the scratch of the thread it landed on.
   const unsigned workers = threads();
   const std::size_t min_shard =
       std::max<std::size_t>(1, options_.min_shard_size);
@@ -127,7 +110,7 @@ ServeStatus UsiService::QueryBatchInto(std::span<const PatternSpan> patterns,
   // kIndexUnavailable — instead of killing the process or the pool worker.
   std::atomic<bool> unavailable{false};
   std::atomic<std::size_t> answered{0};
-  const auto serve_shard = [&](std::size_t s, unsigned worker) {
+  const auto serve_shard = [&](std::size_t s, unsigned) {
     const std::size_t begin = s * shard_size;
     const std::size_t size = std::min(patterns.size(), begin + shard_size) -
                              begin;
@@ -135,15 +118,20 @@ ServeStatus UsiService::QueryBatchInto(std::span<const PatternSpan> patterns,
     const auto shard_results = results.subspan(begin, size);
     bool ok = false;
     if (!control.Expired()) {
+      // `control` lives on this batch's stack frame: the scratch points at
+      // it only for the engine call, and every exit (return, fault return,
+      // catch) passes the reset below.
+      QueryScratch& scratch = thread_scratch;
+      scratch.control = &control;
       try {
         ok = !USI_FAILPOINT_FIRED("serve.mapped_fault") &&
              MappedFaultGuard::Run([&] {
-               engine_->QueryBatch(shard_patterns, shard_results,
-                                   &(*scratch)[worker]);
+               engine_->QueryBatch(shard_patterns, shard_results, &scratch);
              });
       } catch (...) {
         ok = false;
       }
+      scratch.control = nullptr;
       if (!ok) unavailable.store(true, std::memory_order_relaxed);
     }
     if (ok) {
@@ -163,8 +151,6 @@ ServeStatus UsiService::QueryBatchInto(std::span<const PatternSpan> patterns,
   } else {
     for (std::size_t s = 0; s < shards; ++s) serve_shard(s, 0);
   }
-  for (QueryScratch& s : *scratch) s.control = nullptr;
-  ReleaseScratch(std::move(scratch));
 
   batch.answered = answered.load(std::memory_order_relaxed);
   batch.deadline_expired =

@@ -7,11 +7,13 @@
 /// UsiService is the throughput layer the ROADMAP's serving story builds on:
 /// a batch of patterns is split into contiguous shards and fanned out across
 /// a thread pool, with each shard answered independently through the
-/// engine's QueryBatch. Every shard gets a reusable QueryScratch owned by
-/// the service — after warm-up, a steady-state batch allocates nothing
-/// beyond what the caller hands in. Results land in per-pattern slots, so
-/// the output is byte-for-byte the sequential answer in the original order,
-/// at any thread count.
+/// engine's QueryBatch. Every shard runs on its thread's QueryScratch, one
+/// per thread and shared by every service and index that thread serves, so
+/// after warm-up a steady-state batch allocates nothing beyond what the
+/// caller hands in, not even the first batch after a new index is
+/// published. Results land in per-pattern slots, so the output is
+/// byte-for-byte the sequential answer in the original order, at any thread
+/// count.
 ///
 /// Engines that mutate per-query state (the caching baselines BSL2-4 —
 /// SupportsConcurrentQuery() == false) are served sequentially and in batch
@@ -19,19 +21,17 @@
 ///
 /// \par Thread safety
 /// QueryBatch / QueryBatchInto may be called concurrently from multiple
-/// client threads when the engine's SupportsConcurrentQuery() is true. Each
-/// in-flight batch leases its own block of per-worker QueryScratch from an
-/// internal free list, so concurrent batches never share scratch; that
-/// lease is the only lock a batch takes. With C concurrent callers the free
-/// list converges on C blocks and stops allocating. The service keeps no
-/// cumulative counters: each batch's telemetry goes to the caller through
-/// the UsiBatchStats out-parameter of QueryBatchInto. For engines without
-/// concurrent-query support the caller must serialize batches externally
-/// (the engine itself is the shared mutable state).
+/// client threads when the engine's SupportsConcurrentQuery() is true. A
+/// batch takes no lock of the service's own: a thread runs at most one
+/// shard at a time, so its thread-local scratch is never shared by two
+/// running shards. The service keeps no cumulative counters: each batch's
+/// telemetry goes to the caller through the UsiBatchStats out-parameter of
+/// QueryBatchInto. For engines without concurrent-query support the caller
+/// must serialize batches externally (the engine itself is the shared
+/// mutable state).
 
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -125,9 +125,9 @@ class UsiService {
 
   /// As QueryBatch, into caller-owned storage. This is the steady-state
   /// serving entry point: patterns are borrowed from caller storage (bytes
-  /// must stay alive and unchanged for the call), and the service reuses
-  /// leased per-worker scratch, so after warm-up a repeated batch shape
-  /// performs zero heap allocations on the sequential path. When \p stats
+  /// must stay alive and unchanged for the call), and each shard reuses its
+  /// thread's scratch, so after warm-up a repeated batch shape performs zero
+  /// heap allocations on the sequential path. When \p stats
   /// is non-null it receives this batch's telemetry.
   ///
   /// Returns kOk when every query was answered; kInvalidArgument when
@@ -154,24 +154,10 @@ class UsiService {
   unsigned threads() const;
 
  private:
-  /// One leased block: a QueryScratch per pool worker, handed to exactly one
-  /// in-flight batch at a time.
-  using ScratchBlock = std::vector<QueryScratch>;
-
-  /// Pops a scratch block off the free list (or makes one), sized to the
-  /// current worker count.
-  std::unique_ptr<ScratchBlock> AcquireScratch();
-
-  /// Returns a block to the free list.
-  void ReleaseScratch(std::unique_ptr<ScratchBlock> block);
-
   QueryEngine* engine_;
   ThreadPool* pool_ = nullptr;            ///< Borrowed, may be null.
   std::unique_ptr<ThreadPool> owned_pool_;
   UsiServiceOptions options_;
-
-  std::mutex scratch_mu_;  ///< Guards scratch_free_.
-  std::vector<std::unique_ptr<ScratchBlock>> scratch_free_;
 };
 
 }  // namespace usi

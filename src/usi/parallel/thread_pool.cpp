@@ -2,42 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <exception>
 #include <latch>
-#include <string>
 #include <utility>
 
-#include "usi/util/failpoint.hpp"
-
 namespace usi {
-
-/// Completion record shared between a Submit task, the future handed to the
-/// caller, and the pool's teardown audit. `done`/`failed` are written by the
-/// worker before the promise is fulfilled; `consumed` flips when the caller
-/// actually waits on the returned future — the only way the exception can
-/// have been observed.
-struct ThreadPool::SubmitState {
-  std::promise<void> promise;
-  std::atomic<bool> done{false};
-  std::atomic<bool> failed{false};
-  std::atomic<bool> consumed{false};
-  std::string what;  ///< Set before `failed`; read only after `done`.
-};
-
-namespace {
-
-std::string DescribeException(std::exception_ptr error) {
-  try {
-    std::rethrow_exception(std::move(error));
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "non-std exception";
-  }
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = HardwareConcurrency();
@@ -54,18 +22,6 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // Swallowed-exception audit: a Submit task that failed, whose future no
-  // one ever consumed, died silently — the bug class this log exists for.
-  // (After the joins every task has finished, so the records are final.)
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  for (const auto& state : submit_states_) {
-    if (state->failed.load(std::memory_order_acquire) &&
-        !state->consumed.load(std::memory_order_acquire)) {
-      std::fprintf(stderr,
-                   "ThreadPool: Submit task exception was never consumed: %s\n",
-                   state->what.c_str());
-    }
-  }
 }
 
 void ThreadPool::Run(std::function<void()> task) {
@@ -75,58 +31,6 @@ void ThreadPool::Run(std::function<void()> task) {
     queue_.push_back(std::move(task));
   }
   cv_.notify_one();
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  auto state = std::make_shared<SubmitState>();
-  std::future<void> inner = state->promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    // Prune records nobody can complain about anymore (succeeded, or failed
-    // and consumed), so a long-lived pool's audit list stays bounded by the
-    // number of in-flight + swallowed-failure tasks.
-    std::erase_if(submit_states_, [](const auto& s) {
-      return s->done.load(std::memory_order_acquire) &&
-             (!s->failed.load(std::memory_order_acquire) ||
-              s->consumed.load(std::memory_order_acquire));
-    });
-    submit_states_.push_back(state);
-  }
-  Run([task = std::move(task), state] {
-    try {
-      USI_FAILPOINT("pool.task");
-      task();
-      state->done.store(true, std::memory_order_release);
-      state->promise.set_value();
-    } catch (...) {
-      state->what = DescribeException(std::current_exception());
-      state->failed.store(true, std::memory_order_release);
-      state->done.store(true, std::memory_order_release);
-      state->promise.set_exception(std::current_exception());
-    }
-  });
-  // A deferred wrapper around the inner future: get()/wait() on the future
-  // we return runs this lambda, which is exactly the moment the caller
-  // observes the task's outcome — including a rethrown exception — so it
-  // marks the record consumed before forwarding.
-  return std::async(std::launch::deferred,
-                    [state, inner = std::move(inner)]() mutable {
-                      state->consumed.store(true, std::memory_order_release);
-                      inner.get();
-                    });
-}
-
-std::size_t ThreadPool::PendingTaskExceptions() const {
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  std::size_t pending = 0;
-  for (const auto& state : submit_states_) {
-    if (state->done.load(std::memory_order_acquire) &&
-        state->failed.load(std::memory_order_acquire) &&
-        !state->consumed.load(std::memory_order_acquire)) {
-      ++pending;
-    }
-  }
-  return pending;
 }
 
 unsigned ThreadPool::HardwareConcurrency() {

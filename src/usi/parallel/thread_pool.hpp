@@ -23,8 +23,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -53,31 +51,10 @@ class ThreadPool {
   /// Enqueues \p task for execution on some worker.
   void Run(std::function<void()> task);
 
-  /// As Run, but returns a future that becomes ready when \p task has
-  /// finished executing. This is the completion plumbing the async layers
-  /// build on (UsiMultiService's build lane waits on these futures during
-  /// shutdown). The future's wait() must not be called from inside a task of
-  /// the same pool — like a nested ParallelFor, that can exhaust the workers.
-  ///
-  /// A task exception propagates into the future (get() rethrows). Unlike a
-  /// bare packaged_task, the pool also TRACKS whether such an exception was
-  /// ever consumed: a failure the caller never looked at is a swallowed
-  /// fault, and teardown logs every one (PendingTaskExceptions counts them
-  /// live, for tests and supervisors).
-  std::future<void> Submit(std::function<void()> task);
-
-  /// Completed Submit tasks whose exception no one has consumed (via the
-  /// returned future's get()/wait()) yet. Nonzero at destruction is logged.
-  std::size_t PendingTaskExceptions() const;
-
   /// std::thread::hardware_concurrency() clamped to >= 1.
   static unsigned HardwareConcurrency();
 
  private:
-  /// Shared completion record of one Submit task; lets teardown tell a
-  /// consumed failure (caller saw it rethrown) from a swallowed one.
-  struct SubmitState;
-
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
@@ -85,9 +62,6 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
-
-  mutable std::mutex submit_mu_;  ///< Guards submit_states_.
-  std::vector<std::shared_ptr<SubmitState>> submit_states_;
 };
 
 /// Runs body(index, worker) for every index in [0, count) and returns once

@@ -58,19 +58,6 @@ TEST(ThreadPool, HardwareConcurrencyIsPositive) {
   EXPECT_GE(ThreadPool::HardwareConcurrency(), 1u);
 }
 
-TEST(ThreadPool, SubmitFutureCompletesAfterTheTask) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.Submit([&] { counter.fetch_add(1); }));
-  }
-  for (std::future<void>& future : futures) future.wait();
-  // Every awaited future's task has fully executed (the future becomes
-  // ready only after the task body returned).
-  EXPECT_EQ(counter.load(), 16);
-}
-
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (unsigned threads : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(threads);

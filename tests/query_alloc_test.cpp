@@ -1,7 +1,8 @@
 // Pins the "allocation-free steady state" contract of the query hot path:
-// once UsiService's per-worker scratch has warmed up to a workload's batch
+// once the serving thread's scratch has warmed up to a workload's batch
 // shape, repeated QueryBatchInto calls — hash hits AND SA + PSW fallback
-// misses — perform zero heap allocations, and so does QueryAllWindows.
+// misses, and the first batch after a generation publish — perform zero
+// heap allocations, and so does QueryAllWindows.
 // The whole test binary counts operator new invocations; the suite asserts
 // the count stays flat across steady-state batches.
 
@@ -129,7 +130,7 @@ TEST(QueryAlloc, SteadyStateQueryBatchIntoAllocatesNothing) {
   const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
   std::vector<QueryResult> results(patterns.size());
 
-  // Warm-up: grows the per-worker scratch and any lazy buffers.
+  // Warm-up: grows the thread's scratch and any lazy buffers.
   service.QueryBatchInto(spans, results);
   service.QueryBatchInto(spans, results);
 
@@ -252,6 +253,45 @@ TEST(QueryAlloc, SteadyStateServeWithDeltaAllocatesNothing) {
   const std::size_t after = AllocationsNow();
   EXPECT_EQ(after, before)
       << "steady-state serve-with-delta must not touch the heap";
+}
+
+TEST(QueryAlloc, FirstBatchAfterPublishAllocatesNothing) {
+  // A publish swaps in a new generation with its own UsiService. The
+  // serving scratch belongs to the thread, not to the service, so the first
+  // batch against the new generation finds its buffers already warm.
+  UsiMultiServiceOptions options;
+  options.threads = 1;  // Inline serving: the measured path is this thread.
+  UsiMultiService service(options);
+  const WeightedString ws = testing::RandomWeighted(2'000, 4, 0x9B1D);
+  service.SubmitText("t", ws);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  Rng rng(0x9B1E);
+  std::vector<Text> patterns;
+  for (int i = 0; i < 200; ++i) {
+    const index_t start = static_cast<index_t>(rng.UniformBelow(ws.size()));
+    const index_t max_len = std::min<index_t>(12, ws.size() - start);
+    patterns.push_back(ws.Fragment(
+        start, static_cast<index_t>(rng.UniformInRange(1, max_len))));
+  }
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"t", p});
+  std::vector<QueryResult> results(queries.size());
+
+  service.QueryBatchInto(queries, results);  // Warm-up.
+  service.QueryBatchInto(queries, results);
+
+  for (int round = 0; round < 3; ++round) {
+    service.UpdateText("t", ws);
+    ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+    const std::size_t before = AllocationsNow();
+    const ServeStatus status = service.QueryBatchInto(queries, results);
+    const std::size_t after = AllocationsNow();
+    ASSERT_EQ(status, ServeStatus::kOk);
+    EXPECT_EQ(after, before)
+        << "the first batch after publish " << round << " touched the heap";
+  }
+  EXPECT_EQ(service.StatsFor("t")->generation, 4u);
 }
 
 TEST(QueryAlloc, AppendPathAllocationsStayBounded) {

@@ -1,5 +1,5 @@
-// The batch-aware query hot path: UsiIndex::QueryBatch (sorted prefix-hash
-// reuse, prefetch probing) and QueryAllWindows (rolling-hash sliding
+// The batch-aware query hot path: UsiIndex::QueryBatch (block
+// fingerprints, prefetch probing) and QueryAllWindows (rolling-hash sliding
 // windows) must answer exactly like per-pattern Query, for both miners,
 // with and without scratch reuse; UsiService's QueryBatchInto must agree at
 // every thread count. Neither path mutates the index, so concurrent callers
@@ -252,7 +252,7 @@ TEST(UsiServiceBatch, IntoMatchesReturningFormAtEveryThreadCount) {
     service_options.min_shard_size = 16;
     UsiService service(index, service_options);
     std::vector<QueryResult> got(patterns.size());
-    // Twice: the second run reuses warmed per-worker scratch.
+    // Twice: the second run reuses the threads' warmed scratch.
     UsiBatchStats stats;
     EXPECT_EQ(service.QueryBatchInto(spans, got), ServeStatus::kOk);
     EXPECT_EQ(service.QueryBatchInto(spans, got, &stats), ServeStatus::kOk);
@@ -305,26 +305,37 @@ TEST(UsiServiceBatch, PerBatchStatsAccumulateAcrossBatches) {
 }
 
 TEST(UsiServiceBatch, ConcurrentClientsWithGrowingPatternLengthsMatchQuery) {
-  // Four clients share one service over a freshly loaded index, and every
-  // round's longest pattern is longer than any served before (8 -> 512
-  // symbols). No batch may need to prepare shared state first: the answers
-  // must equal per-pattern Query, with no lock but the scratch lease.
-  const WeightedString ws = testing::RandomWeighted(2'000, 4, 0x5EED);
+  // Four clients share two services over two freshly loaded indexes, both
+  // on one 4-worker pool, and every round's longest pattern is longer than
+  // any served before (8 -> 512 symbols). Each client alternates between
+  // the services, so one worker's thread-local scratch serves both engines
+  // in turn. No batch may need to prepare shared state first, and none
+  // takes a scratch lock: the answers must equal per-pattern Query.
   UsiOptions options;
   options.k = 200;
-  const UsiIndex built(ws, options);
-  const std::unique_ptr<UsiIndex> index =
-      SaveAndLoad(built, ws, "usi_query_batch_clients.bin");
-  ASSERT_NE(index, nullptr);
+  const std::vector<WeightedString> texts = {
+      testing::RandomWeighted(2'000, 4, 0x5EED),
+      testing::RandomWeighted(1'700, 6, 0x5EEE)};
+  std::vector<std::unique_ptr<UsiIndex>> indexes;
+  for (std::size_t t = 0; t < texts.size(); ++t) {
+    const UsiIndex built(texts[t], options);
+    indexes.push_back(SaveAndLoad(
+        built, texts[t],
+        "usi_query_batch_clients_" + std::to_string(t) + ".bin"));
+    ASSERT_NE(indexes.back(), nullptr);
+  }
 
+  ThreadPool pool(4);
   UsiServiceOptions service_options;
-  service_options.threads = 4;
   service_options.min_shard_size = 16;
-  UsiService service(*index, service_options);
+  UsiService service_a(*indexes[0], &pool, service_options);
+  UsiService service_b(*indexes[1], &pool, service_options);
+  UsiService* const services[] = {&service_a, &service_b};
 
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kBatch = 96;
   struct Round {
+    std::size_t text = 0;
     std::vector<Text> patterns;
     std::vector<QueryResult> results;
     ServeStatus status = ServeStatus::kInvalidArgument;
@@ -339,6 +350,8 @@ TEST(UsiServiceBatch, ConcurrentClientsWithGrowingPatternLengthsMatchQuery) {
       start.arrive_and_wait();
       for (index_t max_len = 8; max_len <= 512; max_len *= 2) {
         Round& round = rounds[c].emplace_back();
+        round.text = (c + rounds[c].size()) % texts.size();
+        const WeightedString& ws = texts[round.text];
         for (std::size_t i = 0; i < kBatch; ++i) {
           const index_t len =
               i == 0 ? max_len
@@ -350,19 +363,20 @@ TEST(UsiServiceBatch, ConcurrentClientsWithGrowingPatternLengthsMatchQuery) {
         // One pattern that never occurs, at the round's longest length.
         round.patterns.push_back(Text(max_len, static_cast<Symbol>(240)));
         round.results.resize(round.patterns.size());
-        round.status = service.QueryBatchInto(
+        round.status = services[round.text]->QueryBatchInto(
             AsPatternSpans(round.patterns), round.results, &round.stats);
       }
     });
   }
   for (std::thread& client : clients) client.join();
 
-  const UsiIndex& reader = *index;
   for (std::size_t c = 0; c < kClients; ++c) {
     ASSERT_EQ(rounds[c].size(), 7u);
     for (const Round& round : rounds[c]) {
       EXPECT_EQ(round.status, ServeStatus::kOk);
       EXPECT_EQ(round.stats.answered, round.patterns.size());
+      EXPECT_GT(round.stats.shards, 1u) << "the batch must fan out";
+      const UsiIndex& reader = *indexes[round.text];
       std::vector<QueryResult> want(round.patterns.size());
       for (std::size_t i = 0; i < round.patterns.size(); ++i) {
         want[i] = reader.Query(round.patterns[i]);

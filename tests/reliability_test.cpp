@@ -22,7 +22,6 @@
 #include "usi/core/multi_service.hpp"
 #include "usi/core/usi_index.hpp"
 #include "usi/core/usi_service.hpp"
-#include "usi/parallel/thread_pool.hpp"
 #include "usi/util/failpoint.hpp"
 #include "usi/util/mapped_file.hpp"
 
@@ -415,39 +414,6 @@ TEST_F(ReliabilityTest, SaveFailpointsLeaveNoPartialFile) {
   EXPECT_TRUE(index.SaveToFile(path, IndexFileFormat::kV3Mapped));
   EXPECT_TRUE(std::ifstream(path).good());
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool Submit exception audit (satellite: no swallowed task faults).
-
-TEST_F(ReliabilityTest, SubmitTracksUnconsumedExceptions) {
-  ThreadPool pool(2);
-  std::future<void> ok = pool.Submit([] {});
-  ok.get();
-  EXPECT_EQ(pool.PendingTaskExceptions(), 0u);
-
-  std::future<void> bad =
-      pool.Submit([] { throw std::runtime_error("task fault"); });
-  // The task has finished (exception captured) once the audit sees it;
-  // poll briefly instead of racing the worker.
-  for (int i = 0; i < 1000 && pool.PendingTaskExceptions() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(pool.PendingTaskExceptions(), 1u);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  EXPECT_EQ(pool.PendingTaskExceptions(), 0u)
-      << "get() consumed the exception; the audit must clear";
-}
-
-TEST_F(ReliabilityTest, PoolTaskFailpointPropagatesThroughFuture) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
-  ThreadPool pool(2);
-  failpoint::Arm("pool.task", failpoint::Action::kThrow, /*fires=*/1);
-  std::future<void> poisoned = pool.Submit([] {});
-  EXPECT_THROW(poisoned.get(), failpoint::FailpointError);
-  EXPECT_EQ(pool.PendingTaskExceptions(), 0u);
-  std::future<void> clean = pool.Submit([] {});
-  clean.get();  // Fire budget exhausted; the pool keeps working.
 }
 
 // ---------------------------------------------------------------------------
@@ -1027,7 +993,7 @@ TEST_F(ReliabilityTest, ServiceContainsEngineExceptions) {
     EXPECT_EQ(r.provenance, AnswerProvenance::kNone);
   }
 
-  // The service (and its leased scratch) survives: the next batch is clean.
+  // The service (and the thread's scratch) survives: the next batch is clean.
   EXPECT_EQ(service.QueryBatchInto(spans, std::span<QueryResult>(results),
                                    &stats),
             ServeStatus::kOk);
