@@ -236,18 +236,13 @@ void RunBoundViolationRate(const WeightedString& ws,
            answered == 0 ? 0 : total_error / answered, "utility");
 }
 
-/// (c) Quarantine serving (failpoint builds): the index is gone — build
+/// (c) Quarantine serving (armed failpoints): the index is gone — build
 /// lane poisoned, mapped serving faulted — and the warmed tier answers
 /// alone. Reports the answered fraction degraded vs reject-only (which
 /// answers nothing by construction).
 void RunQuarantineServing(const WeightedString& ws,
                           const std::vector<MultiQuery>& queries,
                           bench::BenchJson& json) {
-  if (!failpoint::kEnabled) {
-    std::printf(
-        "Quarantine serving: skipped (built without USI_FAILPOINTS)\n\n");
-    return;
-  }
   UsiMultiServiceOptions options;
   options.max_build_retries = 0;
   UsiMultiService service(options);

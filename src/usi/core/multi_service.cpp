@@ -28,8 +28,12 @@ const char* BuildStateName(BuildState state) {
 namespace {
 
 /// A text's serving-cost telemetry calibrates once it has served this many
-/// pattern bytes; below the threshold the configured prior is used.
+/// pattern bytes; below the threshold kCostPriorNsPerByte is used.
 constexpr u64 kCostCalibrationBytes = 1024;
+
+/// Cost-model prior: assumed serving cost per pattern byte before a text's
+/// own telemetry has calibrated it.
+constexpr double kCostPriorNsPerByte = 50.0;
 
 /// A non-finite weight would poison every later PSW sum; every write entry
 /// point rejects one before anything changes.
@@ -53,13 +57,14 @@ bool TryCharge(std::atomic<u64>& gauge, u64 charge, u64 cap) {
 
 }  // namespace
 
-/// One immutable index generation. The weighted string lives here because
-/// UsiIndex borrows it; the shared_ptr holding the Generation keeps both
-/// alive for as long as any batch still serves from it.
+/// One immutable index generation. UsiIndex borrows *ws; the shared_ptr
+/// holding the Generation keeps both alive for as long as any batch still
+/// serves from it. The text is shared, never copied: an overlay extending
+/// the generation and a recovery job re-indexing it hold the same pointer.
 struct UsiMultiService::Generation {
   u64 number = 0;
-  WeightedString ws;
-  std::unique_ptr<UsiIndex> index;    ///< Borrows ws.
+  std::shared_ptr<const WeightedString> ws;
+  std::unique_ptr<UsiIndex> index;    ///< Borrows *ws.
   std::unique_ptr<UsiService> service;  ///< Borrows index + the shared pool.
   /// Non-empty: serving straight out of this mmap'd file
   /// (RegisterTextFromFile). A mapped generation that faults mid-serve
@@ -182,7 +187,7 @@ struct UsiMultiService::TextEntry {
 /// One queued rebuild (or recovery) job.
 struct UsiMultiService::BuildJob {
   EntryPtr entry;
-  WeightedString ws;
+  std::shared_ptr<const WeightedString> ws;  ///< Shared with the generation.
   u64 generation = 0;
   unsigned attempt = 0;  ///< Failed attempts so far.
   /// Earliest start time; retry jobs carry their backoff here. The default
@@ -357,7 +362,7 @@ u64 UsiMultiService::ReplaceText(EntryPtr entry, WeightedString ws) {
   BuildJob job;
   job.generation = BeginReplacement(*entry);
   job.entry = std::move(entry);
-  job.ws = std::move(ws);
+  job.ws = std::make_shared<const WeightedString>(std::move(ws));
   const u64 generation = job.generation;
   ScheduleBuild(std::move(job));
   return generation;
@@ -389,8 +394,8 @@ u64 UsiMultiService::RegisterTextFromFile(std::string_view id,
   // text moves in before the open. Open BEFORE touching the registry: a
   // bad file must not register an id or burn a generation number.
   auto gen = std::make_shared<Generation>();
-  gen->ws = std::move(ws);
-  gen->index = UsiIndex::OpenMapped(gen->ws, path);
+  gen->ws = std::make_shared<const WeightedString>(std::move(ws));
+  gen->index = UsiIndex::OpenMapped(*gen->ws, path);
   if (gen->index == nullptr) return 0;
   gen->source_path = path;
   WrapGeneration(*gen);
@@ -444,14 +449,13 @@ ServeStatus UsiMultiService::AppendText(std::string_view id,
       // no boundary to append past (and no index to merge with).
       return ServeStatus::kNotReady;
     }
+    // An empty span changes no content: nothing to absorb, count or clear.
+    if (text.empty()) return ServeStatus::kOk;
     if (entry->delta == nullptr) {
-      // First append against this generation: the overlay borrows the
-      // generation's text through an aliasing shared_ptr, so the base stays
-      // alive as long as the overlay does.
-      std::shared_ptr<const WeightedString> base(entry->current,
-                                                 &entry->current->ws);
+      // First append against this generation: the overlay shares the
+      // generation's text, so the base stays alive as long as it does.
       entry->delta = std::make_shared<DeltaOverlay>(
-          std::move(base), options_.delta_context, ++entry->delta_epoch,
+          entry->current->ws, options_.delta_context, ++entry->delta_epoch,
           entry->current->index->utility_kind());
     }
     try {
@@ -463,22 +467,7 @@ ServeStatus UsiMultiService::AppendText(std::string_view id,
       return ServeStatus::kIndexUnavailable;
     }
     ++entry->appends;
-    if (options_.delta_compact_threshold > 0 && !entry->compaction_scheduled) {
-      auto read = entry->delta->LockForRead();
-      compaction.compaction =
-          entry->delta->AppendedLocked() >= options_.delta_compact_threshold;
-      compaction.compact_boundary = entry->delta->TotalSizeLocked();
-      compaction.compact_epoch = entry->delta->epoch();
-    }
-    if (compaction.compaction) {
-      // Snapshot under the entry lock (appenders are excluded, so the
-      // snapshot IS the content compact_boundary describes) and mark the
-      // compaction in flight — one at a time per text.
-      compaction.entry = entry;
-      compaction.ws = entry->delta->SnapshotMerged();
-      compaction.generation = ++entry->scheduled;
-      entry->compaction_scheduled = true;
-    }
+    TakeCompactionLocked(entry, &compaction);
   }
   // Appended content changed the text: recorded tier answers (and their
   // bounds) describe the shorter text.
@@ -535,6 +524,25 @@ std::vector<std::string> UsiMultiService::TextIds() const {
   ids.reserve(registry_.size());
   for (const auto& [id, entry] : registry_) ids.push_back(id);
   return ids;
+}
+
+void UsiMultiService::TakeCompactionLocked(const EntryPtr& entry,
+                                           BuildJob* job) {
+  const DeltaOverlay* delta = entry->delta.get();
+  if (options_.delta_compact_threshold == 0 || entry->compaction_scheduled ||
+      delta == nullptr ||
+      delta->AppendedLocked() < options_.delta_compact_threshold) {
+    return;
+  }
+  // The entry lock excludes every overlay writer, so the snapshot IS the
+  // content compact_boundary describes. One compaction in flight per text.
+  job->entry = entry;
+  job->ws = std::make_shared<const WeightedString>(delta->SnapshotMerged());
+  job->generation = ++entry->scheduled;
+  job->compaction = true;
+  job->compact_boundary = delta->TotalSizeLocked();
+  job->compact_epoch = delta->epoch();
+  entry->compaction_scheduled = true;
 }
 
 void UsiMultiService::ScheduleBuild(BuildJob job) {
@@ -629,7 +637,7 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
   TextEntry& entry = *job.entry;
   auto gen = std::make_shared<Generation>();
   gen->number = job.generation;
-  gen->ws = std::move(job.ws);
+  gen->ws = job.ws;
   UsiOptions build_options;
   bool removed = false;
   {
@@ -665,20 +673,17 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
       // cheaper than a rebuild, and the heap copy cannot fault again the way
       // re-mapping the file would. A file that is gone or corrupt now
       // falls through to the rebuild.
-      gen->index = UsiIndex::LoadFromFile(gen->ws, job.recover_path);
+      gen->index = UsiIndex::LoadFromFile(*gen->ws, job.recover_path);
     }
     if (gen->index == nullptr) {
-      UsiBuilder builder(gen->ws, build_options);
+      UsiBuilder builder(*gen->ws, build_options);
       gen->index = builder.Build();
     }
   } catch (const std::bad_alloc&) {
-    job.ws = std::move(gen->ws);
     return HandleBuildFailure(job, "out of memory (std::bad_alloc)");
   } catch (const std::exception& e) {
-    job.ws = std::move(gen->ws);
     return HandleBuildFailure(job, e.what());
   } catch (...) {
-    job.ws = std::move(gen->ws);
     return HandleBuildFailure(job, "unknown exception");
   }
   WrapGeneration(*gen);
@@ -698,6 +703,7 @@ void UsiMultiService::Publish(TextEntry& entry,
                               const BuildJob* job) {
   const bool compaction = job != nullptr && job->compaction;
   bool published = false;
+  BuildJob next;  // The follow-up fold, when this one left enough behind.
   {
     std::lock_guard<std::mutex> lock(entry.mu);
     Timer publish_timer;  // Measures the lock hold appenders/pinners see.
@@ -736,13 +742,12 @@ void UsiMultiService::Publish(TextEntry& entry,
         bool warm = !USI_FAILPOINT_FIRED("compact.warmstart");
         try {
           if (warm) {
-            std::shared_ptr<const WeightedString> base(gen, &gen->ws);
-            auto next = std::make_shared<DeltaOverlay>(
-                std::move(base), options_.delta_context, ++entry.delta_epoch,
+            auto successor = std::make_shared<DeltaOverlay>(
+                gen->ws, options_.delta_context, ++entry.delta_epoch,
                 gen->index->utility_kind());
-            next->AppendFrom(*entry.delta, ns,
-                             entry.delta->TotalSizeLocked() - ns);
-            entry.delta = std::move(next);
+            successor->AppendFrom(*entry.delta, ns,
+                                  entry.delta->TotalSizeLocked() - ns);
+            entry.delta = std::move(successor);
           }
         } catch (...) {
           warm = false;
@@ -762,6 +767,10 @@ void UsiMultiService::Publish(TextEntry& entry,
             static_cast<u64>(publish_timer.ElapsedSeconds() * 1e9);
       }
     }
+    // Appends that raced this fold may leave the overlay past the threshold.
+    // AppendText's decision is taken here too, in the critical section that
+    // counts this build completed, so no waiter returns between the two.
+    if (compaction) TakeCompactionLocked(job->entry, &next);
   }
   // New content is now what readers pin. The schedule-time clear could not
   // stop readers still serving the outgoing generation from re-teaching the
@@ -773,6 +782,8 @@ void UsiMultiService::Publish(TextEntry& entry,
   if (published && compaction) {
     compactions_.fetch_add(1, std::memory_order_relaxed);
   }
+  // Before the lane counts this build completed: WaitForBuilds likewise.
+  if (next.entry != nullptr) ScheduleBuild(std::move(next));
 }
 
 bool UsiMultiService::HandleBuildFailure(BuildJob& job,
@@ -819,8 +830,8 @@ BuildState UsiMultiService::WaitForText(std::string_view id) {
   EntryPtr entry = FindEntry(id);
   if (entry == nullptr) return BuildState::kUnknown;
   std::unique_lock<std::mutex> lock(entry->mu);
-  const u64 target = entry->scheduled;
-  entry->cv.wait(lock, [&] { return entry->completed >= target; });
+  // Re-read on every wake: a completing fold may schedule the next one.
+  entry->cv.wait(lock, [&] { return entry->completed >= entry->scheduled; });
   return entry->last_failed ? BuildState::kFailed : BuildState::kReady;
 }
 
@@ -833,8 +844,7 @@ BuildState UsiMultiService::TextState(std::string_view id) const {
 
 void UsiMultiService::WaitForBuilds() {
   std::unique_lock<std::mutex> lock(build_mu_);
-  const u64 target = builds_scheduled_;
-  build_cv_.wait(lock, [&] { return builds_completed_ >= target; });
+  build_cv_.wait(lock, [&] { return builds_completed_ >= builds_scheduled_; });
 }
 
 ServeStatus UsiMultiService::QueryBatchInto(
@@ -921,7 +931,7 @@ ServeStatus UsiMultiService::Admit(const BatchScratch& batch,
   for (std::size_t k = 0; k < batch.used; ++k) {
     const BatchScratch::Group& group = batch.groups[k];
     estimate += static_cast<double>(group.bytes) *
-                group.entry->CostNsPerByte(options_.default_cost_ns_per_byte);
+                group.entry->CostNsPerByte(kCostPriorNsPerByte);
   }
   const u64 cost_ns = static_cast<u64>(estimate);
   if (!TryCharge(inflight_cost_ns_, cost_ns, cost_cap_ns)) {
@@ -1036,7 +1046,7 @@ void UsiMultiService::DemoteFaulted(
     recovery.generation = ++entry->scheduled;
   }
   recovery.entry = entry;
-  recovery.ws = gen->ws;
+  recovery.ws = gen->ws;  // A pointer copy: the text is immutable.
   recovery.recover_path = gen->source_path;
   ScheduleBuild(std::move(recovery));
 }

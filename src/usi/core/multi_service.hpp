@@ -64,10 +64,13 @@
 /// is scheduled through the build lanes: the merged content is indexed as
 /// a normal generation, and at publish the successor overlay is
 /// warm-started from the old one (only appends that landed during the
-/// build replay; the window reseeds from the new base). A compaction whose
-/// build fails quarantines per the PR 8 semantics — the old base keeps
-/// serving and the overlay keeps absorbing appends. SubmitText/UpdateText
-/// replace content wholesale and therefore drop the overlay.
+/// build replay; the window reseeds from the new base). When those raced
+/// appends already fill the successor past the threshold, the publish
+/// schedules the next fold itself, so a text that goes quiet never stays
+/// over it. A compaction whose build fails quarantines like any other
+/// build — the old base keeps serving and the overlay keeps absorbing
+/// appends. SubmitText/UpdateText replace content wholesale and therefore
+/// drop the overlay.
 ///
 /// \par Serving pipeline
 /// QueryBatchInto runs one batch through named stages: *route* (look up
@@ -175,12 +178,9 @@ struct UsiMultiServiceOptions {
   /// estimated cost would push the in-flight total over the cap is rejected
   /// with kOverloaded — unless nothing is in flight, so a lone expensive
   /// batch always serves. Cost is estimated from per-text ns-per-pattern-byte
-  /// telemetry calibrated by served batches (default_cost_ns_per_byte until
+  /// telemetry calibrated by served batches (a fixed 50 ns/byte prior until
   /// a text has served enough bytes).
   double max_inflight_cost_ms = 0;
-  /// Cost-model prior: assumed serving cost per pattern byte before a
-  /// text's own telemetry has calibrated it.
-  double default_cost_ns_per_byte = 50.0;
   /// Build-lane failure containment: how many times a failed build is
   /// retried (with capped exponential backoff) before the text is
   /// quarantined as BuildState::kFailed.
@@ -362,7 +362,8 @@ class UsiMultiService {
   /// and a background compaction folds them into a new base generation
   /// once the per-text overlay crosses delta_compact_threshold. The whole
   /// span lands atomically: a concurrent batch sees all of it or none.
-  /// Returns kOk; kInvalidArgument when the lengths differ or a weight is
+  /// Returns kOk (an empty span changes nothing: no overlay, no count, no
+  /// tier clear); kInvalidArgument when the lengths differ or a weight is
   /// not finite (NaN, ±inf; nothing changes); kUnknownText when \p id is
   /// not registered; kNotReady before the first generation has published
   /// (appends extend a published base); kIndexUnavailable when the append
@@ -390,17 +391,19 @@ class UsiMultiService {
   /// Registered ids, sorted.
   std::vector<std::string> TextIds() const;
 
-  /// Blocks until every build scheduled for \p id so far has reached a
-  /// terminal state, then reports it: kReady when the latest build
-  /// published, kFailed when it was quarantined (retries exhausted — the
-  /// text keeps serving its previous generation, if any), kUnknown when
-  /// \p id is not registered. Never hangs on a failed build.
+  /// Blocks until no build for \p id is queued or running, then reports
+  /// the latest one: kReady when it published, kFailed when it was
+  /// quarantined (retries exhausted — the text keeps serving its previous
+  /// generation, if any), kUnknown when \p id is not registered. Builds
+  /// scheduled while waiting count too, so a compaction publish that
+  /// schedules the next fold is waited for. Never hangs on a failed build.
   BuildState WaitForText(std::string_view id);
 
   /// Build-lane state of \p id right now, without waiting.
   BuildState TextState(std::string_view id) const;
 
-  /// Blocks until every build scheduled so far (all texts) has completed.
+  /// Blocks until no build (any text) is queued or running, including
+  /// builds scheduled while waiting (the next fold of a compaction).
   void WaitForBuilds();
 
   /// Answers queries[i] into results[i]. Routes by text id, admits, pins
@@ -459,6 +462,13 @@ class UsiMultiService {
   /// Starts a full-content replacement: claims the next generation number,
   /// drops the update-tier overlay and clears the tier. Returns the number.
   u64 BeginReplacement(TextEntry& entry);
+
+  /// AppendText's and the compaction publish's one "fold now?" decision:
+  /// when \p entry's overlay holds delta_compact_threshold appended symbols
+  /// and no compaction is in flight, fills \p job with a compaction of a
+  /// snapshot and marks it in flight; else leaves \p job untouched. Caller
+  /// holds entry->mu and schedules \p job after releasing it.
+  void TakeCompactionLocked(const EntryPtr& entry, BuildJob* job);
 
   /// Registers \p job in the build queue and wakes the build lanes (or,
   /// with no pool, builds synchronously — including synchronous retries).

@@ -37,10 +37,10 @@
 /// only after releasing the entry lock.
 ///
 /// \par Lifetime
-/// The overlay borrows the base text through a shared_ptr (the service
-/// passes an aliasing pointer into the pinned generation), so the base
-/// stays alive for as long as the overlay does — pinning (generation,
-/// overlay) pairs is what makes a batch's view consistent.
+/// The overlay shares the base text with its generation (both hold the
+/// same shared_ptr), so the text — not the generation's index — stays
+/// alive for as long as the overlay does. Pinning (generation, overlay)
+/// pairs is what makes a batch's view consistent.
 
 #include <memory>
 #include <mutex>
@@ -73,8 +73,8 @@ class DeltaOverlay {
     std::vector<index_t> stack;
   };
 
-  /// \p base is the generation's text (shared so the generation outlives
-  /// the overlay); the overlay covers appends past base->size().
+  /// \p base is the generation's text (shared, so it outlives the
+  /// generation if need be); the overlay covers appends past base->size().
   /// \p context bounds the seeded window; \p epoch tags the lineage;
   /// \p kind must match the paired generation's utility kind so the merged
   /// halves aggregate identically.
@@ -156,7 +156,7 @@ class DeltaOverlay {
 
  private:
   mutable std::shared_mutex mu_;
-  std::shared_ptr<const WeightedString> base_;  ///< Keeps the generation alive.
+  std::shared_ptr<const WeightedString> base_;  ///< Keeps the base text alive.
   index_t boundary_;  ///< n0 at construction; Rebase moves it forward.
   index_t d0_;        ///< First position the window covers.
   u64 epoch_;

@@ -1,7 +1,6 @@
 #include "usi/util/failpoint.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 
@@ -75,14 +74,7 @@ class Registry {
   }
 
  private:
-  Registry() {
-    // Environment arming happens exactly once, before any site is visible:
-    // the registry is constructed on first use, and every public entry
-    // point goes through Instance().
-    if (const char* env = std::getenv("USI_FAILPOINTS")) {
-      ApplyString(env);
-    }
-  }
+  Registry() = default;
 
   Site& GetSiteLocked(std::string_view name) {
     auto it = sites_.find(name);
@@ -121,9 +113,7 @@ Site& Site::Get(std::string_view name) {
 }
 
 bool Site::Evaluate() {
-  // Fast path: a disarmed site is one relaxed load (and when the library is
-  // compiled without USI_FAILPOINTS, not even that — the macros erase the
-  // call entirely).
+  // Fast path: a disarmed site is one relaxed load.
   if (static_cast<Action>(action_.load(std::memory_order_relaxed)) ==
       Action::kOff) {
     return false;

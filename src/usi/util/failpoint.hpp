@@ -2,22 +2,15 @@
 #define USI_UTIL_FAILPOINT_HPP_
 
 /// \file failpoint.hpp
-/// Deterministic fault injection: named, compile-time-gated failpoints.
+/// Deterministic fault injection: named failpoints, compiled into every
+/// build.
 ///
-/// A failpoint is a named site in library code where a test (or the
-/// USI_FAILPOINTS environment variable) can inject a failure: a thrown
-/// exception, a simulated std::bad_alloc, or a soft "this step failed"
-/// signal the surrounding code branches on. The chaos suite drives the
-/// reliability layer — build-lane quarantine, save/load error paths, mmap
-/// degradation, query-fallback containment — through these sites instead of
-/// hoping real faults show up.
-///
-/// \par Compile-time gate
-/// Sites only exist when the library is configured with -DUSI_FAILPOINTS=ON
-/// (CMake option, propagated as a PUBLIC compile definition). Without it the
-/// macros expand to `((void)0)` / `(false)` — zero code, zero data, zero
-/// branches in production builds. The registry API below always links, so
-/// tests compile either way and skip themselves when kEnabled is false.
+/// A failpoint is a named site in library code where a test can inject a
+/// failure: a thrown exception, a simulated std::bad_alloc, or a soft "this
+/// step failed" signal the surrounding code branches on. The failure-path
+/// suites drive the reliability layer — build-lane quarantine, save/load
+/// error paths, mmap degradation, query-fallback containment — through
+/// these sites instead of hoping real faults show up.
 ///
 /// \par Site macros
 ///   USI_FAILPOINT("build.sa");            // throws when armed kThrow /
@@ -26,15 +19,17 @@
 ///     return false;                       // kError (simulated soft failure)
 ///
 /// Each macro expansion caches a reference to its Site in a function-local
-/// static, so a disarmed evaluation costs one relaxed atomic load.
+/// static, so a disarmed evaluation costs one relaxed atomic load. Every
+/// site sits at batch, shard, stage or call granularity, never per symbol.
 ///
 /// \par Arming
-/// From tests: Arm("site", Action::kThrow) — with optional skip-N /
-/// fire-at-most-N / percent controls (Spec). From the environment:
-/// `USI_FAILPOINTS="multi.build=throw*2;save.body=error%50"` is applied once
-/// at first registry use (format: `name=action[@skip][*fires][%percent]`).
-/// Firing decisions are deterministic: counters plus a fixed-seed splitmix64
-/// stream for percent draws, so a chaos run replays exactly.
+/// Only in-process: Arm("site", Action::kThrow) — with optional skip-N /
+/// fire-at-most-N / percent controls (Spec) — or ArmFromString with a spec
+/// string (`name=action[@skip][*fires][%percent];...`). Nothing reads the
+/// environment, so a deployment's environment cannot inject faults into a
+/// serving process. Firing decisions are deterministic: counters plus a
+/// fixed-seed splitmix64 stream for percent draws, so an armed run replays
+/// exactly.
 
 #include <atomic>
 #include <mutex>
@@ -48,13 +43,6 @@
 
 namespace usi {
 namespace failpoint {
-
-/// Whether failpoints are compiled into this build.
-#if defined(USI_FAILPOINTS)
-inline constexpr bool kEnabled = true;
-#else
-inline constexpr bool kEnabled = false;
-#endif
 
 /// What an armed site does when its firing conditions are met.
 enum class Action : u8 {
@@ -127,7 +115,7 @@ void Arm(std::string_view site, Action action, u64 fires = 0, u64 skip = 0);
 /// Disarms \p site (no-op if it does not exist); resets its counters.
 void Disarm(std::string_view site);
 
-/// Disarms every site. Chaos tests call this in TearDown so an armed site
+/// Disarms every site. Failure-path tests call this in TearDown so an armed site
 /// can never leak into the next test.
 void DisarmAll();
 
@@ -138,8 +126,8 @@ u64 HitCount(std::string_view site);
 /// Times \p site actually fired since its last Arm/Disarm.
 u64 FireCount(std::string_view site);
 
-/// Names of every site that exists right now (created by macro evaluation,
-/// Arm, or the environment), sorted. Powers the docs' failpoint catalog
+/// Names of every site that exists right now (created by macro evaluation
+/// or Arm), sorted. Powers the docs' failpoint catalog
 /// cross-check and `usi_inspect failpoints`.
 std::vector<std::string> SiteNames();
 
@@ -148,16 +136,13 @@ std::vector<std::string> SiteNames();
 /// false (spec untouched) on malformed input. Exposed for tests.
 bool ParseSpec(std::string_view text, Spec* spec);
 
-/// Applies a full environment-style arming string:
-/// `site=spec[;site=spec...]`. Returns the number of sites armed; malformed
-/// clauses are skipped. The USI_FAILPOINTS variable goes through this once
-/// at first registry use.
+/// Applies a full arming string: `site=spec[;site=spec...]`. Returns the
+/// number of sites armed; malformed clauses are skipped.
 int ArmFromString(std::string_view text);
 
 }  // namespace failpoint
 }  // namespace usi
 
-#if defined(USI_FAILPOINTS)
 /// Evaluates the named failpoint: throws when armed kThrow / kBadAlloc,
 /// otherwise a no-op (a kError arm is ignored — use USI_FAILPOINT_FIRED at
 /// sites with a soft-failure branch).
@@ -176,9 +161,5 @@ int ArmFromString(std::string_view text);
     return usi_failpoint_site;                           \
   }()                                                    \
        .Evaluate())
-#else
-#define USI_FAILPOINT(name) ((void)0)
-#define USI_FAILPOINT_FIRED(name) (false)
-#endif
 
 #endif  // USI_UTIL_FAILPOINT_HPP_

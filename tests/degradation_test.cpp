@@ -3,9 +3,8 @@
 // drive the ladder with armed failpoints (quarantined build lanes, mapped
 // faults, overload) and check *differentially* against a direct exact
 // index: every degraded answer must carry honest provenance and an error
-// bound the measured error respects. Runs under both the "concurrency" and
-// "chaos" CI labels; failpoint-dependent cases skip when USI_FAILPOINTS is
-// off.
+// bound the measured error respects. Every case runs in every build
+// (failpoints are always compiled in), TSan included via "concurrency".
 
 #include <atomic>
 #include <chrono>
@@ -128,7 +127,6 @@ TEST_F(DegradationTest, ExactPathTagsEveryAnswerExact) {
 }
 
 TEST_F(DegradationTest, QuarantinedTextAnswersDegradedInsteadOfNotReady) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   UsiMultiServiceOptions options;
   options.threads = 2;
   options.max_build_retries = 0;
@@ -168,7 +166,6 @@ TEST_F(DegradationTest, QuarantinedTextAnswersDegradedInsteadOfNotReady) {
 // never kIndexUnavailable / kNotReady — with per-slot provenance and
 // bounds the measured error respects.
 TEST_F(DegradationTest, MappedFaultPlusQuarantineServesWithinBounds) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   const WeightedString ws = RandomWeighted(3000, 8, 221);
   UsiOptions build;
   build.k = 150;
@@ -229,7 +226,6 @@ TEST_F(DegradationTest, MappedFaultPlusQuarantineServesWithinBounds) {
 }
 
 TEST_F(DegradationTest, FaultedBuiltGenerationFallsBackToTier) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   UsiMultiServiceOptions options;
   options.threads = 2;
   UsiMultiService service(options);
@@ -392,7 +388,6 @@ TEST_F(DegradationTest, UnknownTextStaysAllOrNothingWhenDegraded) {
 }
 
 TEST_F(DegradationTest, DisabledTierKeepsFailCleanBehavior) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   UsiMultiServiceOptions options;
   options.threads = 1;
   options.max_build_retries = 0;
@@ -421,7 +416,6 @@ TEST_F(DegradationTest, DisabledTierKeepsFailCleanBehavior) {
 }
 
 TEST_F(DegradationTest, ContentUpdateForgetsStaleTierAnswers) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   UsiMultiServiceOptions options;
   options.threads = 2;
   options.max_build_retries = 0;

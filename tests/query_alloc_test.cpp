@@ -4,11 +4,15 @@
 // misses, and the first batch after a generation publish — perform zero
 // heap allocations, and so does QueryAllWindows.
 // The whole test binary counts operator new invocations; the suite asserts
-// the count stays flat across steady-state batches.
+// the count stays flat across steady-state batches. Each thread also counts
+// the bytes it allocated, for the cases that bound a path's size rather
+// than its count.
 
 #include <atomic>
 #include <cstdlib>
+#include <cstdio>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,13 +22,16 @@
 #include "usi/core/multi_service.hpp"
 #include "usi/core/usi_index.hpp"
 #include "usi/core/usi_service.hpp"
+#include "usi/util/failpoint.hpp"
 
 namespace {
 
 std::atomic<std::size_t> g_allocation_count{0};
+thread_local std::size_t t_allocated_bytes = 0;
 
 void* CountedAlloc(std::size_t size) {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  t_allocated_bytes += size;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -38,10 +45,12 @@ void* operator new[](std::size_t size) { return CountedAlloc(size); }
 // operator delete below frees consistently.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  t_allocated_bytes += size;
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  t_allocated_bytes += size;
   return std::malloc(size ? size : 1);
 }
 // Aligned forms too: FingerprintTable's CacheAlignedAllocator allocates
@@ -50,6 +59,7 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
 namespace {
 void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  t_allocated_bytes += size;
   const std::size_t rounded = (size + align - 1) / align * align;
   if (void* p = std::aligned_alloc(align, rounded ? rounded : align)) {
     return p;
@@ -292,6 +302,53 @@ TEST(QueryAlloc, FirstBatchAfterPublishAllocatesNothing) {
         << "the first batch after publish " << round << " touched the heap";
   }
   EXPECT_EQ(service.StatsFor("t")->generation, 4u);
+}
+
+TEST(QueryAlloc, MappedFaultDemotionSharesTheText) {
+  // A mapped generation that faults mid-serve is demoted, and its recovery
+  // is scheduled by the batch that saw the fault. The recovery job shares
+  // the generation's text, so that query thread allocates nothing O(n);
+  // copying the WeightedString would cost it 9 bytes per symbol.
+  constexpr index_t kN = 50'000;
+  const WeightedString ws = testing::RandomWeighted(kN, 4, 0xFA17);
+  const std::string path = ::testing::TempDir() + "query_alloc_fault.usi";
+  ASSERT_TRUE(UsiIndex(ws, UsiOptions{}).SaveToFile(path));
+  UsiMultiServiceOptions options;
+  options.threads = 1;  // Inline serving: the faulting batch is this thread.
+  UsiMultiService service(options);
+  ASSERT_NE(service.RegisterTextFromFile("t", ws, path), 0u);
+
+  const Text pattern = ws.Fragment(100, 4);
+  const MultiQuery query{"t", pattern};
+  QueryResult result;
+  ASSERT_EQ(service.QueryBatchInto(std::span(&query, 1), std::span(&result, 1)),
+            ServeStatus::kOk);  // Warm-up.
+  const QueryResult want = result;
+
+  failpoint::Arm("serve.mapped_fault", failpoint::Action::kError, /*fires=*/1);
+  // Counts the recovery's heap read without ever failing it.
+  failpoint::Spec count_only;
+  count_only.action = failpoint::Action::kError;
+  count_only.percent = 0;
+  failpoint::Arm("load.heap", count_only);
+  const std::size_t before = t_allocated_bytes;
+  const ServeStatus status =
+      service.QueryBatchInto(std::span(&query, 1), std::span(&result, 1));
+  const std::size_t bytes = t_allocated_bytes - before;
+  EXPECT_EQ(status, ServeStatus::kIndexUnavailable);
+  EXPECT_LT(bytes, static_cast<std::size_t>(kN))
+      << "the faulting batch copied O(n) bytes";
+
+  EXPECT_EQ(service.WaitForText("t"), BuildState::kReady);
+  EXPECT_EQ(failpoint::HitCount("load.heap"), 1u)
+      << "recovery must be the heap read of the source file";
+  EXPECT_EQ(failpoint::FireCount("load.heap"), 0u);
+  failpoint::DisarmAll();
+  ASSERT_EQ(service.QueryBatchInto(std::span(&query, 1), std::span(&result, 1)),
+            ServeStatus::kOk);
+  EXPECT_EQ(result.occurrences, want.occurrences);
+  EXPECT_EQ(result.utility, want.utility);
+  std::remove(path.c_str());
 }
 
 TEST(QueryAlloc, AppendPathAllocationsStayBounded) {

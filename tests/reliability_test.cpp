@@ -2,10 +2,9 @@
 // errors, deadlines + cost-aware admission, build-lane failure containment,
 // and graceful degradation when an index backing fails mid-serve. The chaos
 // tests drive every containment path through armed failpoints — no real
-// fault is needed, so the whole suite is ThreadSanitizer-clean and runs in
-// CI under both the "concurrency" and "chaos" labels. Tests that need armed
-// sites skip themselves when the build has USI_FAILPOINTS off; the registry
-// API itself (Arm/Evaluate/ParseSpec) always links and is tested either way.
+// fault is needed, so the whole suite is ThreadSanitizer-clean. Failpoints
+// are compiled into every build, so every case runs wherever the suite does
+// (tier-1, ASan, and TSan through the "concurrency" label).
 
 #include <atomic>
 #include <chrono>
@@ -198,8 +197,7 @@ TEST_F(ReliabilityTest, LoadErrorCodeNamesAreDistinct) {
 
 // ---------------------------------------------------------------------------
 // Failpoint registry semantics (ParseSpec / arming / deterministic firing).
-// These drive Site::Evaluate directly, so they run in every build; only the
-// *macro sites inside library code* need USI_FAILPOINTS.
+// These drive Site::Evaluate directly, without a library path around it.
 
 TEST_F(ReliabilityTest, ParseSpecAcceptsEveryForm) {
   using failpoint::Action;
@@ -365,7 +363,6 @@ TEST_F(ReliabilityTest, LoadErrorsAreTyped) {
 }
 
 TEST_F(ReliabilityTest, LoadFailpointsInjectIoErrors) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   const WeightedString ws = RandomWeighted(1500, 8, 13);
   UsiOptions options;
   options.k = 80;
@@ -391,7 +388,6 @@ TEST_F(ReliabilityTest, LoadFailpointsInjectIoErrors) {
 }
 
 TEST_F(ReliabilityTest, SaveFailpointsLeaveNoPartialFile) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   const WeightedString ws = RandomWeighted(1500, 8, 14);
   UsiOptions options;
   options.k = 80;
@@ -732,7 +728,6 @@ TEST_F(ReliabilityTest, ConcurrentBatchesOverCostCapShedWithOverloaded) {
 // Build-lane failure containment (quarantine, retries, WaitForText).
 
 TEST_F(ReliabilityTest, BuildFailureQuarantinesTextAsFailed) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   UsiMultiServiceOptions options;
   options.threads = 2;
   options.max_build_retries = 1;
@@ -768,7 +763,6 @@ TEST_F(ReliabilityTest, BuildFailureQuarantinesTextAsFailed) {
 }
 
 TEST_F(ReliabilityTest, FailedRebuildKeepsServingPreviousGeneration) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   UsiMultiServiceOptions options;
   options.threads = 2;
   options.max_build_retries = 0;
@@ -813,7 +807,6 @@ TEST_F(ReliabilityTest, FailedRebuildKeepsServingPreviousGeneration) {
 }
 
 TEST_F(ReliabilityTest, TransientBuildFailureIsRetriedToSuccess) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   UsiMultiServiceOptions options;
   options.threads = 2;
   options.max_build_retries = 2;
@@ -833,7 +826,6 @@ TEST_F(ReliabilityTest, TransientBuildFailureIsRetriedToSuccess) {
 }
 
 TEST_F(ReliabilityTest, BuilderStageFailpointsAreContained) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   // No pool: builds run synchronously inside SubmitText, including the
   // terminal-failure path, so each stage's containment is step-debuggable.
   for (const char* stage : {"build.sa", "build.mine", "build.table",
@@ -857,7 +849,6 @@ TEST_F(ReliabilityTest, BuilderStageFailpointsAreContained) {
 }
 
 TEST_F(ReliabilityTest, SimulatedBadAllocQuarantinesWithCause) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   UsiMultiServiceOptions options;
   options.max_build_retries = 0;
   UsiMultiService service(nullptr, options);
@@ -879,7 +870,6 @@ TEST_F(ReliabilityTest, SimulatedBadAllocQuarantinesWithCause) {
 // correct.
 
 TEST_F(ReliabilityTest, MappedFaultFailsBatchThenRecovers) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   const WeightedString ws = RandomWeighted(3000, 8, 101);
   UsiOptions build;
   build.k = 150;
@@ -923,7 +913,6 @@ TEST_F(ReliabilityTest, MappedFaultFailsBatchThenRecovers) {
 }
 
 TEST_F(ReliabilityTest, MappedFaultRecoversByHeapReadWhenBuildsFail) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   // Recovery must not depend on a rebuild: with every SA construction
   // failing, the only way back to kReady is the heap read of the (intact)
   // source file.
@@ -968,7 +957,6 @@ TEST_F(ReliabilityTest, MappedFaultRecoversByHeapReadWhenBuildsFail) {
 }
 
 TEST_F(ReliabilityTest, ServiceContainsEngineExceptions) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   const WeightedString ws = RandomWeighted(2000, 8, 111);
   UsiOptions options;
   options.k = 100;
@@ -1007,7 +995,6 @@ TEST_F(ReliabilityTest, ServiceContainsEngineExceptions) {
 // rest are kNone — never a base-only answer or a zero tagged kExact.
 
 TEST_F(ReliabilityTest, MultiServiceFaultWithDeltaKeepsExactSlotsExact) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   UsiMultiServiceOptions options;
   options.threads = 2;
   UsiMultiService service(options);

@@ -5,8 +5,8 @@
 // per the reliability-layer semantics while the old base keeps serving and
 // the delta keeps absorbing. The randomized-schedule test is the acceptance
 // pin: merged answers equal a full rebuild after every append, at pool
-// widths 1/2/4/8. Runs under ThreadSanitizer ("concurrency" label) and in
-// the chaos job ("chaos" label; failpoint tests skip when compiled out).
+// widths 1/2/4/8. Runs under ThreadSanitizer ("concurrency" label); the
+// failpoint cases run in every build.
 
 #include <algorithm>
 #include <atomic>
@@ -351,6 +351,98 @@ TEST_F(UpdateTierTest, CompactionFoldsTheDeltaAndStaysExact) {
   }
 }
 
+TEST_F(UpdateTierTest, CompactionPublishSchedulesTheNextFold) {
+  // The build lane's only worker is parked while 200 appends land, so the
+  // compaction scheduled at append 64 publishes with 136 raced appends in
+  // its successor overlay, over the threshold of 64. Nothing appends after
+  // that: the publish itself must schedule the next fold, and one
+  // WaitForBuilds must wait for it too.
+  const WeightedString seed = RandomIntegerWeighted(256, 3, 0xB5);
+  UsiMultiServiceOptions options;
+  options.delta_compact_threshold = 64;
+  ThreadPool pool(1);
+  UsiMultiService service(&pool, options);
+  service.SubmitText("t", seed);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  std::latch started(1);
+  std::latch release(1);
+  pool.Run([&] {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+  Text full = seed.text();
+  std::vector<double> weights = seed.weights();
+  Rng rng(0xB6);
+  int rejected = 0;  // No ASSERT while the worker is parked: it would hang.
+  for (int step = 0; step < 200; ++step) {
+    const Symbol c = static_cast<Symbol>(rng.UniformBelow(3));
+    const double w = static_cast<double>(rng.UniformInRange(1, 5));
+    rejected += service.AppendText("t", Text(1, c), std::vector<double>{w}) !=
+                ServeStatus::kOk;
+    full.push_back(c);
+    weights.push_back(w);
+  }
+  release.count_down();
+  ASSERT_EQ(rejected, 0);
+  service.WaitForBuilds();
+
+  const auto stats = service.StatsFor("t");
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->compactions, 2u);
+  EXPECT_FALSE(stats->delta.has_value())
+      << "appended " << stats->delta->appended << " left past the threshold";
+  EXPECT_EQ(service.TextState("t"), BuildState::kReady);
+  const WeightedString current(full, weights);
+  for (int trial = 0; trial < 50; ++trial) {
+    const index_t m = static_cast<index_t>(rng.UniformInRange(1, 6));
+    const index_t start =
+        static_cast<index_t>(rng.UniformBelow(current.size() - m));
+    const Text pattern = current.Fragment(start, m);
+    QueryResult got;
+    ASSERT_EQ(service.Query("t", pattern, got), ServeStatus::kOk);
+    const QueryResult want =
+        testing::BruteUtility(current, pattern, GlobalUtilityKind::kSum);
+    ASSERT_EQ(got.occurrences, want.occurrences) << "trial " << trial;
+    ASSERT_EQ(got.utility, want.utility) << "trial " << trial;
+  }
+}
+
+TEST_F(UpdateTierTest, EmptyAppendChangesNothing) {
+  const WeightedString seed = RandomIntegerWeighted(200, 3, 0xE1);
+  UsiMultiServiceOptions options;
+  options.threads = 1;
+  UsiMultiService service(options);
+  const std::span<const Symbol> no_text;
+  const std::span<const double> no_weights;
+  EXPECT_EQ(service.AppendText("t", no_text, no_weights),
+            ServeStatus::kUnknownText);
+  service.SubmitText("t", seed);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  // Warm the degraded tier with one exact batch.
+  std::vector<Text> patterns;
+  for (index_t i = 0; i < 20; ++i) patterns.push_back(seed.Fragment(i * 7, 3));
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"t", p});
+  std::vector<QueryResult> results(queries.size());
+  ASSERT_EQ(service.QueryBatchInto(queries, results), ServeStatus::kOk);
+  const auto warm = service.StatsFor("t");
+  ASSERT_TRUE(warm.has_value() && warm->degraded.has_value());
+  ASSERT_GT(warm->degraded->cache_size, 0u);
+
+  // The content did not change: no overlay, no count, no learned answer
+  // dropped.
+  EXPECT_EQ(service.AppendText("t", no_text, no_weights), ServeStatus::kOk);
+  const auto after = service.StatsFor("t");
+  ASSERT_TRUE(after.has_value() && after->degraded.has_value());
+  EXPECT_EQ(after->degraded->cache_size, warm->degraded->cache_size);
+  EXPECT_EQ(after->appends, 0u);
+  EXPECT_FALSE(after->delta.has_value());
+  EXPECT_EQ(service.stats().appends, 0u);
+}
+
 TEST_F(UpdateTierTest, CompactionUnderLoadNeverShowsATornView) {
   // Readers hammer a batch of {"ab", "ba", "aa"} while a writer appends
   // whole "ab" pairs and compactions cycle underneath (tiny threshold).
@@ -565,7 +657,6 @@ TEST_F(UpdateTierTest, MultiLaneExecutorBuildsManyTextsCorrectly) {
 }
 
 TEST_F(UpdateTierTest, ChaosAppendFailpointRejectsWithoutCorruption) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   const WeightedString seed = RandomIntegerWeighted(128, 2, 0x101);
   UsiMultiServiceOptions options;
   options.threads = 1;
@@ -604,7 +695,6 @@ TEST_F(UpdateTierTest, ChaosAppendFailpointRejectsWithoutCorruption) {
 }
 
 TEST_F(UpdateTierTest, ChaosFailedCompactionQuarantinesWhileDeltaServes) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   const WeightedString seed = RandomIntegerWeighted(128, 3, 0x111);
   UsiMultiServiceOptions options;
   options.threads = 1;
@@ -667,7 +757,6 @@ TEST_F(UpdateTierTest, ChaosFailedCompactionQuarantinesWhileDeltaServes) {
 }
 
 TEST_F(UpdateTierTest, ChaosWarmstartFailureFallsBackToRebase) {
-  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   const WeightedString seed = RandomIntegerWeighted(128, 3, 0x121);
   const index_t n0 = seed.size();
   UsiMultiServiceOptions options;

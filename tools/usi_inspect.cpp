@@ -303,15 +303,8 @@ int Convert(const std::string& in, const std::string& out,
 /// runs first to touch the common ones: a staged build, a save with a mapped open
 /// and a heap read, a multi-service build (build lane + serve span), and a
 /// table-miss query (fallback). Sites on paths this pass does not reach
-/// (appends, compactions) are not listed. Exit 0 when failpoints are compiled
-/// in, 3 when the build has them off (macros are no-ops and no site list
-/// exists).
+/// (appends, compactions) are not listed. Exits 0.
 int Failpoints() {
-  std::printf("compiled in:   %s\n", failpoint::kEnabled ? "yes" : "no");
-  if (!failpoint::kEnabled) {
-    std::printf("(configure with -DUSI_FAILPOINTS=ON to enable the sites)\n");
-    return 3;
-  }
   const std::string path = std::string(P_tmpdir) + "/usi_inspect_fp.bin";
   WeightedString ws = MakeDataset(DatasetSpecByName("XML"), 4000);
   UsiOptions options;
