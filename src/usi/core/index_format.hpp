@@ -6,13 +6,16 @@
 /// whose on-disk bytes ARE the in-memory structures. It is opened two ways
 /// (usi_index.hpp), which differ only in the backing of the same image:
 ///
-///  * OpenMapped — mmap the file (util/mapped_file.hpp); opening is header
-///    validation + pointer fixup, the kernel demand-pages the sections and
-///    shares them across processes.
+///  * OpenMapped — mmap the file (util/mapped_file.hpp); opening is the
+///    O(1) checks of UsiIndex::ValidateImage + pointer fixup, the kernel
+///    demand-pages the sections and shares them across processes.
 ///  * LoadFromFile — read the file into one owned, 64-byte-aligned heap
-///    buffer, checksum every section, then the same validation and fixup.
-///    Costs one sequential O(file) pass; the result cannot fault when the
-///    file is truncated later.
+///    buffer, run the same validator with every payload checksummed, then
+///    the same fixup. Costs one sequential O(file) pass; the result cannot
+///    fault when the file is truncated later.
+///
+/// UsiIndex::ValidateImage is the only statement of the validity rules
+/// below; `usi_inspect info` prints its verdict rather than re-checking.
 ///
 /// Same-host format: byte order, index_t width, and FingerprintTable slot
 /// layout must match the writer (slot_bytes in the header guards the

@@ -405,18 +405,11 @@ bool UsiIndex::SaveToFile(const std::string& path, IndexFileFormat /*format*/,
 
 std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
                                                const std::string& path) {
-  return OpenMapped(ws, path, OpenOptions(), nullptr);
+  return OpenMapped(ws, path, nullptr);
 }
 
 std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
                                                const std::string& path,
-                                               const OpenOptions& options) {
-  return OpenMapped(ws, path, options, nullptr);
-}
-
-std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
-                                               const std::string& path,
-                                               const OpenOptions& options,
                                                LoadError* error) {
   if (error != nullptr) *error = LoadError{};
   if (USI_FAILPOINT_FIRED("open.mapped")) {
@@ -432,10 +425,8 @@ std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
                : LoadFail(error, LoadErrorCode::kIo,
                           "open/stat/mmap failed: " + path);
   }
-  // Deep verification reads the whole image sequentially: hint readahead.
-  if (options.deep_verify) mapping->AdviseWillNeed();
   std::unique_ptr<UsiIndex> index =
-      ParseImage(ws, std::move(mapping), options.deep_verify, error);
+      ParseImage(ws, std::move(mapping), /*verify_payloads=*/false, error);
   // Serving probes pages out of order; default readahead would fault in
   // neighbours pointlessly.
   if (index != nullptr) index->image_->AdviseRandom();
@@ -469,72 +460,76 @@ std::unique_ptr<UsiIndex> UsiIndex::LoadFromFile(const WeightedString& ws,
   return ParseImage(ws, std::move(image), /*verify_payloads=*/true, error);
 }
 
-std::unique_ptr<UsiIndex> UsiIndex::ParseImage(
-    const WeightedString& ws, std::unique_ptr<MappedFile> image,
-    bool verify_payloads, LoadError* error) {
+LoadError UsiIndex::ValidateImage(std::span<const u8> image,
+                                  const WeightedString* ws,
+                                  bool verify_payloads, ValidatedImage* out) {
   using namespace format_v3;
   using Table = FingerprintTable<TableValue>;
   using Slot = Table::Slot;
-  const u8* const base = image->data();
-  const std::size_t size = image->size();
+  const u8* const base = image.data();
+  const std::size_t size = image.size();
   if (size < sizeof(FileHeader)) {
-    return LoadFail(error, LoadErrorCode::kBadFormat,
-                    "file shorter than a v3 header");
+    return {LoadErrorCode::kBadFormat, "file shorter than a v3 header"};
   }
-  // Copy the header out of the image before validating: one place to
-  // reason about alignment, and the checks below read stable memory even
-  // if a mapped file is concurrently replaced.
+  // Copy the header and the learned entry (header slack) out of the image
+  // before validating: one place to reason about alignment, and the checks
+  // below read stable memory even if a mapped file is concurrently
+  // replaced. Legacy writers zero-padded the slack, so ext_magic == 0
+  // cleanly means "no learned section".
   FileHeader header;
   std::memcpy(&header, base, sizeof(header));
+  LearnedSectionEntry ext;
+  if (size >= kFirstSectionOffset) {
+    std::memcpy(&ext, base + sizeof(FileHeader), sizeof(ext));
+  }
+  if (out != nullptr) {
+    out->header = header;
+    out->learned = ext;
+  }
   if (header.magic != kMagic || header.version != kVersion) {
-    return LoadFail(error, LoadErrorCode::kBadFormat,
-                    "not a v3 index file (magic/version mismatch)");
+    return {LoadErrorCode::kBadFormat,
+            "not a v3 index file (magic/version mismatch)"};
   }
   // The checksum covers every header byte including the section directory,
   // so a flipped offset/length/checksum in the directory is caught here in
   // O(1) without touching any payload.
   if (header.header_checksum !=
       Checksum64(&header, offsetof(FileHeader, header_checksum))) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "header checksum mismatch");
+    return {LoadErrorCode::kCorrupt, "header checksum mismatch"};
   }
   // file_bytes pins the exact size: truncated AND extended files both fail
   // (a prefix of a valid file passes every other header check).
   if (header.file_bytes != size) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "file size differs from header file_bytes (truncated "
-                    "or extended image)");
+    return {LoadErrorCode::kCorrupt,
+            "file size differs from header file_bytes (truncated or "
+            "extended image)"};
   }
-  if (header.n != ws.size()) {
-    return LoadFail(error, LoadErrorCode::kTextMismatch,
-                    "index was saved over a text of different length");
+  if (ws != nullptr && header.n != ws->size()) {
+    return {LoadErrorCode::kTextMismatch,
+            "index was saved over a text of different length"};
   }
   if (header.kind >= kNumGlobalUtilityKinds) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "invalid utility kind byte");
+    return {LoadErrorCode::kCorrupt, "invalid utility kind byte"};
   }
   if (header.miner >= kNumUsiMiners) {
-    return LoadFail(error, LoadErrorCode::kCorrupt, "invalid miner byte");
+    return {LoadErrorCode::kCorrupt, "invalid miner byte"};
   }
   if (!KarpRabinHasher::IsValidBase(header.base)) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "invalid Karp-Rabin base");
+    return {LoadErrorCode::kCorrupt, "invalid Karp-Rabin base"};
   }
   // Host-layout guard: a slot written with a different value layout (or a
   // different index_t width, checked via the SA section length below) must
   // not be reinterpreted.
   if (header.slot_bytes != sizeof(Slot)) {
-    return LoadFail(error, LoadErrorCode::kHostMismatch,
-                    "table slot layout differs from this host");
+    return {LoadErrorCode::kHostMismatch,
+            "table slot layout differs from this host"};
   }
   // Same invariants AdoptView asserts, but as load failures: a corrupt
   // capacity/size pair must reject the file, not abort the process.
   const u64 capacity = header.table_capacity;
-  if (capacity < Table::kMinCapacity ||
-      (capacity & (capacity - 1)) != 0 ||
+  if (capacity < Table::kMinCapacity || (capacity & (capacity - 1)) != 0 ||
       header.table_size * Table::kMaxLoadDen > capacity * Table::kMaxLoadNum) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "invalid table capacity/size pair");
+    return {LoadErrorCode::kCorrupt, "invalid table capacity/size pair"};
   }
   const u64 expected_lengths[kNumSections] = {
       static_cast<u64>(header.n) * sizeof(index_t),
@@ -546,42 +541,36 @@ std::unique_ptr<UsiIndex> UsiIndex::ParseImage(
     if (section.id != s || section.offset != expected_offset ||
         section.length != expected_lengths[s] ||
         section.offset + section.length > header.file_bytes) {
-      return LoadFail(error, LoadErrorCode::kCorrupt,
-                      "section directory geometry mismatch");
+      return {LoadErrorCode::kCorrupt, "section directory geometry mismatch"};
     }
     expected_offset = AlignUp(expected_offset + section.length);
   }
   const u64 core_end = header.sections[kNumSections - 1].offset +
                        header.sections[kNumSections - 1].length;
 
-  // Learned-model extension entry, read from the header slack. Legacy
-  // writers zero-padded the slack, so ext_magic == 0 cleanly means "no
-  // learned section". A nonzero entry that fails ANY check rejects the
-  // file: a present-but-corrupt extension is corruption like any other,
-  // not something to silently serve without.
-  LearnedSectionEntry ext;
-  std::memcpy(&ext, base + sizeof(FileHeader), sizeof(ext));
-  if (ext.ext_magic != 0) {
+  // A nonzero learned entry that fails ANY check rejects the file: a
+  // present-but-corrupt extension is corruption like any other, not
+  // something to silently serve without.
+  const bool learned = ext.ext_magic != 0;
+  if (learned) {
     if (ext.ext_magic != kLearnedMagic) {
-      return LoadFail(error, LoadErrorCode::kCorrupt,
-                      "unknown extension magic in header slack");
+      return {LoadErrorCode::kCorrupt,
+              "unknown extension magic in header slack"};
     }
     if (ext.entry_checksum !=
         Checksum64(&ext, offsetof(LearnedSectionEntry, entry_checksum))) {
-      return LoadFail(error, LoadErrorCode::kCorrupt,
-                      "learned extension entry checksum mismatch");
+      return {LoadErrorCode::kCorrupt,
+              "learned extension entry checksum mismatch"};
     }
     if (ext.offset != AlignUp(core_end) || ext.length == 0 ||
         ext.length > header.file_bytes - ext.offset ||
         ext.offset + ext.length != header.file_bytes) {
-      return LoadFail(error, LoadErrorCode::kCorrupt,
-                      "learned extension geometry mismatch");
+      return {LoadErrorCode::kCorrupt, "learned extension geometry mismatch"};
     }
   } else if (header.file_bytes != core_end) {
     // No extension, yet bytes past the last core section: a doctored or
     // concatenated file, not slack.
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "trailing bytes after last section");
+    return {LoadErrorCode::kCorrupt, "trailing bytes after last section"};
   }
 
   if (verify_payloads) {
@@ -594,25 +583,48 @@ std::unique_ptr<UsiIndex> UsiIndex::ParseImage(
       const SectionEntry& section = header.sections[s];
       if (Checksum64(base + section.offset, section.length) !=
           section.checksum) {
-        return LoadFail(error, LoadErrorCode::kCorrupt,
-                        "section payload checksum mismatch");
+        return {LoadErrorCode::kCorrupt, "section payload checksum mismatch"};
       }
     }
     const auto* sa = reinterpret_cast<const index_t*>(
         base + header.sections[kSuffixArray].offset);
     for (u64 i = 0; i < header.n; ++i) {
       if (sa[i] >= header.n) {
-        return LoadFail(error, LoadErrorCode::kCorrupt,
-                        "suffix-array position out of range");
+        return {LoadErrorCode::kCorrupt, "suffix-array position out of range"};
       }
     }
-    if (ext.ext_magic == kLearnedMagic &&
-        Checksum64(base + ext.offset, ext.length) != ext.checksum) {
-      return LoadFail(error, LoadErrorCode::kCorrupt,
-                      "learned section checksum mismatch");
+    if (learned && Checksum64(base + ext.offset, ext.length) != ext.checksum) {
+      return {LoadErrorCode::kCorrupt, "learned section checksum mismatch"};
     }
   }
 
+  // AdoptView re-validates the learned payload's own header and geometry;
+  // the entry's epsilon/num_segments must agree with the adopted model, or
+  // the file is inconsistent with itself.
+  LearnedSa model;
+  if (learned && (!model.AdoptView(base + ext.offset, ext.length) ||
+                  model.epsilon() != ext.epsilon ||
+                  model.num_segments() != ext.num_segments ||
+                  model.fit_n() != header.n)) {
+    return {LoadErrorCode::kCorrupt,
+            "learned section payload inconsistent with entry"};
+  }
+  if (out != nullptr) out->model = std::move(model);
+  return LoadError{};
+}
+
+std::unique_ptr<UsiIndex> UsiIndex::ParseImage(
+    const WeightedString& ws, std::unique_ptr<MappedFile> image,
+    bool verify_payloads, LoadError* error) {
+  using namespace format_v3;
+  ValidatedImage parsed;
+  LoadError verdict = ValidateImage({image->data(), image->size()}, &ws,
+                                    verify_payloads, &parsed);
+  if (verdict.code != LoadErrorCode::kOk) {
+    return LoadFail(error, verdict.code, std::move(verdict.message));
+  }
+  const FileHeader& header = parsed.header;
+  const u8* const base = image->data();
   std::unique_ptr<UsiIndex> index(new UsiIndex(LoadTag{}, ws));
   index->kind_ = static_cast<GlobalUtilityKind>(header.kind);
   index->miner_ = static_cast<UsiMiner>(header.miner);
@@ -633,23 +645,14 @@ std::unique_ptr<UsiIndex> UsiIndex::ParseImage(
       static_cast<index_t>(header.n));
   index->table_.AdoptView(
       base + header.sections[kTableCtrl].offset,
-      reinterpret_cast<const Slot*>(base +
-                                    header.sections[kTableSlots].offset),
-      capacity, header.table_size);
+      reinterpret_cast<const FingerprintTable<TableValue>::Slot*>(
+          base + header.sections[kTableSlots].offset),
+      header.table_capacity, header.table_size);
   index->fallback_ = ExhaustiveQueryEngine(ws.text(), index->sa_span_,
                                            index->psw_, index->kind_);
-  if (ext.ext_magic == kLearnedMagic) {
-    // The payload is served in place (AdoptView) — the caller's backing
-    // outlives the model. AdoptView re-validates the payload's own header
-    // and geometry; the entry's epsilon/num_segments must agree with the
-    // adopted model, or the file is inconsistent with itself.
-    if (!index->learned_.AdoptView(base + ext.offset, ext.length) ||
-        index->learned_.epsilon() != ext.epsilon ||
-        index->learned_.num_segments() != ext.num_segments ||
-        index->learned_.fit_n() != header.n) {
-      return LoadFail(error, LoadErrorCode::kCorrupt,
-                      "learned section payload inconsistent with entry");
-    }
+  // The learned payload is served in place — the image outlives the model.
+  if (!parsed.model.empty()) {
+    index->learned_ = std::move(parsed.model);
     index->fallback_.AttachLearned(&index->learned_);
   }
   index->image_ = std::move(image);

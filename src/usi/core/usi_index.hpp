@@ -154,25 +154,12 @@ class UsiIndex : public QueryEngine {
   bool SaveToFile(const std::string& path, IndexFileFormat format,
                   const SaveOptions& save_options) const;
 
-  /// Deep-verification knob for OpenMapped.
-  struct OpenOptions {
-    /// Also checksum every section payload and range-check the SA (one
-    /// sequential O(file) pass) before serving. Off by default — the
-    /// atomic publish protocol guarantees a published file is a complete
-    /// image, so open stays near-zero; turn on for files from untrusted
-    /// transport.
-    bool deep_verify = false;
-  };
-
-  /// Opens a kV3Mapped file by mmap: header + section-directory validation
-  /// and pointer fixup only — no array is read until queries touch it
-  /// (demand paging), and the page cache is shared across processes serving
-  /// the same file. The mapping lives inside the returned index. Returns
-  /// nullptr on I/O failure, format/host mismatch, a corrupt header or
-  /// directory, or if \p ws has a different length than the saved index.
-  static std::unique_ptr<UsiIndex> OpenMapped(const WeightedString& ws,
-                                              const std::string& path,
-                                              const OpenOptions& options);
+  /// Opens a kV3Mapped file by mmap: the shallow ValidateImage (O(1): header,
+  /// section directory and learned entry, no payload read) and pointer
+  /// fixup only — no array is read until queries touch it (demand paging),
+  /// and the page cache is shared across processes serving the same file.
+  /// The mapping lives inside the returned index. Returns nullptr on I/O
+  /// failure or any ValidateImage refusal. A verified open is LoadFromFile.
   static std::unique_ptr<UsiIndex> OpenMapped(const WeightedString& ws,
                                               const std::string& path);
 
@@ -180,17 +167,15 @@ class UsiIndex : public QueryEngine {
   /// written: kOk on success). \p error may be null.
   static std::unique_ptr<UsiIndex> OpenMapped(const WeightedString& ws,
                                               const std::string& path,
-                                              const OpenOptions& options,
                                               LoadError* error);
 
   /// Heap-read open of a v3 image saved over the same weighted string: the
-  /// file is read into one owned, 64-byte-aligned buffer, every section
-  /// payload (the learned one too) is checksummed and the SA range-checked,
-  /// then the same header/directory validation and pointer fixup as
-  /// OpenMapped runs over the buffer. The result is not mapped (IsMapped()
-  /// is false): truncating the file later cannot fault it. Returns nullptr
-  /// on I/O failure, a format mismatch, any corrupt byte, or if \p ws has a
-  /// different length than the saved index.
+  /// file is read into one owned, 64-byte-aligned buffer, the verifying
+  /// ValidateImage runs over it (every section payload, the learned one
+  /// too, is checksummed and the SA range-checked), then the same pointer
+  /// fixup as OpenMapped. The result is not mapped (IsMapped() is false):
+  /// truncating the file later cannot fault it. Returns nullptr on I/O
+  /// failure or any ValidateImage refusal.
   static std::unique_ptr<UsiIndex> LoadFromFile(const WeightedString& ws,
                                                 const std::string& path);
 
@@ -199,6 +184,38 @@ class UsiIndex : public QueryEngine {
   static std::unique_ptr<UsiIndex> LoadFromFile(const WeightedString& ws,
                                                 const std::string& path,
                                                 LoadError* error);
+
+  /// What ValidateImage read out of an image. header and learned are
+  /// copied as soon as the image is long enough to hold them (whatever the
+  /// verdict, so usi_inspect can dump a refused file); model is set only on
+  /// kOk, viewing the learned payload (empty when the image has none).
+  struct ValidatedImage {
+    format_v3::FileHeader header;
+    format_v3::LearnedSectionEntry learned;  ///< ext_magic 0: absent.
+    LearnedSa model;
+  };
+
+  /// The v3 validity rules, the only copy: OpenMapped runs them shallow,
+  /// LoadFromFile verifying, and `usi_inspect info` prints their verdict.
+  /// In order, each failure with its code:
+  ///  * a header-sized file with the v3 magic and version (kBadFormat);
+  ///  * the header checksum, then file_bytes == image size (kCorrupt);
+  ///  * the text length, when \p ws is non-null (kTextMismatch);
+  ///  * the kind, miner and Karp-Rabin base (kCorrupt);
+  ///  * slot_bytes (kHostMismatch), then the table capacity/size pair and
+  ///    the section-directory geometry (kCorrupt);
+  ///  * the learned extension entry — magic, entry checksum and geometry —
+  ///    or, without one, no bytes past the last section (kCorrupt);
+  ///  * with \p verify_payloads, every payload checksum and the SA range
+  ///    scan (kCorrupt): one sequential O(file) pass;
+  ///  * the learned payload adopts, and its epsilon, segment count and fit
+  ///    length match the entry and header (kCorrupt).
+  /// Without \p verify_payloads every check is O(1). Returns the first
+  /// failure, or kOk. \p image must be 64-byte aligned (a mapping or a
+  /// MappedFile heap buffer) and outlive \p out->model; \p out may be null.
+  static LoadError ValidateImage(std::span<const u8> image,
+                                 const WeightedString* ws,
+                                 bool verify_payloads, ValidatedImage* out);
 
   /// Answers U(P): hash-table hit in O(m), otherwise SA + PSW fallback.
   /// Safe to call concurrently (the index is immutable after construction).
@@ -291,10 +308,9 @@ class UsiIndex : public QueryEngine {
 
   bool SaveV3Body(BinaryWriter& writer, const SaveOptions& save_options) const;
 
-  /// Shared body of OpenMapped and LoadFromFile: validates the v3 header
-  /// and section directory of \p image, with \p verify_payloads also
-  /// checksums every payload and range-checks the SA, and returns an index
-  /// whose structures view the image (which it takes ownership of).
+  /// Shared body of OpenMapped and LoadFromFile: ValidateImage over \p image
+  /// (verifying payloads when \p verify_payloads), then pointer fixup into
+  /// an index whose structures view the image (which it takes ownership of).
   static std::unique_ptr<UsiIndex> ParseImage(
       const WeightedString& ws, std::unique_ptr<MappedFile> image,
       bool verify_payloads, LoadError* error);

@@ -142,14 +142,6 @@ class UsiService {
                              UsiBatchStats* stats = nullptr,
                              const UsiBatchOptions& batch_options = {});
 
-  /// Single-query passthrough.
-  QueryResult Query(std::span<const Symbol> pattern) {
-    return engine_->Query(pattern);
-  }
-
-  /// The engine being served.
-  QueryEngine& engine() { return *engine_; }
-
   /// Worker threads available for fan-out (1 = sequential serving).
   unsigned threads() const;
 

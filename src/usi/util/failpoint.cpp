@@ -1,6 +1,5 @@
 #include "usi/util/failpoint.hpp"
 
-#include <algorithm>
 #include <map>
 #include <mutex>
 
@@ -83,26 +82,6 @@ class Registry {
     sites_.emplace(site->name(), site);
     return *site;
   }
-
-  int ApplyString(std::string_view text) {
-    int armed = 0;
-    std::lock_guard<std::mutex> lock(mu_);
-    while (!text.empty()) {
-      const std::size_t sep = text.find(';');
-      std::string_view clause = text.substr(0, sep);
-      text = sep == std::string_view::npos ? std::string_view{}
-                                           : text.substr(sep + 1);
-      const std::size_t eq = clause.find('=');
-      if (eq == std::string_view::npos || eq == 0) continue;
-      Spec spec;
-      if (!ParseSpec(clause.substr(eq + 1), &spec)) continue;
-      ArmSite(GetSiteLocked(clause.substr(0, eq)), spec);
-      ++armed;
-    }
-    return armed;
-  }
-
-  friend int failpoint::ArmFromString(std::string_view text);
 
   std::mutex mu_;  ///< Guards sites_ (the map, not the Sites themselves).
   std::map<std::string, Site*, std::less<>> sites_;
@@ -191,53 +170,6 @@ u64 FireCount(std::string_view site) {
 
 std::vector<std::string> SiteNames() {
   return Registry::Instance().Names();
-}
-
-bool ParseSpec(std::string_view text, Spec* spec) {
-  const std::size_t mod = text.find_first_of("@*%");
-  const std::string_view action = text.substr(0, mod);
-  Spec parsed;
-  if (action == "off") {
-    parsed.action = Action::kOff;
-  } else if (action == "error") {
-    parsed.action = Action::kError;
-  } else if (action == "throw") {
-    parsed.action = Action::kThrow;
-  } else if (action == "badalloc") {
-    parsed.action = Action::kBadAlloc;
-  } else {
-    return false;
-  }
-  std::string_view rest =
-      mod == std::string_view::npos ? std::string_view{} : text.substr(mod);
-  while (!rest.empty()) {
-    const char key = rest.front();
-    rest.remove_prefix(1);
-    u64 value = 0;
-    std::size_t digits = 0;
-    while (digits < rest.size() && rest[digits] >= '0' &&
-           rest[digits] <= '9') {
-      value = value * 10 + static_cast<u64>(rest[digits] - '0');
-      ++digits;
-    }
-    if (digits == 0) return false;
-    rest.remove_prefix(digits);
-    switch (key) {
-      case '@': parsed.skip = value; break;
-      case '*': parsed.fires = value; break;
-      case '%':
-        if (value > 100) return false;
-        parsed.percent = static_cast<u32>(value);
-        break;
-      default: return false;
-    }
-  }
-  *spec = parsed;
-  return true;
-}
-
-int ArmFromString(std::string_view text) {
-  return Registry::Instance().ApplyString(text);
 }
 
 }  // namespace failpoint

@@ -23,9 +23,8 @@
 /// site sits at batch, shard, stage or call granularity, never per symbol.
 ///
 /// \par Arming
-/// Only in-process: Arm("site", Action::kThrow) — with optional skip-N /
-/// fire-at-most-N / percent controls (Spec) — or ArmFromString with a spec
-/// string (`name=action[@skip][*fires][%percent];...`). Nothing reads the
+/// Only in-process: Arm("site", Action::kThrow), or Arm("site", spec) with
+/// the skip-N / fire-at-most-N / percent controls of Spec. Nothing reads the
 /// environment, so a deployment's environment cannot inject faults into a
 /// serving process. Firing decisions are deterministic: counters plus a
 /// fixed-seed splitmix64 stream for percent draws, so an armed run replays
@@ -130,15 +129,6 @@ u64 FireCount(std::string_view site);
 /// or Arm), sorted. Powers the docs' failpoint catalog
 /// cross-check and `usi_inspect failpoints`.
 std::vector<std::string> SiteNames();
-
-/// Parses one arming clause — `action[@skip][*fires][%percent]`, e.g.
-/// "throw", "error*2", "badalloc@1", "error%25" — into \p spec. Returns
-/// false (spec untouched) on malformed input. Exposed for tests.
-bool ParseSpec(std::string_view text, Spec* spec);
-
-/// Applies a full arming string: `site=spec[;site=spec...]`. Returns the
-/// number of sites armed; malformed clauses are skipped.
-int ArmFromString(std::string_view text);
 
 }  // namespace failpoint
 }  // namespace usi

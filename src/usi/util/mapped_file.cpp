@@ -148,11 +148,18 @@ std::unique_ptr<MappedFile> MappedFile::OpenReadOnly(const std::string& path,
     ::close(fd);
     return nullptr;
   }
-  if (!S_ISREG(st.st_mode) || st.st_size <= 0) {
+  if (!S_ISREG(st.st_mode)) {
     ::close(fd);
     return nullptr;
   }
   const auto size = static_cast<std::size_t>(st.st_size);
+  if (size == 0) {
+    // Nothing to map: the same empty image ReadIntoMemory yields, so a
+    // caller refuses an empty file by its (absent) contents either way.
+    ::close(fd);
+    return std::unique_ptr<MappedFile>(
+        new MappedFile(nullptr, 0, /*mapped=*/false));
+  }
   void* const addr = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
   // The mapping holds its own reference to the file; the descriptor is not
   // needed past this point (and keeping it would leak fds per open index).

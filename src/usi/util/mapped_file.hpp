@@ -50,11 +50,12 @@ namespace usi {
 class MappedFile {
  public:
   /// Maps \p path read-only (MAP_SHARED, so identical pages are shared with
-  /// every other process mapping the same file). Returns nullptr on open,
-  /// stat, or mmap failure — including for empty files, which have nothing
-  /// to map. \p out_errno, when non-null, receives the errno of a failed
-  /// open/stat (0 for non-syscall failures like an empty file), so callers
-  /// can distinguish a missing file from an unreadable one.
+  /// every other process mapping the same file). An empty file has nothing
+  /// to map and yields an empty, unmapped image, as ReadIntoMemory does.
+  /// Returns nullptr on open, stat, or mmap failure, or for a non-regular
+  /// file. \p out_errno, when non-null, receives the errno of a failed
+  /// open/stat (0 for other failures), so callers can distinguish a missing
+  /// file from an unreadable one.
   static std::unique_ptr<MappedFile> OpenReadOnly(const std::string& path,
                                                   int* out_errno = nullptr);
 

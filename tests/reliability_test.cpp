@@ -196,63 +196,8 @@ TEST_F(ReliabilityTest, LoadErrorCodeNamesAreDistinct) {
 }
 
 // ---------------------------------------------------------------------------
-// Failpoint registry semantics (ParseSpec / arming / deterministic firing).
+// Failpoint registry semantics (arming / deterministic firing).
 // These drive Site::Evaluate directly, without a library path around it.
-
-TEST_F(ReliabilityTest, ParseSpecAcceptsEveryForm) {
-  using failpoint::Action;
-  using failpoint::ParseSpec;
-  using failpoint::Spec;
-  Spec spec;
-  ASSERT_TRUE(ParseSpec("throw", &spec));
-  EXPECT_EQ(spec.action, Action::kThrow);
-  EXPECT_EQ(spec.skip, 0u);
-  EXPECT_EQ(spec.fires, 0u);
-  EXPECT_EQ(spec.percent, 100u);
-
-  ASSERT_TRUE(ParseSpec("error*2", &spec));
-  EXPECT_EQ(spec.action, Action::kError);
-  EXPECT_EQ(spec.fires, 2u);
-
-  ASSERT_TRUE(ParseSpec("badalloc@1", &spec));
-  EXPECT_EQ(spec.action, Action::kBadAlloc);
-  EXPECT_EQ(spec.skip, 1u);
-
-  ASSERT_TRUE(ParseSpec("error%25", &spec));
-  EXPECT_EQ(spec.percent, 25u);
-
-  ASSERT_TRUE(ParseSpec("throw@2*3%50", &spec));
-  EXPECT_EQ(spec.action, Action::kThrow);
-  EXPECT_EQ(spec.skip, 2u);
-  EXPECT_EQ(spec.fires, 3u);
-  EXPECT_EQ(spec.percent, 50u);
-
-  ASSERT_TRUE(ParseSpec("off", &spec));
-  EXPECT_EQ(spec.action, Action::kOff);
-}
-
-TEST_F(ReliabilityTest, ParseSpecRejectsMalformedInput) {
-  using failpoint::ParseSpec;
-  using failpoint::Spec;
-  Spec spec;
-  spec.skip = 7;  // Sentinel: a failed parse must leave the spec untouched.
-  EXPECT_FALSE(ParseSpec("", &spec));
-  EXPECT_FALSE(ParseSpec("bogus", &spec));
-  EXPECT_FALSE(ParseSpec("error%", &spec));
-  EXPECT_FALSE(ParseSpec("error%999", &spec));
-  EXPECT_FALSE(ParseSpec("throw@", &spec));
-  EXPECT_FALSE(ParseSpec("throw*x", &spec));
-  EXPECT_EQ(spec.skip, 7u);
-}
-
-TEST_F(ReliabilityTest, ArmFromStringArmsWellFormedClausesOnly) {
-  const int armed = failpoint::ArmFromString(
-      "reliab.a=throw;reliab.b=error*1;junkclause;reliab.c=nonsense");
-  EXPECT_EQ(armed, 2);
-  const std::vector<std::string> names = failpoint::SiteNames();
-  EXPECT_NE(std::find(names.begin(), names.end(), "reliab.a"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "reliab.b"), names.end());
-}
 
 TEST_F(ReliabilityTest, SkipAndFiresControlWhenASiteFires) {
   using failpoint::Action;
@@ -320,7 +265,7 @@ TEST_F(ReliabilityTest, LoadErrorsAreTyped) {
   EXPECT_NE(UsiIndex::LoadFromFile(ws, v3, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kOk);
   EXPECT_TRUE(error.message.empty());
-  EXPECT_NE(UsiIndex::OpenMapped(ws, v3, {}, &error), nullptr);
+  EXPECT_NE(UsiIndex::OpenMapped(ws, v3, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kOk);
 
   // Missing file.
@@ -346,14 +291,14 @@ TEST_F(ReliabilityTest, LoadErrorsAreTyped) {
     std::ofstream out(junk, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  EXPECT_EQ(UsiIndex::OpenMapped(ws, junk, {}, &error), nullptr);
+  EXPECT_EQ(UsiIndex::OpenMapped(ws, junk, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kCorrupt);
   EXPECT_EQ(UsiIndex::LoadFromFile(ws, junk, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kCorrupt);
 
   // Built over a different text.
   const WeightedString other = RandomWeighted(2100, 8, 12);
-  EXPECT_EQ(UsiIndex::OpenMapped(other, v3, {}, &error), nullptr);
+  EXPECT_EQ(UsiIndex::OpenMapped(other, v3, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kTextMismatch);
   EXPECT_EQ(UsiIndex::LoadFromFile(other, v3, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kTextMismatch);
@@ -374,9 +319,9 @@ TEST_F(ReliabilityTest, LoadFailpointsInjectIoErrors) {
 
   LoadError error;
   failpoint::Arm("open.mapped", failpoint::Action::kError, /*fires=*/1);
-  EXPECT_EQ(UsiIndex::OpenMapped(ws, v3, {}, &error), nullptr);
+  EXPECT_EQ(UsiIndex::OpenMapped(ws, v3, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kIo);
-  EXPECT_NE(UsiIndex::OpenMapped(ws, v3, {}, &error), nullptr)
+  EXPECT_NE(UsiIndex::OpenMapped(ws, v3, &error), nullptr)
       << "fire budget exhausted: the next open must succeed";
 
   failpoint::Arm("load.heap", failpoint::Action::kError, /*fires=*/1);

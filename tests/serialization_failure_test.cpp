@@ -1,10 +1,10 @@
 // Serialization failure modes of the v3 image, through both ways of opening
 // it: the heap read (LoadFromFile, every payload checksummed) and the mapped
-// open (OpenMapped, header + directory only unless deep_verify). Both must
+// open (OpenMapped, header + directory + learned entry only). Both must
 // return nullptr — never crash, never return a half-initialized index — on
 // truncated or extended files, corrupted headers and section directories,
-// corrupt payloads (the heap read always, the mapped open under deep
-// verification), and a weighted string whose length does not match the
+// corrupt payloads (the heap read; the shallow mapped open never reads
+// them), and a weighted string whose length does not match the
 // saved index. The crash-injection suite at the bottom SIGKILLs real saves
 // mid-flight and requires the atomic publish protocol to keep the published
 // path loadable.
@@ -116,9 +116,6 @@ TEST_F(SerializationFailureTest, IntactFileOpensBothWays) {
   std::unique_ptr<UsiIndex> mapped = UsiIndex::OpenMapped(ws_, path_);
   ASSERT_NE(mapped, nullptr);
   EXPECT_TRUE(mapped->IsMapped());
-  UsiIndex::OpenOptions deep;
-  deep.deep_verify = true;
-  EXPECT_NE(UsiIndex::OpenMapped(ws_, path_, deep), nullptr);
   LoadError error;
   std::unique_ptr<UsiIndex> heap = UsiIndex::LoadFromFile(ws_, path_, &error);
   ASSERT_NE(heap, nullptr);
@@ -291,10 +288,7 @@ TEST_F(SerializationFailureTest, FlippedPayloadByteIsCorrupt) {
   // Flip one byte in the middle of each payload, the learned one included.
   // The shallow mapped open accepts it (payloads are not read at open —
   // that is the near-zero-open contract; crash safety comes from atomic
-  // publish, not checksums), but the heap read and deep_verify must reject
-  // every one.
-  UsiIndex::OpenOptions deep;
-  deep.deep_verify = true;
+  // publish, not checksums), but the heap read must reject every one.
   for (const auto& [offset, length] : Payloads()) {
     std::vector<char> mutated = bytes_;
     const std::size_t target = offset + length / 2;
@@ -302,8 +296,6 @@ TEST_F(SerializationFailureTest, FlippedPayloadByteIsCorrupt) {
     WriteAll(mutated_path_, mutated);
     EXPECT_NE(UsiIndex::OpenMapped(ws_, mutated_path_), nullptr)
         << "shallow open, payload at " << offset;
-    EXPECT_EQ(UsiIndex::OpenMapped(ws_, mutated_path_, deep), nullptr)
-        << "deep verify, payload at " << offset;
     EXPECT_EQ(HeapReadError(), LoadErrorCode::kCorrupt)
         << "heap read, payload at " << offset;
   }
@@ -324,9 +316,6 @@ TEST_F(SerializationFailureTest, OutOfRangeSaElementIsCorrupt) {
     std::memcpy(mutated.data(), &bad, sizeof(bad));
     ResealHeaderChecksum(&mutated);
     WriteAll(mutated_path_, mutated);
-    UsiIndex::OpenOptions deep;
-    deep.deep_verify = true;
-    EXPECT_EQ(UsiIndex::OpenMapped(ws_, mutated_path_, deep), nullptr);
     EXPECT_EQ(HeapReadError(), LoadErrorCode::kCorrupt) << "sa[0] = " << bad_pos;
   }
 }

@@ -1,13 +1,14 @@
 // usi_inspect — operator tooling for persisted UsiIndex files.
 //
 //   usi_inspect info <file> [--deep]
-//       Dumps the header and section directory of a v3 index file and
-//       validates it: magic/version, header checksum, directory geometry,
-//       exact file size. --deep also re-checksums every section payload.
-//       Valid files additionally get the degraded-tier block: the per-text
-//       tier UsiMultiService attaches at registration (cache capacity and
-//       hit rate, sketch width/depth/epsilon, learned mass, footprint).
-//       Exit 0 = valid, 1 = corrupt/unreadable.
+//       Dumps the header and section directory of a v3 index file, then
+//       prints the typed verdict of UsiIndex::ValidateImage — the checks
+//       OpenMapped runs (every rule but the text length, which needs the
+//       weighted string). --deep also verifies every payload, as
+//       LoadFromFile does. Valid files additionally get the degraded-tier
+//       block: the per-text tier UsiMultiService attaches at registration
+//       (cache capacity and hit rate, sketch width/depth/epsilon, learned
+//       mass, footprint). Exit 0 = valid, 1 = refused/unreadable.
 //
 //   usi_inspect convert <in> <out>
 //                       (--dataset NAME [--n N] | --text FILE [--seed S])
@@ -21,7 +22,10 @@
 //
 //   usi_inspect selftest
 //       End-to-end check run by CTest: builds a small index, saves it,
-//       validates it through the info path, re-saves it through convert,
+//       validates it through the info path (which must label a kMin index
+//       "min", refuse six resealed header mutants with the code
+//       LoadFromFile reports, and refuse a flipped payload byte under
+//       --deep), re-saves it through convert,
 //       verifies the re-save is byte-identical, that the heap read is not
 //       mapped, and that every way of opening answers like the build, and
 //       drives the degraded tier (exact batches feed it, the
@@ -59,15 +63,6 @@ int Usage() {
       "  usi_inspect failpoints\n"
       "  usi_inspect selftest\n");
   return 2;
-}
-
-const char* KindName(u8 kind) {
-  switch (kind) {
-    case 0: return "sum";
-    case 1: return "max";
-    case 2: return "count";
-    default: return "?";
-  }
 }
 
 const char* MinerName(u8 miner) {
@@ -121,128 +116,83 @@ void PrintUpdateTier(const UsiTextStats& s) {
               static_cast<unsigned long long>(s.delta->epoch));
 }
 
-/// Prints a failure verdict tagged with the typed load-error code the
-/// loaders would report for the same refusal, then returns exit code 1.
-int Reject(LoadErrorCode code, const char* detail) {
-  std::printf("verdict:       REJECTED [%s] %s\n", LoadErrorCodeName(code),
-              detail);
-  return 1;
-}
-
-/// info: print the full header + directory, then validate exactly what
-/// OpenMapped validates (sans the text-length check, which needs the
-/// weighted string). Returns process exit code.
-int InfoImage(const std::string& path, bool deep) {
+/// info: prints the header and section directory to \p out, then the typed
+/// verdict of UsiIndex::ValidateImage — the checks OpenMapped runs, or with
+/// \p deep the payload-verifying ones LoadFromFile runs. There is no
+/// weighted string, so the text-length check is the one rule skipped.
+/// Returns the process exit code: 0 valid, 1 refused or unreadable.
+int InfoImage(const std::string& path, bool deep, std::FILE* out) {
   using namespace format_v3;
   const std::unique_ptr<MappedFile> mapping = MappedFile::OpenReadOnly(path);
-  if (mapping == nullptr || mapping->size() < sizeof(FileHeader)) {
-    std::fprintf(stderr, "error: cannot map %s (or too small)\n",
-                 path.c_str());
+  if (mapping == nullptr) {
+    std::fprintf(stderr, "error: cannot map %s\n", path.c_str());
     return 1;
   }
-  FileHeader header;
-  std::memcpy(&header, mapping->data(), sizeof(header));
-  if (header.magic != kMagic || header.version != kVersion) {
-    std::fprintf(stderr, "error: %s is not a v3 UsiIndex file (magic 0x%08X, "
-                 "version %u)\n", path.c_str(), header.magic, header.version);
-    return Reject(LoadErrorCode::kBadFormat, "(magic/version mismatch)");
-  }
-
-  std::printf("format:        v3 mapped (magic 0x%08X, version %u)\n",
-              header.magic, header.version);
-  std::printf("file_bytes:    %llu\n",
-              static_cast<unsigned long long>(header.file_bytes));
-  std::printf("n:             %u\n", header.n);
-  std::printf("utility kind:  %s\n", KindName(header.kind));
-  std::printf("miner:         %s\n", MinerName(header.miner));
-  std::printf("kr base:       0x%llX\n",
-              static_cast<unsigned long long>(header.base));
-  std::printf("K:             %llu\n", static_cast<unsigned long long>(header.k));
-  std::printf("tau_K:         %u\n", header.tau_k);
-  std::printf("num_lengths:   %u\n", header.num_lengths);
-  std::printf("table:         %llu entries in %llu slots (%llu B/slot)\n",
-              static_cast<unsigned long long>(header.table_size),
-              static_cast<unsigned long long>(header.table_capacity),
-              static_cast<unsigned long long>(header.slot_bytes));
-  std::printf("sections:\n");
-  std::printf("  %-14s %12s %12s  %s\n", "id", "offset", "length", "checksum");
-  for (std::size_t s = 0; s < kNumSections; ++s) {
-    const SectionEntry& section = header.sections[s];
-    std::printf("  %-14s %12llu %12llu  %016llX\n", SectionName(section.id),
-                static_cast<unsigned long long>(section.offset),
-                static_cast<unsigned long long>(section.length),
-                static_cast<unsigned long long>(section.checksum));
-  }
-  LearnedSectionEntry ext;
-  std::memcpy(&ext, mapping->data() + sizeof(FileHeader), sizeof(ext));
-  if (ext.ext_magic == 0) {
-    std::printf("learned:       absent (misses answered by plain binary "
-                "search)\n");
-  } else {
-    std::printf("learned:       present (epsilon %u, %llu segments, %llu B "
-                "at offset %llu)\n",
-                ext.epsilon, static_cast<unsigned long long>(ext.num_segments),
-                static_cast<unsigned long long>(ext.length),
-                static_cast<unsigned long long>(ext.offset));
-  }
-
-  // Validation, mirroring OpenMapped's order and severity.
-  if (header.header_checksum !=
-      Checksum64(&header, offsetof(FileHeader, header_checksum))) {
-    return Reject(LoadErrorCode::kCorrupt, "(header checksum mismatch)");
-  }
-  if (header.file_bytes != mapping->size()) {
-    std::printf("file is %zu bytes, header pins %llu\n", mapping->size(),
-                static_cast<unsigned long long>(header.file_bytes));
-    return Reject(LoadErrorCode::kCorrupt, "(truncated or extended image)");
-  }
-  u64 expected_offset = kFirstSectionOffset;
-  for (std::size_t s = 0; s < kNumSections; ++s) {
-    const SectionEntry& section = header.sections[s];
-    if (section.id != s || section.offset != expected_offset ||
-        section.offset + section.length > header.file_bytes) {
-      std::printf("section %zu directory entry is inconsistent\n", s);
-      return Reject(LoadErrorCode::kCorrupt, "(section directory)");
+  // Deep verification reads the whole image sequentially.
+  if (deep) mapping->AdviseWillNeed();
+  UsiIndex::ValidatedImage parsed;
+  const LoadError verdict = UsiIndex::ValidateImage(
+      {mapping->data(), mapping->size()}, nullptr, deep, &parsed);
+  if (verdict.code != LoadErrorCode::kBadFormat) {
+    const FileHeader& header = parsed.header;
+    std::fprintf(out, "format:        v3 mapped (magic 0x%08X, version %u)\n",
+                 header.magic, header.version);
+    std::fprintf(out, "file_bytes:    %llu (file is %zu bytes)\n",
+                 static_cast<unsigned long long>(header.file_bytes),
+                 mapping->size());
+    std::fprintf(out, "n:             %u\n", header.n);
+    std::fprintf(out, "utility kind:  %s\n",
+                 GlobalUtilityKindName(
+                     static_cast<GlobalUtilityKind>(header.kind)));
+    std::fprintf(out, "miner:         %s\n", MinerName(header.miner));
+    std::fprintf(out, "kr base:       0x%llX\n",
+                 static_cast<unsigned long long>(header.base));
+    std::fprintf(out, "K:             %llu\n",
+                 static_cast<unsigned long long>(header.k));
+    std::fprintf(out, "tau_K:         %u\n", header.tau_k);
+    std::fprintf(out, "num_lengths:   %u\n", header.num_lengths);
+    std::fprintf(out, "table:         %llu entries in %llu slots (%llu "
+                 "B/slot)\n",
+                 static_cast<unsigned long long>(header.table_size),
+                 static_cast<unsigned long long>(header.table_capacity),
+                 static_cast<unsigned long long>(header.slot_bytes));
+    std::fprintf(out, "sections:\n");
+    std::fprintf(out, "  %-14s %12s %12s  %s\n", "id", "offset", "length",
+                 "checksum");
+    for (const SectionEntry& section : header.sections) {
+      std::fprintf(out, "  %-14s %12llu %12llu  %016llX\n",
+                   SectionName(section.id),
+                   static_cast<unsigned long long>(section.offset),
+                   static_cast<unsigned long long>(section.length),
+                   static_cast<unsigned long long>(section.checksum));
     }
-    expected_offset = AlignUp(section.offset + section.length);
-  }
-  const u64 core_end = header.sections[kNumSections - 1].offset +
-                       header.sections[kNumSections - 1].length;
-  if (ext.ext_magic != 0) {
-    if (ext.ext_magic != kLearnedMagic ||
-        ext.entry_checksum !=
-            Checksum64(&ext, offsetof(LearnedSectionEntry, entry_checksum)) ||
-        ext.offset != AlignUp(core_end) || ext.length == 0 ||
-        ext.offset + ext.length != header.file_bytes) {
-      return Reject(LoadErrorCode::kCorrupt, "(learned extension entry)");
+    const LearnedSectionEntry& ext = parsed.learned;
+    if (ext.ext_magic == 0) {
+      std::fprintf(out, "learned:       absent (misses answered by plain "
+                   "binary search)\n");
+    } else {
+      std::fprintf(out, "learned:       present (epsilon %u, %llu segments, "
+                   "%llu B at offset %llu)\n",
+                   ext.epsilon,
+                   static_cast<unsigned long long>(ext.num_segments),
+                   static_cast<unsigned long long>(ext.length),
+                   static_cast<unsigned long long>(ext.offset));
     }
-  } else if (header.file_bytes != core_end) {
-    return Reject(LoadErrorCode::kCorrupt, "(trailing bytes past last section)");
   }
-  if (deep) {
-    mapping->AdviseWillNeed();
-    for (std::size_t s = 0; s < kNumSections; ++s) {
-      const SectionEntry& section = header.sections[s];
-      if (Checksum64(mapping->data() + section.offset, section.length) !=
-          section.checksum) {
-        std::printf("section %s payload checksum mismatch\n",
-                    SectionName(section.id));
-        return Reject(LoadErrorCode::kCorrupt, "(section payload checksum)");
-      }
-    }
-    if (ext.ext_magic == kLearnedMagic &&
-        Checksum64(mapping->data() + ext.offset, ext.length) != ext.checksum) {
-      return Reject(LoadErrorCode::kCorrupt, "(learned payload checksum)");
-    }
-    std::printf("verdict:       OK (deep: all section payloads verified)\n");
-  } else {
-    std::printf("verdict:       OK (shallow: header + directory verified)\n");
+  if (verdict.code != LoadErrorCode::kOk) {
+    std::fprintf(out, "verdict:       REJECTED [%s] %s\n",
+                 LoadErrorCodeName(verdict.code), verdict.message.c_str());
+    return 1;
   }
+  std::fprintf(out, "verdict:       OK (%s)\n",
+               deep ? "deep: every payload verified"
+                    : "shallow: header, directory and learned entry "
+                      "verified");
   return 0;
 }
 
 int Info(const std::string& path, bool deep) {
-  const int rc = InfoImage(path, deep);
+  const int rc = InfoImage(path, deep, stdout);
   if (rc == 0) {
     // The serving-side companion of the file: the per-text degradation
     // tier UsiMultiService attaches when this index is registered
@@ -338,16 +288,37 @@ std::vector<char> ReadAll(const std::string& path) {
                            std::istreambuf_iterator<char>());
 }
 
+void WriteAll(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream stream(path, std::ios::binary | std::ios::trunc);
+  stream.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Runs InfoImage with its report captured into \p report; returns its exit
+/// code (-1 when no capture stream could be opened).
+int CapturedInfo(const std::string& path, bool deep, std::string* report) {
+  char* buffer = nullptr;
+  std::size_t length = 0;
+  std::FILE* stream = open_memstream(&buffer, &length);
+  if (stream == nullptr) return -1;
+  const int rc = InfoImage(path, deep, stream);
+  std::fclose(stream);
+  report->assign(buffer, length);
+  std::free(buffer);
+  return rc;
+}
+
 int Selftest() {
   const std::string dir = P_tmpdir;
   const std::string v3_path = dir + "/usi_inspect_selftest_v3.bin";
   const std::string rt_path = dir + "/usi_inspect_selftest_rt.bin";
   const std::string nolearn_path = dir + "/usi_inspect_selftest_nolearn.bin";
+  const std::string bad_path = dir + "/usi_inspect_selftest_bad.bin";
   const auto fail = [&](const char* what) {
     std::fprintf(stderr, "selftest FAILED: %s\n", what);
     std::remove(v3_path.c_str());
     std::remove(rt_path.c_str());
     std::remove(nolearn_path.c_str());
+    std::remove(bad_path.c_str());
     return 1;
   };
 
@@ -357,6 +328,82 @@ int Selftest() {
   const UsiIndex index(ws, options);
   if (!index.SaveToFile(v3_path)) return fail("save");
   if (Info(v3_path, /*deep=*/true) != 0) return fail("info");
+
+  // info names the utility kind as GlobalUtilityKindName does: a kMin
+  // index reads "min".
+  {
+    UsiOptions min_options = options;
+    min_options.utility = GlobalUtilityKind::kMin;
+    if (!UsiIndex(ws, min_options).SaveToFile(bad_path)) {
+      return fail("kMin save");
+    }
+    std::string report;
+    if (CapturedInfo(bad_path, /*deep=*/false, &report) != 0 ||
+        report.find("utility kind:  min\n") == std::string::npos) {
+      return fail("info kind label of a kMin index");
+    }
+  }
+
+  // info refuses exactly what the loaders refuse, naming the code
+  // LoadFromFile reports for the same file: resealed header fields (the
+  // checksum is valid, the field checks must catch them), then a flipped
+  // payload byte, which only the payload-verifying --deep pass can see.
+  {
+    using format_v3::FileHeader;
+    const std::vector<char> image = ReadAll(v3_path);
+    FileHeader header;
+    std::memcpy(&header, image.data(), sizeof(header));
+    // Exit 1 with `[name]` in the report, where LoadFromFile says \p code.
+    const auto refused_as = [&](bool deep, LoadErrorCode code) {
+      LoadError heap;
+      UsiIndex::LoadFromFile(ws, bad_path, &heap);
+      std::string report;
+      return heap.code == code && CapturedInfo(bad_path, deep, &report) == 1 &&
+             report.find(std::string("[") + LoadErrorCodeName(code) + "]") !=
+                 std::string::npos;
+    };
+    struct Resealed {
+      const char* what;
+      void (*mutate)(FileHeader&);
+      LoadErrorCode code;
+    };
+    constexpr LoadErrorCode kCorrupt = LoadErrorCode::kCorrupt;
+    const Resealed cases[] = {
+        {"info on kind=4", [](FileHeader& h) { h.kind = 4; }, kCorrupt},
+        {"info on miner=7", [](FileHeader& h) { h.miner = 7; }, kCorrupt},
+        {"info on base=0", [](FileHeader& h) { h.base = 0; }, kCorrupt},
+        {"info on slot_bytes+8", [](FileHeader& h) { h.slot_bytes += 8; },
+         LoadErrorCode::kHostMismatch},
+        {"info on table_capacity+1",
+         [](FileHeader& h) { h.table_capacity += 1; }, kCorrupt},
+        {"info on sections[1].length-8",
+         [](FileHeader& h) { h.sections[1].length -= 8; }, kCorrupt},
+    };
+    for (const Resealed& c : cases) {
+      FileHeader mutated = header;
+      c.mutate(mutated);
+      mutated.header_checksum =
+          Checksum64(&mutated, offsetof(FileHeader, header_checksum));
+      std::vector<char> bytes = image;
+      std::memcpy(bytes.data(), &mutated, sizeof(mutated));
+      WriteAll(bad_path, bytes);
+      if (!refused_as(/*deep=*/false, c.code)) return fail(c.what);
+    }
+    std::vector<char> flipped = image;
+    const format_v3::SectionEntry& sa =
+        header.sections[format_v3::kSuffixArray];
+    const std::size_t target = sa.offset + sa.length / 2;
+    flipped[target] = static_cast<char>(flipped[target] ^ 0x10);
+    WriteAll(bad_path, flipped);
+    std::string report;
+    if (CapturedInfo(bad_path, /*deep=*/false, &report) != 0) {
+      return fail("shallow info reads a payload");
+    }
+    if (!refused_as(/*deep=*/true, LoadErrorCode::kCorrupt)) {
+      return fail("info --deep on a flipped payload byte");
+    }
+    std::remove(bad_path.c_str());
+  }
 
   // A re-save through the verifying heap read lands on the exact original
   // bytes.
