@@ -1,5 +1,5 @@
 // Construction hot-path bench (PR: cache-conscious SA-IS, pool-parallel
-// mining, memory-lean staged builds). Three sections, all best-of-3:
+// mining, memory-lean staged builds). Four sections, all best-of-3:
 //
 //   rss   — staged UsiBuilder peak-RSS table: per-stage VmHWM deltas and the
 //           final peak (runs first: VmHWM is process-monotone, so only the
@@ -11,6 +11,9 @@
 //   mine  — exact-miner statistics build (chunked Kasai LCP + chunked
 //           LCP-interval traversal + radix sort), sequential vs pool at
 //           2/4/hw threads.
+//   table — phase (ii) per text at threads = 1 and K = n/100 (the service
+//           default): table-stage seconds, L_K and sum(occ)/n. The SA sweep
+//           costs O(n + sum(occ)); a per-length window scan cost n * L_K.
 //
 // --json PATH writes machine-readable results (BENCH_build.json in CI).
 
@@ -172,6 +175,41 @@ void MiningSection(const char* name, bench::BenchJson* json) {
   table.Print();
 }
 
+void TableSection(const char* name, bench::BenchJson* json) {
+  const DatasetSpec& spec = DatasetSpecByName(name);
+  const index_t n = bench::ScaledLength(spec);
+  const WeightedString ws = MakeDataset(spec, n);
+  UsiOptions options;  // k = 0: n/100. threads = 1.
+  const u64 k = std::max<u64>(1, n / 100);
+
+  double table_s = 0;
+  index_t num_lengths = 0;
+  for (int r = 0; r < kRepeats; ++r) {
+    const UsiIndex index(ws, options);
+    const UsiBuildInfo& info = index.build_info();
+    if (r == 0 || info.table_seconds < table_s) table_s = info.table_seconds;
+    num_lengths = info.num_lengths;
+  }
+  double occurrences = 0;
+  for (const TopKSubstring& item : SubstringStats(ws.text()).TopK(k).items) {
+    occurrences += item.frequency;
+  }
+  const double occ_per_n = occurrences / static_cast<double>(n);
+
+  TablePrinter table(std::string("Table stage (best of 3, 1 thread) on ") +
+                     name + " (n=" + TablePrinter::Int(n) + ", K=" +
+                     TablePrinter::Int(static_cast<long long>(k)) + ")");
+  table.SetHeader({"table seconds", "L_K", "sum(occ)/n"});
+  table.AddRow({TablePrinter::Num(table_s, 4), TablePrinter::Int(num_lengths),
+                TablePrinter::Num(occ_per_n, 2)});
+  table.Print();
+
+  const std::string section = std::string("table.") + name;
+  json->Add(section, "table_s", table_s, "s");
+  json->Add(section, "num_lengths", num_lengths, "count");
+  json->Add(section, "occ_per_n", occ_per_n, "ratio");
+}
+
 }  // namespace
 }  // namespace usi
 
@@ -204,6 +242,9 @@ int main(int argc, char** argv) {
   json.Add("sa.summary", "geomean_speedup_vs_reference", geomean, "x");
   for (const char* name : {"XML", "HUM"}) {
     usi::MiningSection(name, &json);
+  }
+  for (const char* name : {"HUM", "XML", "ADV"}) {
+    usi::TableSection(name, &json);
   }
 
   if (!args.json_path.empty() &&

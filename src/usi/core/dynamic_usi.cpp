@@ -68,21 +68,24 @@ void DynamicUsi::RefreshTopK() {
   // Recompute the exact top-K (the deferred-cost path the paper describes).
   SubstringStats stats(text_);
   const TopKList mined = stats.TopK(options_.k);
-  const std::vector<index_t>& sa = stats.sa();
 
-  // Insert keys; then one pass per distinct length to accumulate utilities
-  // from the SA intervals (same phase-(ii) idea as the static index, but the
-  // intervals make a window scan unnecessary here).
+  // The static index's phase (ii): one SA sweep over the mined intervals
+  // (ExhaustiveQueryEngine::AggregateIntervals), keyed by fingerprint.
+  std::vector<IntervalItem> items;
+  items.reserve(mined.items.size());
   for (const TopKSubstring& item : mined.items) {
     const index_t start = item.witness;
     const u64 fp = hasher_.SuffixOf(prefix_fps_[start + item.length],
                                     prefix_fps_[start], item.length);
-    TableValue* value = table_.FindOrInsert(PatternKey{fp, item.length},
-                                            TableValue{});
-    for (index_t k = item.lb; k <= item.rb; ++k) {
-      value->acc.Add(psw_.LocalUtility(sa[k], item.length), options_.utility);
-    }
-    tracked_lengths_.push_back(item.length);
+    items.push_back({SaInterval{item.lb, item.rb}, item.length, fp});
+  }
+  std::vector<UtilityAccumulator> sums;
+  ExhaustiveQueryEngine(text_, stats.sa(), psw_, options_.utility)
+      .AggregateIntervals(items, sums);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    table_.FindOrInsert(PatternKey{items[i].tag, items[i].length},
+                        TableValue{sums[i]});
+    tracked_lengths_.push_back(items[i].length);
   }
   std::sort(tracked_lengths_.begin(), tracked_lengths_.end());
   tracked_lengths_.erase(

@@ -10,6 +10,7 @@
 #include "usi/parallel/thread_pool.hpp"
 #include "usi/util/failpoint.hpp"
 #include "usi/util/mapped_file.hpp"
+#include "usi/util/memory.hpp"
 #include "usi/util/timer.hpp"
 
 namespace usi {
@@ -306,10 +307,18 @@ UsiMultiService::~UsiMultiService() {
   // Wait until the build lane has drained and retired: after that no pool
   // task can touch this object's members. (An owned pool additionally joins
   // its workers when destroyed below.)
-  std::unique_lock<std::mutex> lock(build_mu_);
-  build_cv_.wait(lock, [this] {
-    return build_queue_.empty() && build_lanes_active_ == 0;
-  });
+  {
+    std::unique_lock<std::mutex> lock(build_mu_);
+    build_cv_.wait(lock, [this] {
+      return build_queue_.empty() && build_lanes_active_ == 0;
+    });
+  }
+  // Drop every text's generations now rather than in member teardown, and
+  // hand the O(n) arrays they held back to the OS: left in the allocator's
+  // arenas they stay resident, and the next service's builds fill them in a
+  // different order and peak higher. No reader runs during destruction.
+  registry_.clear();
+  ReleaseFreedHeap();
 }
 
 unsigned UsiMultiService::threads() const {

@@ -4,9 +4,9 @@
 #include <utility>
 
 #include "usi/parallel/thread_pool.hpp"
+#include "usi/suffix/sa_search.hpp"
 #include "usi/suffix/suffix_array.hpp"
 #include "usi/topk/substring_stats.hpp"
-#include "usi/util/bit_vector.hpp"
 #include "usi/util/failpoint.hpp"
 #include "usi/util/memory.hpp"
 #include "usi/util/timer.hpp"
@@ -104,11 +104,11 @@ void UsiBuilder::BuildInto(UsiIndex& index) {
   }
   index.build_info_.tau_k = mined.items.empty() ? 0 : tau;
 
-  // Stage "table": phases (ii)+(iii), parallel over distinct lengths.
+  // Stage "table": phases (ii)+(iii), one sequential SA sweep.
   Timer table_timer;
   rss_before = ReadPeakRssBytes();
   USI_FAILPOINT("build.table");
-  PopulateTable(index, mined, pool);
+  PopulateTable(index, mined);
   mined = TopKList{};  // The mined list fed the table; release it now.
   index.build_info_.table_seconds = table_timer.ElapsedSeconds();
   index.build_info_.table_rss_delta_bytes = PeakRssDelta(rss_before);
@@ -153,130 +153,40 @@ void UsiBuilder::BuildInto(UsiIndex& index) {
   index.build_info_.peak_rss_bytes = ReadPeakRssBytes();
 }
 
-void UsiBuilder::PopulateTable(UsiIndex& index, const TopKList& mined,
-                               ThreadPool* pool) {
-  using TableValue = UsiIndex::TableValue;
+void UsiBuilder::PopulateTable(UsiIndex& index, const TopKList& mined) {
   const Text& text = ws_->text();
   const index_t n = ws_->size();
   if (mined.items.empty() || n == 0) return;
 
-  // Group mined substrings by length. stable_sort keeps the (deterministic)
-  // mined order within each group, so every thread count sees identical
-  // groups and identical per-group insertion order.
-  std::vector<const TopKSubstring*> by_length(mined.items.size());
-  for (std::size_t i = 0; i < mined.items.size(); ++i) {
-    by_length[i] = &mined.items[i];
+  // Every mined substring as (SA interval, length), keyed by its
+  // fingerprint. The exact miner hands over its interval; an approximate
+  // witness is located in the SA (its duplicates are dropped by the sweep).
+  std::vector<IntervalItem> items;
+  std::vector<index_t> lengths;
+  items.reserve(mined.items.size());
+  lengths.reserve(mined.items.size());
+  for (const TopKSubstring& item : mined.items) {
+    lengths.push_back(item.length);
+    const std::span<const Symbol> pattern(text.data() + item.witness,
+                                          item.length);
+    const SaInterval interval = item.HasInterval()
+                                    ? SaInterval{item.lb, item.rb}
+                                    : FindSaInterval(text, index.sa_, pattern);
+    items.push_back({interval, item.length, index.hasher_.Hash(pattern)});
   }
-  std::stable_sort(by_length.begin(), by_length.end(),
-                   [](const TopKSubstring* a, const TopKSubstring* b) {
-                     return a->length < b->length;
-                   });
+  std::sort(lengths.begin(), lengths.end());
+  index.build_info_.num_lengths = static_cast<index_t>(
+      std::unique(lengths.begin(), lengths.end()) - lengths.begin());
 
-  struct Group {
-    index_t len;
-    std::size_t begin;  ///< Range into by_length.
-    std::size_t end;
-  };
-  std::vector<Group> groups;
-  for (std::size_t begin = 0; begin < by_length.size();) {
-    const index_t len = by_length[begin]->length;
-    std::size_t end = begin;
-    while (end < by_length.size() && by_length[end]->length == len) ++end;
-    groups.push_back({len, begin, end});
-    begin = end;
-  }
-  index.build_info_.num_lengths = static_cast<index_t>(groups.size());
-
-  const unsigned workers =
-      pool == nullptr
-          ? 1
-          : static_cast<unsigned>(std::min<std::size_t>(pool->thread_count(),
-                                                        groups.size()));
-
-  // Workers share the hasher read-only (Hash, Append and RollingHasher
-  // setup never touch its power table); each gets its own occurrence-mark
-  // bit vector B.
-  const KarpRabinHasher& hasher = index.hasher_;
-  std::vector<BitVector> marks;
-  marks.reserve(std::max(1u, workers));
-  for (unsigned w = 0; w < std::max(1u, workers); ++w) {
-    marks.emplace_back(mined.exact ? n : 0);
-  }
-
-  // Each length group aggregates into a private table; groups touch
-  // disjoint key sets because the length is part of the key.
-  std::vector<FingerprintTable<TableValue>> partials(groups.size());
-  const PrefixSumWeights& psw = index.psw_;
-  const GlobalUtilityKind kind = index.kind_;
-  const std::vector<index_t>& sa = index.sa_;
-
-  ParallelFor(pool, groups.size(), [&](std::size_t g, unsigned worker) {
-    const Group& group = groups[g];
-    const index_t len = group.len;
-    if (len > n || len == 0) return;  // Nothing of this length fits.
-    BitVector& worker_marks = marks[worker];
-    FingerprintTable<TableValue> local(group.end - group.begin);
-
-    if (mined.exact) {
-      // Mark all occurrence starts of this length's substrings in B.
-      for (std::size_t i = group.begin; i < group.end; ++i) {
-        const TopKSubstring& item = *by_length[i];
-        for (index_t k = item.lb; k <= item.rb; ++k) {
-          worker_marks.Set(sa[k]);
-        }
-      }
-    } else {
-      // Approximate miner gives witnesses, not intervals: pre-insert keys
-      // so the window pass below runs in update-only mode.
-      for (std::size_t i = group.begin; i < group.end; ++i) {
-        const TopKSubstring& item = *by_length[i];
-        const u64 fp = hasher.Hash(
-            std::span<const Symbol>(text.data() + item.witness, len));
-        local.FindOrInsert(PatternKey{fp, len}, TableValue{});
-      }
-    }
-
-    // Slide a length-len window over S; O(1) fingerprint and local utility
-    // per position (Section IV, phase (ii)).
-    RollingHasher window(hasher, len);
-    for (index_t i = 0; i + 1 < len && i < n; ++i) window.Push(text[i]);
-    for (index_t i = 0; i + len <= n; ++i) {
-      if (i == 0) {
-        window.Push(text[len - 1]);
-      } else {
-        window.Roll(text[i - 1], text[i + len - 1]);
-      }
-      const PatternKey key{window.Fingerprint(), len};
-      if (mined.exact) {
-        if (!worker_marks.Test(i)) continue;
-        local.FindOrInsert(key, TableValue{})
-            ->Add(psw.LocalUtility(i, len), kind);
-      } else {
-        TableValue* value = local.Find(key);
-        if (value != nullptr) value->Add(psw.LocalUtility(i, len), kind);
-      }
-    }
-
-    if (mined.exact) {
-      // Reset only the bits we set (cheaper than zeroing all of B).
-      for (std::size_t i = group.begin; i < group.end; ++i) {
-        const TopKSubstring& item = *by_length[i];
-        for (index_t k = item.lb; k <= item.rb; ++k) {
-          worker_marks.Clear(sa[k]);
-        }
-      }
-    }
-    partials[g] = std::move(local);
-  });
-
-  // Deterministic merge in increasing-length order. Disjoint key sets make
-  // every per-key (value, count) pair exactly the sequential one, so the
-  // main table's contents — and its canonical serialization — are
-  // independent of the schedule and the thread count.
-  for (FingerprintTable<TableValue>& partial : partials) {
-    partial.ForEach([&](const PatternKey& key, TableValue& value) {
-      index.table_.FindOrInsert(key, value);
-    });
+  // Phase (ii) as one SA-order sweep (utility.hpp): each key folds its
+  // occurrences in SA order, as the miss path does, so a table hit equals
+  // the miss answer bit for bit.
+  std::vector<UtilityAccumulator> sums;
+  ExhaustiveQueryEngine(text, index.sa_, index.psw_, index.kind_)
+      .AggregateIntervals(items, sums);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    index.table_.FindOrInsert(PatternKey{items[i].tag, items[i].length},
+                              sums[i]);
   }
 }
 

@@ -5,22 +5,20 @@
 /// Staged, instrumented construction pipeline for UsiIndex.
 ///
 /// Construction decomposes into explicit stages — "sa" (SA-IS over the
-/// text), "mine" (phase (i) top-K mining), "table" (phase (ii): the
-/// O(n * L_K) sliding-window table population, the dominant cost), "learn"
-/// (the PLA last-mile model fit over the finished SA; learned_sa.hpp) and
-/// "finalize" (fallback wiring). Each stage is timed individually and its
-/// peak-RSS growth recorded; the summary lands in UsiIndex::build_info().
+/// text), "mine" (phase (i) top-K mining), "table" (phase (ii): one
+/// SA-order sweep that aggregates every mined substring's occurrences into
+/// H), "learn" (the PLA last-mile model fit over the finished SA;
+/// learned_sa.hpp) and "finalize" (fallback wiring). Each stage is timed
+/// individually and its peak-RSS growth recorded; the summary lands in
+/// UsiIndex::build_info().
 ///
-/// Every stage runs on the pool when one is given. "sa" parallelizes the
+/// "sa" and "mine" run on the pool when one is given: "sa" parallelizes the
 /// level-0 SA-IS histogram and LMS gathering; "mine" runs chunked Kasai LCP
-/// plus the chunked LCP-interval (ESA) traversal of the exact miner; and
-/// phase (ii) parallelizes over the L_K distinct substring lengths: every
-/// length group runs its own sliding-window pass with thread-confined
-/// scratch (a per-worker copy of the Karp-Rabin hasher and a per-worker
-/// occurrence-mark bit vector) into a private fingerprint table, and the
-/// per-group partials merge into H in increasing-length order. Because the
-/// pattern length is part of every hash key, groups touch disjoint key sets
-/// and each key's accumulation order equals the sequential one — so a
+/// plus the chunked LCP-interval (ESA) traversal of the exact miner. Phase
+/// (ii) is sequential: ExhaustiveQueryEngine::AggregateIntervals walks the
+/// SA once, O(n + sum of occurrences), and folds each key's occurrences in
+/// SA order — the miss path's order, so a table hit equals the miss answer
+/// bit for bit. Every stage's output is independent of the schedule, so a
 /// parallel build serializes byte-identical to a sequential build at any
 /// thread count (the determinism contract tests/parallel_test.cpp and
 /// tests/buildpath_test.cpp pin).
@@ -80,8 +78,9 @@ class UsiBuilder {
   /// BuildTag constructor already initialized).
   void BuildInto(UsiIndex& index);
 
-  /// Phase (ii): parallel-over-lengths table population.
-  void PopulateTable(UsiIndex& index, const TopKList& mined, ThreadPool* pool);
+  /// Phase (ii): fills H from the mined list in one SA sweep, and records
+  /// L_K (the number of distinct mined lengths) in build_info.
+  void PopulateTable(UsiIndex& index, const TopKList& mined);
 
   const WeightedString* ws_;
   UsiOptions options_;

@@ -596,6 +596,32 @@ LoadError UsiIndex::ValidateImage(std::span<const u8> image,
     if (learned && Checksum64(base + ext.offset, ext.length) != ext.checksum) {
       return {LoadErrorCode::kCorrupt, "learned section checksum mismatch"};
     }
+    // Header fields the table payload pins. Both miners emit at most k
+    // items and each stores one key, so table_size <= k; num_lengths counts
+    // the distinct lengths among them. tau_k stays unchecked: an
+    // approximate miner's tau_k is an estimate, and confirming it means
+    // mining the text again, O(occ) at least.
+    if (header.table_size > header.k) {
+      return {LoadErrorCode::kCorrupt, "table size exceeds k"};
+    }
+    const u8* ctrl = base + header.sections[kTableCtrl].offset;
+    const auto* slots = reinterpret_cast<const Slot*>(
+        base + header.sections[kTableSlots].offset);
+    std::vector<u32> lengths;
+    lengths.reserve(header.table_size);
+    for (u64 s = 0; s < capacity; ++s) {
+      if (ctrl[s] != Table::kEmpty) lengths.push_back(slots[s].key.len);
+    }
+    if (lengths.size() != header.table_size) {
+      return {LoadErrorCode::kCorrupt,
+              "occupied table slots differ from header table_size"};
+    }
+    std::sort(lengths.begin(), lengths.end());
+    if (std::unique(lengths.begin(), lengths.end()) - lengths.begin() !=
+        header.num_lengths) {
+      return {LoadErrorCode::kCorrupt,
+              "distinct key lengths differ from header num_lengths"};
+    }
   }
 
   // AdoptView re-validates the learned payload's own header and geometry;

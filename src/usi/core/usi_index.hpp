@@ -19,9 +19,9 @@
 ///    competitive, as Fig. 6 shows.
 ///
 /// Construction runs through the staged UsiBuilder (usi_builder.hpp): SA,
-/// mining, and the phase (ii) table population are instrumented stages, and
-/// phase (ii) parallelizes over distinct lengths when a thread pool is given
-/// — with byte-identical serialized output to a sequential build.
+/// mining, and the phase (ii) table population are instrumented stages; SA
+/// and mining run on a thread pool when one is given — with byte-identical
+/// serialized output to a sequential build.
 
 #include <memory>
 #include <span>
@@ -100,7 +100,7 @@ struct UsiBuildInfo {
   index_t num_lengths = 0;  ///< L_K: distinct lengths among them.
   double sa_seconds = 0;    ///< Stage 1: suffix-array construction.
   double mining_seconds = 0;  ///< Stage 2: phase (i) top-K mining.
-  double table_seconds = 0;  ///< Stage 3: phase (ii) sliding-window tables.
+  double table_seconds = 0;  ///< Stage 3: phase (ii) SA-sweep table fill.
   double learn_seconds = 0;  ///< Stage 4: learned fallback-model fit.
   double total_seconds = 0;
   unsigned threads_used = 1;  ///< Pool width the build ran with.
@@ -207,7 +207,9 @@ class UsiIndex : public QueryEngine {
   ///  * the learned extension entry — magic, entry checksum and geometry —
   ///    or, without one, no bytes past the last section (kCorrupt);
   ///  * with \p verify_payloads, every payload checksum and the SA range
-  ///    scan (kCorrupt): one sequential O(file) pass;
+  ///    scan, then table_size <= k, the occupied ctrl bytes against
+  ///    table_size and the distinct record key lengths against num_lengths
+  ///    (kCorrupt): one sequential O(file) pass;
   ///  * the learned payload adopts, and its epsilon, segment count and fit
   ///    length match the entry and header (kCorrupt).
   /// Without \p verify_payloads every check is O(1). Returns the first

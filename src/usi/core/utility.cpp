@@ -29,22 +29,6 @@ PrefixSumWeights::PrefixSumWeights(const WeightedString& ws) {
   size_ = psw_.size();
 }
 
-void UtilityAccumulator::Add(double local, GlobalUtilityKind kind) {
-  switch (kind) {
-    case GlobalUtilityKind::kSum:
-    case GlobalUtilityKind::kAvg:
-      value += local;
-      break;
-    case GlobalUtilityKind::kMin:
-      value = (count == 0) ? local : std::min(value, local);
-      break;
-    case GlobalUtilityKind::kMax:
-      value = (count == 0) ? local : std::max(value, local);
-      break;
-  }
-  ++count;
-}
-
 double UtilityAccumulator::Finalize(GlobalUtilityKind kind) const {
   if (count == 0) return 0;
   if (kind == GlobalUtilityKind::kAvg) {
@@ -105,6 +89,103 @@ QueryResult ExhaustiveQueryEngine::Aggregate(SaInterval interval,
   result.utility = acc.Finalize(kind);
   result.occurrences = interval.Count();
   return result;
+}
+
+namespace {
+
+/// The AggregateIntervals sweep for one aggregator (a template parameter,
+/// so the per-occurrence fold compiles without the kind switch).
+template <GlobalUtilityKind kKind>
+void SweepIntervals(std::span<const index_t> sa, const double* psw,
+                    std::span<const IntervalItem> items,
+                    std::span<UtilityAccumulator> sums) {
+  // The items containing the current rank, innermost on top. Accumulators
+  // live in the stack entries so the per-rank loop stays on contiguous
+  // memory; they are written back when their interval ends.
+  struct Active {
+    index_t rb;
+    index_t last;  ///< length - 1: the PSW offset of the occurrence end.
+    std::size_t item;
+    UtilityAccumulator sum;
+  };
+  std::vector<Active> active;
+  // Same two leads as VisitSaInterval: the SA stream is sequential, the
+  // PSW read depends on an SA value.
+  constexpr std::size_t kSaLead = 16;
+  constexpr std::size_t kPswLead = 4;
+  const std::size_t n = sa.size();
+  std::size_t next = 0;
+  while (next < items.size()) {
+    // Ranks no item covers are skipped: jump to the next interval start.
+    std::size_t k = items[next].interval.lb;
+    do {
+      for (; next < items.size() && items[next].interval.lb == k; ++next) {
+        const IntervalItem& item = items[next];
+        USI_DCHECK(active.empty() || item.interval.rb <= active.back().rb);
+        active.push_back({item.interval.rb, item.length - 1, next, {}});
+      }
+      if (k + kSaLead < n) __builtin_prefetch(&sa[k + kSaLead]);
+      if (k + kPswLead < n) {
+        const index_t ahead = sa[k + kPswLead];
+        __builtin_prefetch(psw + (ahead == 0 ? 0 : ahead - 1));
+      }
+      // The same expression as PrefixSumWeights::LocalUtility, so every
+      // item's sum matches Aggregate bit for bit.
+      const index_t p = sa[k];
+      const double before = p == 0 ? 0.0 : psw[p - 1];
+      const double* const end = psw + p;
+      for (Active& a : active) a.sum.Add(end[a.last] - before, kKind);
+      ++k;
+      while (!active.empty() && active.back().rb < k) {
+        sums[active.back().item] = active.back().sum;
+        active.pop_back();
+      }
+    } while (!active.empty());
+  }
+}
+
+}  // namespace
+
+void ExhaustiveQueryEngine::AggregateIntervals(
+    std::vector<IntervalItem>& items,
+    std::vector<UtilityAccumulator>& sums) const {
+  USI_CHECK(wired());
+  std::erase_if(items, [](const IntervalItem& item) {
+    return item.interval.IsEmpty() || item.length == 0;
+  });
+  std::sort(items.begin(), items.end(),
+            [](const IntervalItem& a, const IntervalItem& b) {
+              if (a.interval.lb != b.interval.lb) {
+                return a.interval.lb < b.interval.lb;
+              }
+              if (a.interval.rb != b.interval.rb) {
+                return a.interval.rb > b.interval.rb;
+              }
+              return a.length < b.length;
+            });
+  // Same interval and length is the same substring (an approximate miner
+  // may report it twice); its occurrences must be counted once.
+  items.erase(std::unique(items.begin(), items.end(),
+                          [](const IntervalItem& a, const IntervalItem& b) {
+                            return a.interval.lb == b.interval.lb &&
+                                   a.interval.rb == b.interval.rb &&
+                                   a.length == b.length;
+                          }),
+              items.end());
+  sums.assign(items.size(), UtilityAccumulator{});
+  const double* psw = psw_->data();
+  switch (kind_) {
+    case GlobalUtilityKind::kSum:
+    case GlobalUtilityKind::kAvg:
+      SweepIntervals<GlobalUtilityKind::kSum>(sa_, psw, items, sums);
+      break;
+    case GlobalUtilityKind::kMin:
+      SweepIntervals<GlobalUtilityKind::kMin>(sa_, psw, items, sums);
+      break;
+    case GlobalUtilityKind::kMax:
+      SweepIntervals<GlobalUtilityKind::kMax>(sa_, psw, items, sums);
+      break;
+  }
 }
 
 QueryResult ExhaustiveQueryEngine::Compute(

@@ -12,6 +12,7 @@
 /// the paper names (sum, min, max, avg) are provided. The default everywhere
 /// is the commonly-used "sum of sums" [1], as in Section IX.
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -131,8 +132,34 @@ struct UtilityAccumulator {
   double value = 0;
   index_t count = 0;
 
-  void Add(double local, GlobalUtilityKind kind);
+  /// Inline: the SA sweeps call it once per occurrence, with \p kind a
+  /// compile-time constant there.
+  void Add(double local, GlobalUtilityKind kind) {
+    switch (kind) {
+      case GlobalUtilityKind::kSum:
+      case GlobalUtilityKind::kAvg:
+        value += local;
+        break;
+      case GlobalUtilityKind::kMin:
+        value = (count == 0) ? local : std::min(value, local);
+        break;
+      case GlobalUtilityKind::kMax:
+        value = (count == 0) ? local : std::max(value, local);
+        break;
+    }
+    ++count;
+  }
   double Finalize(GlobalUtilityKind kind) const;
+};
+
+/// One located pattern for ExhaustiveQueryEngine::AggregateIntervals: the
+/// SA interval of its occurrences, its length, and a caller tag carried
+/// through the sort (the index builders keep the pattern's Karp-Rabin
+/// fingerprint there).
+struct IntervalItem {
+  SaInterval interval;
+  index_t length = 0;
+  u64 tag = 0;
 };
 
 /// Merges two finalized answers over DISJOINT occurrence sets of the same
@@ -187,6 +214,24 @@ class ExhaustiveQueryEngine : public QueryEngine {
   /// PSW reads run with software prefetch — occurrence walks are SA-ordered
   /// random access into both arrays.
   QueryResult Aggregate(SaInterval interval, index_t m) const;
+
+  /// Aggregates many located patterns in ONE left-to-right pass over the
+  /// SA — the table stage of the index builders (phase (ii)). SA intervals
+  /// of distinct substrings are nested or disjoint (the LCP-interval
+  /// tree), so after sorting \p items by (lb asc, rb desc, length asc) a
+  /// stack holds exactly the items whose interval contains the current
+  /// rank: each rank reads sa[k] and PSW[sa[k]-1] once and feeds every
+  /// active item. Cost O(|covered ranks| + sum of occurrences), within
+  /// the paper's O(n * L_K) for phase (ii).
+  ///
+  /// On return \p items is sorted as above with empty intervals, zero
+  /// lengths and exact duplicates (same interval and length) dropped, and
+  /// sums[i] holds items[i]'s running aggregate (not finalized). Each
+  /// item folds its occurrences in SA order, exactly as Aggregate does, so
+  /// every sum is bit-identical to Aggregate(items[i].interval,
+  /// items[i].length) on the same engine.
+  void AggregateIntervals(std::vector<IntervalItem>& items,
+                          std::vector<UtilityAccumulator>& sums) const;
 
   /// QueryEngine interface. Stateless per query, so concurrent calls are
   /// safe once the engine is wired.

@@ -318,16 +318,16 @@ class FingerprintTable {
            entries_.capacity() * sizeof(Slot);
   }
 
-  /// Capacity floor and the 7/8 max load factor. Public because persisted
-  /// table images (index format v3) record their capacity/size and loaders
-  /// must re-validate the same invariants AdoptView enforces — without
-  /// aborting on corrupt input.
+  /// Capacity floor, the 7/8 max load factor and the empty control byte.
+  /// Public because persisted table images (index format v3) record their
+  /// capacity/size and loaders must re-validate the same invariants
+  /// AdoptView enforces — without aborting on corrupt input.
   static constexpr std::size_t kMinCapacity = 16;
   static constexpr std::size_t kMaxLoadNum = 7;  // Load factor 7/8.
   static constexpr std::size_t kMaxLoadDen = 8;
+  static constexpr u8 kEmpty = 0x80;  ///< High bit set; tags are 7-bit.
 
  private:
-  static constexpr u8 kEmpty = 0x80;  ///< High bit set; tags are 7-bit.
 
   /// 7-bit control tag from the hash's top bits.
   static u8 TagOf(u64 h) { return static_cast<u8>(h >> 57); }

@@ -8,9 +8,9 @@
 /// strings hash equal, and distinct substrings of a text collide with
 /// probability O(n^2 / 2^61) for a random base. The class precomputes prefix
 /// fingerprints and base powers so any substring fingerprint is O(1)
-/// (Section III cites [18] for exactly this); RollingHasher supports the
-/// sliding-window construction phase and the small-space LCE backends that
-/// must not hold the O(n)-word prefix table.
+/// (Section III cites [18] for exactly this); RollingHasher supports
+/// sliding-window queries (UsiIndex::QueryAllWindows) without the O(n)-word
+/// prefix table.
 
 #include <span>
 #include <vector>
@@ -157,8 +157,8 @@ class PrefixFingerprints {
 };
 
 /// Constant-space rolling window of fixed length over a stream of symbols:
-/// push the next letter, the oldest one falls out. Used by construction
-/// phase (ii) (Section IV) which slides a length-l window over S.
+/// push the next letter, the oldest one falls out. UsiIndex::QueryAllWindows
+/// slides it over a document, one O(1) step per window.
 class RollingHasher {
  public:
   /// \p window_len is the fixed window length.

@@ -15,7 +15,7 @@
 ///    thread count and the dynamic schedule.
 ///  * Each ParallelFor invocation passes a dense worker id in
 ///    [0, workers()) alongside the item index, for thread-confined scratch
-///    (per-worker Karp-Rabin hashers, occurrence-mark bit vectors, ...).
+///    (per-worker partials, buffers, ...).
 ///  * A null pool (or a single-thread pool) degrades to an inline loop on
 ///    the calling thread — the sequential build is literally the same code.
 

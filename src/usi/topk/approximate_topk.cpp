@@ -98,7 +98,6 @@ std::vector<TopKSubstring> MergeLists(std::vector<TopKSubstring> merged,
 TopKList ApproximateTopK(const Text& text, u64 k,
                          const ApproximateTopKOptions& options) {
   TopKList result;
-  result.exact = false;
   const index_t n = static_cast<index_t>(text.size());
   if (n == 0 || k == 0) return result;
   const u32 s = std::max<u32>(1, options.rounds);

@@ -14,7 +14,6 @@ TopKList SubstringHeavyKeeper(const Text& text, u64 k,
                               const SubstringHkOptions& options,
                               SubstringHkStats* stats) {
   TopKList result;
-  result.exact = false;
   const index_t n = static_cast<index_t>(text.size());
   if (n == 0 || k == 0) return result;
 

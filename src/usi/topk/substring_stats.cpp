@@ -150,7 +150,6 @@ SubstringStats::TauTuning SubstringStats::EstimateForTau(index_t tau) const {
 
 TopKList SubstringStats::TopK(u64 k) const {
   TopKList result;
-  result.exact = true;
   result.items.reserve(std::min<u64>(k, TotalDistinctSubstrings()));
   for (const Triplet& t : t_) {
     if (result.items.size() >= k) break;

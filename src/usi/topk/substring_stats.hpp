@@ -65,7 +65,8 @@ class SubstringStats {
   /// One point of the (tau, K, L) trade-off curve. Section X proposes
   /// enumerating these to choose the USI operating point (cf. the skyline
   /// operator [58]): tau drives the query-time bound O(m + tau), K the table
-  /// size O(n + K), and L the construction time O(n * L).
+  /// size O(n + K), and L the paper's construction bound O(n * L) (the SA
+  /// sweep of the index builder costs O(n + sum of occurrences) <= that).
   struct TradeOffPoint {
     index_t tau = 0;
     u64 k = 0;

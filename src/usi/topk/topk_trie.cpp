@@ -141,7 +141,6 @@ class Trie {
 TopKList TopKTrie(const Text& text, u64 k, const TopKTrieOptions& options,
                   TopKTrieStats* stats) {
   TopKList result;
-  result.exact = false;
   if (text.empty() || k == 0) return result;
   const std::size_t budget =
       options.node_budget > 0 ? options.node_budget : 4 * k;

@@ -26,10 +26,10 @@ struct TopKSubstring {
   bool HasInterval() const { return lb != kInvalidIndex; }
 };
 
-/// A mined list plus provenance, as consumed by the USI index builder.
+/// A mined list, as consumed by the USI index builder. Items from an exact
+/// miner carry their SA interval (TopKSubstring::HasInterval).
 struct TopKList {
   std::vector<TopKSubstring> items;
-  bool exact = false;  ///< True when frequencies/intervals are exact.
 };
 
 }  // namespace usi

@@ -3,6 +3,10 @@
 #include <cstdio>
 #include <cstring>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace usi {
 namespace {
 
@@ -30,6 +34,12 @@ std::size_t ReadStatusFieldKb(const char* field) {
 std::size_t ReadPeakRssBytes() { return ReadStatusFieldKb("VmHWM") * 1024; }
 
 std::size_t ReadCurrentRssBytes() { return ReadStatusFieldKb("VmRSS") * 1024; }
+
+void ReleaseFreedHeap() {
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+#endif
+}
 
 std::string FormatBytes(std::size_t bytes) {
   const char* units[] = {"B", "KB", "MB", "GB", "TB"};

@@ -24,6 +24,11 @@ std::size_t ReadPeakRssBytes();
 /// Reads VmRSS (current resident set size) in bytes.
 std::size_t ReadCurrentRssBytes();
 
+/// Returns the allocator's free heap memory to the OS (glibc malloc_trim;
+/// a no-op elsewhere). Costs a walk over the heap, so call it where O(n)
+/// memory was just dropped, never on a latency-sensitive path.
+void ReleaseFreedHeap();
+
 /// Formats a byte count as a human-readable string ("1.25 GB").
 std::string FormatBytes(std::size_t bytes);
 

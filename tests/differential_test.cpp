@@ -4,18 +4,27 @@
 // sweep exercises the hash-hit path, the SA+PSW fallback path, and the
 // save/heap-read round-trip, so any divergence between the fast and slow
 // paths — or between a fresh and a restored index — fails here first.
+//
+// Index answers must EQUAL the engine's, bit for bit: the table stage folds
+// each key's occurrences in SA order, exactly as the miss path does. Only
+// the brute-force oracle, which sums in text order, is compared within a
+// tolerance.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "test_helpers.hpp"
+#include "usi/core/index_format.hpp"
 #include "usi/core/usi_index.hpp"
 #include "usi/core/utility.hpp"
+#include "usi/suffix/sa_search.hpp"
 #include "usi/suffix/suffix_array.hpp"
 #include "usi/text/generators.hpp"
 
@@ -32,6 +41,35 @@ std::vector<char> ReadAll(const std::string& path) {
                            std::istreambuf_iterator<char>());
 }
 
+/// The distinct key lengths of the table records in a saved v3 image.
+std::set<u32> StoredKeyLengths(const std::vector<char>& image) {
+  using Table = FingerprintTable<UtilityAccumulator>;
+  format_v3::FileHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  const char* ctrl =
+      image.data() + header.sections[format_v3::kTableCtrl].offset;
+  const char* slots =
+      image.data() + header.sections[format_v3::kTableSlots].offset;
+  std::set<u32> lengths;
+  for (u64 s = 0; s < header.table_capacity; ++s) {
+    if (static_cast<u8>(ctrl[s]) == Table::kEmpty) continue;
+    Table::Slot slot;
+    std::memcpy(&slot, slots + s * sizeof(slot), sizeof(slot));
+    lengths.insert(slot.key.len);
+  }
+  return lengths;
+}
+
+/// (ab)^(n/2) with random weights: every length has exactly two distinct
+/// substrings, so about K/2 mined intervals contain each SA rank — the
+/// deepest nesting the table sweep sees.
+WeightedString PeriodicAb(index_t n, u64 seed) {
+  const WeightedString random = testing::RandomWeighted(n, 2, seed);
+  Text text(n);
+  for (index_t i = 0; i < n; ++i) text[i] = static_cast<Symbol>(i % 2);
+  return WeightedString(std::move(text), random.weights());
+}
+
 /// One generated input for the sweep.
 struct TextCase {
   const char* name;
@@ -44,6 +82,8 @@ std::vector<TextCase> SweepTexts() {
   cases.push_back({"xml", MakeXmlLike(600, 102)});
   cases.push_back({"periodic", MakePeriodic(400, 7, 103)});
   cases.push_back({"random", testing::RandomWeighted(450, 3, 104)});
+  cases.push_back({"ab-periodic", PeriodicAb(300, 105)});
+  cases.push_back({"sigma256", testing::RandomWeighted(2000, 256, 106)});
   return cases;
 }
 
@@ -94,6 +134,9 @@ void RunConfiguration(const TextCase& text_case, UsiMiner miner,
 
   const std::string path = ::testing::TempDir() + "usi_differential.bin";
   ASSERT_TRUE(index.SaveToFile(path));
+  EXPECT_EQ(StoredKeyLengths(ReadAll(path)).size(),
+            index.build_info().num_lengths)
+      << "num_lengths must count the distinct stored key lengths";
   const std::unique_ptr<UsiIndex> restored = UsiIndex::LoadFromFile(ws, path);
   ASSERT_NE(restored, nullptr);
   EXPECT_FALSE(restored->IsMapped());
@@ -113,15 +156,16 @@ void RunConfiguration(const TextCase& text_case, UsiMiner miner,
     (got.from_hash_table ? table_hits : fallbacks) += 1;
 
     ASSERT_EQ(got.occurrences, engine.occurrences);
-    ASSERT_NEAR(got.utility, engine.utility, 1e-9)
-        << "index vs engine, pattern length " << pattern.size();
+    ASSERT_EQ(got.utility, engine.utility)
+        << "index vs engine, pattern length " << pattern.size()
+        << (got.from_hash_table ? " (table hit)" : " (miss)");
     ASSERT_EQ(engine.occurrences, brute.occurrences);
     ASSERT_NEAR(engine.utility, brute.utility, 1e-9)
         << "engine vs brute force, pattern length " << pattern.size();
 
     const QueryResult reloaded = restored->Query(pattern);
     ASSERT_EQ(reloaded.occurrences, got.occurrences);
-    ASSERT_NEAR(reloaded.utility, got.utility, 1e-9)
+    ASSERT_EQ(reloaded.utility, got.utility)
         << "restored index diverged, pattern length " << pattern.size();
     ASSERT_EQ(reloaded.from_hash_table, got.from_hash_table)
         << "restored index answered from a different path";
@@ -158,6 +202,10 @@ TEST(Differential, ApproximateMinerAllKindsAllTexts) {
 // sampled, so off-by-one interval bugs in SA search cannot hide.
 TEST(Differential, EverySubstringSmallText) {
   const WeightedString ws = testing::RandomWeighted(90, 2, 777);
+  const std::vector<index_t> sa = BuildSuffixArray(ws.text());
+  const PrefixSumWeights psw(ws);
+  const ExhaustiveQueryEngine engine(ws.text(), sa, psw,
+                                     GlobalUtilityKind::kSum);
   for (UsiMiner miner : {UsiMiner::kExact, UsiMiner::kApproximate}) {
     UsiOptions options;
     options.k = 30;
@@ -173,7 +221,50 @@ TEST(Differential, EverySubstringSmallText) {
             << "i=" << i << " len=" << len;
         ASSERT_NEAR(got.utility, want.utility, 1e-9)
             << "i=" << i << " len=" << len;
+        ASSERT_EQ(got.utility, engine.Compute(pattern).utility)
+            << "i=" << i << " len=" << len;
       }
+    }
+  }
+}
+
+// The table sweep fed the way an approximate miner feeds it: witnesses
+// located in the SA, two of them occurrences of the same substring and one
+// repeated outright. Duplicates collapse to one item, whose occurrences
+// count once, and every sum equals Aggregate over its interval exactly.
+TEST(Differential, IntervalSweepDropsDuplicateWitnesses) {
+  const WeightedString ws = MakeDnaLike(400, 107);
+  const Text& text = ws.text();
+  const std::vector<index_t> sa = BuildSuffixArray(text);
+  const PrefixSumWeights psw(ws);
+
+  const index_t len = 3;
+  const SaInterval first = FindSaInterval(text, sa, ws.Fragment(10, len));
+  ASSERT_GE(first.Count(), 2u);
+  const index_t other = sa[first.lb] != 10 ? sa[first.lb] : sa[first.rb];
+  std::vector<IntervalItem> located;
+  std::set<std::pair<index_t, index_t>> distinct;  // (lb, length)
+  for (const auto& [start, m] : std::vector<std::pair<index_t, index_t>>{
+           {10, len}, {40, 5}, {other, len}, {200, 1}, {40, 5}, {10, 2}}) {
+    const SaInterval interval = FindSaInterval(text, sa, ws.Fragment(start, m));
+    located.push_back({interval, m, start});
+    distinct.insert({interval.lb, m});
+  }
+  ASSERT_EQ(distinct.size(), 4u);
+
+  for (GlobalUtilityKind kind : kAllKinds) {
+    SCOPED_TRACE(GlobalUtilityKindName(kind));
+    const ExhaustiveQueryEngine engine(text, sa, psw, kind);
+    std::vector<IntervalItem> items = located;
+    std::vector<UtilityAccumulator> sums;
+    engine.AggregateIntervals(items, sums);
+    ASSERT_EQ(items.size(), distinct.size());
+    ASSERT_EQ(sums.size(), items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const QueryResult want =
+          engine.Aggregate(items[i].interval, items[i].length);
+      EXPECT_EQ(sums[i].count, want.occurrences) << "item " << i;
+      EXPECT_EQ(sums[i].Finalize(kind), want.utility) << "item " << i;
     }
   }
 }

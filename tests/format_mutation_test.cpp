@@ -1,8 +1,9 @@
 // Deterministic mutation test of the v3 image. Seeded mutants of a valid
 // image: single-byte flips over the header (each also resealed, so the
 // field checks behind the checksum are reached), over the learned entry
-// (likewise resealed) and over every payload; truncations; and splices of
-// two valid images. For every mutant:
+// (likewise resealed) and over every payload; truncations; splices of two
+// valid images; and the header fields the table payload pins (table_size,
+// num_lengths, k), each forged and resealed. For every mutant:
 //  * the shallow UsiIndex::ValidateImage and OpenMapped return one code;
 //  * the verifying ValidateImage and LoadFromFile return one code;
 //  * a shallow refusal carries its code into the verifying pass, and a
@@ -177,6 +178,26 @@ class FormatMutationTest : public ::testing::Test {
     }
   }
 
+  /// The intact image with its header edited by \p edit and resealed.
+  template <typename Edit>
+  std::vector<char> ForgeHeader(Edit edit) const {
+    FileHeader header = header_;
+    edit(header);
+    std::vector<char> forged = bytes_;
+    std::memcpy(forged.data(), &header, sizeof(header));
+    ResealHeader(&forged);
+    return forged;
+  }
+
+  /// A resealed header field that only the payloads can contradict: the
+  /// O(1) shallow checks pass it, the verifying pass refuses it.
+  void ExpectOnlyVerifyRefuses(const std::vector<char>& forged,
+                               const std::string& what) {
+    const Verdicts v = Check(forged, what);
+    EXPECT_EQ(v.shallow, LoadErrorCode::kOk) << what;
+    EXPECT_EQ(v.verified, LoadErrorCode::kCorrupt) << what;
+  }
+
   /// A flip of \p bytes at \p at by a seeded nonzero mask.
   static std::vector<char> Flip(const std::vector<char>& bytes, std::size_t at,
                                 Rng& rng) {
@@ -287,6 +308,32 @@ TEST_F(FormatMutationTest, CorePayloadFlips) {
       EXPECT_EQ(v.verified, LoadErrorCode::kCorrupt) << at;
     }
   }
+}
+
+// The three header fields the verifying pass cross-checks against the
+// table payload, one case each (tau_k is not among them: confirming it
+// costs O(occ)).
+TEST_F(FormatMutationTest, TableSizeDisagreeingWithCtrlBytes) {
+  ASSERT_LT((header_.table_size + 1) * 8, header_.table_capacity * 7);
+  ExpectOnlyVerifyRefuses(
+      ForgeHeader([](FileHeader& h) { h.table_size += 1; }), "table_size+1");
+  ExpectOnlyVerifyRefuses(
+      ForgeHeader([](FileHeader& h) { h.table_size -= 1; }), "table_size-1");
+}
+
+TEST_F(FormatMutationTest, NumLengthsDisagreeingWithKeyLengths) {
+  ExpectOnlyVerifyRefuses(
+      ForgeHeader([](FileHeader& h) { h.num_lengths += 1; }),
+      "num_lengths+1");
+  ExpectOnlyVerifyRefuses(
+      ForgeHeader([](FileHeader& h) { h.num_lengths -= 1; }),
+      "num_lengths-1");
+}
+
+TEST_F(FormatMutationTest, KBelowTableSize) {
+  ExpectOnlyVerifyRefuses(
+      ForgeHeader([](FileHeader& h) { h.k = h.table_size - 1; }),
+      "k = table_size - 1");
 }
 
 TEST_F(FormatMutationTest, LearnedPayloadDamageNeverChangesAnAnswer) {

@@ -3,8 +3,8 @@
 // indistinguishable through the whole QueryEngine contract — same answers
 // bit-for-bit, same hash-table hits — and the image must be
 // byte-deterministic. Also covers the non-owning
-// view modes the mapped path is built on (FingerprintTable, RankBitVector)
-// and the UsiMultiService instant-start registration.
+// view mode the mapped path is built on (FingerprintTable) and the
+// UsiMultiService instant-start registration.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "usi/core/multi_service.hpp"
 #include "usi/core/usi_index.hpp"
 #include "usi/hash/fingerprint_table.hpp"
-#include "usi/util/bit_vector.hpp"
 #include "usi/util/rng.hpp"
 
 namespace usi {
@@ -219,27 +218,6 @@ TEST(FingerprintTableViewTest, AdoptedViewAnswersLikeTheOwner) {
     ++visited;
   });
   EXPECT_EQ(visited, owner.size());
-}
-
-TEST(RankBitVectorViewTest, RawViewAnswersLikeTheOwner) {
-  constexpr std::size_t kBits = 5000;
-  Rng rng(123);
-  BitVector bits(kBits);
-  for (std::size_t i = 0; i < kBits; ++i) {
-    if (rng.UniformBelow(3) == 0) bits.Set(i);
-  }
-  const RankBitVector owner(bits, kBits);
-  const RankBitVector view = RankBitVector::FromRaw(
-      owner.words_data(), owner.block_rank_data(), kBits);
-  ASSERT_FALSE(view.OwnsStorage());
-  EXPECT_EQ(view.Ones(), owner.Ones());
-  EXPECT_EQ(view.size(), owner.size());
-  for (std::size_t i = 0; i <= kBits; ++i) {
-    ASSERT_EQ(view.Rank1(i), owner.Rank1(i)) << "rank at " << i;
-  }
-  for (std::size_t i = 0; i < kBits; ++i) {
-    ASSERT_EQ(view.Test(i), owner.Test(i)) << "bit " << i;
-  }
 }
 
 TEST(MultiServiceInstantStartTest, RegisterTextFromFileServesImmediately) {

@@ -614,10 +614,12 @@ TEST_F(UpdateTierTest, MultiLaneExecutorBuildsManyTextsCorrectly) {
   options.default_build = build;
   UsiMultiService service(options);
 
+  const std::vector<std::string> ids = {"t0", "t1", "t2", "t3", "t4", "t5"};
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kTexts));
   std::vector<WeightedString> texts;
   for (int i = 0; i < kTexts; ++i) {
     texts.push_back(RandomIntegerWeighted(400 + 50 * i, 3, 0xE0 + i));
-    service.SubmitText("t" + std::to_string(i), texts.back());
+    service.SubmitText(ids[i], texts.back());
   }
   service.WaitForBuilds();
   EXPECT_EQ(service.stats().builds_completed, static_cast<u64>(kTexts));
@@ -633,7 +635,7 @@ TEST_F(UpdateTierTest, MultiLaneExecutorBuildsManyTextsCorrectly) {
           static_cast<index_t>(rng.UniformBelow(texts[i].size() - m));
       const Text pattern = texts[i].Fragment(start, m);
       QueryResult got;
-      ASSERT_EQ(service.Query("t" + std::to_string(i), pattern, got),
+      ASSERT_EQ(service.Query(ids[i], pattern, got),
                 ServeStatus::kOk);
       const QueryResult want = direct.Query(pattern);
       ASSERT_EQ(got.occurrences, want.occurrences) << "text " << i;
@@ -644,12 +646,11 @@ TEST_F(UpdateTierTest, MultiLaneExecutorBuildsManyTextsCorrectly) {
   // Update every text at once: the wide executor drains them all and each
   // text's generations stay sequential (monotonic generation per text).
   for (int i = 0; i < kTexts; ++i) {
-    service.UpdateText("t" + std::to_string(i),
-                       RandomIntegerWeighted(300, 3, 0xF0 + i));
+    service.UpdateText(ids[i], RandomIntegerWeighted(300, 3, 0xF0 + i));
   }
   service.WaitForBuilds();
   for (int i = 0; i < kTexts; ++i) {
-    const auto stats = service.StatsFor("t" + std::to_string(i));
+    const auto stats = service.StatsFor(ids[i]);
     ASSERT_TRUE(stats.has_value());
     EXPECT_EQ(stats->generation, 2u);
     EXPECT_EQ(stats->builds_completed, 2u);

@@ -1,11 +1,10 @@
-// Unit tests for src/usi/util: rng, bit vectors, radix sort, memory, tables.
+// Unit tests for src/usi/util: rng, radix sort, memory, tables.
 
 #include <algorithm>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
-#include "usi/util/bit_vector.hpp"
 #include "usi/util/memory.hpp"
 #include "usi/util/radix_sort.hpp"
 #include "usi/util/rng.hpp"
@@ -72,76 +71,6 @@ TEST(Rng, UniformDoubleInUnitInterval) {
 TEST(Rng, MixIsDeterministic) {
   EXPECT_EQ(Rng::Mix(123, 456), Rng::Mix(123, 456));
   EXPECT_NE(Rng::Mix(123, 456), Rng::Mix(123, 457));
-}
-
-TEST(BitVector, SetTestClear) {
-  BitVector bits(130);
-  EXPECT_EQ(bits.size(), 130u);
-  for (std::size_t i = 0; i < 130; i += 3) bits.Set(i);
-  for (std::size_t i = 0; i < 130; ++i) EXPECT_EQ(bits.Test(i), i % 3 == 0);
-  bits.Clear(0);
-  EXPECT_FALSE(bits.Test(0));
-  EXPECT_TRUE(bits.Test(3));
-}
-
-TEST(BitVector, CountAndReset) {
-  BitVector bits(1000);
-  for (std::size_t i = 0; i < 1000; i += 7) bits.Set(i);
-  EXPECT_EQ(bits.Count(), (1000 + 6) / 7);
-  bits.Reset();
-  EXPECT_EQ(bits.Count(), 0u);
-}
-
-TEST(BitVector, WordBoundaries) {
-  BitVector bits(128);
-  bits.Set(63);
-  bits.Set(64);
-  bits.Set(127);
-  EXPECT_TRUE(bits.Test(63));
-  EXPECT_TRUE(bits.Test(64));
-  EXPECT_TRUE(bits.Test(127));
-  EXPECT_FALSE(bits.Test(62));
-  EXPECT_FALSE(bits.Test(65));
-}
-
-TEST(BitVector, WordAccessFastPath) {
-  BitVector bits(130);  // Two full words + a 2-bit tail word.
-  ASSERT_EQ(bits.NumWords(), 3u);
-  bits.SetWord(0, 0xDEADBEEFCAFEF00DULL);
-  EXPECT_EQ(bits.GetWord(0), 0xDEADBEEFCAFEF00DULL);
-  EXPECT_EQ(bits.Test(0), (0xDEADBEEFCAFEF00DULL & 1) != 0);
-  // Bit-level and word-level views agree.
-  bits.Set(64);
-  EXPECT_EQ(bits.GetWord(1), u64{1});
-  // SetWord masks bits past size(): the tail word keeps only 2 bits, so
-  // Count() stays consistent with the addressable range.
-  bits.SetWord(2, ~u64{0});
-  EXPECT_EQ(bits.GetWord(2), u64{3});
-  EXPECT_TRUE(bits.Test(128));
-  EXPECT_TRUE(bits.Test(129));
-  EXPECT_EQ(bits.Count(),
-            static_cast<std::size_t>(__builtin_popcountll(
-                0xDEADBEEFCAFEF00DULL)) + 1 + 2);
-}
-
-TEST(RankBitVector, RankMatchesPrefixCounts) {
-  Rng rng(5);
-  const std::size_t n = 2000;
-  BitVector bits(n);
-  std::vector<bool> mirror(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rng.Bernoulli(0.3)) {
-      bits.Set(i);
-      mirror[i] = true;
-    }
-  }
-  RankBitVector rank(bits, n);
-  std::size_t running = 0;
-  for (std::size_t i = 0; i <= n; ++i) {
-    EXPECT_EQ(rank.Rank1(i), running);
-    if (i < n && mirror[i]) ++running;
-  }
-  EXPECT_EQ(rank.Ones(), running);
 }
 
 TEST(RadixSort, MatchesStdSortOnRandomKeys) {
