@@ -5,20 +5,27 @@
 // ratio is the headline number, (c) the compaction publish pause (entry
 // lock hold while the generation swaps and the successor overlay
 // warm-starts) vs the build it hides, and (d) serving qps while an
-// appender churns vs while full rebuilds churn vs quiescent. --json PATH
-// emits BENCH_update.json for the CI perf-trajectory artifact.
+// appender churns vs while full rebuilds churn vs quiescent. A fifth, (e),
+// times DeltaOverlay::Append alone, per symbol, with the overlay's bytes
+// per symbol, on four texts that shape its suffix tree differently. --json
+// PATH emits BENCH_update.json for the CI perf-trajectory artifact.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "usi/core/multi_service.hpp"
+#include "usi/core/update_tier.hpp"
 #include "usi/parallel/thread_pool.hpp"
 #include "usi/text/dataset.hpp"
+#include "usi/text/generators.hpp"
 #include "usi/util/rng.hpp"
 
 namespace usi {
@@ -296,6 +303,70 @@ void RunServingUnderChurn(const WeightedString& base, bench::BenchJson& json) {
            static_cast<double>(appends_in_window), "count");
 }
 
+void RunOverlayAppendCost(bench::BenchJson& json) {
+  // A default-sized window (delta_context 512), then appends up to 4,608
+  // symbols (one default compaction threshold, 4,096, past the window) and
+  // up to eight times that, for overlays that outgrow their compaction.
+  // The texts span the suffix tree's shapes: at most 4 children per node
+  // (DNA-like), nested markup (XML-like), up to 256 children per node, and
+  // the degenerate (ab)^p. Appends go in 8-symbol spans (the size
+  // perfbench's churn appender sends); only the append loop is timed, not
+  // the window seeding, median of 5 fresh overlays per cell.
+  constexpr index_t kWindow = 512;
+  constexpr std::size_t kSpan = 8;
+  constexpr int kRuns = 5;
+  struct Input {
+    const char* name;
+    WeightedString (*make)(index_t n);
+  };
+  const Input inputs[] = {
+      {"dna", [](index_t n) { return MakeDnaLike(n, 0xD0A); }},
+      {"xml", [](index_t n) { return MakeXmlLike(n, 0xD0B); }},
+      {"sigma256", [](index_t n) { return MakeRandom(n, 256, 0xD0C); }},
+      {"abab", [](index_t n) { return MakePeriodic(n, 2, 0xD0D); }},
+  };
+  TablePrinter table("DeltaOverlay::Append alone — ns and heap bytes per "
+                     "symbol (window 512 + appends, median of 5)");
+  table.SetHeader({"text", "nominal", "symbols", "ns/symbol", "B/symbol"});
+  for (const index_t nominal : {index_t{4'608}, index_t{36'864}}) {
+    const index_t appended = std::max<index_t>(
+        64, (nominal - kWindow) / bench::ScaleDivisor());
+    const index_t n = kWindow + appended;
+    for (const Input& input : inputs) {
+      const WeightedString ws = input.make(n);
+      const auto base = std::make_shared<const WeightedString>(
+          ws.Prefix(kWindow));
+      std::vector<double> ns_per_symbol;
+      double bytes_per_symbol = 0;
+      for (int run = 0; run < kRuns; ++run) {
+        DeltaOverlay overlay(base, kWindow, 0, GlobalUtilityKind::kSum);
+        const auto t0 = std::chrono::steady_clock::now();
+        for (index_t at = kWindow; at < n; at += kSpan) {
+          const std::size_t len = std::min<std::size_t>(kSpan, n - at);
+          overlay.Append(
+              std::span<const Symbol>(ws.text().data() + at, len),
+              std::span<const double>(ws.weights().data() + at, len));
+        }
+        const auto t1 = std::chrono::steady_clock::now();
+        ns_per_symbol.push_back(
+            std::chrono::duration<double, std::nano>(t1 - t0).count() /
+            appended);
+        bytes_per_symbol = static_cast<double>(overlay.StatsSnapshot().bytes) /
+                           static_cast<double>(n);
+      }
+      const double ns = Percentile(ns_per_symbol, 0.5);
+      table.AddRow({input.name, TablePrinter::Int(nominal),
+                    TablePrinter::Int(n), TablePrinter::Num(ns, 1),
+                    TablePrinter::Num(bytes_per_symbol, 1)});
+      const std::string section = std::string("overlay_append.") +
+                                  input.name + "_" + std::to_string(nominal);
+      json.Add(section, "ns_per_symbol", ns, "ns");
+      json.Add(section, "bytes_per_symbol", bytes_per_symbol, "B");
+    }
+  }
+  table.Print();
+}
+
 }  // namespace
 }  // namespace usi
 
@@ -313,6 +384,7 @@ int main(int argc, char** argv) {
   usi::RunVisibilityVsRebuild(base, json);
   usi::RunCompactionPause(base, json);
   usi::RunServingUnderChurn(base, json);
+  usi::RunOverlayAppendCost(json);
 
   if (!args.json_path.empty()) {
     if (!json.WriteTo(args.json_path, "bench_update")) return 1;

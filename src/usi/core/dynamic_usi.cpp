@@ -26,7 +26,7 @@ void DynamicUsi::Append(Symbol c, double w) {
   psw_.Append(w);
   prefix_fps_.push_back(hasher_.Append(prefix_fps_.back(), c));
   hasher_.PowerOfBase(text_.size());
-  tree_.Extend(c);
+  tree_.Extend(text_);
   ++appends_since_refresh_;
 
   // Every new occurrence is a suffix of the extended text (Section X): for
@@ -42,21 +42,6 @@ void DynamicUsi::Append(Symbol c, double w) {
       value->acc.Add(psw_.LocalUtility(start, len), options_.utility);
     }
   }
-
-  // Bounded staleness: the tracked set may only drift max_staleness appends
-  // before the deferred O(n) recomputation runs automatically.
-  if (options_.max_staleness > 0 &&
-      appends_since_refresh_ >= options_.max_staleness) {
-    RefreshTopK();
-  }
-}
-
-void DynamicUsi::Reserve(index_t n) {
-  text_.reserve(n);
-  weights_.reserve(n);
-  psw_.Reserve(n);
-  prefix_fps_.reserve(static_cast<std::size_t>(n) + 1);
-  hasher_.ReservePowers(n);
 }
 
 void DynamicUsi::RefreshTopK() {
@@ -106,7 +91,8 @@ QueryResult DynamicUsi::Query(std::span<const Symbol> pattern) const {
     return result;
   }
   // Fallback: suffix tree locates all occurrences, PSW aggregates them.
-  const std::vector<index_t> occurrences = tree_.CollectOccurrences(pattern);
+  const std::vector<index_t> occurrences =
+      tree_.CollectOccurrences(text_, pattern);
   if (occurrences.empty()) return result;
   UtilityAccumulator acc;
   const index_t m = static_cast<index_t>(pattern.size());

@@ -39,11 +39,6 @@ struct DynamicUsiOptions {
   u64 k = 1024;  ///< Size of the tracked (precomputed) substring set.
   GlobalUtilityKind utility = GlobalUtilityKind::kSum;
   u64 hash_seed = 0xD1D1;
-  /// Hard bound on StalenessBound(): when > 0, Append triggers an automatic
-  /// RefreshTopK once this many appends have accumulated since the last
-  /// refresh, so the tracked set's drift stays bounded without the caller
-  /// scheduling refreshes. 0 = unbounded (refresh only on demand).
-  index_t max_staleness = 0;
 };
 
 /// Append-only USI index.
@@ -55,38 +50,12 @@ class DynamicUsi {
   DynamicUsi(const WeightedString& seed, const DynamicUsiOptions& options = {});
 
   /// Appends letter \p c with utility \p w. O(L_K) table maintenance plus
-  /// amortized-O(1) suffix-tree work (ancestor counts are updated lazily by
-  /// the tree's leaf bookkeeping). With options.max_staleness > 0 an
-  /// automatic RefreshTopK runs once the bound is reached.
+  /// amortized-O(1) suffix-tree work.
   void Append(Symbol c, double w);
-
-  /// Pre-grows the append-path arrays (text, weights, PSW, prefix
-  /// fingerprints, hasher powers) for a text of \p n positions, so appends
-  /// up to that length skip their geometric reallocation steps. The suffix
-  /// tree still allocates nodes as structure demands — Reserve bounds the
-  /// array churn, it cannot make appends allocation-free.
-  void Reserve(index_t n);
 
   /// Answers U(P) over the current text. Exact: hash hit (tracked set) in
   /// O(m), otherwise suffix-tree search + PSW aggregation.
   QueryResult Query(std::span<const Symbol> pattern) const;
-
-  /// Start positions of \p pattern, written into \p out with \p stack as
-  /// traversal scratch (both cleared first; zero allocations once warm).
-  /// The update tier's boundary-crossing probe runs on this.
-  void CollectOccurrencesInto(std::span<const Symbol> pattern,
-                              std::vector<index_t>& out,
-                              std::vector<index_t>& stack) const {
-    tree_.CollectOccurrencesInto(pattern, out, stack);
-  }
-
-  /// Local utility of the length-\p len fragment at \p start (PSW lookup).
-  double LocalUtility(index_t start, index_t len) const {
-    return psw_.LocalUtility(start, len);
-  }
-
-  /// The aggregation kind answers are finalized with.
-  GlobalUtilityKind utility_kind() const { return options_.utility; }
 
   /// Recomputes the tracked top-K set from scratch (O(n) — the cost the
   /// paper defers; call at a cadence of your choosing).
@@ -123,7 +92,7 @@ class DynamicUsi {
   PrefixSumWeights psw_;
   KarpRabinHasher hasher_;
   std::vector<u64> prefix_fps_;  ///< prefix_fps_[k] = fp(text[0..k)).
-  SuffixTree tree_;
+  SuffixTree tree_;  ///< Over text_, which it reads but does not copy.
   FingerprintTable<TableValue> table_;
   std::vector<index_t> tracked_lengths_;  ///< Distinct lengths in H, sorted.
   index_t appends_since_refresh_ = 0;

@@ -55,8 +55,9 @@
 ///
 /// \par Update tier (appends without rebuilds)
 /// AppendText extends a text past its published generation without paying
-/// a rebuild: appends land in a per-text DeltaOverlay (update_tier.hpp), a
-/// DynamicUsi over a bounded tail window of the base, and batches pin the
+/// a rebuild: appends land in a per-text DeltaOverlay (update_tier.hpp),
+/// which copies a bounded tail window of the base, appends past it, and
+/// indexes both with its own suffix tree and prefix sums; batches pin the
 /// (generation, overlay) pair together — the base answers occurrences
 /// ending inside [0, n0), the overlay answers those ending past n0, and
 /// the two halves merge exactly (MergeQueryResults). Once the overlay

@@ -13,21 +13,23 @@ DeltaOverlay::DeltaOverlay(std::shared_ptr<const WeightedString> base,
       boundary_(base_->size()),
       d0_(boundary_ - std::min(context, boundary_)),
       epoch_(epoch),
-      dyn_([kind] {
-        DynamicUsiOptions options;
-        // No tracked table: crossing probes filter by end position, which a
-        // whole-window aggregate cannot answer — and skipping the table
-        // keeps the per-append cost at the tree + PSW work alone.
-        options.k = 0;
-        options.utility = kind;
-        return options;
-      }()) {
+      kind_(kind) {
   // Seed the window [d0, n0): same letters, same weights, so the window's
   // prefix sums reproduce the full text's local utilities.
-  dyn_.Reserve(boundary_ - d0_);
+  const index_t window = boundary_ - d0_;
+  text_.reserve(window);
+  weights_.reserve(window);
+  psw_.Reserve(window);
   for (index_t i = d0_; i < boundary_; ++i) {
-    dyn_.Append(base_->letter(i), base_->weight(i));
+    AppendOne(base_->letter(i), base_->weight(i));
   }
+}
+
+void DeltaOverlay::AppendOne(Symbol c, double w) {
+  text_.push_back(c);
+  weights_.push_back(w);
+  psw_.Append(w);
+  tree_.Extend(text_);
 }
 
 void DeltaOverlay::Append(std::span<const Symbol> text,
@@ -39,7 +41,7 @@ void DeltaOverlay::Append(std::span<const Symbol> text,
   std::unique_lock<std::shared_mutex> lock(mu_);
   try {
     for (std::size_t i = 0; i < text.size(); ++i) {
-      dyn_.Append(text[i], weights[i]);
+      AppendOne(text[i], weights[i]);
     }
   } catch (...) {
     // A mid-span failure leaves the tree/PSW half-extended; there is no
@@ -59,14 +61,13 @@ QueryResult DeltaOverlay::QueryCrossingLocked(std::span<const Symbol> pattern,
   const index_t m = static_cast<index_t>(pattern.size());
   const index_t total = boundary_ + appended;
   if (m > total) return out;
-  const GlobalUtilityKind kind = dyn_.utility_kind();
   UtilityAccumulator acc;
   if (d0_ == 0 || m <= boundary_ - d0_ + 1) {
     // Every crossing occurrence lies inside the window: collect, keep the
     // ones ending past the boundary, aggregate through the window PSW.
-    dyn_.CollectOccurrencesInto(pattern, scratch.occ, scratch.stack);
+    tree_.CollectOccurrencesInto(text_, pattern, scratch.occ, scratch.stack);
     for (const index_t j : scratch.occ) {
-      if (d0_ + j + m > boundary_) acc.Add(dyn_.LocalUtility(j, m), kind);
+      if (d0_ + j + m > boundary_) acc.Add(psw_.LocalUtility(j, m), kind_);
     }
   } else {
     // Pattern longer than the window: verify each candidate start directly
@@ -81,11 +82,11 @@ QueryResult DeltaOverlay::QueryCrossingLocked(std::span<const Symbol> pattern,
       if (!match) continue;
       double local = 0;
       for (index_t k = 0; k < m; ++k) local += WeightAtLocked(i + k);
-      acc.Add(local, kind);
+      acc.Add(local, kind_);
     }
   }
   if (acc.count == 0) return out;
-  out.utility = acc.Finalize(kind);
+  out.utility = acc.Finalize(kind_);
   out.occurrences = acc.count;
   return out;
 }
@@ -101,8 +102,8 @@ WeightedString DeltaOverlay::SnapshotMerged() const {
               base_->text().begin() + d0_);
   weights.insert(weights.end(), base_->weights().begin(),
                  base_->weights().begin() + d0_);
-  text.insert(text.end(), dyn_.text().begin(), dyn_.text().end());
-  weights.insert(weights.end(), dyn_.weights().begin(), dyn_.weights().end());
+  text.insert(text.end(), text_.begin(), text_.end());
+  weights.insert(weights.end(), weights_.begin(), weights_.end());
   return WeightedString(std::move(text), std::move(weights));
 }
 
@@ -110,8 +111,8 @@ void DeltaOverlay::AppendFrom(const DeltaOverlay& from, index_t from_pos,
                               index_t count) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (index_t i = 0; i < count; ++i) {
-    dyn_.Append(from.SymbolAtLocked(from_pos + i),
-                from.WeightAtLocked(from_pos + i));
+    AppendOne(from.SymbolAtLocked(from_pos + i),
+              from.WeightAtLocked(from_pos + i));
   }
 }
 
@@ -127,8 +128,9 @@ DeltaOverlayStats DeltaOverlay::StatsSnapshot() const {
   stats.boundary = boundary_;
   stats.appended = AppendedLocked();
   stats.window = boundary_ - d0_;
-  stats.staleness = dyn_.StalenessBound();
-  stats.bytes = dyn_.SizeInBytes();
+  stats.bytes = text_.capacity() * sizeof(Symbol) +
+                weights_.capacity() * sizeof(double) + psw_.SizeInBytes() +
+                tree_.SizeInBytes();
   stats.epoch = epoch_;
   return stats;
 }

@@ -17,16 +17,20 @@
 /// exact — no occurrence is counted twice, none is missed.
 ///
 /// \par How the overlay answers its half
-/// The overlay seeds a DynamicUsi over a tail *window* [d0, n0) of the base
-/// (d0 = n0 - min(context, n0)) and appends into it. A crossing occurrence
-/// starts at most m-1 positions before n0, so as long as m-1 <= n0 - d0 the
-/// window contains every crossing occurrence in full: the overlay collects
-/// the pattern's occurrences in the window (Ukkonen tree), keeps those
-/// ending past n0, and aggregates their PSW local utilities — the window's
-/// prefix sums reproduce the same local sums as the full text's. Patterns
-/// longer than the window (rare; bounded by the configured context) fall
-/// back to a direct verify-and-sum scan over the O(m + appended) candidate
-/// starts, reading base text for positions before d0.
+/// The overlay copies a tail *window* [d0, n0) of the base
+/// (d0 = n0 - min(context, n0)) into its own text and appends past it. It
+/// owns exactly what its answers read: that text, its weights, their prefix
+/// sums (PSW) and an online Ukkonen suffix tree over the text — the
+/// update mechanism of Section X, without the tracked table or fingerprints
+/// of the standalone DynamicUsi. A crossing occurrence starts at most m-1
+/// positions before n0, so as long as m-1 <= n0 - d0 the window contains
+/// every crossing occurrence in full: the overlay collects the pattern's
+/// occurrences in its text (suffix tree), keeps those ending past n0, and
+/// aggregates their PSW local utilities — the window's prefix sums
+/// reproduce the same local sums as the full text's. Patterns longer than
+/// the window (rare; bounded by the configured context) fall back to a
+/// direct verify-and-sum scan over the O(m + appended) candidate starts,
+/// reading base text for positions before d0.
 ///
 /// \par Concurrency
 /// Internally synchronized with a shared_mutex: Append takes it exclusively
@@ -48,7 +52,8 @@
 #include <span>
 #include <vector>
 
-#include "usi/core/dynamic_usi.hpp"
+#include "usi/core/utility.hpp"
+#include "usi/suffix/suffix_tree.hpp"
 #include "usi/text/weighted_string.hpp"
 
 namespace usi {
@@ -58,8 +63,7 @@ struct DeltaOverlayStats {
   index_t boundary = 0;   ///< n0: base positions the pinned generation covers.
   index_t appended = 0;   ///< Symbols appended past the boundary.
   index_t window = 0;     ///< Seeded tail-context length (n0 - d0).
-  index_t staleness = 0;  ///< DynamicUsi::StalenessBound of the overlay.
-  std::size_t bytes = 0;  ///< Heap footprint.
+  std::size_t bytes = 0;  ///< Heap footprint: text, weights, PSW and tree.
   u64 epoch = 0;          ///< Lineage id (bumps when the service replaces it).
 };
 
@@ -100,7 +104,7 @@ class DeltaOverlay {
 
   /// Symbols appended past the boundary.
   index_t AppendedLocked() const {
-    return dyn_.size() - (boundary_ - d0_);
+    return static_cast<index_t>(text_.size()) - (boundary_ - d0_);
   }
 
   /// Full text length: boundary + appended.
@@ -115,12 +119,10 @@ class DeltaOverlay {
   /// Letter / utility at global position \p pos (>= d0 reads the overlay's
   /// window, below reads the base). Warm-start replay uses these.
   Symbol SymbolAtLocked(index_t pos) const {
-    return pos < d0_ ? base_->letter(pos)
-                     : dyn_.text()[static_cast<std::size_t>(pos - d0_)];
+    return pos < d0_ ? base_->letter(pos) : text_[pos - d0_];
   }
   double WeightAtLocked(index_t pos) const {
-    return pos < d0_ ? base_->weight(pos)
-                     : dyn_.weights()[static_cast<std::size_t>(pos - d0_)];
+    return pos < d0_ ? base_->weight(pos) : weights_[pos - d0_];
   }
 
   /// Copies the full current content (base prefix + appends) into one
@@ -155,13 +157,22 @@ class DeltaOverlay {
   DeltaOverlayStats StatsSnapshot() const;
 
  private:
+  /// Extends text, weights, PSW and tree by one position (exclusive lock
+  /// held).
+  void AppendOne(Symbol c, double w);
+
   mutable std::shared_mutex mu_;
   std::shared_ptr<const WeightedString> base_;  ///< Keeps the base text alive.
   index_t boundary_;  ///< n0 at construction; Rebase moves it forward.
   index_t d0_;        ///< First position the window covers.
   u64 epoch_;
+  GlobalUtilityKind kind_;
   bool poisoned_ = false;
-  DynamicUsi dyn_;  ///< Window + appends; k = 0 (no tracked table).
+  // Positions [d0, n0 + appended): the window, then the appends.
+  Text text_;
+  std::vector<double> weights_;
+  PrefixSumWeights psw_;  ///< Over weights_.
+  SuffixTree tree_;       ///< Over text_, which it reads but does not copy.
 };
 
 }  // namespace usi

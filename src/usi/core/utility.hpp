@@ -87,7 +87,8 @@ class PrefixSumWeights {
     return data_[i + len - 1] - before;
   }
 
-  /// Extends PSW by one position of weight \p w (DynamicUsi appends).
+  /// Extends PSW by one position of weight \p w (DynamicUsi and
+  /// DeltaOverlay appends).
   /// Views are immutable; appending to one is a programming error.
   void Append(double w) {
     USI_CHECK(!view_);

@@ -63,8 +63,8 @@ class Mersenne61 {
 /// RollingHasher, which computes its one power with Mersenne61::Pow. Every
 /// query path of the index fingerprints through these alone. PowerOfBase()
 /// (and what is built on it: Concat, SuffixOf, PrefixFingerprints) grows the
-/// table on a cache miss, so sharing those across threads requires
-/// ReservePowers() up to the largest exponent needed first.
+/// table on a cache miss, so sharing those across threads requires one
+/// PowerOfBase() call with the largest exponent needed first.
 class KarpRabinHasher {
  public:
   /// Derives a random base in [256, p-1) from \p seed.
@@ -85,10 +85,6 @@ class KarpRabinHasher {
 
   /// base^k mod p; grows the internal power table on demand.
   u64 PowerOfBase(std::size_t k) const;
-
-  /// Pre-grows the power table through base^upto so every subsequent
-  /// PowerOfBase(k <= upto) is a read-only lookup.
-  void ReservePowers(std::size_t upto) const { (void)PowerOfBase(upto); }
 
   /// O(len) fingerprint of an explicit string: Horner's rule over blocks
   /// of 8 symbols, fp <- fp * base^8 + sum_j (c_j + 1) * base^(7-j). Each

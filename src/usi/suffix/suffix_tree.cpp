@@ -6,13 +6,12 @@ namespace usi {
 
 SuffixTree::SuffixTree() {
   nodes_.reserve(16);
-  root_ = NewNode(0, 0, kNoNode);
+  root_ = NewNode(0, 0);
   active_node_ = root_;
 }
 
-SuffixTree::SuffixTree(const Text& text) : SuffixTree() {
-  text_.reserve(text.size());
-  for (Symbol c : text) Extend(c);
+SuffixTree::SuffixTree(std::span<const Symbol> text) : SuffixTree() {
+  for (std::size_t i = 1; i <= text.size(); ++i) Extend(text.first(i));
 }
 
 index_t SuffixTree::ChildOf(index_t node, Symbol c) const {
@@ -34,42 +33,33 @@ void SuffixTree::SetChild(index_t node, Symbol c, index_t child) {
   } else {
     children.insert(it, {c, child});
   }
-  nodes_[child].parent = node;
 }
 
-index_t SuffixTree::NewNode(index_t start, index_t end, index_t parent) {
+index_t SuffixTree::NewNode(index_t start, index_t end) {
   Node node;
   node.start = start;
   node.end = end;
-  node.parent = parent;
   nodes_.push_back(std::move(node));
   return static_cast<index_t>(nodes_.size() - 1);
 }
 
-void SuffixTree::AddLeafCountUpwards(index_t node) {
-  while (node != kNoNode) {
-    ++nodes_[node].leaves;
-    node = nodes_[node].parent;
-  }
-}
-
-void SuffixTree::Extend(Symbol c) {
-  text_.push_back(c);
-  const index_t pos = static_cast<index_t>(text_.size()) - 1;
+void SuffixTree::Extend(std::span<const Symbol> text) {
+  USI_CHECK(text.size() == static_cast<std::size_t>(size_) + 1);
+  const index_t pos = size_++;
+  const Symbol c = text[pos];
   ++remaining_;
   index_t last_internal = kNoNode;  // Awaiting a suffix link this phase.
 
   while (remaining_ > 0) {
     if (active_length_ == 0) active_edge_ = pos;
-    const Symbol edge_symbol = text_[active_edge_];
+    const Symbol edge_symbol = text[active_edge_];
     const index_t next = ChildOf(active_node_, edge_symbol);
     if (next == kNoNode) {
       // Rule 2 at a node: new leaf hanging off active_node_. The suffix
       // being inserted is the longest pending one: |S| - remaining_.
-      const index_t leaf = NewNode(pos, kOpenEnd, active_node_);
+      const index_t leaf = NewNode(pos, kOpenEnd);
       nodes_[leaf].suffix_start = pos + 1 - remaining_;
-      SetChild(active_node_, text_[pos], leaf);
-      AddLeafCountUpwards(leaf);
+      SetChild(active_node_, c, leaf);
       if (last_internal != kNoNode) {
         nodes_[last_internal].link = active_node_;
         last_internal = kNoNode;
@@ -83,7 +73,7 @@ void SuffixTree::Extend(Symbol c) {
         active_length_ -= edge_len;
         continue;
       }
-      if (text_[nodes_[next].start + active_length_] == c) {
+      if (text[nodes_[next].start + active_length_] == c) {
         // Rule 3: the suffix is already present implicitly; phase ends.
         if (last_internal != kNoNode) {
           nodes_[last_internal].link = active_node_;
@@ -94,16 +84,14 @@ void SuffixTree::Extend(Symbol c) {
       }
       // Rule 2 mid-edge: split, then hang the new leaf off the split node.
       const index_t split =
-          NewNode(nodes_[next].start, nodes_[next].start + active_length_,
-                  active_node_);
-      nodes_[split].leaves = nodes_[next].leaves;
+          NewNode(nodes_[next].start, nodes_[next].start + active_length_);
       SetChild(active_node_, edge_symbol, split);
       nodes_[next].start += active_length_;
-      SetChild(split, text_[nodes_[next].start], next);
-      const index_t leaf = NewNode(pos, kOpenEnd, split);
+      nodes_[split].children.reserve(2);
+      SetChild(split, text[nodes_[next].start], next);
+      const index_t leaf = NewNode(pos, kOpenEnd);
       nodes_[leaf].suffix_start = pos + 1 - remaining_;
       SetChild(split, c, leaf);
-      AddLeafCountUpwards(leaf);
       if (last_internal != kNoNode) nodes_[last_internal].link = split;
       last_internal = split;
     }
@@ -119,7 +107,8 @@ void SuffixTree::Extend(Symbol c) {
   }
 }
 
-index_t SuffixTree::FindLocus(std::span<const Symbol> pattern) const {
+index_t SuffixTree::FindLocus(std::span<const Symbol> text,
+                              std::span<const Symbol> pattern) const {
   index_t node = root_;
   std::size_t matched = 0;
   while (matched < pattern.size()) {
@@ -127,7 +116,7 @@ index_t SuffixTree::FindLocus(std::span<const Symbol> pattern) const {
     if (child == kNoNode) return kNoNode;
     const index_t edge_len = EdgeLength(nodes_[child]);
     for (index_t k = 0; k < edge_len && matched < pattern.size(); ++k) {
-      if (text_[nodes_[child].start + k] != pattern[matched]) return kNoNode;
+      if (text[nodes_[child].start + k] != pattern[matched]) return kNoNode;
       ++matched;
     }
     node = child;
@@ -135,50 +124,29 @@ index_t SuffixTree::FindLocus(std::span<const Symbol> pattern) const {
   return node;
 }
 
-index_t SuffixTree::CountOccurrences(std::span<const Symbol> pattern) const {
-  if (pattern.empty()) return static_cast<index_t>(text_.size());
-  index_t count = 0;
-  const index_t locus = FindLocus(pattern);
-  if (locus != kNoNode) count = nodes_[locus].leaves;
-  // Pending (implicit) suffixes are the `remaining_` shortest ones; each that
-  // starts with the pattern is one more occurrence not counted by any leaf.
-  const index_t n = static_cast<index_t>(text_.size());
-  for (index_t j = n - remaining_; j < n; ++j) {
-    if (n - j < pattern.size()) break;  // Shorter suffixes can only shrink.
-    bool match = true;
-    for (std::size_t k = 0; k < pattern.size(); ++k) {
-      if (text_[j + k] != pattern[k]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) ++count;
-  }
-  return count;
-}
-
 std::vector<index_t> SuffixTree::CollectOccurrences(
-    std::span<const Symbol> pattern) const {
+    std::span<const Symbol> text, std::span<const Symbol> pattern) const {
   std::vector<index_t> occurrences;
   std::vector<index_t> stack;
-  CollectOccurrencesInto(pattern, occurrences, stack);
+  CollectOccurrencesInto(text, pattern, occurrences, stack);
   return occurrences;
 }
 
-void SuffixTree::CollectOccurrencesInto(std::span<const Symbol> pattern,
+void SuffixTree::CollectOccurrencesInto(std::span<const Symbol> text,
+                                        std::span<const Symbol> pattern,
                                         std::vector<index_t>& out,
                                         std::vector<index_t>& stack) const {
+  USI_DCHECK(text.size() == size_);
   out.clear();
   stack.clear();
-  const index_t n = static_cast<index_t>(text_.size());
+  const index_t n = size_;
   if (pattern.empty()) {
     out.resize(n);
     for (index_t j = 0; j < n; ++j) out[j] = j;
     return;
   }
-  const index_t locus = FindLocus(pattern);
+  const index_t locus = FindLocus(text, pattern);
   if (locus != kNoNode) {
-    out.reserve(nodes_[locus].leaves);
     stack.push_back(locus);
     while (!stack.empty()) {
       const index_t node = stack.back();
@@ -194,76 +162,86 @@ void SuffixTree::CollectOccurrencesInto(std::span<const Symbol> pattern,
   }
   // Pending (implicit) suffixes that start with the pattern.
   for (index_t j = n - remaining_; j < n; ++j) {
-    if (n - j < pattern.size()) break;
-    bool match = true;
-    for (std::size_t k = 0; k < pattern.size(); ++k) {
-      if (text_[j + k] != pattern[k]) {
-        match = false;
-        break;
-      }
+    if (n - j < pattern.size()) break;  // Shorter suffixes can only shrink.
+    if (std::equal(pattern.begin(), pattern.end(), text.begin() + j)) {
+      out.push_back(j);
     }
-    if (match) out.push_back(j);
   }
 }
 
-std::vector<SuffixTree::NodeSummary> SuffixTree::CollectNodeSummaries() const {
+std::vector<SuffixTree::NodeSummary> SuffixTree::CollectNodeSummaries(
+    std::span<const Symbol> text) const {
+  USI_DCHECK(text.size() == size_);
   // Pending pass-through corrections: +1 for every node whose string is a
   // prefix of a pending suffix.
-  std::vector<index_t> extra(nodes_.size(), 0);
-  const index_t n = static_cast<index_t>(text_.size());
+  std::vector<index_t> pending(nodes_.size(), 0);
+  const index_t n = size_;
   for (index_t j = n - remaining_; j < n; ++j) {
     index_t node = root_;
     index_t matched = 0;
     while (true) {
-      const index_t child = (j + matched < n) ? ChildOf(node, text_[j + matched])
+      const index_t child = (j + matched < n) ? ChildOf(node, text[j + matched])
                                               : kNoNode;
       if (child == kNoNode) break;
       const index_t edge_len = EdgeLength(nodes_[child]);
       bool full = true;
       for (index_t k = 0; k < edge_len; ++k) {
         if (j + matched + k >= n ||
-            text_[nodes_[child].start + k] != text_[j + matched + k]) {
+            text[nodes_[child].start + k] != text[j + matched + k]) {
           full = false;
           break;
         }
       }
       if (!full) break;
       matched += edge_len;
-      ++extra[child];
+      ++pending[child];
       node = child;
     }
   }
 
-  // Iterative DFS computing string depths.
-  std::vector<NodeSummary> summaries;
-  summaries.reserve(nodes_.size());
+  // Iterative pre-order DFS computing string depths; children follow their
+  // parent in `order`, so a reverse sweep adds every subtree's leaves into
+  // its parent before the parent itself is read.
   struct Frame {
     index_t node;
+    index_t parent;        // Position of the parent frame in `order`.
     index_t depth;         // Depth of this node.
     index_t parent_depth;  // Depth of its parent.
   };
+  std::vector<Frame> order;
+  order.reserve(nodes_.size());
   std::vector<Frame> stack;
-  stack.push_back({root_, 0, 0});
+  stack.push_back({root_, kNoNode, 0, 0});
   while (!stack.empty()) {
     const Frame frame = stack.back();
     stack.pop_back();
-    if (frame.node != root_) {
-      summaries.push_back(
-          {frame.depth, frame.parent_depth,
-           nodes_[frame.node].leaves + extra[frame.node]});
-    }
+    const index_t slot = static_cast<index_t>(order.size());
+    order.push_back(frame);
     for (const auto& [symbol, child] : nodes_[frame.node].children) {
       (void)symbol;
       stack.push_back(
-          {child, frame.depth + EdgeLength(nodes_[child]), frame.depth});
+          {child, slot, frame.depth + EdgeLength(nodes_[child]), frame.depth});
     }
+  }
+  std::vector<index_t> leaves(order.size(), 0);
+  for (std::size_t i = order.size(); i-- > 0;) {
+    if (nodes_[order[i].node].suffix_start != kInvalidIndex) ++leaves[i];
+    if (order[i].parent != kNoNode) leaves[order[i].parent] += leaves[i];
+  }
+
+  std::vector<NodeSummary> summaries;
+  summaries.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Frame& frame = order[i];
+    if (frame.node == root_) continue;
+    summaries.push_back({frame.depth, frame.parent_depth,
+                         leaves[i] + pending[frame.node]});
   }
   return summaries;
 }
 
 std::size_t SuffixTree::SizeInBytes() const {
-  std::size_t total =
-      text_.capacity() * sizeof(Symbol) + nodes_.capacity() * sizeof(Node);
+  std::size_t total = nodes_.capacity() * sizeof(Node);
   for (const Node& node : nodes_) {
     total += node.children.capacity() * sizeof(std::pair<Symbol, index_t>);
   }

@@ -5,17 +5,21 @@
 /// Online (Ukkonen [39]) suffix tree.
 ///
 /// The static pipeline uses the enhanced suffix array as its suffix-tree
-/// view; this pointer-based tree exists for the two places that genuinely
-/// need a tree: the append-only DynamicUsi extension of Section X (Ukkonen
-/// is the update mechanism the paper proposes) and cross-validation of the
-/// ESA node enumeration in the property tests.
+/// view; this pointer-based tree is the update mechanism Section X proposes
+/// for appends. The update tier's DeltaOverlay and the append-only
+/// DynamicUsi each grow one, and the property tests cross-validate it
+/// against the ESA node enumeration.
+///
+/// The tree stores no text: its owner appends to its own text and passes
+/// it in as a span to Extend and to every query, so the letters are stored
+/// once. Every call must see the same text the tree has indexed so far.
 ///
 /// The tree is built without a terminating sentinel, so some suffixes may end
-/// implicitly mid-edge ("pending" suffixes). Occurrence counting accounts for
-/// them explicitly: every leaf is one occurrence, and each pending suffix
-/// that starts with the pattern adds one more. Subtree leaf counts are
-/// maintained incrementally on each leaf insertion by walking parent links —
-/// the O(depth) cost Section X acknowledges.
+/// implicitly mid-edge ("pending" suffixes). Occurrence collection accounts
+/// for them explicitly: every leaf is one occurrence, and each pending
+/// suffix that starts with the pattern adds one more. Nodes keep no subtree
+/// counts; a frequency is the size of a subtree walk, so a new leaf costs
+/// O(1) beyond Ukkonen's amortized work.
 
 #include <span>
 #include <vector>
@@ -26,47 +30,38 @@
 
 namespace usi {
 
-/// Growable suffix tree over an internally stored text.
+/// Growable suffix tree over a text its owner stores.
 class SuffixTree {
  public:
   SuffixTree();
 
-  /// Builds the tree of \p text by streaming it through Extend().
-  explicit SuffixTree(const Text& text);
+  /// Builds the tree of \p text by streaming every prefix through Extend().
+  explicit SuffixTree(std::span<const Symbol> text);
 
-  /// Appends one letter and restores the suffix-tree invariant.
-  void Extend(Symbol c);
+  /// Indexes \p text.back(): \p text is the owner's text, one letter longer
+  /// than at the previous call. Restores the suffix-tree invariant.
+  void Extend(std::span<const Symbol> text);
 
   /// Length of the indexed text.
-  index_t size() const { return static_cast<index_t>(text_.size()); }
+  index_t size() const { return size_; }
 
-  /// The indexed text.
-  const Text& text() const { return text_; }
-
-  /// Number of occurrences of \p pattern in the indexed text (exact,
-  /// including occurrences that currently end implicitly).
-  index_t CountOccurrences(std::span<const Symbol> pattern) const;
-
-  /// Start positions of all occurrences of \p pattern (exact, unsorted).
+  /// Start positions of all occurrences of \p pattern in \p text (exact,
+  /// unsorted, including occurrences that currently end implicitly).
   /// O(m + occ) once the locus is found.
-  std::vector<index_t> CollectOccurrences(std::span<const Symbol> pattern) const;
+  std::vector<index_t> CollectOccurrences(
+      std::span<const Symbol> text, std::span<const Symbol> pattern) const;
 
   /// As CollectOccurrences, writing into \p out (cleared first) and using
   /// \p stack as traversal scratch — zero heap allocations once both have
   /// warmed to the workload's occurrence counts. The serving tier's
   /// delta-overlay probe runs on this form.
-  void CollectOccurrencesInto(std::span<const Symbol> pattern,
+  void CollectOccurrencesInto(std::span<const Symbol> text,
+                              std::span<const Symbol> pattern,
                               std::vector<index_t>& out,
                               std::vector<index_t>& stack) const;
 
-  /// Whether \p pattern occurs at least once.
-  bool Contains(std::span<const Symbol> pattern) const {
-    return CountOccurrences(pattern) > 0;
-  }
-
-  /// Start positions of the suffixes that still end implicitly (the last
-  /// `remaining` positions of the text). DynamicUsi needs these to correct
-  /// frequencies during appends.
+  /// Number of suffixes that still end implicitly (the last `remaining`
+  /// positions of the text).
   index_t PendingSuffixCount() const { return remaining_; }
 
   /// Summary of an explicit node for cross-checks against the ESA view.
@@ -79,9 +74,11 @@ class SuffixTree {
   };
 
   /// Collects (depth, parent depth, frequency) for every explicit node with
-  /// depth > 0, counting pending suffixes into the frequencies. On a text
-  /// whose last letter is unique this matches the ESA enumeration exactly.
-  std::vector<NodeSummary> CollectNodeSummaries() const;
+  /// depth > 0, counting leaves below each node in one DFS and pending
+  /// suffixes into the frequencies. On a text whose last letter is unique
+  /// this matches the ESA enumeration exactly.
+  std::vector<NodeSummary> CollectNodeSummaries(
+      std::span<const Symbol> text) const;
 
   /// Number of explicit tree nodes (diagnostics).
   std::size_t NodeCount() const { return nodes_.size(); }
@@ -94,17 +91,15 @@ class SuffixTree {
   static constexpr index_t kOpenEnd = kInvalidIndex;
 
   struct Node {
-    index_t start = 0;          ///< Edge label = text[start .. EndOf(node)).
+    index_t start = 0;          ///< Edge label = text[start .. EdgeEnd(node)).
     index_t end = kOpenEnd;     ///< Exclusive end; kOpenEnd tracks text size.
     index_t link = kNoNode;     ///< Suffix link.
-    index_t parent = kNoNode;   ///< Parent node (maintained across splits).
-    index_t leaves = 0;         ///< Leaves in this subtree.
     index_t suffix_start = kInvalidIndex;  ///< Leaf's suffix position.
     std::vector<std::pair<Symbol, index_t>> children;  ///< Sorted by symbol.
   };
 
   index_t EdgeEnd(const Node& node) const {
-    return node.end == kOpenEnd ? static_cast<index_t>(text_.size()) : node.end;
+    return node.end == kOpenEnd ? size_ : node.end;
   }
 
   index_t EdgeLength(const Node& node) const {
@@ -113,20 +108,20 @@ class SuffixTree {
 
   index_t ChildOf(index_t node, Symbol c) const;
   void SetChild(index_t node, Symbol c, index_t child);
-  index_t NewNode(index_t start, index_t end, index_t parent);
-  void AddLeafCountUpwards(index_t node);
+  index_t NewNode(index_t start, index_t end);
 
   /// Walks down from the root along \p pattern. Returns the node whose
   /// subtree holds all occurrences, or kNoNode if the pattern is absent.
-  index_t FindLocus(std::span<const Symbol> pattern) const;
+  index_t FindLocus(std::span<const Symbol> text,
+                    std::span<const Symbol> pattern) const;
 
-  Text text_;
   std::vector<Node> nodes_;
   index_t root_;
+  index_t size_ = 0;  ///< Letters indexed so far.
 
   // Ukkonen's active point.
   index_t active_node_;
-  index_t active_edge_ = 0;  // Index into text_ of the edge's first symbol.
+  index_t active_edge_ = 0;  // Text index of the active edge's first symbol.
   index_t active_length_ = 0;
   index_t remaining_ = 0;
 };

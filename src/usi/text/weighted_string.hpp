@@ -15,7 +15,8 @@
 namespace usi {
 
 /// A text S with a utility w[i] for every position i (Section III). Immutable
-/// after construction; DynamicUsi works on its own growable copy.
+/// after construction; DynamicUsi and the update tier's DeltaOverlay work on
+/// their own growable copies.
 class WeightedString {
  public:
   WeightedString() = default;

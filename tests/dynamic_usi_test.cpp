@@ -189,63 +189,6 @@ TEST(DynamicUsi, AppendHeavyDifferentialAllUtilityKinds) {
   }
 }
 
-TEST(DynamicUsi, MaxStalenessAutoRefreshHoldsTheBound) {
-  DynamicUsiOptions options;
-  options.k = 20;
-  options.max_staleness = 16;
-  const WeightedString seed = testing::RandomWeighted(100, 2, 31);
-  DynamicUsi dynamic(seed, options);
-  Rng rng(32);
-  index_t max_seen = 0;
-  for (int step = 0; step < 200; ++step) {
-    dynamic.Append(static_cast<Symbol>(rng.UniformBelow(2)),
-                   rng.UniformDouble());
-    // The automatic refresh fires inside Append, so the observable bound
-    // never exceeds the configured limit.
-    ASSERT_LE(dynamic.StalenessBound(), 16u) << "step " << step;
-    max_seen = std::max(max_seen, dynamic.StalenessBound());
-  }
-  EXPECT_GT(max_seen, 0u) << "appends between refreshes must accumulate";
-  // Refreshes actually ran: 200 appends with no refresh would read 200.
-  EXPECT_LT(dynamic.StalenessBound(), 200u);
-  EXPECT_GT(dynamic.TrackedEntries(), 0u);
-  // And the most recent refresh re-anchored the table: the single most
-  // frequent letter answers from it even though appends followed.
-  dynamic.RefreshTopK();
-  EXPECT_EQ(dynamic.StalenessBound(), 0u);
-}
-
-TEST(DynamicUsi, ReserveDoesNotChangeAnswers) {
-  // Reserve only pre-grows the append-path arrays; the two builds must be
-  // observationally identical.
-  const WeightedString ws = testing::RandomWeighted(400, 3, 41);
-  DynamicUsiOptions options;
-  options.k = 30;
-  DynamicUsi plain(options);
-  DynamicUsi reserved(options);
-  reserved.Reserve(ws.size());
-  for (index_t i = 0; i < ws.size(); ++i) {
-    plain.Append(ws.letter(i), ws.weight(i));
-    reserved.Append(ws.letter(i), ws.weight(i));
-  }
-  EXPECT_EQ(plain.size(), reserved.size());
-  EXPECT_EQ(plain.StalenessBound(), reserved.StalenessBound());
-  Rng rng(42);
-  for (int trial = 0; trial < 200; ++trial) {
-    const index_t len = static_cast<index_t>(rng.UniformInRange(1, 6));
-    const index_t start =
-        static_cast<index_t>(rng.UniformBelow(ws.size() - len));
-    const Text pattern = ws.Fragment(start, len);
-    const QueryResult a = plain.Query(pattern);
-    const QueryResult b = reserved.Query(pattern);
-    // Same appends in the same order: answers are bit-identical, not just
-    // close.
-    ASSERT_EQ(a.occurrences, b.occurrences);
-    ASSERT_EQ(a.utility, b.utility);
-    ASSERT_EQ(a.from_hash_table, b.from_hash_table);
-  }
-}
-
 TEST(DynamicUsi, SizeGrows) {
   DynamicUsi dynamic;
   const std::size_t empty_size = dynamic.SizeInBytes();

@@ -380,8 +380,10 @@ TEST(QueryAlloc, AppendPathAllocationsStayBounded) {
               ServeStatus::kOk);
   }
   const std::size_t after = AllocationsNow();
-  EXPECT_LE(after - before, kMeasured * 16)
-      << "append path regressed to > 16 allocations per symbol";
+  // Measured: 61 allocations for these 64 symbols — the tree's node array
+  // and child lists; a split node reserves both of its children at once.
+  EXPECT_LE(after - before, kMeasured * 1)
+      << "append path regressed to > 1 allocation per symbol";
 }
 
 TEST(QueryAlloc, SteadyStateQueryAllWindowsAllocatesNothing) {

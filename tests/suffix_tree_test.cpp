@@ -1,6 +1,7 @@
 // Tests for the online Ukkonen suffix tree: occurrence counting/collection
 // at every streaming step, and node-summary agreement with the ESA view on
-// sentinel-terminated texts.
+// sentinel-terminated texts. The tree stores no text, so every call passes
+// the text it was built over; a count is the size of a collect.
 
 #include <algorithm>
 #include <set>
@@ -21,13 +22,13 @@ TEST(SuffixTree, CountsWhileStreaming) {
   const Text text = testing::T("abcabxabcd");
   SuffixTree tree;
   for (std::size_t end = 0; end < text.size(); ++end) {
-    tree.Extend(text[end]);
     const Text prefix(text.begin(), text.begin() + end + 1);
+    tree.Extend(prefix);
     // Check every substring of the current prefix up to length 4.
     for (index_t i = 0; i <= end; ++i) {
       for (index_t len = 1; len <= 4 && i + len <= prefix.size(); ++len) {
         const Text pattern(prefix.begin() + i, prefix.begin() + i + len);
-        ASSERT_EQ(tree.CountOccurrences(pattern),
+        ASSERT_EQ(tree.CollectOccurrences(prefix, pattern).size(),
                   testing::BruteOccurrences(prefix, pattern).size())
             << "prefix len " << end + 1;
       }
@@ -39,14 +40,14 @@ TEST(SuffixTree, CountsOnPeriodicText) {
   const Text text = MakePeriodic(64, 2, 0).text();
   const SuffixTree tree(text);
   const Text absent = {5};  // Symbol 5 never occurs in (01)^32.
-  EXPECT_EQ(tree.CountOccurrences(absent), 0u);
+  EXPECT_EQ(tree.CollectOccurrences(text, absent).size(), 0u);
   const Text ab = {0, 1};
-  EXPECT_EQ(tree.CountOccurrences(ab), 32u);
+  EXPECT_EQ(tree.CollectOccurrences(text, ab).size(), 32u);
   const Text aba = {0, 1, 0};
-  EXPECT_EQ(tree.CountOccurrences(aba), 31u);
+  EXPECT_EQ(tree.CollectOccurrences(text, aba).size(), 31u);
   Text half;  // (ab)^16: occurs 17 times... compute via brute force instead.
   for (int i = 0; i < 32; ++i) half.push_back(static_cast<Symbol>(i % 2));
-  EXPECT_EQ(tree.CountOccurrences(half),
+  EXPECT_EQ(tree.CollectOccurrences(text, half).size(),
             testing::BruteOccurrences(text, half).size());
 }
 
@@ -60,7 +61,7 @@ TEST(SuffixTree, CollectOccurrencesMatchesBruteForce) {
       const index_t start =
           static_cast<index_t>(rng.UniformBelow(text.size() - len));
       const Text pattern(text.begin() + start, text.begin() + start + len);
-      std::vector<index_t> got = tree.CollectOccurrences(pattern);
+      std::vector<index_t> got = tree.CollectOccurrences(text, pattern);
       std::sort(got.begin(), got.end());
       ASSERT_EQ(got, testing::BruteOccurrences(text, pattern));
     }
@@ -68,12 +69,13 @@ TEST(SuffixTree, CollectOccurrencesMatchesBruteForce) {
 }
 
 TEST(SuffixTree, AbsentPatterns) {
-  const SuffixTree tree(testing::T("mississippi"));
-  EXPECT_EQ(tree.CountOccurrences(testing::T("x")), 0u);
-  EXPECT_EQ(tree.CountOccurrences(testing::T("ssissix")), 0u);
-  EXPECT_TRUE(tree.CollectOccurrences(testing::T("zz")).empty());
-  EXPECT_FALSE(tree.Contains(testing::T("ippis")));
-  EXPECT_TRUE(tree.Contains(testing::T("issi")));
+  const Text text = testing::T("mississippi");
+  const SuffixTree tree(text);
+  EXPECT_EQ(tree.CollectOccurrences(text, testing::T("x")).size(), 0u);
+  EXPECT_EQ(tree.CollectOccurrences(text, testing::T("ssissix")).size(), 0u);
+  EXPECT_TRUE(tree.CollectOccurrences(text, testing::T("zz")).empty());
+  EXPECT_TRUE(tree.CollectOccurrences(text, testing::T("ippis")).empty());
+  EXPECT_FALSE(tree.CollectOccurrences(text, testing::T("issi")).empty());
 }
 
 TEST(SuffixTree, NodeSummariesMatchEsaOnSentinelTexts) {
@@ -83,7 +85,7 @@ TEST(SuffixTree, NodeSummariesMatchEsaOnSentinelTexts) {
     Text text = testing::RandomText(150, 3, seed);
     text.push_back(200);  // Unique sentinel symbol.
     const SuffixTree tree(text);
-    auto tree_nodes = tree.CollectNodeSummaries();
+    auto tree_nodes = tree.CollectNodeSummaries(text);
 
     const std::vector<index_t> sa = BuildSuffixArray(text);
     const std::vector<index_t> lcp = BuildLcpArray(text, sa);
@@ -104,11 +106,12 @@ TEST(SuffixTree, PendingSuffixAccounting) {
   // "aaaa" keeps all short suffixes implicit; counts must still be exact.
   SuffixTree tree;
   for (int i = 0; i < 6; ++i) {
-    tree.Extend(0);
     const Text prefix(i + 1, 0);
+    tree.Extend(prefix);
     for (index_t len = 1; len <= prefix.size(); ++len) {
       const Text pattern(len, 0);
-      ASSERT_EQ(tree.CountOccurrences(pattern), prefix.size() - len + 1);
+      ASSERT_EQ(tree.CollectOccurrences(prefix, pattern).size(),
+                prefix.size() - len + 1);
     }
   }
   EXPECT_GT(tree.PendingSuffixCount(), 0u);
@@ -123,8 +126,9 @@ TEST(SuffixTree, SizeGrowsLinearly) {
 }
 
 TEST(SuffixTree, EmptyPatternCountsPositions) {
-  const SuffixTree tree(testing::T("abcd"));
-  EXPECT_EQ(tree.CountOccurrences({}), 4u);
+  const Text text = testing::T("abcd");
+  const SuffixTree tree(text);
+  EXPECT_EQ(tree.CollectOccurrences(text, {}).size(), 4u);
 }
 
 }  // namespace

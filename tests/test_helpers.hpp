@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,21 +57,38 @@ inline std::vector<index_t> BruteTopKFrequencies(const Text& text, u64 k) {
   return freqs;
 }
 
+/// Brute-force global utility of \p pattern over the occurrences in
+/// (\p text, \p weights) that end past position \p boundary (start + m >
+/// boundary) — the half of an answer the update tier's delta overlay owns.
+/// Boundary 0 counts every occurrence.
+inline QueryResult BruteUtilityEndingPast(std::span<const Symbol> text,
+                                          std::span<const double> weights,
+                                          index_t boundary,
+                                          std::span<const Symbol> pattern,
+                                          GlobalUtilityKind kind) {
+  QueryResult result;
+  const std::size_t m = pattern.size();
+  if (m == 0 || m > text.size()) return result;
+  UtilityAccumulator acc;
+  for (std::size_t i = 0; i + m <= text.size(); ++i) {
+    if (i + m <= boundary ||
+        !std::equal(pattern.begin(), pattern.end(), text.begin() + i)) {
+      continue;
+    }
+    double local = 0;
+    for (std::size_t k = 0; k < m; ++k) local += weights[i + k];
+    acc.Add(local, kind);
+  }
+  if (acc.count == 0) return result;
+  result.utility = acc.Finalize(kind);
+  result.occurrences = acc.count;
+  return result;
+}
+
 /// Brute-force global utility of \p pattern over (S, w).
 inline QueryResult BruteUtility(const WeightedString& ws, const Text& pattern,
                                 GlobalUtilityKind kind) {
-  QueryResult result;
-  const std::vector<index_t> occ = BruteOccurrences(ws.text(), pattern);
-  if (occ.empty()) return result;
-  UtilityAccumulator acc;
-  for (index_t i : occ) {
-    double local = 0;
-    for (index_t k = 0; k < pattern.size(); ++k) local += ws.weight(i + k);
-    acc.Add(local, kind);
-  }
-  result.utility = acc.Finalize(kind);
-  result.occurrences = static_cast<index_t>(occ.size());
-  return result;
+  return BruteUtilityEndingPast(ws.text(), ws.weights(), 0, pattern, kind);
 }
 
 /// Deterministic random text for property tests.

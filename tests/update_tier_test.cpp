@@ -18,10 +18,11 @@
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
-#include "usi/core/dynamic_usi.hpp"
 #include "usi/core/multi_service.hpp"
+#include "usi/core/update_tier.hpp"
 #include "usi/core/usi_index.hpp"
 #include "usi/parallel/thread_pool.hpp"
+#include "usi/text/generators.hpp"
 #include "usi/util/failpoint.hpp"
 
 namespace usi {
@@ -160,14 +161,13 @@ TEST_F(UpdateTierTest, NonFiniteWeightsAreRejectedWholesale) {
 }
 
 // The acceptance pin: a randomized append schedule of 10k symbols, verified
-// after EVERY append against an exact oracle (DynamicUsi over the same
-// content — itself differentially pinned to brute force and the static
-// index in dynamic_usi_test), plus periodic full UsiIndex rebuilds compared
-// with operator== — byte-equality, possible because integer kSum utilities
-// are exact in double whatever the base/delta split. Repeated at pool
-// widths 1, 2, 4 and 8; compactions run concurrently with the schedule
-// (low threshold), so warm starts with appends-during-build happen
-// organically.
+// after EVERY append against brute force over the full content (no code
+// shared with the overlay's suffix tree), plus periodic full UsiIndex
+// rebuilds compared with operator== — byte-equality, possible because
+// integer kSum utilities are exact in double whatever the base/delta
+// split. Repeated at pool widths 1, 2, 4 and 8; compactions run
+// concurrently with the schedule (low threshold), so warm starts with
+// appends-during-build happen organically.
 TEST_F(UpdateTierTest, RandomizedScheduleMatchesFullRebuildAtEveryStep) {
   constexpr index_t kAppendTotal = 10000;
   constexpr index_t kCheckpointEvery = 2500;
@@ -183,9 +183,6 @@ TEST_F(UpdateTierTest, RandomizedScheduleMatchesFullRebuildAtEveryStep) {
     service.SubmitText("t", seed);
     ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
 
-    DynamicUsiOptions oracle_options;
-    oracle_options.k = 0;  // Pure tree + PSW: exact, no table to maintain.
-    DynamicUsi oracle(seed, oracle_options);
     Text full = seed.text();
     std::vector<double> weights = seed.weights();
 
@@ -203,7 +200,6 @@ TEST_F(UpdateTierTest, RandomizedScheduleMatchesFullRebuildAtEveryStep) {
         w[i] = static_cast<double>(rng.UniformInRange(1, 5));
       }
       ASSERT_EQ(service.AppendText("t", span, w), ServeStatus::kOk);
-      for (std::size_t i = 0; i < len; ++i) oracle.Append(span[i], w[i]);
       full.insert(full.end(), span.begin(), span.end());
       weights.insert(weights.end(), w.begin(), w.end());
       appended += static_cast<index_t>(len);
@@ -226,7 +222,8 @@ TEST_F(UpdateTierTest, RandomizedScheduleMatchesFullRebuildAtEveryStep) {
       QueryResult got[2];
       ASSERT_EQ(service.QueryBatchInto(queries, got), ServeStatus::kOk);
       for (int p = 0; p < 2; ++p) {
-        const QueryResult want = oracle.Query(patterns[p]);
+        const QueryResult want = testing::BruteUtilityEndingPast(
+            full, weights, 0, patterns[p], GlobalUtilityKind::kSum);
         ASSERT_EQ(got[p].occurrences, want.occurrences)
             << "threads " << threads << " appended " << appended;
         ASSERT_EQ(got[p].utility, want.utility)
@@ -260,6 +257,131 @@ TEST_F(UpdateTierTest, RandomizedScheduleMatchesFullRebuildAtEveryStep) {
     EXPECT_GT(stats->compactions, 0u)
         << "the schedule must actually exercise compaction";
     EXPECT_EQ(service.stats().appends, stats->appends);
+  }
+}
+
+// The overlay on its own against brute force: its crossing answer must be
+// the utility of exactly the occurrences in the full text that end past the
+// boundary. Four texts (random sigma=4, XML-like, sigma=256 with symbols 0
+// and 0xFF at the seam, (ab)^p), contexts 8 and 512 so both the window path
+// and the long-pattern scan path answer, all four utility kinds, and the
+// overlay's two lineage moves: a warm start (AppendFrom into a successor
+// over a longer base) and a Rebase of the old overlay to the same boundary.
+TEST_F(UpdateTierTest, OverlayCrossingMatchesBruteForce) {
+  constexpr index_t kBase = 700;
+  constexpr index_t kTotal = 960;
+  constexpr index_t kWarmAt = 830;  // Appends before the successor forms.
+  constexpr index_t kFold = 790;    // The successor's base length.
+  Text wide = testing::RandomText(kTotal, 256, 0xD3);
+  wide[kBase - 1] = 0x00;
+  wide[kBase] = 0xFF;
+  wide[kFold] = 0x00;
+  wide[kTotal - 1] = 0xFF;
+  const std::pair<const char*, Text> texts[] = {
+      {"dna", testing::RandomText(kTotal, 4, 0xD1)},
+      {"xml", MakeXmlLike(kTotal, 0xD2).text()},
+      {"sigma256", wide},
+      {"abab", MakePeriodic(kTotal, 2, 0xD4).text()},
+  };
+  const index_t lengths[] = {1, 2, 3, 5, 8, 9, 10, 13, 21, 40, 120};
+
+  for (const auto& [name, full] : texts) {
+    Rng rng(0xD5);
+    std::vector<double> weights(kTotal);
+    for (double& w : weights) w = static_cast<double>(rng.UniformInRange(1, 5));
+    auto base_of = [&](index_t n) {
+      return std::make_shared<const WeightedString>(
+          Text(full.begin(), full.begin() + n),
+          std::vector<double>(weights.begin(), weights.begin() + n));
+    };
+    const auto base = base_of(kBase);
+    const auto folded = base_of(kFold);
+
+    for (const index_t context : {8u, 512u}) {
+      for (const GlobalUtilityKind kind :
+           {GlobalUtilityKind::kSum, GlobalUtilityKind::kMin,
+            GlobalUtilityKind::kMax, GlobalUtilityKind::kAvg}) {
+        DeltaOverlay::Scratch scratch;
+        auto check = [&](const DeltaOverlay& overlay, const char* which) {
+          const index_t boundary = overlay.boundary();
+          const auto lock = overlay.LockForRead();
+          const index_t total = overlay.TotalSizeLocked();
+          const std::span<const Symbol> text(full.data(), total);
+          const std::span<const double> w(weights.data(), total);
+          std::vector<Text> patterns = {Text{}};
+          for (const index_t m : lengths) {
+            if (m > total) continue;
+            // Mostly crossing candidates, one from anywhere, one random.
+            const index_t near = boundary >= m + 2 ? boundary - m - 2 : 0;
+            for (int r = 0; r < 2; ++r) {
+              const index_t s = static_cast<index_t>(
+                  rng.UniformInRange(near, total - m));
+              patterns.emplace_back(text.begin() + s, text.begin() + s + m);
+            }
+            const index_t s =
+                static_cast<index_t>(rng.UniformInRange(0, total - m));
+            patterns.emplace_back(text.begin() + s, text.begin() + s + m);
+            Text random(m);
+            for (Symbol& c : random) {
+              c = text[rng.UniformBelow(total)];
+            }
+            patterns.push_back(std::move(random));
+          }
+          for (const Text& pattern : patterns) {
+            const QueryResult got =
+                overlay.QueryCrossingLocked(pattern, scratch);
+            const QueryResult want = testing::BruteUtilityEndingPast(
+                text, w, boundary, pattern, kind);
+            ASSERT_EQ(got.occurrences, want.occurrences)
+                << name << " " << which << " context " << context << " "
+                << GlobalUtilityKindName(kind) << " m " << pattern.size()
+                << " total " << total;
+            ASSERT_EQ(got.utility, want.utility)
+                << name << " " << which << " context " << context << " "
+                << GlobalUtilityKindName(kind) << " m " << pattern.size()
+                << " total " << total;
+          }
+        };
+        auto append_up_to = [&](DeltaOverlay& overlay, index_t from,
+                                index_t to) {
+          const std::size_t len = to - from;
+          overlay.Append(std::span<const Symbol>(full.data() + from, len),
+                         std::span<const double>(weights.data() + from, len));
+        };
+
+        DeltaOverlay overlay(base, context, 1, kind);
+        index_t at = kBase;
+        while (at < kWarmAt) {
+          const index_t next = std::min<index_t>(
+              kWarmAt, at + static_cast<index_t>(rng.UniformInRange(1, 16)));
+          append_up_to(overlay, at, next);
+          at = next;
+          check(overlay, "live");
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+
+        // Warm start: the successor covers [0, kFold) as its base and
+        // replays the appends past it from the old overlay.
+        DeltaOverlay successor(folded, context, 2, kind);
+        successor.AppendFrom(overlay, kFold, at - kFold);
+        check(successor, "warm-started");
+        // Rebase: the old overlay hands [0, kFold) to the new generation.
+        overlay.Rebase(kFold);
+        check(overlay, "rebased");
+        if (::testing::Test::HasFatalFailure()) return;
+
+        while (at < kTotal) {
+          const index_t next = std::min<index_t>(
+              kTotal, at + static_cast<index_t>(rng.UniformInRange(1, 16)));
+          append_up_to(successor, at, next);
+          append_up_to(overlay, at, next);
+          at = next;
+          check(successor, "warm-started");
+          check(overlay, "rebased");
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
   }
 }
 

@@ -98,7 +98,7 @@ void PrintDegradedTier(const DegradedTierStats& s) {
 }
 
 /// Prints one text's update-tier telemetry: the live delta overlay (size,
-/// window, staleness) and the compaction history behind it.
+/// window, footprint) and the compaction history behind it.
 void PrintUpdateTier(const UsiTextStats& s) {
   std::printf("  appends:     %llu absorbed, %llu compactions (last publish "
               "pause %.1f us)\n",
@@ -110,9 +110,9 @@ void PrintUpdateTier(const UsiTextStats& s) {
     return;
   }
   std::printf("  delta:       %u pending past boundary %u (window %u, "
-              "staleness %u, %zu KiB, epoch %llu)\n",
+              "%zu KiB, epoch %llu)\n",
               s.delta->appended, s.delta->boundary, s.delta->window,
-              s.delta->staleness, s.delta->bytes / 1024,
+              s.delta->bytes / 1024,
               static_cast<unsigned long long>(s.delta->epoch));
 }
 
