@@ -1,16 +1,18 @@
-// Construction hot-path bench (PR: cache-conscious SA-IS, pool-parallel
-// mining, memory-lean staged builds). Four sections, all best-of-3:
+// Construction hot-path bench (cache-conscious SA-IS, pool-parallel mining,
+// memory-lean staged builds). Four sections, all best-of-3:
 //
-//   rss   — staged UsiBuilder peak-RSS table: per-stage VmHWM deltas and the
-//           final peak (runs first: VmHWM is process-monotone, so only the
-//           first big allocations attribute cleanly).
+//   rss   — staged UsiBuilder peak-RSS table: per-stage VmHWM deltas (the
+//           mine stage's included) and the final peak (runs first: VmHWM is
+//           process-monotone, so only the first big allocations attribute
+//           cleanly).
 //   sa    — suffix-array construction rates: the seed's textbook SA-IS
 //           (BuildSuffixArrayReference) vs the rewritten BuildSuffixArray,
 //           single-thread and with the level-0 passes on a pool. The
 //           acceptance bar is sais_speedup_vs_reference >= 1.5 single-thread.
-//   mine  — exact-miner statistics build (chunked Kasai LCP + chunked
-//           LCP-interval traversal + radix sort), sequential vs pool at
-//           2/4/hw threads.
+//   mine  — the build's exact miner (ExactTopK at K = n/100: chunked Kasai
+//           LCP + two chunked LCP-interval passes) beside the full Section V
+//           structure (SubstringStats: every node, radix sorted), sequential
+//           and on pools of 2/4/hw threads.
 //   table — phase (ii) per text at threads = 1 and K = n/100 (the service
 //           default): table-stage seconds, L_K and sum(occ)/n. The SA sweep
 //           costs O(n + sum(occ)); a per-length window scan cost n * L_K.
@@ -27,6 +29,7 @@
 #include "usi/core/usi_index.hpp"
 #include "usi/parallel/thread_pool.hpp"
 #include "usi/suffix/suffix_array.hpp"
+#include "usi/topk/exact_topk.hpp"
 #include "usi/topk/substring_stats.hpp"
 #include "usi/util/memory.hpp"
 
@@ -139,11 +142,21 @@ void MiningSection(const char* name, bench::BenchJson* json) {
   const index_t n = bench::ScaledLength(spec);
   const Text text = MakeDataset(spec, n).text();
   const std::vector<index_t> sa = BuildSuffixArray(text);
+  const u64 k = std::max<u64>(1, n / 100);  // The build's default K.
 
-  const double seq_s = BestOf([&] {
-    std::vector<index_t> sa_copy = sa;
-    SubstringStats stats(text, std::move(sa_copy));
-  });
+  // The mine stage as the build runs it, and the full Section V structure
+  // (every node, radix sorted) the tuning API builds, at one pool width.
+  auto time_pair = [&](ThreadPool* pool, double* miner_s, double* stats_s) {
+    *miner_s =
+        BestOf([&] { const TopKList mined = ExactTopK(text, sa, k, pool); });
+    *stats_s = BestOf([&] {
+      std::vector<index_t> sa_copy = sa;
+      const SubstringStats stats(text, std::move(sa_copy), pool);
+    });
+  };
+  double seq_miner_s = 0;
+  double seq_stats_s = 0;
+  time_pair(nullptr, &seq_miner_s, &seq_stats_s);
 
   std::vector<unsigned> counts = {2, 4};
   const unsigned hw = ThreadPool::HardwareConcurrency();
@@ -152,25 +165,28 @@ void MiningSection(const char* name, bench::BenchJson* json) {
   }
   std::sort(counts.begin(), counts.end());
 
-  TablePrinter table(std::string("Exact-miner stats build (best of 3) on ") +
-                     name + " (n=" + TablePrinter::Int(n) + ")");
-  table.SetHeader({"threads", "seconds", "speedup"});
-  table.AddRow({"1 (seq)", TablePrinter::Num(seq_s, 4), "1.00"});
+  TablePrinter table(std::string("Exact mining (best of 3) on ") + name +
+                     " (n=" + TablePrinter::Int(n) + ", K=" +
+                     TablePrinter::Int(static_cast<long long>(k)) + ")");
+  table.SetHeader({"threads", "ExactTopK s", "speedup", "SubstringStats s"});
+  table.AddRow({"1 (seq)", TablePrinter::Num(seq_miner_s, 4), "1.00",
+                TablePrinter::Num(seq_stats_s, 4)});
   const std::string section = std::string("mine.") + name;
-  json->Add(section, "seq_s", seq_s, "s");
+  json->Add(section, "seq_s", seq_miner_s, "s");
+  json->Add(section, "stats_seq_s", seq_stats_s, "s");
   for (unsigned threads : counts) {
     ThreadPool pool(threads);
-    const double pool_s = BestOf([&] {
-      std::vector<index_t> sa_copy = sa;
-      SubstringStats stats(text, std::move(sa_copy), &pool);
-    });
-    const double speedup = pool_s > 0 ? seq_s / pool_s : 0;
-    table.AddRow({TablePrinter::Int(threads), TablePrinter::Num(pool_s, 4),
-                  TablePrinter::Num(speedup, 2)});
-    json->Add(section, "pool" + TablePrinter::Int(threads) + "_s", pool_s,
-              "s");
-    json->Add(section, "pool" + TablePrinter::Int(threads) + "_speedup",
-              speedup, "x");
+    double miner_s = 0;
+    double stats_s = 0;
+    time_pair(&pool, &miner_s, &stats_s);
+    const double speedup = miner_s > 0 ? seq_miner_s / miner_s : 0;
+    table.AddRow({TablePrinter::Int(threads), TablePrinter::Num(miner_s, 4),
+                  TablePrinter::Num(speedup, 2),
+                  TablePrinter::Num(stats_s, 4)});
+    const std::string pool_key = "pool" + TablePrinter::Int(threads);
+    json->Add(section, pool_key + "_s", miner_s, "s");
+    json->Add(section, pool_key + "_speedup", speedup, "x");
+    json->Add(section, "stats_" + pool_key + "_s", stats_s, "s");
   }
   table.Print();
 }
@@ -191,7 +207,7 @@ void TableSection(const char* name, bench::BenchJson* json) {
     num_lengths = info.num_lengths;
   }
   double occurrences = 0;
-  for (const TopKSubstring& item : SubstringStats(ws.text()).TopK(k).items) {
+  for (const TopKSubstring& item : ExactTopK(ws.text(), k).items) {
     occurrences += item.frequency;
   }
   const double occ_per_n = occurrences / static_cast<double>(n);

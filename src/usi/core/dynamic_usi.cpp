@@ -2,7 +2,8 @@
 
 #include <algorithm>
 
-#include "usi/topk/substring_stats.hpp"
+#include "usi/suffix/suffix_array.hpp"
+#include "usi/topk/exact_topk.hpp"
 
 namespace usi {
 
@@ -51,8 +52,8 @@ void DynamicUsi::RefreshTopK() {
   if (text_.empty() || options_.k == 0) return;
 
   // Recompute the exact top-K (the deferred-cost path the paper describes).
-  SubstringStats stats(text_);
-  const TopKList mined = stats.TopK(options_.k);
+  const std::vector<index_t> sa = BuildSuffixArray(text_);
+  const TopKList mined = ExactTopK(text_, sa, options_.k);
 
   // The static index's phase (ii): one SA sweep over the mined intervals
   // (ExhaustiveQueryEngine::AggregateIntervals), keyed by fingerprint.
@@ -65,7 +66,7 @@ void DynamicUsi::RefreshTopK() {
     items.push_back({SaInterval{item.lb, item.rb}, item.length, fp});
   }
   std::vector<UtilityAccumulator> sums;
-  ExhaustiveQueryEngine(text_, stats.sa(), psw_, options_.utility)
+  ExhaustiveQueryEngine(text_, sa, psw_, options_.utility)
       .AggregateIntervals(items, sums);
   for (std::size_t i = 0; i < items.size(); ++i) {
     table_.FindOrInsert(PatternKey{items[i].tag, items[i].length},

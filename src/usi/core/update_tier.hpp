@@ -153,7 +153,8 @@ class DeltaOverlay {
   /// when the live overlay still carries the epoch its snapshot saw).
   u64 epoch() const { return epoch_; }
 
-  /// Telemetry snapshot (takes the read lock).
+  /// Telemetry snapshot (takes the read lock; O(1), the tree keeps its
+  /// byte count as it grows).
   DeltaOverlayStats StatsSnapshot() const;
 
  private:

@@ -6,7 +6,7 @@
 #include "usi/parallel/thread_pool.hpp"
 #include "usi/suffix/sa_search.hpp"
 #include "usi/suffix/suffix_array.hpp"
-#include "usi/topk/substring_stats.hpp"
+#include "usi/topk/exact_topk.hpp"
 #include "usi/util/failpoint.hpp"
 #include "usi/util/memory.hpp"
 #include "usi/util/timer.hpp"
@@ -76,22 +76,18 @@ void UsiBuilder::BuildInto(UsiIndex& index) {
   stages_.push_back(
       {"sa", index.build_info_.sa_seconds, index.build_info_.sa_rss_delta_bytes});
 
-  // Stage "mine": phase (i), the top-K frequent substrings. The stats object
-  // (LCP + T/Q/L tables) is scoped to this block and its LCP array is
-  // released the moment the node table exists, so none of the mining
+  // Stage "mine": phase (i), the top-K frequent substrings. ExactTopK's
+  // LCP array and kept nodes are local to the call, so none of the mining
   // intermediates are resident while the table stage runs.
   Timer mining_timer;
   rss_before = ReadPeakRssBytes();
   USI_FAILPOINT("build.mine");
+  index.sa_ = std::move(sa);
   TopKList mined;
-  if (options_.miner == UsiMiner::kExact && n > 0) {
-    SubstringStats stats(text, std::move(sa), pool);
-    stats.ReleaseLcp();  // T/Q/L are built; the LCP scratch is dead weight.
-    mined = stats.TopK(k);
-    index.sa_ = stats.TakeSa();  // Reuse the shared suffix array.
-  } else {
-    index.sa_ = std::move(sa);
-    if (n > 0) mined = ApproximateTopK(text, k, options_.approx);
+  if (n > 0) {
+    mined = options_.miner == UsiMiner::kExact
+                ? ExactTopK(text, index.sa_, k, pool)
+                : ApproximateTopK(text, k, options_.approx);
   }
   index.build_info_.mining_seconds = mining_timer.ElapsedSeconds();
   index.build_info_.mining_rss_delta_bytes = PeakRssDelta(rss_before);

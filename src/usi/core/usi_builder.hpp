@@ -14,7 +14,9 @@
 ///
 /// "sa" and "mine" run on the pool when one is given: "sa" parallelizes the
 /// level-0 SA-IS histogram and LMS gathering; "mine" runs chunked Kasai LCP
-/// plus the chunked LCP-interval (ESA) traversal of the exact miner. Phase
+/// plus the exact miner's two chunked LCP-interval (ESA) passes, which keep
+/// only the nodes at or above tau_K (ExactTopK; no node table, no radix
+/// sort). Phase
 /// (ii) is sequential: ExhaustiveQueryEngine::AggregateIntervals walks the
 /// SA once, O(n + sum of occurrences), and folds each key's occurrences in
 /// SA order — the miss path's order, so a table hit equals the miss answer
@@ -24,9 +26,9 @@
 /// tests/buildpath_test.cpp pin).
 ///
 /// Memory-lean staging: each stage releases its dead intermediates (SA-IS
-/// workspace, LCP array, the T/Q/L mining tables, the mined list) before
-/// the next stage allocates, so the build's peak RSS tracks the largest
-/// single stage instead of the sum of all of them.
+/// workspace; the LCP array, frequency counts and kept nodes of the miner;
+/// the mined list) before the next stage allocates, so the build's peak RSS
+/// tracks the largest single stage instead of the sum of all of them.
 
 #include <memory>
 #include <vector>

@@ -1,15 +1,14 @@
 #include "usi/suffix/esa.hpp"
 
-namespace usi {
+#include <algorithm>
 
-std::vector<SuffixTreeNode> CollectSuffixTreeNodes(
-    const std::vector<index_t>& lcp, const std::vector<index_t>& suffix_len) {
-  std::vector<SuffixTreeNode> nodes;
-  nodes.reserve(2 * suffix_len.size());
-  EnumerateSuffixTreeNodes(lcp, suffix_len,
-                           [&](const SuffixTreeNode& node) { nodes.push_back(node); });
-  return nodes;
-}
+namespace usi {
+namespace {
+
+/// Below this many steps the chunked traversal is pure overhead.
+constexpr index_t kParallelEnumerateThreshold = index_t{1} << 14;
+
+}  // namespace
 
 std::vector<std::vector<LcpStackEntry>> LcpIntervalStacksAt(
     const std::vector<index_t>& lcp, const std::vector<index_t>& boundaries) {
@@ -40,11 +39,24 @@ std::vector<std::vector<LcpStackEntry>> LcpIntervalStacksAt(
   return snapshots;
 }
 
-std::vector<index_t> DenseSuffixLengths(const std::vector<index_t>& sa,
-                                        index_t n) {
-  std::vector<index_t> lengths(sa.size());
-  for (std::size_t k = 0; k < sa.size(); ++k) lengths[k] = n - sa[k];
-  return lengths;
+EsaChunks::EsaChunks(const std::vector<index_t>& lcp, ThreadPool* pool)
+    : m_(static_cast<index_t>(lcp.size())) {
+  const unsigned workers = pool == nullptr ? 1 : pool->thread_count();
+  if (workers <= 1 || m_ < kParallelEnumerateThreshold) return;
+  // A few chunks per worker smooth out uneven ranges. Boundaries are clamped
+  // to [1, m] (ceil rounding in span can push the nominal last boundaries
+  // past m at extreme pool widths); the real chunk count follows from the
+  // boundaries that survived.
+  const std::size_t want_chunks = std::min<std::size_t>(
+      4 * workers,
+      std::max<std::size_t>(2, m_ / (kParallelEnumerateThreshold / 4)));
+  const index_t span =
+      static_cast<index_t>((m_ + want_chunks - 1) / want_chunks);
+  for (std::size_t c = 1;
+       c < want_chunks && 1 + c * static_cast<std::size_t>(span) <= m_; ++c) {
+    boundaries_.push_back(static_cast<index_t>(1 + c * span));
+  }
+  stacks_ = LcpIntervalStacksAt(lcp, boundaries_);
 }
 
 }  // namespace usi

@@ -13,8 +13,10 @@
 /// once, generic over (lcp, suffix lengths) — the dense and sparse cases pass
 /// different arrays.
 
+#include <cstddef>
 #include <vector>
 
+#include "usi/parallel/thread_pool.hpp"
 #include "usi/text/alphabet.hpp"
 #include "usi/util/common.hpp"
 
@@ -47,6 +49,17 @@ struct LcpStackEntry {
   bool operator==(const LcpStackEntry&) const = default;
 };
 
+/// Suffix lengths of a dense suffix array over a length-n text, read
+/// straight off it: (*this)[k] = n - sa[k]. The traversal takes it in place
+/// of a materialized suffix-length array, so it costs no extra n words.
+struct DenseSuffixLengthView {
+  const std::vector<index_t>* sa;
+  index_t n;
+
+  index_t operator[](std::size_t k) const { return n - (*sa)[k]; }
+  std::size_t size() const { return sa->size(); }
+};
+
 /// Processes traversal steps i in [\p begin, \p end) of the bottom-up pass
 /// (the full enumeration is steps 1 .. m inclusive). \p stack must hold the
 /// open-interval stack as it stands *entering* step \p begin — {{0, 0}} for
@@ -55,10 +68,11 @@ struct LcpStackEntry {
 /// global lb and lcp values, the emissions of this range are exactly the
 /// emissions the full sequential pass makes during the same steps — which is
 /// what lets chunked (pool-parallel) enumeration concatenate per-chunk
-/// outputs into the byte-identical sequential order.
-template <typename EmitFn>
+/// outputs into the byte-identical sequential order. \p suffix_len is a
+/// std::vector<index_t> or a DenseSuffixLengthView.
+template <typename SuffixLengths, typename EmitFn>
 void EnumerateSuffixTreeNodeRange(const std::vector<index_t>& lcp,
-                                  const std::vector<index_t>& suffix_len,
+                                  const SuffixLengths& suffix_len,
                                   index_t begin, index_t end,
                                   std::vector<LcpStackEntry>& stack,
                                   EmitFn emit) {
@@ -95,9 +109,9 @@ void EnumerateSuffixTreeNodeRange(const std::vector<index_t>& lcp,
 /// the next one, and for the root) are not emitted. Order of emission is the
 /// bottom-up lcp-interval order; leaves are emitted before the internal
 /// nodes that close over them.
-template <typename EmitFn>
+template <typename SuffixLengths, typename EmitFn>
 void EnumerateSuffixTreeNodes(const std::vector<index_t>& lcp,
-                              const std::vector<index_t>& suffix_len,
+                              const SuffixLengths& suffix_len,
                               EmitFn emit) {
   const index_t m = static_cast<index_t>(suffix_len.size());
   if (m == 0) return;
@@ -115,14 +129,60 @@ void EnumerateSuffixTreeNodes(const std::vector<index_t>& lcp,
 std::vector<std::vector<LcpStackEntry>> LcpIntervalStacksAt(
     const std::vector<index_t>& lcp, const std::vector<index_t>& boundaries);
 
-/// Convenience: collects the enumeration into a vector.
-std::vector<SuffixTreeNode> CollectSuffixTreeNodes(
-    const std::vector<index_t>& lcp, const std::vector<index_t>& suffix_len);
+/// The traversal steps [1, m] cut into contiguous chunks for a pool, each
+/// with the open-interval stack it enters with (LcpIntervalStacksAt). A
+/// null or one-wide pool, or fewer than 2^14 steps, gives a single chunk.
+/// Every chunk emits exactly what the sequential pass emits during its
+/// steps, so per-chunk outputs concatenated in chunk order reproduce the
+/// sequential emission order at every pool width.
+class EsaChunks {
+ public:
+  EsaChunks(const std::vector<index_t>& lcp, ThreadPool* pool);
 
-/// Builds the suffix-length array for the dense suffix array of a length-n
-/// text: suffix_len[k] = n - sa[k].
-std::vector<index_t> DenseSuffixLengths(const std::vector<index_t>& sa,
-                                        index_t n);
+  std::size_t size() const { return boundaries_.size() + 1; }
+  index_t begin(std::size_t c) const {
+    return c == 0 ? 1 : boundaries_[c - 1];
+  }
+  index_t end(std::size_t c) const {
+    return c == boundaries_.size() ? m_ + 1 : boundaries_[c];
+  }
+
+  /// Runs the traversal of every chunk on the pool (inline for one chunk)
+  /// and calls emit(chunk, node) for each node chunk emits, in emission
+  /// order within the chunk. Chunks run concurrently: emit may touch only
+  /// state owned by its chunk.
+  template <typename SuffixLengths, typename EmitFn>
+  void Enumerate(const std::vector<index_t>& lcp,
+                 const SuffixLengths& suffix_len, ThreadPool* pool,
+                 EmitFn emit) const {
+    ParallelFor(size() == 1 ? nullptr : pool, size(),
+                [&](std::size_t c, unsigned /*worker*/) {
+                  std::vector<LcpStackEntry> stack =
+                      c == 0 ? std::vector<LcpStackEntry>{{0, 0}}
+                             : stacks_[c - 1];
+                  EnumerateSuffixTreeNodeRange(
+                      lcp, suffix_len, begin(c), end(c), stack,
+                      [&](const SuffixTreeNode& node) { emit(c, node); });
+                });
+  }
+
+ private:
+  index_t m_;
+  std::vector<index_t> boundaries_;  ///< begin() of chunks 1 .. size()-1.
+  std::vector<std::vector<LcpStackEntry>> stacks_;  ///< Entering stacks.
+};
+
+/// Convenience: collects the enumeration into a vector.
+template <typename SuffixLengths>
+std::vector<SuffixTreeNode> CollectSuffixTreeNodes(
+    const std::vector<index_t>& lcp, const SuffixLengths& suffix_len) {
+  std::vector<SuffixTreeNode> nodes;
+  nodes.reserve(2 * suffix_len.size());
+  EnumerateSuffixTreeNodes(lcp, suffix_len, [&](const SuffixTreeNode& node) {
+    nodes.push_back(node);
+  });
+  return nodes;
+}
 
 }  // namespace usi
 

@@ -31,7 +31,9 @@ void SuffixTree::SetChild(index_t node, Symbol c, index_t child) {
   if (it != children.end() && it->first == c) {
     it->second = child;
   } else {
+    const std::size_t capacity = children.capacity();
     children.insert(it, {c, child});
+    child_bytes_ += (children.capacity() - capacity) * sizeof(children[0]);
   }
 }
 
@@ -87,7 +89,9 @@ void SuffixTree::Extend(std::span<const Symbol> text) {
           NewNode(nodes_[next].start, nodes_[next].start + active_length_);
       SetChild(active_node_, edge_symbol, split);
       nodes_[next].start += active_length_;
-      nodes_[split].children.reserve(2);
+      auto& split_children = nodes_[split].children;
+      split_children.reserve(2);  // A new node's vector starts empty.
+      child_bytes_ += split_children.capacity() * sizeof(split_children[0]);
       SetChild(split, text[nodes_[next].start], next);
       const index_t leaf = NewNode(pos, kOpenEnd);
       nodes_[leaf].suffix_start = pos + 1 - remaining_;
@@ -241,11 +245,7 @@ std::vector<SuffixTree::NodeSummary> SuffixTree::CollectNodeSummaries(
 }
 
 std::size_t SuffixTree::SizeInBytes() const {
-  std::size_t total = nodes_.capacity() * sizeof(Node);
-  for (const Node& node : nodes_) {
-    total += node.children.capacity() * sizeof(std::pair<Symbol, index_t>);
-  }
-  return total;
+  return nodes_.capacity() * sizeof(Node) + child_bytes_;
 }
 
 }  // namespace usi

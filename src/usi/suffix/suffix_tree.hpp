@@ -83,10 +83,13 @@ class SuffixTree {
   /// Number of explicit tree nodes (diagnostics).
   std::size_t NodeCount() const { return nodes_.size(); }
 
-  /// Heap footprint in bytes.
+  /// Heap footprint in bytes. O(1): the child-vector bytes are a running
+  /// count kept where child vectors grow, so no node walk is needed.
   std::size_t SizeInBytes() const;
 
  private:
+  friend struct SuffixTreeInspector;  // Tests recount the bytes by a walk.
+
   static constexpr index_t kNoNode = kInvalidIndex;
   static constexpr index_t kOpenEnd = kInvalidIndex;
 
@@ -116,6 +119,7 @@ class SuffixTree {
                     std::span<const Symbol> pattern) const;
 
   std::vector<Node> nodes_;
+  std::size_t child_bytes_ = 0;  ///< Sum of children.capacity() in bytes.
   index_t root_;
   index_t size_ = 0;  ///< Letters indexed so far.
 

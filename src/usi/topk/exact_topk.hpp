@@ -3,16 +3,35 @@
 
 /// \file exact_topk.hpp
 /// Exact-Top-K (Section V, Theorem 2): TOP-K-SUB in O(n + K) time and O(n)
-/// space via the SubstringStats structure. Thin convenience wrapper for
-/// callers that do not need to keep the stats around.
+/// space, without materializing the Section V node table.
+///
+/// Two bottom-up passes over the LCP array (esa.hpp). Pass 1 counts the
+/// distinct substrings of every frequency, each count saturating at K, and
+/// reads off tau_K, the K-th largest frequency. Pass 2 keeps only the nodes
+/// of frequency >= tau_K. A stable sort of those by (frequency desc, depth
+/// asc) puts them in the order SubstringStats' radix sort gives them, so the
+/// result equals SubstringStats::TopK item for item, and the index images
+/// built from it are byte-identical. The working set is the suffix array,
+/// the LCP array and one count per frequency; no ~2n-node table is built.
+
+#include <vector>
 
 #include "usi/text/alphabet.hpp"
 #include "usi/topk/topk_types.hpp"
+#include "usi/util/common.hpp"
 
 namespace usi {
 
-/// Returns the exact top-\p k frequent substrings of \p text (ties broken
-/// shorter-first, matching the Section V ordering).
+class ThreadPool;
+
+/// Returns the exact top-\p k frequent substrings of \p text with their SA
+/// intervals over \p sa (the suffix array of \p text), most frequent first,
+/// ties broken shorter-first. With \p pool, the LCP scan and both passes run
+/// chunked on it (EsaChunks); the output is the same at every pool width.
+TopKList ExactTopK(const Text& text, const std::vector<index_t>& sa, u64 k,
+                   ThreadPool* pool = nullptr);
+
+/// As above, building the suffix array first.
 TopKList ExactTopK(const Text& text, u64 k);
 
 }  // namespace usi

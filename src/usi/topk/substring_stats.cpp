@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "usi/parallel/thread_pool.hpp"
 #include "usi/suffix/lcp_array.hpp"
 #include "usi/suffix/suffix_array.hpp"
 #include "usi/util/radix_sort.hpp"
@@ -12,22 +11,11 @@ namespace usi {
 SubstringStats::SubstringStats(const Text& text)
     : SubstringStats(text, BuildSuffixArray(text)) {}
 
-namespace {
-
-/// Below this node count the chunked traversal is pure overhead.
-constexpr index_t kParallelEnumerateThreshold = index_t{1} << 14;
-
-}  // namespace
-
 SubstringStats::SubstringStats(const Text& text, std::vector<index_t> sa,
                                ThreadPool* pool)
-    : n_(static_cast<index_t>(text.size())) {
-  USI_CHECK(sa.size() == text.size());
-  sa_ = std::move(sa);
-  lcp_ = BuildLcpArray(text, sa_, pool);
-
-  const std::vector<index_t> suffix_len = DenseSuffixLengths(sa_, n_);
-  EnumerateNodes(suffix_len, pool);
+    : n_(static_cast<index_t>(text.size())), sa_(std::move(sa)) {
+  USI_CHECK(sa_.size() == text.size());
+  EnumerateNodes(BuildLcpArray(text, sa_, pool), pool);
 
   // Sort by (frequency desc, depth asc). Composite radix key: both components
   // are <= n, so key = (n - frequency) * (n + 1) + depth fits in 64 bits.
@@ -53,63 +41,28 @@ SubstringStats::SubstringStats(const Text& text, std::vector<index_t> sa,
   }
 }
 
-void SubstringStats::EnumerateNodes(const std::vector<index_t>& suffix_len,
+void SubstringStats::EnumerateNodes(const std::vector<index_t>& lcp,
                                     ThreadPool* pool) {
-  const index_t m = n_;
-  auto as_triplet = [](const SuffixTreeNode& node) {
-    return Triplet{node.frequency(), node.depth, node.parent_depth, node.lb,
-                   node.rb};
-  };
-
-  const unsigned workers = pool == nullptr ? 1 : pool->thread_count();
-  if (workers <= 1 || m < kParallelEnumerateThreshold) {
-    t_.reserve(2 * static_cast<std::size_t>(m));
-    EnumerateSuffixTreeNodes(lcp_, suffix_len, [&](const SuffixTreeNode& node) {
-      t_.push_back(as_triplet(node));
-    });
+  // Chunked LCP-interval traversal (EsaChunks): per-chunk outputs
+  // concatenated in chunk order are the sequential emission order, so t_ —
+  // and everything sorted from it — is identical at every pool width.
+  const EsaChunks chunks(lcp, pool);
+  std::vector<std::vector<Triplet>> partial(chunks.size());
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    partial[c].reserve(2 * static_cast<std::size_t>(chunks.end(c) -
+                                                    chunks.begin(c)));
+  }
+  chunks.Enumerate(lcp, DenseSuffixLengthView{&sa_, n_}, pool,
+                   [&](std::size_t c, const SuffixTreeNode& node) {
+                     partial[c].push_back(Triplet{node.frequency(), node.depth,
+                                                  node.parent_depth, node.lb,
+                                                  node.rb});
+                   });
+  if (partial.size() == 1) {
+    t_ = std::move(partial.front());
     t_.shrink_to_fit();  // The 2n reserve over-provisions; drop the slack.
     return;
   }
-
-  // Chunked LCP-interval traversal. A lightweight sequential pre-pass
-  // replays only the interval-stack transitions and snapshots the stack at
-  // every chunk start; each chunk then runs the full traversal of its step
-  // range with true global stack state, so concatenating the per-chunk
-  // outputs in chunk order reproduces the sequential emission order exactly
-  // — the property the byte-identical-serialization contract rests on.
-  // Chunk boundaries depend only on worker count via the chunk count, and
-  // the output is order-identical for every chunking, so any pool width
-  // (including 1, the inline path above) yields the same t_.
-  const std::size_t want_chunks = std::min<std::size_t>(
-      4 * workers, std::max<std::size_t>(2, m / (kParallelEnumerateThreshold / 4)));
-  const index_t span = static_cast<index_t>((m + want_chunks - 1) / want_chunks);
-  // Boundaries are clamped to [1, m] (ceil rounding in span can push the
-  // nominal last boundaries past m at extreme pool widths); the real chunk
-  // count follows from the boundaries that survived.
-  std::vector<index_t> boundaries;
-  boundaries.reserve(want_chunks - 1);
-  for (std::size_t c = 1;
-       c < want_chunks && 1 + c * static_cast<std::size_t>(span) <= m; ++c) {
-    boundaries.push_back(static_cast<index_t>(1 + c * span));
-  }
-  const std::vector<std::vector<LcpStackEntry>> snapshots =
-      LcpIntervalStacksAt(lcp_, boundaries);
-  const std::size_t chunks = boundaries.size() + 1;
-
-  std::vector<std::vector<Triplet>> partial(chunks);
-  ParallelFor(pool, chunks, [&](std::size_t c, unsigned /*worker*/) {
-    const index_t begin = c == 0 ? 1 : boundaries[c - 1];
-    const index_t end = c == boundaries.size() ? m + 1 : boundaries[c];
-    std::vector<LcpStackEntry> stack =
-        c == 0 ? std::vector<LcpStackEntry>{{0, 0}} : snapshots[c - 1];
-    std::vector<Triplet>& out = partial[c];
-    out.reserve(2 * static_cast<std::size_t>(end - begin) + stack.size());
-    EnumerateSuffixTreeNodeRange(lcp_, suffix_len, begin, end, stack,
-                                 [&](const SuffixTreeNode& node) {
-                                   out.push_back(as_triplet(node));
-                                 });
-  });
-
   std::size_t total = 0;
   for (const std::vector<Triplet>& p : partial) total += p.size();
   t_.reserve(total);
@@ -118,8 +71,6 @@ void SubstringStats::EnumerateNodes(const std::vector<index_t>& suffix_len,
     std::vector<Triplet>().swap(p);  // Release as we go; halves the overlap.
   }
 }
-
-void SubstringStats::ReleaseLcp() { std::vector<index_t>().swap(lcp_); }
 
 SubstringStats::KTuning SubstringStats::EstimateForK(u64 k) const {
   USI_CHECK(k >= 1);
@@ -189,9 +140,8 @@ SubstringStats::TradeOffPoint SubstringStats::RecommendForBudget(
 }
 
 std::size_t SubstringStats::SizeInBytes() const {
-  return sa_.capacity() * sizeof(index_t) + lcp_.capacity() * sizeof(index_t) +
-         t_.capacity() * sizeof(Triplet) + q_.capacity() * sizeof(u64) +
-         l_.capacity() * sizeof(index_t);
+  return sa_.capacity() * sizeof(index_t) + t_.capacity() * sizeof(Triplet) +
+         q_.capacity() * sizeof(u64) + l_.capacity() * sizeof(index_t);
 }
 
 }  // namespace usi

@@ -14,8 +14,12 @@
 ///        O(log n);
 ///   (iii) given tau, report K_tau and L_tau (size tuning) in O(log n).
 ///
-/// The structure also owns SA and LCP so the USI index can share them instead
-/// of rebuilding (the paper's construction reuses the same index of S).
+/// This is the tuning structure: T holds every node (~2n triplets, radix
+/// sorted through a scratch copy), which tasks (ii) and (iii) need. The
+/// index build only mines one K and runs ExactTopK (exact_topk.hpp)
+/// instead, which keeps the nodes at or above tau_K and nothing else; its
+/// output equals TopK here item for item. The LCP array lives only while T
+/// is built; the structure keeps the suffix array for TopK's witnesses.
 
 #include <vector>
 
@@ -35,12 +39,10 @@ class SubstringStats {
   /// O(n) time, O(n) space.
   explicit SubstringStats(const Text& text);
 
-  /// Builder-stage wiring: adopts a suffix array already built for \p text
-  /// (UsiBuilder times SA construction as its own stage and shares the
-  /// array), then derives LCP and the T/Q/L tables as above. With \p pool,
-  /// both the LCP scan (chunked Kasai) and the suffix-tree node enumeration
-  /// (chunked LCP-interval traversal seeded from boundary stack snapshots)
-  /// run on the pool; T is order-identical for every pool width.
+  /// Adopts a suffix array already built for \p text, then derives LCP and
+  /// the T/Q/L tables as above. With \p pool, both the LCP scan (chunked
+  /// Kasai) and the suffix-tree node enumeration (EsaChunks) run on the
+  /// pool; T is order-identical for every pool width.
   SubstringStats(const Text& text, std::vector<index_t> sa,
                  ThreadPool* pool = nullptr);
 
@@ -85,23 +87,6 @@ class SubstringStats {
   /// Total number of distinct substrings of the text.
   u64 TotalDistinctSubstrings() const { return q_.empty() ? 0 : q_.back(); }
 
-  /// Shared suffix array of the text.
-  const std::vector<index_t>& sa() const { return sa_; }
-
-  /// Releases the suffix array so the USI index can adopt it instead of
-  /// rebuilding (the stats object must not serve further TopK calls after
-  /// this). The paper's construction reuses the same index of S this way.
-  std::vector<index_t> TakeSa() { return std::move(sa_); }
-
-  /// Shared LCP array.
-  const std::vector<index_t>& lcp() const { return lcp_; }
-
-  /// Releases the LCP array. It is only needed while the T/Q/L tables are
-  /// derived (i.e. during construction); every query method works without
-  /// it. UsiBuilder calls this right after the mine stage starts so the
-  /// O(n)-word buffer never overlaps the table-population footprint.
-  void ReleaseLcp();
-
   /// Number of triplets in T (explicit suffix-tree nodes).
   std::size_t NodeCount() const { return t_.size(); }
 
@@ -119,15 +104,12 @@ class SubstringStats {
     index_t rb;
   };
 
-  /// Fills t_ with the suffix-tree node triplets — sequentially, or as a
-  /// chunked LCP-interval traversal over \p pool (identical order either
-  /// way).
-  void EnumerateNodes(const std::vector<index_t>& suffix_len,
-                      ThreadPool* pool);
+  /// Fills t_ with the suffix-tree node triplets of \p lcp — sequentially,
+  /// or as a chunked traversal over \p pool (identical order either way).
+  void EnumerateNodes(const std::vector<index_t>& lcp, ThreadPool* pool);
 
   index_t n_ = 0;
   std::vector<index_t> sa_;
-  std::vector<index_t> lcp_;
   std::vector<Triplet> t_;
   std::vector<u64> q_;      ///< q_[i] = distinct substrings in t_[0..i].
   std::vector<index_t> l_;  ///< l_[i] = distinct lengths in t_[0..i].

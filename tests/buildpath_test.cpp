@@ -1,9 +1,10 @@
 // Construction hot-path suite: the rewritten cache-conscious SA-IS (level-0
 // byte specialization, word-packed type bits, slab-arena recursion,
 // pool-parallel level-0 passes), the chunked LCP-interval (ESA) traversal
-// behind pool-parallel exact mining, and the memory-lean staged builder's
-// RSS telemetry. Carries the "concurrency" CTest label so the TSan CI job
-// covers the parallel-mining paths.
+// behind pool-parallel exact mining, the memory-lean staged builder's RSS
+// telemetry, and saved-image checksums recorded across versions. Carries
+// the "concurrency" CTest label so the TSan CI job covers the
+// parallel-mining paths.
 //
 // SA differential contract: BuildSuffixArray == a naive std::sort comparator
 // SA == BuildSuffixArrayReference (the seed's textbook SA-IS) on random,
@@ -12,6 +13,7 @@
 // with.
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -27,7 +29,9 @@
 #include "usi/suffix/lcp_array.hpp"
 #include "usi/suffix/suffix_array.hpp"
 #include "usi/text/generators.hpp"
+#include "usi/topk/exact_topk.hpp"
 #include "usi/topk/substring_stats.hpp"
+#include "usi/util/mapped_file.hpp"
 #include "usi/util/memory.hpp"
 
 namespace usi {
@@ -160,8 +164,8 @@ TEST(EsaChunked, BoundaryStacksMatchDirectReplay) {
   const Text text = testing::RandomText(3000, 3, 21);
   const std::vector<index_t> sa = BuildSuffixArray(text);
   const std::vector<index_t> lcp = BuildLcpArray(text, sa);
-  const std::vector<index_t> suffix_len =
-      DenseSuffixLengths(sa, static_cast<index_t>(text.size()));
+  const DenseSuffixLengthView suffix_len{&sa,
+                                        static_cast<index_t>(text.size())};
 
   // Snapshots via the pre-pass must equal the stack a full enumeration has
   // entering the same step.
@@ -181,7 +185,7 @@ TEST(EsaChunked, ChunkedEnumerationEqualsSequentialExactly) {
   const std::vector<index_t> sa = BuildSuffixArray(text);
   const std::vector<index_t> lcp = BuildLcpArray(text, sa);
   const index_t m = static_cast<index_t>(text.size());
-  const std::vector<index_t> suffix_len = DenseSuffixLengths(sa, m);
+  const DenseSuffixLengthView suffix_len{&sa, m};
 
   const std::vector<SuffixTreeNode> sequential =
       CollectSuffixTreeNodes(lcp, suffix_len);
@@ -212,8 +216,22 @@ TEST(EsaChunked, ChunkedEnumerationEqualsSequentialExactly) {
   }
 }
 
+void ExpectSameItems(const TopKList& actual, const TopKList& expected,
+                     const std::string& label) {
+  ASSERT_EQ(actual.items.size(), expected.items.size()) << label;
+  for (std::size_t i = 0; i < expected.items.size(); ++i) {
+    EXPECT_EQ(actual.items[i].length, expected.items[i].length) << label << i;
+    EXPECT_EQ(actual.items[i].frequency, expected.items[i].frequency)
+        << label << i;
+    EXPECT_EQ(actual.items[i].witness, expected.items[i].witness)
+        << label << i;
+    EXPECT_EQ(actual.items[i].lb, expected.items[i].lb) << label << i;
+    EXPECT_EQ(actual.items[i].rb, expected.items[i].rb) << label << i;
+  }
+}
+
 TEST(ParallelMining, StatsTopKMatchesSequentialAboveThreshold) {
-  // Above the chunked-traversal threshold (2^14 nodes) so the parallel path
+  // Above the chunked-traversal threshold (2^14 steps) so the parallel path
   // actually engages.
   const Text text = MakeXmlLike(40'000, 3).text();
   const std::vector<index_t> sa = BuildSuffixArray(text);
@@ -226,15 +244,16 @@ TEST(ParallelMining, StatsTopKMatchesSequentialAboveThreshold) {
     std::vector<index_t> sa_par = sa;
     const SubstringStats parallel(text, std::move(sa_par), &pool);
     EXPECT_EQ(parallel.NodeCount(), sequential.NodeCount());
-    const TopKList actual = parallel.TopK(500);
-    ASSERT_EQ(actual.items.size(), expected.items.size());
-    for (std::size_t i = 0; i < expected.items.size(); ++i) {
-      EXPECT_EQ(actual.items[i].length, expected.items[i].length) << i;
-      EXPECT_EQ(actual.items[i].frequency, expected.items[i].frequency) << i;
-      EXPECT_EQ(actual.items[i].lb, expected.items[i].lb) << i;
-      EXPECT_EQ(actual.items[i].rb, expected.items[i].rb) << i;
-      EXPECT_EQ(actual.items[i].witness, expected.items[i].witness) << i;
-    }
+    ExpectSameItems(parallel.TopK(500), expected,
+                    "stats threads=" + std::to_string(threads) + " item ");
+  }
+
+  // The build's miner, sequential and at every pool width, item for item.
+  ExpectSameItems(ExactTopK(text, sa, 500), expected, "miner sequential item ");
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    ExpectSameItems(ExactTopK(text, sa, 500, &pool), expected,
+                    "miner threads=" + std::to_string(threads) + " item ");
   }
 }
 
@@ -262,21 +281,34 @@ TEST(ParallelMining, SaveToFileByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(LeanBuild, ReleaseLcpKeepsQueriesWorking) {
-  const Text text = testing::RandomText(2000, 4, 77);
-  std::vector<index_t> sa = BuildSuffixArray(text);
-  SubstringStats stats(text, std::move(sa));
-  const TopKList before = stats.TopK(50);
-  const auto tuning_before = stats.EstimateForK(50);
-  stats.ReleaseLcp();
-  EXPECT_TRUE(stats.lcp().empty());
-  const TopKList after = stats.TopK(50);
-  ASSERT_EQ(after.items.size(), before.items.size());
-  for (std::size_t i = 0; i < before.items.size(); ++i) {
-    EXPECT_EQ(after.items[i].lb, before.items[i].lb) << i;
-    EXPECT_EQ(after.items[i].length, before.items[i].length) << i;
+TEST(GoldenImage, SavedImagesMatchRecordedChecksums) {
+  // Byte identity across versions, not only across thread counts: three
+  // small fixed builds whose saved images must hash to the values recorded
+  // before the mine stage stopped building the full node table. A change
+  // that alters the image format or any built byte must update these
+  // constants on purpose.
+  struct Case {
+    const char* label;
+    WeightedString ws;
+    u64 k;
+    u64 checksum;
+  };
+  const Case cases[] = {
+      {"sigma4", MakeRandom(6'000, 4, 0x601D), 120, 0x72725665e205f1d8ULL},
+      {"xml-like", MakeXmlLike(6'000, 0x601D), 120, 0x1dbbc9b2c30ba2d5ULL},
+      {"abab", MakePeriodic(6'000, 2, 0), 120, 0x83c7ad2953ba0317ULL},
+  };
+  for (const Case& c : cases) {
+    UsiOptions options;
+    options.k = c.k;
+    options.threads = 1;
+    const UsiIndex index(c.ws, options);
+    const std::string path = TempPath(std::string("usi_golden_") + c.label);
+    ASSERT_TRUE(index.SaveToFile(path)) << c.label;
+    const std::string bytes = ReadFileBytes(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(Checksum64(bytes.data(), bytes.size()), c.checksum) << c.label;
   }
-  EXPECT_EQ(stats.EstimateForK(50).tau, tuning_before.tau);
 }
 
 TEST(LeanBuild, RssTelemetryIsPopulated) {

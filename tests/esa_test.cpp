@@ -26,7 +26,8 @@ EsaView BuildView(const Text& text) {
   view.sa = BuildSuffixArray(text);
   view.lcp = BuildLcpArray(text, view.sa);
   view.nodes = CollectSuffixTreeNodes(
-      view.lcp, DenseSuffixLengths(view.sa, static_cast<index_t>(text.size())));
+      view.lcp,
+      DenseSuffixLengthView{&view.sa, static_cast<index_t>(text.size())});
   return view;
 }
 

@@ -1,13 +1,19 @@
 // Tests for the Section V data structure: Exact-Top-K (task i) against brute
-// force, and the K- and tau-tuning estimates (tasks ii, iii).
+// force, and the K- and tau-tuning estimates (tasks ii, iii). The build's
+// miner (ExactTopK, which keeps only the nodes at or above tau_K) is checked
+// item for item against SubstringStats::TopK, the full structure's answer.
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
+#include "usi/suffix/suffix_array.hpp"
 #include "usi/topk/exact_topk.hpp"
 #include "usi/topk/substring_stats.hpp"
 #include "usi/text/generators.hpp"
@@ -90,6 +96,73 @@ TEST(ExactTopK, KLargerThanUniverseReturnsAllSubstrings) {
   // Distinct substrings: a, b, ab, ba, aba, bab, abab = 7.
   const TopKList all = ExactTopK(text, 1000);
   EXPECT_EQ(all.items.size(), 7u);
+}
+
+/// The build's miner against the full Section V structure, item for item,
+/// at one \p k.
+void ExpectMinerMatchesStats(const Text& text, const std::vector<index_t>& sa,
+                             const SubstringStats& stats, u64 k,
+                             const std::string& label) {
+  const TopKList expected = stats.TopK(k);
+  const TopKList actual = ExactTopK(text, sa, k);
+  ASSERT_EQ(actual.items.size(), expected.items.size()) << label << " k=" << k;
+  for (std::size_t i = 0; i < expected.items.size(); ++i) {
+    const TopKSubstring& a = actual.items[i];
+    const TopKSubstring& e = expected.items[i];
+    ASSERT_TRUE(a.length == e.length && a.frequency == e.frequency &&
+                a.witness == e.witness && a.lb == e.lb && a.rb == e.rb)
+        << label << " k=" << k << " item " << i << ": got (" << a.length
+        << ", " << a.frequency << ", " << a.witness << ", " << a.lb << ", "
+        << a.rb << ") want (" << e.length << ", " << e.frequency << ", "
+        << e.witness << ", " << e.lb << ", " << e.rb << ")";
+  }
+}
+
+TEST(ExactTopK, EqualsStatsTopKAcrossAlphabetsAndK) {
+  Text abab;
+  for (int i = 0; i < 240; ++i) abab.push_back(static_cast<Symbol>(i % 2));
+  const std::vector<std::pair<std::string, Text>> texts = {
+      {"sigma2", testing::RandomText(300, 2, 91)},
+      {"sigma4", testing::RandomText(300, 4, 92)},
+      {"sigma26", testing::RandomText(300, 26, 93)},
+      {"sigma256", testing::RandomText(300, 256, 94)},
+      {"abab", abab},
+      {"unary", Text(200, 7)},
+  };
+  for (const auto& [label, text] : texts) {
+    const std::vector<index_t> sa = BuildSuffixArray(text);
+    const SubstringStats stats(text);
+    const u64 total = stats.TotalDistinctSubstrings();
+    // k = 1 .. 64, every frequency-class boundary and its neighbours (a k
+    // one short of a boundary cuts into the tie at tau_K), and past the
+    // number of distinct substrings.
+    std::set<u64> ks;
+    for (u64 k = 1; k <= 64; ++k) ks.insert(k);
+    for (const SubstringStats::TradeOffPoint& point : stats.TradeOffCurve()) {
+      for (const u64 k : {point.k - 1, point.k, point.k + 1}) {
+        if (k >= 1) ks.insert(k);
+      }
+    }
+    for (const u64 k : {total, total + 1, 2 * total + 100}) ks.insert(k);
+    for (const u64 k : ks) {
+      ExpectMinerMatchesStats(text, sa, stats, k, label);
+    }
+  }
+}
+
+TEST(ExactTopK, TiesAtTauKCutMidClass) {
+  // Every length-2 substring of this text occurs exactly twice, so the
+  // frequency-2 class is wide and k can stop anywhere inside it.
+  const Text text = testing::T("abcdefghabcdefgh");
+  const std::vector<index_t> sa = BuildSuffixArray(text);
+  const SubstringStats stats(text);
+  for (u64 k = 1; k <= stats.TotalDistinctSubstrings(); ++k) {
+    const TopKList mined = ExactTopK(text, sa, k);
+    ASSERT_EQ(mined.items.size(), k);
+    EXPECT_EQ(mined.items.back().frequency, stats.EstimateForK(k).tau)
+        << "k=" << k;
+    ExpectMinerMatchesStats(text, sa, stats, k, "tied");
+  }
 }
 
 TEST(SubstringStats, TotalDistinctSubstrings) {

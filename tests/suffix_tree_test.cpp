@@ -4,7 +4,10 @@
 // the text it was built over; a count is the size of a collect.
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -14,8 +17,22 @@
 #include "usi/suffix/suffix_array.hpp"
 #include "usi/suffix/suffix_tree.hpp"
 #include "usi/text/generators.hpp"
+#include "usi/util/rng.hpp"
 
 namespace usi {
+
+/// Recounts a tree's heap bytes by walking every node, the reference for
+/// SuffixTree's running count.
+struct SuffixTreeInspector {
+  static std::size_t WalkedBytes(const SuffixTree& tree) {
+    std::size_t total = tree.nodes_.capacity() * sizeof(SuffixTree::Node);
+    for (const SuffixTree::Node& node : tree.nodes_) {
+      total += node.children.capacity() * sizeof(node.children[0]);
+    }
+    return total;
+  }
+};
+
 namespace {
 
 TEST(SuffixTree, CountsWhileStreaming) {
@@ -90,7 +107,7 @@ TEST(SuffixTree, NodeSummariesMatchEsaOnSentinelTexts) {
     const std::vector<index_t> sa = BuildSuffixArray(text);
     const std::vector<index_t> lcp = BuildLcpArray(text, sa);
     const auto esa_nodes = CollectSuffixTreeNodes(
-        lcp, DenseSuffixLengths(sa, static_cast<index_t>(text.size())));
+        lcp, DenseSuffixLengthView{&sa, static_cast<index_t>(text.size())});
     std::vector<SuffixTree::NodeSummary> esa_summaries;
     for (const SuffixTreeNode& node : esa_nodes) {
       esa_summaries.push_back(
@@ -123,6 +140,32 @@ TEST(SuffixTree, SizeGrowsLinearly) {
   // A suffix tree has at most 2n nodes (plus root).
   EXPECT_LE(tree.NodeCount(), 2 * text.size() + 1);
   EXPECT_GT(tree.SizeInBytes(), 0u);
+}
+
+TEST(SuffixTree, RunningByteCountMatchesNodeWalk) {
+  Text abab;
+  for (int i = 0; i < 1500; ++i) abab.push_back(static_cast<Symbol>(i % 2));
+  const std::vector<std::pair<const char*, Text>> texts = {
+      {"sigma4", testing::RandomText(3000, 4, 41)},
+      {"xml-like", MakeXmlLike(3000, 42).text()},
+      {"sigma256", testing::RandomText(3000, 256, 43)},
+      {"abab", abab},
+  };
+  for (const auto& [label, text] : texts) {
+    // Appends arrive in bursts of random length; check after every burst.
+    Rng rng(std::hash<std::string>{}(label));
+    SuffixTree tree;
+    std::size_t size = 0;
+    while (size < text.size()) {
+      const std::size_t burst = std::min<std::size_t>(
+          text.size() - size, 1 + rng.UniformBelow(97));
+      for (std::size_t i = 0; i < burst; ++i) {
+        tree.Extend(std::span<const Symbol>(text).first(++size));
+      }
+      ASSERT_EQ(tree.SizeInBytes(), SuffixTreeInspector::WalkedBytes(tree))
+          << label << " after " << size << " symbols";
+    }
+  }
 }
 
 TEST(SuffixTree, EmptyPatternCountsPositions) {
