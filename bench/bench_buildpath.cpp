@@ -10,9 +10,9 @@
 //           single-thread and with the level-0 passes on a pool. The
 //           acceptance bar is sais_speedup_vs_reference >= 1.5 single-thread.
 //   mine  — the build's exact miner (ExactTopK at K = n/100: chunked Kasai
-//           LCP + two chunked LCP-interval passes) beside the full Section V
-//           structure (SubstringStats: every node, radix sorted), sequential
-//           and on pools of 2/4/hw threads.
+//           LCP + two sequential LCP-interval passes) beside the full
+//           Section V structure (SubstringStats: chunked traversal, every
+//           node, radix sorted), sequential and on pools of 2/4/hw threads.
 //   table — phase (ii) per text at threads = 1 and K = n/100 (the service
 //           default): table-stage seconds, L_K and sum(occ)/n. The SA sweep
 //           costs O(n + sum(occ)); a per-length window scan cost n * L_K.

@@ -14,10 +14,9 @@
 ///
 /// "sa" and "mine" run on the pool when one is given: "sa" parallelizes the
 /// level-0 SA-IS histogram and LMS gathering; "mine" runs chunked Kasai LCP
-/// plus the exact miner's two chunked LCP-interval (ESA) passes, which keep
-/// only the nodes at or above tau_K (ExactTopK; no node table, no radix
-/// sort). Phase
-/// (ii) is sequential: ExhaustiveQueryEngine::AggregateIntervals walks the
+/// on it, then the exact miner's two sequential LCP-interval (ESA) passes,
+/// which keep only the nodes at or above tau_K (ExactTopK; no node table,
+/// no radix sort). Phase (ii) is sequential: ExhaustiveQueryEngine::AggregateIntervals walks the
 /// SA once, O(n + sum of occurrences), and folds each key's occurrences in
 /// SA order — the miss path's order, so a table hit equals the miss answer
 /// bit for bit. Every stage's output is independent of the schedule, so a

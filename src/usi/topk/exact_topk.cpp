@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <limits>
-#include <utility>
 
 #include "usi/suffix/esa.hpp"
 #include "usi/suffix/lcp_array.hpp"
 #include "usi/suffix/suffix_array.hpp"
+#include "usi/util/radix_sort.hpp"
 
 namespace usi {
 namespace {
-
-/// Adds \p q to a count that saturates at \p cap.
-void SaturatingAdd(u32& count, u64 q, u32 cap) {
-  count = static_cast<u32>(std::min<u64>(cap, count + q));
-}
 
 /// Pass 1: tau_K, the largest tau such that at least \p k distinct
 /// substrings occur >= tau times (1 when the text has fewer than k).
@@ -23,49 +18,15 @@ void SaturatingAdd(u32& count, u64 q, u32 cap) {
 /// min(k, 2^32 - 1). Scanning f downwards, every count passed before the
 /// stop is exact, so the stop is tau_K; a count clipped at 2^32 - 1 < k can
 /// only stop the scan lower, which keeps more nodes but changes no output.
-/// Each chunk counts frequencies up to its own step span densely (no node
-/// whose interval starts inside the chunk is more frequent) and larger ones
-/// in a side list, so the per-chunk arrays add up to ~n counts in total.
 index_t FrequencyThreshold(const std::vector<index_t>& lcp,
-                           const DenseSuffixLengthView& suffix_len,
-                           const EsaChunks& chunks, ThreadPool* pool,
-                           u64 k) {
+                           const DenseSuffixLengthView& suffix_len, u64 k) {
   const index_t n = static_cast<index_t>(suffix_len.size());
-  const u32 cap = static_cast<u32>(
-      std::min<u64>(k, std::numeric_limits<u32>::max()));
-  struct ChunkCounts {
-    std::vector<u32> dense;  ///< By frequency, up to the chunk's span.
-    std::vector<std::pair<index_t, index_t>> overflow;  ///< (frequency, q).
-  };
-  std::vector<ChunkCounts> partial(chunks.size());
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    partial[c].dense.assign(chunks.end(c) - chunks.begin(c) + 1, 0);
-  }
-  chunks.Enumerate(lcp, suffix_len, pool,
-                   [&](std::size_t c, const SuffixTreeNode& node) {
-                     ChunkCounts& mine = partial[c];
-                     const index_t f = node.frequency();
-                     if (f < mine.dense.size()) {
-                       SaturatingAdd(mine.dense[f], node.edge_length(), cap);
-                     } else {
-                       mine.overflow.emplace_back(f, node.edge_length());
-                     }
-                   });
-
-  // One chunk spans every step, so its dense array is already the total.
-  std::vector<u32> counts = std::move(partial.front().dense);
-  counts.resize(static_cast<std::size_t>(n) + 1, 0);
-  for (std::size_t c = 0; c < partial.size(); ++c) {
-    if (c > 0) {
-      for (std::size_t f = 0; f < partial[c].dense.size(); ++f) {
-        SaturatingAdd(counts[f], partial[c].dense[f], cap);
-      }
-    }
-    for (const auto& [f, q] : partial[c].overflow) {
-      SaturatingAdd(counts[f], q, cap);
-    }
-    partial[c] = ChunkCounts{};
-  }
+  const u64 cap = std::min<u64>(k, std::numeric_limits<u32>::max());
+  std::vector<u32> counts(static_cast<std::size_t>(n) + 1, 0);
+  EnumerateSuffixTreeNodes(lcp, suffix_len, [&](const SuffixTreeNode& node) {
+    u32& count = counts[node.frequency()];
+    count = static_cast<u32>(std::min<u64>(cap, count + node.edge_length()));
+  });
 
   u64 at_least = 0;  // Distinct substrings of frequency >= f.
   for (index_t f = n; f >= 1; --f) {
@@ -86,30 +47,21 @@ TopKList ExactTopK(const Text& text, const std::vector<index_t>& sa, u64 k,
 
   const std::vector<index_t> lcp = BuildLcpArray(text, sa, pool);
   const DenseSuffixLengthView suffix_len{&sa, n};
-  const EsaChunks chunks(lcp, pool);
-  const index_t tau = FrequencyThreshold(lcp, suffix_len, chunks, pool, k);
+  const index_t tau = FrequencyThreshold(lcp, suffix_len, k);
 
-  // Pass 2: the nodes at or above tau_K, in emission order (chunk order).
-  std::vector<std::vector<SuffixTreeNode>> partial(chunks.size());
-  chunks.Enumerate(lcp, suffix_len, pool,
-                   [&](std::size_t c, const SuffixTreeNode& node) {
-                     if (node.frequency() >= tau) partial[c].push_back(node);
-                   });
-  std::vector<SuffixTreeNode> kept = std::move(partial.front());
-  for (std::size_t c = 1; c < partial.size(); ++c) {
-    kept.insert(kept.end(), partial[c].begin(), partial[c].end());
-    std::vector<SuffixTreeNode>().swap(partial[c]);
-  }
+  // Pass 2: the nodes at or above tau_K, in emission order.
+  std::vector<SuffixTreeNode> kept;
+  EnumerateSuffixTreeNodes(lcp, suffix_len, [&](const SuffixTreeNode& node) {
+    if (node.frequency() >= tau) kept.push_back(node);
+  });
 
-  // SubstringStats radix-sorts every node by this key, stably over the
-  // same emission order, and the kept nodes are a prefix of its result, so
-  // the first k substrings below are TopK's.
-  std::stable_sort(kept.begin(), kept.end(),
-                   [](const SuffixTreeNode& a, const SuffixTreeNode& b) {
-                     return a.frequency() != b.frequency()
-                                ? a.frequency() > b.frequency()
-                                : a.depth < b.depth;
-                   });
+  // SubstringStats' radix sort, by its key, over a subsequence of its
+  // input: the kept nodes sort to a prefix of its node table, so the first
+  // k substrings below are TopK's.
+  const u64 stride = static_cast<u64>(n) + 1;
+  RadixSortByKey(&kept, stride * stride, [&](const SuffixTreeNode& node) {
+    return (stride - 1 - node.frequency()) * stride + node.depth;
+  });
 
   u64 available = 0;
   for (const SuffixTreeNode& node : kept) available += node.edge_length();

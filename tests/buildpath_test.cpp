@@ -248,7 +248,8 @@ TEST(ParallelMining, StatsTopKMatchesSequentialAboveThreshold) {
                     "stats threads=" + std::to_string(threads) + " item ");
   }
 
-  // The build's miner, sequential and at every pool width, item for item.
+  // The build's miner (chunked LCP on the pool, sequential passes),
+  // sequential and at every pool width, item for item.
   ExpectSameItems(ExactTopK(text, sa, 500), expected, "miner sequential item ");
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
