@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -298,15 +299,20 @@ void RunQuarantineServing(const WeightedString& ws,
 }
 
 /// (d) Record-path cost, single-threaded. Three default-geometry tiers
-/// (~1.1 MB of cache, popularity, filter and count-min state each, so ~3.3
-/// MB together: more than a 2 MiB L2) learn a W2-like stream — mostly short
+/// (~0.9 MB of cache, filter and count-min state each, so ~2.6 MB
+/// together, and twice that for the two modes: more than a 2 MiB L2) learn
+/// a W2-like stream — mostly short
 /// frequent-looking fragments plus a 2.5% tail of long random substrings
 /// (up to 5000 symbols) — in round-robin mixed-text batches of 256, the
 /// shape the multi-service serves. The per-answer mode calls
 /// RecordExact(KeyFor(p), r) for every answer; the batch mode gathers each
 /// text's group and calls RecordExactBatch once per group. Both modes feed
 /// their own identical tier set with the same stream, alternating passes;
-/// the median pass is reported.
+/// the median pass is reported. Then two side figures: how well the cache
+/// learned (the share of each text's capacity/4 most-recorded patterns a
+/// degraded lookup answers from the cache rung), and the cost of one
+/// Clear(), which every content change (an AppendText, a publish) pays
+/// under the tier mutex.
 void RunRecordPath(const WeightedString& ws, bench::BenchJson& json) {
   constexpr std::size_t kTexts = 3;
   constexpr std::size_t kBatch = 256;
@@ -414,13 +420,61 @@ void RunRecordPath(const WeightedString& ws, bench::BenchJson& json) {
   std::snprintf(best, sizeof best, "%.1f", batch_ns.front());
   table.AddRow({"RecordExactBatch per group", median, best});
   table.Print();
-  std::printf("  speedup (per-answer / batch): %.2fx\n\n",
+  std::printf("  speedup (per-answer / batch): %.2fx\n",
               batch_median == 0 ? 0 : loop_median / batch_median);
+
+  // Hot pool: per text, the capacity/4 patterns the stream recorded most
+  // (identified by the tier's own key).
+  std::size_t hot_lookups = 0, hot_cached = 0;
+  for (std::size_t t = 0; t < kTexts; ++t) {
+    std::unordered_map<u64, std::pair<std::size_t, PatternKey>> counts;
+    for (std::size_t i = t; i < kAnswers; i += kTexts) {
+      const PatternKey key = DegradedTier::KeyFor(stream[i]);
+      auto& [count, stored] = counts[key.fp];
+      ++count;
+      stored = key;
+    }
+    std::vector<std::pair<std::size_t, PatternKey>> by_count;
+    for (const auto& entry : counts) by_count.push_back(entry.second);
+    const std::size_t hot = std::min(
+        by_count.size(), batch_tiers[t]->stats().cache_capacity / 4);
+    std::partial_sort(by_count.begin(), by_count.begin() + hot,
+                      by_count.end(), [](const auto& a, const auto& b) {
+                        return a.first > b.first;
+                      });
+    for (std::size_t i = 0; i < hot; ++i) {
+      QueryResult out;
+      ++hot_lookups;
+      hot_cached += batch_tiers[t]->TryAnswer(by_count[i].second, &out) &&
+                    out.provenance == AnswerProvenance::kCached;
+    }
+  }
+  const double hit_rate =
+      hot_lookups == 0 ? 0.0
+                       : static_cast<double>(hot_cached) /
+                             static_cast<double>(hot_lookups);
+
+  // One Clear() of a learned tier; the median of several (each re-learns
+  // one batch first so the reset has state to drop).
+  std::vector<double> clear_us;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    DegradedTier& tier = *batch_tiers[pass % kTexts];
+    const Group& group = batches[pass][pass % kTexts];
+    tier.RecordExactBatch(group.patterns, group.results, tier.epoch());
+    Timer timer;
+    tier.Clear();
+    clear_us.push_back(timer.ElapsedSeconds() * 1e6);
+  }
+  std::sort(clear_us.begin(), clear_us.end());
+  std::printf("  cache hit rate over the hot pool: %.3f; Clear(): %.1f us\n\n",
+              hit_rate, clear_us[kPasses / 2]);
 
   json.Add("record_path", "per_answer_ns", loop_median, "ns/answer");
   json.Add("record_path", "batch_ns", batch_median, "ns/answer");
   json.Add("record_path", "tier_footprint_bytes",
            static_cast<double>(footprint), "bytes");
+  json.Add("record_path", "cache_hit_rate", hit_rate, "fraction");
+  json.Add("record_path", "clear_us", clear_us[kPasses / 2], "us");
 }
 
 int Main(int argc, char** argv) {

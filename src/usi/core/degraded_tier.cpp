@@ -1,6 +1,8 @@
 #include "usi/core/degraded_tier.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 
 #include "usi/util/rng.hpp"
@@ -29,6 +31,28 @@ u64 Load64(const Symbol* p) {
 
 u64 Rotl(u64 x, int r) { return (x << r) | (x >> (64 - r)); }
 
+/// Records between a key's prefetch and its update in RecordExactBatch.
+constexpr std::size_t kPrefetchAhead = 8;
+
+/// HeavyKeeper's decay base b (1.08, as in the HeavyKeeper paper and the
+/// kit's DecaySketch): a way whose count is c loses one count to a missing
+/// newcomer with probability b^-c.
+constexpr double kDecayBase = 1.08;
+
+/// b^-c as a 32-bit coin threshold, for every count whose threshold is
+/// non-zero (b^-289 * 2^32 < 1): a larger count never decays.
+constexpr std::size_t kDecayCounts = 289;
+constexpr std::array<u32, kDecayCounts> kDecayThreshold = [] {
+  std::array<u32, kDecayCounts> table{};
+  double p = 1.0;
+  for (std::size_t c = 0; c < kDecayCounts; ++c) {
+    const double scaled = p * 4294967296.0;
+    table[c] = scaled >= 4294967295.0 ? ~u32{0} : static_cast<u32>(scaled);
+    p /= kDecayBase;
+  }
+  return table;
+}();
+
 /// Absorbs one word into a lane. Bijective in both the lane and the word,
 /// so a changed word always leaves a changed lane.
 u64 KeyRound(u64 lane, u64 word) {
@@ -38,13 +62,12 @@ u64 KeyRound(u64 lane, u64 word) {
 }  // namespace
 
 DegradedTier::DegradedTier(const DegradedTierOptions& options)
-    : options_(options),
-      // Popularity only steers cache admission, so its geometry tracks the
-      // cache: enough buckets that hot patterns rarely fight for one.
-      popularity_(std::max<std::size_t>(64, options.cache_capacity * 2), 2,
-                  1.08, options.seed ^ 0x9E3779B97F4A7C15ULL) {
+    : options_(options), coin_state_(options.seed) {
   if (options_.cache_capacity > 0) {
-    cache_.resize(RoundUpPow2(options_.cache_capacity));
+    const std::size_t ways =
+        RoundUpPow2(std::max(options_.cache_capacity, kWays));
+    sets_.resize(ways / kWays);
+    payloads_.resize(ways);
   }
   if (options_.sketch_width > 0 && options_.sketch_depth > 0 &&
       options_.max_sketched_keys > 0) {
@@ -111,7 +134,6 @@ std::size_t DegradedTier::CmsBucket(u64 hash, std::size_t row) const {
 
 void DegradedTier::RecordExact(const PatternKey& key,
                                const QueryResult& result) {
-  const u64 hash = HashPatternKey(key);
   // The record path rides on every exactly-served query: never queue behind
   // the lock, drop the update instead (the tier is telemetry, not truth).
   if (!mu_.try_lock()) {
@@ -119,7 +141,7 @@ void DegradedTier::RecordExact(const PatternKey& key,
     return;
   }
   std::lock_guard<std::mutex> lock(mu_, std::adopt_lock);
-  RecordLocked(key, hash, result);
+  RecordLocked(key, result);
 }
 
 void DegradedTier::RecordExactBatch(std::span<const PatternSpan> patterns,
@@ -127,15 +149,11 @@ void DegradedTier::RecordExactBatch(std::span<const PatternSpan> patterns,
                                     u64 epoch) {
   USI_DCHECK(results.size() >= patterns.size());
   PatternKey keys[kRecordChunk];
-  u64 hashes[kRecordChunk];
   for (std::size_t begin = 0; begin < patterns.size(); begin += kRecordChunk) {
     const std::size_t n = std::min(kRecordChunk, patterns.size() - begin);
     // Hashing needs no shared state: do it before touching the lock so the
     // critical section is only the tier update.
-    for (std::size_t j = 0; j < n; ++j) {
-      keys[j] = KeyFor(patterns[begin + j]);
-      hashes[j] = HashPatternKey(keys[j]);
-    }
+    for (std::size_t j = 0; j < n; ++j) keys[j] = KeyFor(patterns[begin + j]);
     if (!mu_.try_lock()) {
       record_drops_.fetch_add(n, std::memory_order_relaxed);
       continue;
@@ -149,73 +167,64 @@ void DegradedTier::RecordExactBatch(std::span<const PatternSpan> patterns,
     }
     // Prefetch only now that the chunk will certainly be applied: the lines
     // are ours until unlock, and a dropped chunk costs no cache traffic.
-    for (std::size_t j = 0; j < n; ++j) PrefetchLocked(hashes[j]);
+    // Prefetches run kPrefetchAhead records ahead, so a key's lines arrive
+    // while earlier keys are applied.
+    for (std::size_t j = 0; j < std::min(n, kPrefetchAhead); ++j) {
+      PrefetchLocked(keys[j].fp);
+    }
     for (std::size_t j = 0; j < n; ++j) {
-      RecordLocked(keys[j], hashes[j], results[begin + j]);
+      if (j + kPrefetchAhead < n) PrefetchLocked(keys[j + kPrefetchAhead].fp);
+      RecordLocked(keys[j], results[begin + j]);
     }
   }
 }
 
-void DegradedTier::RecordLocked(const PatternKey& key, u64 hash,
+void DegradedTier::RecordLocked(const PatternKey& key,
                                 const QueryResult& result) {
   ++records_;
-  const u32 popularity = popularity_.Insert(hash);
-  if (!cache_.empty()) CacheUpsertLocked(key, hash, result, popularity);
+  // Every cached pattern was offered to the filter when the cache admitted
+  // it, so a cache hit skips the filter.
+  if (!sets_.empty() && CacheHitLocked(key.fp)) return;
   // Sketch rung: each distinct pattern's utility enters the count-min
   // arrays exactly once (the filter enforces it), preserving the classic
   // additive-overestimate bound relative to the inserted mass. Negative
   // utilities would break the one-sided guarantee, so they stay cache-only.
-  if (width_ != 0 && result.utility >= 0 && SeenInsertLocked(hash)) {
+  const bool first_record =
+      width_ != 0 && result.utility >= 0 && SeenInsertLocked(key.fp);
+  if (first_record) {
     for (std::size_t row = 0; row < depth_; ++row) {
-      const std::size_t bucket = CmsBucket(hash, row);
+      const std::size_t bucket = CmsBucket(key.fp, row);
       cms_utility_[bucket] += result.utility;
       cms_occurrences_[bucket] += static_cast<u32>(result.occurrences);
     }
     sketch_mass_ += result.utility;
   }
+  if (!sets_.empty()) CacheAdmitLocked(key, result, first_record);
 }
 
 void DegradedTier::PrefetchLocked(u64 hash) const {
-  popularity_.Prefetch(hash);
-  if (!cache_.empty()) {
-    // 32-byte slots on a 64-byte-aligned array: slots w and w+1 share a
-    // line for even absolute positions, so touching window offsets
-    // 0, 2, 4, 6 and 7 reaches every line of the window whatever its
-    // parity (and wraps like the probe does).
-    const std::size_t mask = cache_.size() - 1;
-    const std::size_t base = hash & mask;
-    const std::size_t window = std::min(kProbeWindow, cache_.size());
-    for (std::size_t w = 0; w < window; w += 2) {
-      __builtin_prefetch(&cache_[(base + w) & mask], 1);
-    }
-    __builtin_prefetch(&cache_[(base + window - 1) & mask], 1);
-  }
-  if (width_ != 0) {
-    const u64 slot_hash = hash == 0 ? 1 : hash;
-    __builtin_prefetch(&seen_[slot_hash & (seen_.size() - 1)]);
+  if (!sets_.empty()) __builtin_prefetch(&sets_[SetOf(hash)], 1);
+  // A full filter admits nothing, so RecordLocked never reads it.
+  if (width_ != 0 && seen_size_ < seen_cap_) {
+    __builtin_prefetch(&seen_[(hash == 0 ? 1 : hash) & (seen_.size() - 1)]);
   }
 }
 
 bool DegradedTier::TryAnswer(const PatternKey& key, QueryResult* out) {
-  const u64 hash = HashPatternKey(key);
   std::lock_guard<std::mutex> lock(mu_);
   ++lookups_;
-  // Degraded traffic is still popularity evidence: keep the admission
-  // signal learning even while the exact path is dark.
-  const u32 popularity = popularity_.Insert(hash);
-  (void)popularity;
-  if (!cache_.empty() && CacheFindLocked(key, hash, out)) {
+  if (!sets_.empty() && CacheFindLocked(key, out)) {
     out->from_hash_table = false;
     out->provenance = AnswerProvenance::kCached;
     out->error_bound = 0;
     ++cache_hits_;
     return true;
   }
-  if (width_ != 0 && SeenContainsLocked(hash)) {
-    double utility = cms_utility_[CmsBucket(hash, 0)];
-    u32 occurrences = cms_occurrences_[CmsBucket(hash, 0)];
+  if (width_ != 0 && SeenContainsLocked(key.fp)) {
+    double utility = cms_utility_[CmsBucket(key.fp, 0)];
+    u32 occurrences = cms_occurrences_[CmsBucket(key.fp, 0)];
     for (std::size_t row = 1; row < depth_; ++row) {
-      const std::size_t bucket = CmsBucket(hash, row);
+      const std::size_t bucket = CmsBucket(key.fp, row);
       utility = std::min(utility, cms_utility_[bucket]);
       occurrences = std::min(occurrences, cms_occurrences_[bucket]);
     }
@@ -231,58 +240,82 @@ bool DegradedTier::TryAnswer(const PatternKey& key, QueryResult* out) {
   return false;
 }
 
-void DegradedTier::CacheUpsertLocked(const PatternKey& key, u64 hash,
-                                     const QueryResult& result,
-                                     u32 popularity) {
-  const std::size_t mask = cache_.size() - 1;
-  const std::size_t base = hash & mask;
-  const std::size_t window = std::min(kProbeWindow, cache_.size());
-  std::size_t free_slot = cache_.size();
-  std::size_t victim = base;
-  u32 victim_popularity = ~u32{0};
-  for (std::size_t w = 0; w < window; ++w) {
-    const std::size_t slot = (base + w) & mask;
-    CacheSlot& entry = cache_[slot];
-    if (!entry.used) {
-      if (free_slot == cache_.size()) free_slot = slot;
-      continue;
-    }
-    if (entry.fp == key.fp && entry.len == key.len) {
-      entry.utility = result.utility;
-      entry.occurrences = result.occurrences;
-      entry.popularity = std::max(entry.popularity, popularity);
-      return;
-    }
-    if (entry.popularity < victim_popularity) {
-      victim_popularity = entry.popularity;
-      victim = slot;
-    }
+std::size_t DegradedTier::WayOf(const CacheSet& set, u32 tag) {
+  // Branch-free: which way matches is as unpredictable as the key.
+  unsigned match = 0;
+  for (std::size_t way = 0; way < kWays; ++way) {
+    match |= static_cast<unsigned>(set.tags[way] == tag && set.counts[way] != 0)
+             << way;
   }
-  const CacheSlot fresh{key.fp, result.utility, key.len, result.occurrences,
-                       popularity, true};
-  if (free_slot != cache_.size()) {
-    cache_[free_slot] = fresh;
-    ++cache_size_;
-    return;
-  }
-  // BSL3/BSL4 admission, windowed: a newcomer only displaces the least
-  // popular incumbent of its probe window when it is strictly hotter.
-  if (popularity > victim_popularity) cache_[victim] = fresh;
+  return match == 0 ? kWays : static_cast<std::size_t>(std::countr_zero(match));
 }
 
-bool DegradedTier::CacheFindLocked(const PatternKey& key, u64 hash,
-                                   QueryResult* out) {
-  const std::size_t mask = cache_.size() - 1;
-  const std::size_t base = hash & mask;
-  const std::size_t window = std::min(kProbeWindow, cache_.size());
-  for (std::size_t w = 0; w < window; ++w) {
-    const CacheSlot& entry = cache_[(base + w) & mask];
-    if (!entry.used || entry.fp != key.fp || entry.len != key.len) continue;
-    out->utility = entry.utility;
-    out->occurrences = entry.occurrences;
-    return true;
+bool DegradedTier::CacheHitLocked(u64 hash) {
+  // Only the set line is read: a record trusts the 32-bit tag. A tag shared
+  // by two patterns of one set (odds ~2^-29 per record) credits the
+  // newcomer's record to the resident and skips the newcomer's filter
+  // insert. That costs a little learning, never a wrong answer: lookups
+  // confirm the whole key against the payload.
+  CacheSet& set = sets_[SetOf(hash)];
+  const std::size_t way = WayOf(set, TagOf(hash));
+  if (way == kWays) return false;
+  if (set.counts[way] != kMaxCount) ++set.counts[way];
+  return true;
+}
+
+void DegradedTier::CacheAdmitLocked(const PatternKey& key,
+                                    const QueryResult& result,
+                                    bool first_record) {
+  // HeavyKeeper within the set: the newcomer takes an empty way, or else
+  // decays the least-popular way with probability b^-count and takes it
+  // once that count reaches zero. The least-popular way is picked at random
+  // among ties, so a newcomer survives several misses, long enough to be
+  // hit again if it is hot. The filter's answer refines this: a pattern
+  // met for the first time only fills an empty way (one-off patterns, most
+  // of a cold tail, never wear down the counts of patterns that repeat),
+  // and any other newcomer starts at count 2, the records known for it
+  // (the filter has seen it before, or is full and cannot say).
+  const std::size_t set_index = SetOf(key.fp);
+  CacheSet& set = sets_[set_index];
+  u32 least = set.counts[0];
+  for (std::size_t w = 1; w < kWays; ++w) least = std::min(least, set.counts[w]);
+  if (least != 0 && first_record) return;
+  const u64 coin = Rng::SplitMix64(&coin_state_);
+  unsigned ties = 0;
+  for (std::size_t w = 0; w < kWays; ++w) {
+    ties |= static_cast<unsigned>(set.counts[w] == least) << w;
   }
-  return false;
+  // The first least-count way at or after a random way.
+  const unsigned start = coin & (kWays - 1);
+  const unsigned rotated =
+      ((ties >> start) | (ties << (kWays - start))) & ((1u << kWays) - 1);
+  const std::size_t way = (start + std::countr_zero(rotated)) & (kWays - 1);
+  u32& count = set.counts[way];
+  if (count == 0) {
+    ++cache_size_;
+  } else {
+    const u32 threshold = count < kDecayCounts ? kDecayThreshold[count] : 0;
+    if (static_cast<u32>(coin >> 32) >= threshold || --count != 0) return;
+  }
+  count = first_record ? 1 : 2;
+  set.tags[way] = TagOf(key.fp);
+  payloads_[set_index * kWays + way] =
+      CachePayload{key.fp, result.utility, key.len, result.occurrences};
+}
+
+bool DegradedTier::CacheFindLocked(const PatternKey& key, QueryResult* out) {
+  const std::size_t set_index = SetOf(key.fp);
+  CacheSet& set = sets_[set_index];
+  const std::size_t way = WayOf(set, TagOf(key.fp));
+  if (way == kWays) return false;
+  const CachePayload& payload = payloads_[set_index * kWays + way];
+  if (payload.fp != key.fp || payload.len != key.len) return false;
+  // Degraded traffic is still popularity evidence: keep the admission
+  // signal learning even while the exact path is dark.
+  if (set.counts[way] != kMaxCount) ++set.counts[way];
+  out->utility = payload.utility;
+  out->occurrences = payload.occurrences;
+  return true;
 }
 
 bool DegradedTier::SeenInsertLocked(u64 hash) {
@@ -315,21 +348,22 @@ bool DegradedTier::SeenContainsLocked(u64 hash) const {
 
 void DegradedTier::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  std::fill(cache_.begin(), cache_.end(), CacheSlot{});
+  // An empty way is one whose count is zero: the payloads need no reset.
+  std::fill(sets_.begin(), sets_.end(), CacheSet{});
   cache_size_ = 0;
+  coin_state_ = options_.seed;
   std::fill(seen_.begin(), seen_.end(), 0);
   seen_size_ = 0;
   std::fill(cms_utility_.begin(), cms_utility_.end(), 0.0);
   std::fill(cms_occurrences_.begin(), cms_occurrences_.end(), 0);
   sketch_mass_ = 0;
-  popularity_.Reset();
   epoch_.fetch_add(1, std::memory_order_release);
 }
 
 DegradedTierStats DegradedTier::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   DegradedTierStats stats;
-  stats.cache_capacity = cache_.size();
+  stats.cache_capacity = payloads_.size();
   stats.cache_size = cache_size_;
   stats.records = records_;
   stats.record_drops = record_drops_.load(std::memory_order_relaxed);
@@ -349,11 +383,12 @@ DegradedTierStats DegradedTier::stats() const {
 
 std::size_t DegradedTier::SizeInBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return cache_.capacity() * sizeof(CacheSlot) +
+  return sets_.capacity() * sizeof(CacheSet) +
+         payloads_.capacity() * sizeof(CachePayload) +
          seen_.capacity() * sizeof(u64) +
          cms_utility_.capacity() * sizeof(double) +
          cms_occurrences_.capacity() * sizeof(u32) +
-         row_seeds_.capacity() * sizeof(u64) + popularity_.SizeInBytes();
+         row_seeds_.capacity() * sizeof(u64);
 }
 
 }  // namespace usi

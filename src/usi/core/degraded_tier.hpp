@@ -16,16 +16,21 @@
 ///
 /// \par Rungs and bound semantics
 ///  * **Cache** (AnswerProvenance::kCached, error_bound 0): a fixed-capacity
-///    open-addressed answer cache keyed by PatternKey. Admission is the
-///    BSL3/BSL4 "top-K seen so far" rule of the caching baselines, learned
-///    from traffic: a HeavyKeeper decay sketch estimates each pattern's
-///    query popularity, and a new pattern only displaces the least-popular
-///    incumbent of its probe window when it is more popular. A hit replays
-///    the exact utility the pattern was last served — bound 0 relative to
-///    the text content the tier learned from (the multi-service resets the
-///    tier when a text's content changes, so within one content version a
-///    cached answer equals the exact answer, to the same 64-bit-fingerprint
-///    identity standard the index's own hash table H uses).
+///    set-associative answer cache keyed by PatternKey. Each set's 8 tags
+///    and popularity counts share one 64-byte line; the answers sit in a
+///    parallel payload array. Popularity lives in those counts, learned
+///    from traffic by HeavyKeeper's decay rule applied within the set: a
+///    hit increments its way, a miss decays the set's least-count way with
+///    probability b^-count (b = 1.08) and takes it once the count reaches
+///    0. A pattern recorded for the first time only fills an empty way, so
+///    one-off patterns do not wear down the ones that repeat. This is the
+///    BSL3/BSL4 "top-K seen so far" admission of the caching baselines,
+///    kept per set. A hit replays the exact utility the pattern was served
+///    when admitted — bound 0 relative to the text content the tier learned
+///    from (the multi-service resets the tier when a text's content
+///    changes, so within one content version a cached answer equals the
+///    exact answer, to the same 64-bit-fingerprint identity standard the
+///    index's own hash table H uses).
 ///  * **Sketch** (AnswerProvenance::kApproximate): a count-min sketch over
 ///    served (fingerprint -> utility) mass. Each distinct pattern's exact
 ///    utility is added ONCE (an exact-membership filter of key hashes
@@ -45,18 +50,20 @@
 /// fixed-capacity arrays sized at construction (no per-operation
 /// allocation, pinned by query_alloc_test). A group is recorded in chunks
 /// of kRecordChunk keys held on the stack: each chunk is hashed (KeyFor, a
-/// word-at-a-time hash) before the lock is touched, then the tier lock is
-/// *try*-acquired ONCE for the chunk. Under contention the whole chunk is
-/// dropped and counted in record_drops — a little learning traded for zero
-/// queueing. Only with the lock held does the chunk prefetch each key's
-/// tier lines (its popularity buckets, cache probe window and home slot in
-/// the membership filter) and then apply the records in order, through the
-/// same body the single-answer RecordExact uses; prefetching before the
+/// word-at-a-time hash whose SplitMix64 finish is the only mixing a key
+/// gets) before the lock is touched, then the tier lock is *try*-acquired
+/// ONCE for the chunk. Under contention the whole chunk is dropped and
+/// counted in record_drops — a little learning traded for zero queueing.
+/// Only with the lock held does the chunk prefetch each key's cache set and
+/// filter home slot, a few records ahead of applying them in order through
+/// the same body the single-answer RecordExact uses; prefetching before the
 /// lock would pull lines away from whoever holds it (a Clear, another
-/// recorder) for a chunk that may yet be dropped. The tier state after a
-/// batch is identical to recording the same answers one by one. Degraded-
-/// path lookups take the lock (they run when the exact path is not
-/// serving).
+/// recorder) for a chunk that may yet be dropped. A record reads one set
+/// line; a hit ends there (the 32-bit tag is trusted: lookups confirm the
+/// whole key), and a miss adds the filter's slot and, if admitted, one
+/// payload write. The tier state after a batch is identical to recording
+/// the same answers one by one. Degraded-path lookups take the lock (they
+/// run when the exact path is not serving).
 ///
 /// \par Content epochs
 /// Clear() bumps epoch(). A recorder reads the epoch BEFORE it pins the
@@ -77,7 +84,6 @@
 #include <vector>
 
 #include "usi/core/query_engine.hpp"
-#include "usi/hash/count_min_sketch.hpp"
 #include "usi/hash/pattern_key.hpp"
 #include "usi/text/alphabet.hpp"
 #include "usi/util/common.hpp"
@@ -142,7 +148,9 @@ class DegradedTier {
   /// index's Karp-Rabin key — the tier is only ever consulted against what
   /// it recorded itself). Reads the bytes 8 at a time into four
   /// independent lanes, so long patterns hash at word rather than byte
-  /// speed; every single-byte change alters the key.
+  /// speed; every single-byte change alters the key. The fp ends in a
+  /// SplitMix64 finish and the tier indexes with its bits directly, so
+  /// keys passed to RecordExact / TryAnswer must come from KeyFor.
   static PatternKey KeyFor(std::span<const Symbol> pattern);
 
   /// Observes one exactly-served answer. Never blocks: under lock
@@ -182,29 +190,51 @@ class DegradedTier {
   std::size_t SizeInBytes() const;
 
  private:
-  /// One answer-cache slot (open addressing, bounded probe window). The
-  /// key is stored unpacked (fp/len) so a slot is 32 bytes: on the 64-byte
-  /// aligned array no slot straddles two lines and a probe window spans 4
-  /// or 5 lines.
-  struct CacheSlot {
+  /// Ways per cache set: a set's tags and counts fill one 64-byte line.
+  static constexpr std::size_t kWays = 8;
+
+  /// One cache set. Way w holds the pattern whose key's high 32 bits are
+  /// tags[w]; counts[w] is its HeavyKeeper popularity, and 0 marks the way
+  /// empty. A record or lookup reads this line and, only on a tag match or
+  /// an insert, that way's payload.
+  struct alignas(64) CacheSet {
+    u32 tags[kWays] = {};
+    u32 counts[kWays] = {};
+  };
+  static_assert(sizeof(CacheSet) == 64);
+  static constexpr u32 kMaxCount = ~u32{0};
+
+  /// One way's full key and answer, in an array parallel to the sets (set
+  /// s, way w at s * kWays + w). 32-byte aligned, so none straddles a line.
+  struct alignas(32) CachePayload {
     u64 fp = 0;
     double utility = 0;
     u32 len = 0;
     index_t occurrences = 0;
-    u32 popularity = 0;  ///< HeavyKeeper estimate when last touched.
-    bool used = false;
   };
-  static_assert(sizeof(CacheSlot) == 32);
-  static constexpr std::size_t kProbeWindow = 8;
+  static_assert(sizeof(CachePayload) == 32);
+
+  /// The set a key maps to, and its tag within the set. KeyFor's fp is
+  /// already a SplitMix64 output, so its bits are used without re-mixing:
+  /// low bits pick the set, high bits tag the way.
+  std::size_t SetOf(u64 hash) const { return hash & (sets_.size() - 1); }
+  static u32 TagOf(u64 hash) { return static_cast<u32>(hash >> 32); }
 
   /// One record's state update; caller holds mu_.
-  void RecordLocked(const PatternKey& key, u64 hash, const QueryResult& result);
-  /// Prefetches the lines RecordLocked will touch for \p hash; caller holds
-  /// mu_.
+  void RecordLocked(const PatternKey& key, const QueryResult& result);
+  /// Prefetches the lines RecordLocked will touch first for \p hash (its
+  /// cache set and filter home slot); caller holds mu_.
   void PrefetchLocked(u64 hash) const;
-  void CacheUpsertLocked(const PatternKey& key, u64 hash,
-                         const QueryResult& result, u32 popularity);
-  bool CacheFindLocked(const PatternKey& key, u64 hash, QueryResult* out);
+  /// The non-empty way of \p set tagged \p tag, or kWays. A set never
+  /// holds one tag twice: a record that matches a tag is counted as a hit.
+  static std::size_t WayOf(const CacheSet& set, u32 tag);
+  /// Counts a record of a cached pattern and returns true; false on a miss.
+  bool CacheHitLocked(u64 hash);
+  /// Offers a missed key to its set (HeavyKeeper decay, see the .cpp);
+  /// \p first_record: the filter has just met the key for the first time.
+  void CacheAdmitLocked(const PatternKey& key, const QueryResult& result,
+                        bool first_record);
+  bool CacheFindLocked(const PatternKey& key, QueryResult* out);
   /// Inserts \p hash into the membership filter; true only when newly
   /// inserted (false when already present or the filter is at capacity).
   bool SeenInsertLocked(u64 hash);
@@ -214,12 +244,12 @@ class DegradedTier {
   DegradedTierOptions options_;
   mutable std::mutex mu_;
 
-  /// Query-popularity sketch feeding cache admission (HeavyKeeper).
-  DecaySketch popularity_;
-
-  /// Power-of-two slots; empty = disabled.
-  std::vector<CacheSlot, CacheAlignedAllocator<CacheSlot>> cache_;
-  std::size_t cache_size_ = 0;
+  /// Set-associative answer cache; both empty = disabled.
+  std::vector<CacheSet, CacheAlignedAllocator<CacheSet>> sets_;
+  std::vector<CachePayload, CacheAlignedAllocator<CachePayload>> payloads_;
+  std::size_t cache_size_ = 0;  ///< Non-empty ways.
+  /// SplitMix64 state of the decay coin; reset by Clear().
+  u64 coin_state_ = 0;
 
   /// Single-insertion membership filter: open-addressed key-hash set.
   std::vector<u64> seen_;

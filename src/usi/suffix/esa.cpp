@@ -11,7 +11,8 @@ constexpr index_t kParallelEnumerateThreshold = index_t{1} << 14;
 }  // namespace
 
 std::vector<std::vector<LcpStackEntry>> LcpIntervalStacksAt(
-    const std::vector<index_t>& lcp, const std::vector<index_t>& boundaries) {
+    const std::vector<index_t>& lcp, const std::vector<index_t>& boundaries,
+    std::size_t max_entries) {
   std::vector<std::vector<LcpStackEntry>> snapshots;
   snapshots.reserve(boundaries.size());
   if (boundaries.empty()) return snapshots;
@@ -19,9 +20,12 @@ std::vector<std::vector<LcpStackEntry>> LcpIntervalStacksAt(
   std::vector<LcpStackEntry> stack;
   stack.push_back({0, 0});
   std::size_t next = 0;
+  std::size_t entries = 0;
   for (index_t i = 1; i <= m && next < boundaries.size(); ++i) {
     USI_DCHECK(boundaries[next] >= 1 && boundaries[next] <= m);
     if (i == boundaries[next]) {
+      entries += stack.size();
+      if (entries > max_entries) return {};
       snapshots.push_back(stack);
       ++next;
       if (next == boundaries.size()) break;
@@ -56,7 +60,9 @@ EsaChunks::EsaChunks(const std::vector<index_t>& lcp, ThreadPool* pool)
        c < want_chunks && 1 + c * static_cast<std::size_t>(span) <= m_; ++c) {
     boundaries_.push_back(static_cast<index_t>(1 + c * span));
   }
-  stacks_ = LcpIntervalStacksAt(lcp, boundaries_);
+  // Bounded at m/2 entries: deeper stacks fall back to one chunk.
+  stacks_ = LcpIntervalStacksAt(lcp, boundaries_, m_ / 2);
+  if (stacks_.empty()) boundaries_.clear();
 }
 
 }  // namespace usi

@@ -14,6 +14,7 @@
 /// different arrays.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "usi/parallel/thread_pool.hpp"
@@ -125,13 +126,19 @@ void EnumerateSuffixTreeNodes(const std::vector<index_t>& lcp,
 /// handling, no node construction — a far lighter loop than the full pass)
 /// and snapshots the open-interval stack as it stands entering each step in
 /// \p boundaries (ascending, each in [1, m]). Chunked enumeration seeds one
-/// EnumerateSuffixTreeNodeRange per chunk from these snapshots.
+/// EnumerateSuffixTreeNodeRange per chunk from these snapshots. Returns
+/// nothing once the snapshots together would hold more than \p max_entries
+/// entries (the stack reaches ~m entries on periodic or unary text).
 std::vector<std::vector<LcpStackEntry>> LcpIntervalStacksAt(
-    const std::vector<index_t>& lcp, const std::vector<index_t>& boundaries);
+    const std::vector<index_t>& lcp, const std::vector<index_t>& boundaries,
+    std::size_t max_entries = SIZE_MAX);
 
 /// The traversal steps [1, m] cut into contiguous chunks for a pool, each
 /// with the open-interval stack it enters with (LcpIntervalStacksAt). A
-/// null or one-wide pool, or fewer than 2^14 steps, gives a single chunk.
+/// null or one-wide pool, or fewer than 2^14 steps, gives a single chunk;
+/// so do stacks too deep to snapshot in O(m) (more than m/2 entries over
+/// all boundaries, as on periodic or unary text), since every chunk copies
+/// its entering stack again.
 /// Every chunk emits exactly what the sequential pass emits during its
 /// steps, so per-chunk outputs concatenated in chunk order reproduce the
 /// sequential emission order at every pool width.

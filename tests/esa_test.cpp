@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
+#include "usi/parallel/thread_pool.hpp"
 #include "usi/suffix/esa.hpp"
 #include "usi/suffix/lcp_array.hpp"
 #include "usi/suffix/suffix_array.hpp"
@@ -131,6 +132,31 @@ TEST(Esa, UnaryString) {
   for (index_t len = 1; len <= 8; ++len) {
     EXPECT_EQ(freq_by_len[len], 9 - len);
   }
+}
+
+TEST(Esa, ChunksFallBackToOneWhenStacksAreDeep) {
+  // A unary text's open-interval stack holds every step so far, so
+  // snapshots at 16 boundaries would copy ~8m entries: one chunk instead.
+  // Random text keeps a shallow stack and still chunks.
+  constexpr index_t n = index_t{1} << 16;
+  ThreadPool pool(4);
+  const EsaView unary = BuildView(Text(n, 1));
+  EXPECT_EQ(EsaChunks(unary.lcp, &pool).size(), 1u);
+  const EsaView random = BuildView(MakeRandom(n, 4, 0xE5A).text());
+  const EsaChunks chunks(random.lcp, &pool);
+  EXPECT_GT(chunks.size(), 1u);
+
+  // The chunked pass still emits exactly the sequential node sequence.
+  std::vector<std::vector<SuffixTreeNode>> per_chunk(chunks.size());
+  chunks.Enumerate(random.lcp, DenseSuffixLengthView{&random.sa, n}, &pool,
+                   [&](std::size_t c, const SuffixTreeNode& node) {
+                     per_chunk[c].push_back(node);
+                   });
+  std::vector<SuffixTreeNode> joined;
+  for (const auto& nodes : per_chunk) {
+    joined.insert(joined.end(), nodes.begin(), nodes.end());
+  }
+  EXPECT_TRUE(joined == random.nodes);
 }
 
 TEST(Esa, SparseEnumerationOnSubset) {

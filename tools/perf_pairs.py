@@ -25,11 +25,22 @@ directory, then every run reuses that build):
       --log pairs.jsonl
 
 Every run appends one JSON object to the log as soon as it finishes:
-{"set", "workload", "seed", "pair", "side", "seconds", "exit_code",
-"result"}, where "result" is perfbench's result object (null when the run
-printed none). Re-print the analysis of a saved log with
+{"set", "workload", "seed", "pair", "side", "seconds", "trace",
+"exit_code", "result"}, where "result" is perfbench's result object (null
+when the run printed none). Re-print the analysis of a saved log with
 
   tools/perf_pairs.py --analyze pairs.jsonl
+
+Traced pairs (--trace) run perfbench with --trace 1, whose result holds
+the per-layer metrics instead of the end-to-end ones. --normalize-by LAYER
+prints every per-layer metric's medians and its change/parent pair ratio
+divided by the same pair's ratio of LAYER, a layer the change does not
+touch: host drift within a pair moves both ratios, so the quotient is the
+change's own effect. For example
+
+  tools/perf_pairs.py --parent ../parent --change . --trace \\
+      --workload w2-hot-large --seeds 7001-7005 \\
+      --normalize-by usi_index.hit_ns_per_query
 
 --selftest analyzes the committed fixture under tools/testdata and checks
 the verdicts it must give (the `perf_pairs_selftest` CTest entry).
@@ -58,16 +69,25 @@ DEFAULT_METRICS = [
     {"name": "peak_rss_mb", "better": "lower", "bound": 0.2},
 ]
 
+# The fixture's traced set (5 w2-hot-large pairs recorded for the
+# set-associative tier record, seeds 25401-25405) and the band its tier
+# record cost must read in, normalized by the hit path: the set read 0.539
+# (0.502 unnormalized).
+TRACED_SET = "traced"
+TRACED_RECORD_NORMALIZED = (0.52, 0.56)
+
 CLAIM_MIN_PAIRS = 10
 CLAIM_WIN_SHARE = 0.9
 
 
-def load_metrics(root):
+def load_metrics(root, kind="end_to_end"):
+    """BENCHMARK.json's end_to_end (or per_layer) metric list; without one,
+    the default end-to-end list (or None: take the layers the log holds)."""
     path = os.path.join(root, "BENCHMARK.json")
     if not os.path.isfile(path):
-        return DEFAULT_METRICS
+        return DEFAULT_METRICS if kind == "end_to_end" else None
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)["end_to_end"]
+        return json.load(handle)[kind]
 
 
 def parse_seeds(text):
@@ -92,12 +112,12 @@ def build(tree, target):
                    stdout=sys.stderr, check=True)
 
 
-def run_one(tree, target, workload, seed, seconds):
+def run_one(tree, target, workload, seed, seconds, trace):
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     done = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(int(trace))],
         cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=False)
     result = None
     lines = done.stdout.strip().splitlines()
@@ -126,15 +146,18 @@ def run_pairs(args):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             code, result = run_one(trees[side], targets[side], args.workload,
-                                   seed, args.seconds)
+                                   seed, args.seconds, args.trace)
             record = {"set": label, "workload": args.workload, "seed": seed,
                       "pair": pair, "side": side, "seconds": args.seconds,
-                      "exit_code": code, "result": result}
+                      "trace": int(args.trace), "exit_code": code,
+                      "result": result}
             records.append(record)
             with open(args.log, "a", encoding="utf-8") as log:
                 log.write(json.dumps(record, sort_keys=True) + "\n")
-            qps = metric_value(record, "query_qps")
-            shown = "no result" if qps is None else f"query_qps {fmt(qps)}"
+            shown_metric = args.normalize_by if args.trace else "query_qps"
+            value = metric_value(record, shown_metric)
+            shown = ("no result" if value is None
+                     else f"{shown_metric} {fmt(value)}")
             print(f"perf_pairs: pair {pair + 1}/{len(seeds)} seed {seed} "
                   f"{side}: exit {code}, {shown}", file=sys.stderr)
     return records
@@ -240,6 +263,9 @@ def analyze(records, metrics):
         failed = {"parent": 0, "change": 0}
         for run in runs:
             failed[run["side"]] += (run.get("result") or {}).get("failed", 0)
+        if not any(metric_value(r, m["name"]) is not None
+                   for r in runs for m in metrics):
+            continue  # Traced runs: see analyze_layers.
         print(f"\nset {label}  workload {workload}  pairs {len(complete)}  "
               f"runs correct {ok}/{len(runs)}  failed ops parent "
               f"{failed['parent']} change {failed['change']}")
@@ -266,6 +292,58 @@ def analyze(records, metrics):
     return verdicts
 
 
+def analyze_layers(records, layers, normalize_by):
+    """Prints one per-layer table per traced (set, workload): medians, the
+    median per-pair change/parent ratio, and that ratio over the same
+    pair's ratio of \p normalize_by. Returns {(set, workload): {name:
+    (ratio, normalized)}}; a ratio is None where a parent value is 0."""
+    tables = {}
+    for (label, workload), by_seed in group_sets(records).items():
+        complete = [s for s in by_seed.values()
+                    if "parent" in s and "change" in s
+                    and metric_value(s["parent"], normalize_by) is not None
+                    and metric_value(s["change"], normalize_by) is not None]
+        if not complete:
+            continue
+        names = [m["name"] for m in layers] if layers else sorted(
+            (complete[0]["parent"].get("result") or {}).get("metrics", {}))
+
+        def pair_ratios(name):
+            ratios = []
+            for s in complete:
+                p = metric_value(s["parent"], name)
+                c = metric_value(s["change"], name)
+                ratios.append(None if p in (None, 0) or c is None else c / p)
+            return ratios
+
+        reference = pair_ratios(normalize_by)
+        print(f"\nlayers of set {label}  workload {workload}  traced pairs "
+              f"{len(complete)}  normalized by {normalize_by}")
+        print(f"{'layer metric':<36} {'parent median':>14} "
+              f"{'change median':>14} {'pair ratio':>10} {'normalized':>10}")
+        table = {}
+        for name in names:
+            values = [(metric_value(s["parent"], name),
+                       metric_value(s["change"], name)) for s in complete]
+            if any(p is None or c is None for p, c in values):
+                continue
+            ratios = pair_ratios(name)
+            valid = [r for r in ratios if r is not None]
+            normalized = [r / ref for r, ref in zip(ratios, reference)
+                          if r is not None and ref]
+            ratio = statistics.median(valid) if valid else None
+            norm = statistics.median(normalized) if normalized else None
+            table[name] = (ratio, norm)
+            shown_ratio = "-" if ratio is None else f"{ratio:.3f}"
+            shown_norm = "-" if norm is None else f"{norm:.3f}"
+            print(f"{name:<36} "
+                  f"{fmt(statistics.median(p for p, _ in values)):>14} "
+                  f"{fmt(statistics.median(c for _, c in values)):>14} "
+                  f"{shown_ratio:>10} {shown_norm:>10}")
+        tables[(label, workload)] = table
+    return tables
+
+
 def read_log(path):
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line) for line in handle if line.strip()]
@@ -278,9 +356,13 @@ def selftest():
     """The fixture holds the query_qps pairs of three recorded claim sets
     for the equal-range learned miss search: two missed the claim rule (one
     on host drift, one by ~2% of the IQR rule), the third met it. The
-    drifting set's parent runs spread wider than the bound."""
+    drifting set's parent runs spread wider than the bound. A fourth,
+    traced set holds four per-layer metrics of recorded traced pairs."""
     failures = []
     verdicts = analyze(read_log(FIXTURE), DEFAULT_METRICS)
+    if any(label == TRACED_SET for label, _ in verdicts):
+        failures.append(f"set {TRACED_SET}: traced runs gave end-to-end "
+                        "verdicts")
     expected = {"2001-2010": (False, "UNRESOLVED"),
                 "2011-2020": (False, "within bound"),
                 "4001-4010": (True, "within bound")}
@@ -305,6 +387,25 @@ def selftest():
     if got["state"] != "REGRESSED" or got["met"]:
         failures.append("a 30% slowdown was not reported as regressed")
 
+    # Traced pairs: the fixture's traced set, normalized by the index's hit
+    # path, must read the tier's record cost as the change's own drop and
+    # the normalizing layer as exactly 1.
+    tables = analyze_layers(read_log(FIXTURE), None,
+                            "usi_index.hit_ns_per_query")
+    traced = tables.get((TRACED_SET, "w2-hot-large"), {})
+    record = traced.get("degraded_tier.record_ns_per_query")
+    hit = traced.get("usi_index.hit_ns_per_query")
+    if record is None or hit is None:
+        failures.append(f"set {TRACED_SET}: no per-layer table")
+    else:
+        if hit[1] is None or abs(hit[1] - 1.0) > 1e-9:
+            failures.append(f"set {TRACED_SET}: the normalizing layer reads "
+                            f"{hit[1]}, want 1")
+        low, high = TRACED_RECORD_NORMALIZED
+        if record[1] is None or not low <= record[1] <= high:
+            failures.append(f"set {TRACED_SET}: record_ns_per_query "
+                            f"normalized {record[1]}, want {low}-{high}")
+
     for failure in failures:
         print(f"perf_pairs selftest: FAIL {failure}", file=sys.stderr)
     if not failures:
@@ -324,6 +425,12 @@ def main():
     parser.add_argument("--set", help="set label (default workload:seeds)")
     parser.add_argument("--build-dir", default=".bench_build/perf_pairs",
                         help="holds one build directory per side")
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced pairs (perfbench --trace 1)")
+    parser.add_argument("--normalize-by", metavar="LAYER",
+                        default="usi_index.hit_ns_per_query",
+                        help="per-layer metric the traced tables divide "
+                        "every ratio by (default %(default)s)")
     parser.add_argument("--analyze", metavar="LOG",
                         help="print the analysis of a saved log and exit")
     parser.add_argument("--selftest", action="store_true")
@@ -332,12 +439,18 @@ def main():
     if args.selftest:
         return selftest()
     if args.analyze:
-        analyze(read_log(args.analyze), load_metrics(REPO))
+        records = read_log(args.analyze)
+        analyze(records, load_metrics(REPO))
+        analyze_layers(records, load_metrics(REPO, "per_layer"),
+                       args.normalize_by)
         return 0
     if not (args.parent and args.change and args.workload and args.seeds):
         parser.error("--parent, --change, --workload and --seeds are required")
     records = run_pairs(args)
-    analyze(records, load_metrics(os.path.abspath(args.change)))
+    change = os.path.abspath(args.change)
+    analyze(records, load_metrics(change))
+    analyze_layers(records, load_metrics(change, "per_layer"),
+                   args.normalize_by)
     return 0
 
 

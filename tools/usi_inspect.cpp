@@ -49,6 +49,7 @@
 #include "usi/text/dataset.hpp"
 #include "usi/util/failpoint.hpp"
 #include "usi/util/mapped_file.hpp"
+#include "usi/util/rng.hpp"
 
 namespace usi {
 namespace {
