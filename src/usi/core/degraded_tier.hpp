@@ -93,7 +93,8 @@ namespace usi {
 
 /// Tuning for a DegradedTier. Capacities round up to powers of two.
 struct DegradedTierOptions {
-  /// Hot-pattern answer cache slots (0 disables the cache rung).
+  /// Hot-pattern answer cache slots, in 8-way sets (so at least 8; 0
+  /// disables the cache rung).
   std::size_t cache_capacity = 4096;
   /// Count-min geometry: buckets per row / number of rows. The additive
   /// utility bound is (e / width) * inserted-utility-mass with failure
