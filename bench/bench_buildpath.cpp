@@ -1,5 +1,5 @@
 // Construction hot-path bench (cache-conscious SA-IS, pool-parallel mining,
-// memory-lean staged builds). Four sections, all best-of-3:
+// memory-lean staged builds). Five sections, all best-of-3:
 //
 //   rss   — staged UsiBuilder peak-RSS table: per-stage VmHWM deltas (the
 //           mine stage's included) and the final peak (runs first: VmHWM is
@@ -7,8 +7,8 @@
 //           cleanly).
 //   sa    — suffix-array construction rates: the seed's textbook SA-IS
 //           (BuildSuffixArrayReference) vs the rewritten BuildSuffixArray,
-//           single-thread and with the level-0 passes on a pool. The
-//           acceptance bar is sais_speedup_vs_reference >= 1.5 single-thread.
+//           both single-thread. The acceptance bar is
+//           sais_speedup_vs_reference >= 1.5.
 //   mine  — the build's exact miner (ExactTopK at K = n/100: chunked Kasai
 //           LCP + two sequential LCP-interval passes) beside the full
 //           Section V structure (SubstringStats: chunked traversal, every
@@ -16,6 +16,11 @@
 //   table — phase (ii) per text at threads = 1 and K = n/100 (the service
 //           default): table-stage seconds, L_K and sum(occ)/n. The SA sweep
 //           costs O(n + sum(occ)); a per-length window scan cost n * L_K.
+//   stages — the build as perfbench's w2-hot-large set-up runs it: HUM, XML
+//           and ADV at 4M/2M/1M symbols (divided by USI_BENCH_SCALE),
+//           default options, threads = 1. Per text, the best-of-3 seconds of
+//           each build stage and the learned-SA key fit's keys/s (SA ranks
+//           packed and fitted per second of the learn stage).
 //
 // --json PATH writes machine-readable results (BENCH_build.json in CI).
 
@@ -97,8 +102,7 @@ void StagedRssSection(const char* name, bench::BenchJson* json) {
 
 /// Returns the single-thread speedup so main can aggregate the geomean —
 /// the headline acceptance metric (per-dataset numbers stay in the JSON).
-double SaRatesSection(const char* name, unsigned pool_threads,
-                      bench::BenchJson* json) {
+double SaRatesSection(const char* name, bench::BenchJson* json) {
   const DatasetSpec& spec = DatasetSpecByName(name);
   const index_t n = bench::ScaledLength(spec);
   const Text text = MakeDataset(spec, n).text();
@@ -109,10 +113,6 @@ double SaRatesSection(const char* name, unsigned pool_threads,
   const double sais_s = BestOf([&] {
     const std::vector<index_t> sa = BuildSuffixArray(text);
   });
-  ThreadPool pool(pool_threads);
-  const double sais_pool_s = BestOf([&] {
-    const std::vector<index_t> sa = BuildSuffixArray(text, &pool);
-  });
 
   const double speedup = sais_s > 0 ? reference_s / sais_s : 0;
   TablePrinter table(std::string("SA construction (best of 3) on ") + name +
@@ -122,17 +122,12 @@ double SaRatesSection(const char* name, unsigned pool_threads,
                 TablePrinter::Num(MbPerSec(n, reference_s), 1)});
   table.AddRow({"SA-IS (rewrite, 1t)", TablePrinter::Num(sais_s, 4),
                 TablePrinter::Num(MbPerSec(n, sais_s), 1)});
-  table.AddRow({"SA-IS (rewrite, pool " + TablePrinter::Int(pool_threads) +
-                    "t)",
-                TablePrinter::Num(sais_pool_s, 4),
-                TablePrinter::Num(MbPerSec(n, sais_pool_s), 1)});
   table.AddRow({"single-thread speedup", TablePrinter::Num(speedup, 2), "x"});
   table.Print();
 
   const std::string section = std::string("sa.") + name;
   json->Add(section, "reference_mb_s", MbPerSec(n, reference_s), "MB/s");
   json->Add(section, "sais_mb_s", MbPerSec(n, sais_s), "MB/s");
-  json->Add(section, "sais_pool_mb_s", MbPerSec(n, sais_pool_s), "MB/s");
   json->Add(section, "sais_speedup_vs_reference", speedup, "x");
   return speedup;
 }
@@ -226,6 +221,60 @@ void TableSection(const char* name, bench::BenchJson* json) {
   json->Add(section, "occ_per_n", occ_per_n, "ratio");
 }
 
+/// The w2-hot-large texts (perfbench/src/large.cpp) and their sizes.
+struct StageText {
+  const char* name;
+  index_t n;
+};
+constexpr StageText kStageTexts[] = {
+    {"HUM", 4'000'000}, {"XML", 2'000'000}, {"ADV", 1'000'000}};
+
+void StagesSection(bench::BenchJson* json) {
+  TablePrinter table(
+      "Build stages (best of 3 per stage, 1 thread, default options) at the "
+      "w2-hot-large sizes");
+  table.SetHeader({"text", "n", "sa s", "mine s", "table s", "learn s",
+                   "total s", "fit keys/s"});
+  for (const StageText& text : kStageTexts) {
+    const index_t n =
+        std::max<index_t>(1000, text.n / bench::ScaleDivisor());
+    const WeightedString ws = MakeDataset(DatasetSpecByName(text.name), n);
+    UsiOptions options;  // k = 0: n/100, the service default.
+    options.threads = 1;
+    UsiBuildInfo best;
+    for (int r = 0; r < kRepeats; ++r) {
+      const UsiIndex index(ws, options);
+      const UsiBuildInfo& info = index.build_info();
+      auto keep_min = [r](double* best_s, double s) {
+        if (r == 0 || s < *best_s) *best_s = s;
+      };
+      keep_min(&best.sa_seconds, info.sa_seconds);
+      keep_min(&best.mining_seconds, info.mining_seconds);
+      keep_min(&best.table_seconds, info.table_seconds);
+      keep_min(&best.learn_seconds, info.learn_seconds);
+      keep_min(&best.total_seconds, info.total_seconds);
+    }
+    const double keys_per_s =
+        best.learn_seconds > 0 ? static_cast<double>(n) / best.learn_seconds
+                               : 0;
+    table.AddRow({text.name, TablePrinter::Int(n),
+                  TablePrinter::Num(best.sa_seconds, 4),
+                  TablePrinter::Num(best.mining_seconds, 4),
+                  TablePrinter::Num(best.table_seconds, 4),
+                  TablePrinter::Num(best.learn_seconds, 4),
+                  TablePrinter::Num(best.total_seconds, 4),
+                  TablePrinter::Num(keys_per_s / 1e6, 1) + "M"});
+    const std::string section = std::string("stages.") + text.name;
+    json->Add(section, "sa_s", best.sa_seconds, "s");
+    json->Add(section, "mine_s", best.mining_seconds, "s");
+    json->Add(section, "table_s", best.table_seconds, "s");
+    json->Add(section, "learn_s", best.learn_seconds, "s");
+    json->Add(section, "total_s", best.total_seconds, "s");
+    json->Add(section, "fit_keys_per_s", keys_per_s, "1/s");
+  }
+  table.Print();
+}
+
 }  // namespace
 }  // namespace usi
 
@@ -238,13 +287,10 @@ int main(int argc, char** argv) {
   // raised the process peak.
   usi::StagedRssSection("XML", &json);
 
-  const unsigned pool_threads =
-      args.threads != 0 ? args.threads
-                        : usi::ThreadPool::HardwareConcurrency();
   double log_speedup_sum = 0;
   int sa_sections = 0;
   for (const char* name : {"XML", "HUM", "ADV"}) {
-    const double speedup = usi::SaRatesSection(name, pool_threads, &json);
+    const double speedup = usi::SaRatesSection(name, &json);
     if (speedup > 0) {
       log_speedup_sum += std::log(speedup);
       ++sa_sections;
@@ -262,6 +308,7 @@ int main(int argc, char** argv) {
   for (const char* name : {"HUM", "XML", "ADV"}) {
     usi::TableSection(name, &json);
   }
+  usi::StagesSection(&json);
 
   if (!args.json_path.empty() &&
       !json.WriteTo(args.json_path, "bench_buildpath")) {

@@ -101,9 +101,13 @@ struct DegradedTierOptions {
   /// probability e^-depth.
   std::size_t sketch_width = 4096;
   std::size_t sketch_depth = 4;
-  /// Membership-filter capacity: distinct patterns the sketch will learn.
-  /// Past ~7/8 occupancy the sketch stops admitting new patterns (already
-  /// sketched ones keep answering) so single-insertion stays exact.
+  /// Sizes the membership filter, not an exact cap: the filter holds
+  /// 2 * RoundUpPow2(max_sketched_keys) slots and admits distinct patterns
+  /// until 7/8 of them are taken, 1.75x this value at a power of two
+  /// (57,344 for the default 32,768). Past that the sketch stops admitting
+  /// new patterns (already sketched ones keep answering), so
+  /// single-insertion stays exact. DegradedTierStats::max_sketched_keys
+  /// reports the admitted count.
   std::size_t max_sketched_keys = 1 << 15;
   u64 seed = 0xDE62ADEDULL;
 };
@@ -123,7 +127,7 @@ struct DegradedTierStats {
   std::size_t sketch_depth = 0;
   double epsilon = 0;       ///< e / width: bound = epsilon * sketch_mass.
   std::size_t sketched_keys = 0;   ///< Distinct patterns in the sketch.
-  std::size_t max_sketched_keys = 0;
+  std::size_t max_sketched_keys = 0;  ///< Distinct patterns it admits.
   double sketch_mass = 0;   ///< Total utility mass inserted (the M above).
 
   /// Cache hit rate over degraded lookups (0 when never consulted).

@@ -63,14 +63,13 @@ void UsiBuilder::BuildInto(UsiIndex& index) {
   index.build_info_.k = k;
   index.build_info_.threads_used = pool == nullptr ? 1 : pool->thread_count();
 
-  // Stage "sa": the text index every later phase shares. The SA-IS level-0
-  // histogram and LMS gathering run on the pool; the workspace arena is
-  // stack-local to the call, so the stage leaves nothing behind but the
-  // array itself.
+  // Stage "sa": the text index every later phase shares, built on the
+  // calling thread. The workspace arena is stack-local to the call, so the
+  // stage leaves nothing behind but the array itself.
   Timer sa_timer;
   std::size_t rss_before = ReadPeakRssBytes();
   USI_FAILPOINT("build.sa");
-  std::vector<index_t> sa = BuildSuffixArray(text, pool);
+  std::vector<index_t> sa = BuildSuffixArray(text);
   index.build_info_.sa_seconds = sa_timer.ElapsedSeconds();
   index.build_info_.sa_rss_delta_bytes = PeakRssDelta(rss_before);
   stages_.push_back(

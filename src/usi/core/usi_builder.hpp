@@ -12,14 +12,14 @@
 /// individually and its peak-RSS growth recorded; the summary lands in
 /// UsiIndex::build_info().
 ///
-/// "sa" and "mine" run on the pool when one is given: "sa" parallelizes the
-/// level-0 SA-IS histogram and LMS gathering; "mine" runs chunked Kasai LCP
-/// on it, then the exact miner's two sequential LCP-interval (ESA) passes,
-/// which keep only the nodes at or above tau_K (ExactTopK; no node table,
-/// no radix sort). Phase (ii) is sequential: ExhaustiveQueryEngine::AggregateIntervals walks the
-/// SA once, O(n + sum of occurrences), and folds each key's occurrences in
-/// SA order — the miss path's order, so a table hit equals the miss answer
-/// bit for bit. Every stage's output is independent of the schedule, so a
+/// "mine" runs on the pool when one is given: chunked Kasai LCP, then the
+/// exact miner's two sequential LCP-interval (ESA) passes, which keep only
+/// the nodes at or above tau_K (ExactTopK; no node table, no radix sort).
+/// "sa" always runs on the calling thread. Phase (ii) is sequential:
+/// ExhaustiveQueryEngine::AggregateIntervals walks the SA once, O(n + sum
+/// of occurrences), and folds each key's occurrences in SA order — the
+/// miss path's order, so a table hit equals the miss answer bit for bit.
+/// Every stage's output is independent of the schedule, so a
 /// parallel build serializes byte-identical to a sequential build at any
 /// thread count (the determinism contract tests/parallel_test.cpp and
 /// tests/buildpath_test.cpp pin).

@@ -109,10 +109,15 @@ void SweepIntervals(std::span<const index_t> sa, const double* psw,
     UtilityAccumulator sum;
   };
   std::vector<Active> active;
-  // Same two leads as VisitSaInterval: the SA stream is sequential, the
-  // PSW read depends on an SA value.
-  constexpr std::size_t kSaLead = 16;
-  constexpr std::size_t kPswLead = 4;
+  // The SA stream is sequential; the PSW reads of a rank are random, at
+  // psw[p - 1] and psw[p + a.last] for every active item. kPswLead ranks
+  // ahead, every PSW line from psw[p - 1] to psw[p + last] of the top item
+  // is prefetched: the top is the innermost interval, whose substring is
+  // the longest, so its line range covers every item's read (a miner that
+  // broke that nesting would cost only misses, never answers).
+  constexpr std::size_t kSaLead = 32;
+  constexpr std::size_t kPswLead = 16;
+  constexpr std::size_t kLine = 64 / sizeof(double);
   const std::size_t n = sa.size();
   std::size_t next = 0;
   while (next < items.size()) {
@@ -126,8 +131,12 @@ void SweepIntervals(std::span<const index_t> sa, const double* psw,
       }
       if (k + kSaLead < n) __builtin_prefetch(&sa[k + kSaLead]);
       if (k + kPswLead < n) {
-        const index_t ahead = sa[k + kPswLead];
-        __builtin_prefetch(psw + (ahead == 0 ? 0 : ahead - 1));
+        const std::size_t ahead = sa[k + kPswLead];
+        const std::size_t last = std::min(ahead + active.back().last, n - 1);
+        for (std::size_t x = ahead == 0 ? 0 : ahead - 1; x < last; x += kLine) {
+          __builtin_prefetch(psw + x);
+        }
+        __builtin_prefetch(psw + last);
       }
       // The same expression as PrefixSumWeights::LocalUtility, so every
       // item's sum matches Aggregate bit for bit.
@@ -173,6 +182,8 @@ void ExhaustiveQueryEngine::AggregateIntervals(
                           }),
               items.end());
   sums.assign(items.size(), UtilityAccumulator{});
+  // The sweep clamps its PSW prefetches to sa_.size().
+  USI_DCHECK(psw_->size() == sa_.size());
   const double* psw = psw_->data();
   switch (kind_) {
     case GlobalUtilityKind::kSum:

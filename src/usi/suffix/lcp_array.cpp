@@ -11,12 +11,35 @@ namespace {
 /// Kasai's scan over the text-position range [begin, end): each position
 /// writes exactly one LCP slot (lcp[rank[i]]), so disjoint ranges write
 /// disjoint slots and the chunked passes compose race-free.
+///
+/// Position i reads sa[rank[i] - 1], writes lcp[rank[i]] and compares text
+/// at sa[rank[i] - 1] + h: three random accesses per position. The scan
+/// prefetches them in two waves, so their misses overlap across positions:
+/// the SA and LCP slots kSlotLead positions ahead, and the text bytes of
+/// the predecessor kTextLead positions ahead (its SA slot prefetched
+/// kSlotLead - kTextLead positions earlier; h is the current lcp, which
+/// stays close to the one that position will start from). Every address is
+/// clamped to its array.
 void KasaiRange(const Text& text, const std::vector<index_t>& sa,
                 const std::vector<index_t>& rank, index_t begin, index_t end,
                 std::vector<index_t>& lcp) {
+  constexpr index_t kSlotLead = 16;
+  constexpr index_t kTextLead = 8;
   const index_t n = static_cast<index_t>(text.size());
+  const Symbol* const text_p = text.data();
   index_t h = 0;
   for (index_t i = begin; i < end; ++i) {
+    if (i + kSlotLead < n) {
+      const index_t r = rank[i + kSlotLead];
+      __builtin_prefetch(&sa[r == 0 ? 0 : r - 1]);
+      __builtin_prefetch(&lcp[r], 1);
+    }
+    if (i + kTextLead < n) {
+      const index_t r = rank[i + kTextLead];
+      const index_t j = sa[r == 0 ? 0 : r - 1];
+      __builtin_prefetch(
+          text_p + std::min<std::size_t>(std::size_t{j} + h, n - 1));
+    }
     if (rank[i] == 0) {
       h = 0;
       continue;

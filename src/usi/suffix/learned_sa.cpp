@@ -337,21 +337,84 @@ KeyPacking KeyPacking::ForText(const Text& text) {
   return ForSigma(static_cast<u32>(max_symbol) + 1);
 }
 
+namespace {
+
+/// Eight text bytes at \p p as a big-endian word: the first symbol lands in
+/// the most significant byte.
+u64 LoadWord(const Symbol* p) {
+  u64 raw;
+  std::memcpy(&raw, p, 8);
+  return ToBigEndian64(raw);
+}
+
+/// Packs suffix keys per a KeyPacking, eight symbols per 64-bit load.
+///
+/// Compress turns the 8 one-byte symbols of a big-endian word, each below
+/// 2^bits, into the low 8 * bits bits, first symbol most significant, in
+/// three SWAR halving steps: each lane of width L holds two fields of f
+/// bits in its halves, and x = (x & lo) | ((x >> (L/2 - f)) & (lo << f))
+/// joins them into one field of 2f bits at the lane's bottom, for L = 16,
+/// 32, 64 and f = bits, 2 * bits, 4 * bits. Shifts and masks only: no
+/// dependency chain from one symbol to the next.
+class KeyPacker {
+ public:
+  explicit KeyPacker(const KeyPacking& kp)
+      : kp_(kp),
+        lo16_(((u64{1} << kp.bits) - 1) * 0x0001000100010001ULL),
+        lo32_(((u64{1} << (2 * kp.bits)) - 1) * 0x0000000100000001ULL),
+        lo64_((u64{1} << (4 * kp.bits)) - 1) {}
+
+  /// PackSuffixKey over text[0, n).
+  u64 Key(const Symbol* text, std::size_t n, std::size_t pos) const {
+    USI_DCHECK(pos < n);
+    if (pos + kp_.chars <= n) return Pack(text + pos);
+    // Shorter than a key: one symbol at a time, zero-padded.
+    const std::size_t take = n - pos;
+    u64 key = 0;
+    for (std::size_t j = 0; j < take; ++j) {
+      USI_DCHECK(text[pos + j] < (u32{1} << kp_.bits));
+      key = (key << kp_.bits) | text[pos + j];
+    }
+    return key << (64 - kp_.bits * static_cast<u32>(take));
+  }
+
+ private:
+  u64 Compress(u64 x) const {
+    const u32 b = kp_.bits;
+    USI_DCHECK((x & ~(((u64{1} << b) - 1) * 0x0101010101010101ULL)) == 0);
+    x = (x & lo16_) | ((x >> (8 - b)) & (lo16_ << b));
+    x = (x & lo32_) | ((x >> (16 - 2 * b)) & (lo32_ << (2 * b)));
+    x = (x & lo64_) | ((x >> (32 - 4 * b)) & (lo64_ << (4 * b)));
+    return x;
+  }
+
+  /// The key of a suffix with at least kp_.chars symbols. chars = 64 / bits
+  /// >= 8, so every load stays inside [p, p + chars): whole words first,
+  /// then the last chars % 8 symbols from the word ending at p + chars.
+  u64 Pack(const Symbol* p) const {
+    const u32 b = kp_.bits;
+    if (b == 8) return LoadWord(p);
+    u64 key = 0;
+    for (u32 w = 0; w < kp_.chars / 8; ++w) {
+      key = (key << (8 * b)) | Compress(LoadWord(p + 8 * w));
+    }
+    if (const u32 tail_bits = (kp_.chars % 8) * b; tail_bits != 0) {
+      key = (key << tail_bits) | (Compress(LoadWord(p + kp_.chars - 8)) &
+                                  ((u64{1} << tail_bits) - 1));
+    }
+    return key << (64 - b * kp_.chars);
+  }
+
+  KeyPacking kp_;
+  u64 lo16_;
+  u64 lo32_;
+  u64 lo64_;
+};
+
+}  // namespace
+
 u64 PackSuffixKey(const Text& text, index_t pos, const KeyPacking& kp) {
-  const std::size_t n = text.size();
-  USI_DCHECK(pos < n);
-  if (kp.bits == 8 && pos + 8 <= n) {
-    u64 raw;
-    std::memcpy(&raw, text.data() + pos, 8);
-    return ToBigEndian64(raw);
-  }
-  const std::size_t take = std::min<std::size_t>(kp.chars, n - pos);
-  u64 key = 0;
-  for (std::size_t j = 0; j < take; ++j) {
-    USI_DCHECK(text[pos + j] < (u32{1} << kp.bits));
-    key = (key << kp.bits) | text[pos + j];
-  }
-  return key << (64 - kp.bits * static_cast<u32>(take));
+  return KeyPacker(kp).Key(text.data(), text.size(), pos);
 }
 
 namespace {
@@ -460,10 +523,24 @@ void LearnedSa::Build(const Text& text, std::span<const index_t> sa,
   // identical, so the two models share the radix geometry below.
   ConeFitter lower_fit(eps);
   ConeFitter upper_fit(eps);
+  // The suffix bytes a key packs are a random read per rank: each rank
+  // prefetches the first and last key byte of the suffix kLead ranks ahead
+  // (clamped to the text), so those misses overlap instead of stalling the
+  // fit one rank at a time.
+  constexpr u64 kLead = 16;
+  const Symbol* const text_p = text.data();
+  const std::size_t text_n = text.size();
+  const KeyPacker packer(packing_);
   u64 prev_key = 0;
   bool have_prev = false;
   for (u64 i = 0; i < n_; ++i) {
-    const u64 key = PackSuffixKey(text, sa[i], packing_);
+    if (i + kLead < n_) {
+      const std::size_t ahead = sa[i + kLead];
+      __builtin_prefetch(text_p + ahead);
+      __builtin_prefetch(
+          text_p + std::min(ahead + packing_.chars - 1, text_n - 1));
+    }
+    const u64 key = packer.Key(text_p, text_n, sa[i]);
     USI_DCHECK(!have_prev || key >= prev_key);
     if (have_prev && key == prev_key) continue;
     if (have_prev) upper_fit.Add(prev_key, i);

@@ -1,21 +1,13 @@
 #include "usi/suffix/suffix_array.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <numeric>
-#include <type_traits>
-
-#include "usi/parallel/thread_pool.hpp"
 
 namespace usi {
 namespace {
 
 constexpr u32 kEmpty = ~u32{0};
-
-/// Below this length the pool is ignored: the chunked passes cost more in
-/// coordination than the scan saves.
-constexpr u32 kParallelSaThreshold = u32{1} << 14;
 
 // ---------------------------------------------------------------------------
 // Workspace arena.
@@ -97,17 +89,15 @@ inline bool IsLmsAt(const u64* bits, u32 i) {
 // ---------------------------------------------------------------------------
 
 /// One fused backward pass: classifies every suffix (word-packed bits),
-/// counts symbol occurrences into \p count (when kCount), and gathers the
-/// LMS positions in *descending* text order into \p lms_rev (when kGather;
-/// caller reverses). Returns the number of LMS positions (0 when !kGather —
-/// the parallel gather recomputes it). The flags let the pool-parallel
-/// level-0 path strip the pass down to pure classification.
-template <typename SymT, bool kCount, bool kGather>
+/// counts symbol occurrences into \p count, and gathers the LMS positions
+/// in *descending* text order into \p lms_rev (caller reverses). Returns
+/// the number of LMS positions.
+template <typename SymT>
 u32 ClassifySuffixes(const SymT* s, u32 n, u64* types, u32* count,
                      u32* lms_rev) {
   TypeSetS(types, n);  // Virtual sentinel is S-type.
   // Position n-1 precedes the sentinel, so it is always L-type.
-  if (kCount) ++count[s[n - 1]];
+  ++count[s[n - 1]];
   bool next_s = false;
   SymT next_sym = s[n - 1];
   u32 m = 0;
@@ -117,11 +107,11 @@ u32 ClassifySuffixes(const SymT* s, u32 n, u64* types, u32* count,
   u64 word = 0;
   for (u32 i = n - 1; i-- > 0;) {
     const SymT c = s[i];
-    if (kCount) ++count[c];
+    ++count[c];
     const bool cur_s = c < next_sym || (c == next_sym && next_s);
     if (cur_s) {
       word |= u64{1} << (i & 63);
-    } else if (kGather && next_s) {
+    } else if (next_s) {
       lms_rev[m++] = i + 1;  // i is L, i+1 is S: i+1 is an LMS position.
     }
     if ((i & 63) == 0) {
@@ -132,63 +122,6 @@ u32 ClassifySuffixes(const SymT* s, u32 n, u64* types, u32* count,
     next_sym = c;
   }
   return m;
-}
-
-/// Chunk-parallel symbol histogram for the level-0 byte text: per-worker
-/// 256-entry counters merged in symbol order, so the totals match the
-/// sequential count exactly.
-void ParallelHistogram(const u8* s, u32 n, ThreadPool* pool, u32* count) {
-  const unsigned workers = pool->thread_count();
-  const std::size_t chunks =
-      std::min<std::size_t>(4 * workers, (n + kParallelSaThreshold - 1) /
-                                             kParallelSaThreshold);
-  const std::size_t chunk_len = (n + chunks - 1) / chunks;
-  std::vector<std::array<u32, 256>> partial(chunks);
-  ParallelFor(pool, chunks, [&](std::size_t c, unsigned /*worker*/) {
-    partial[c].fill(0);
-    const std::size_t begin = c * chunk_len;
-    const std::size_t end = std::min<std::size_t>(n, begin + chunk_len);
-    for (std::size_t i = begin; i < end; ++i) ++partial[c][s[i]];
-  });
-  for (const std::array<u32, 256>& p : partial) {
-    for (u32 c = 0; c < 256; ++c) count[c] += p[c];
-  }
-}
-
-/// Chunk-parallel LMS gather (two-phase: count per chunk, prefix offsets,
-/// write). Produces the positions in ascending text order — identical to the
-/// sequential gather for every pool width.
-u32 ParallelGatherLms(u32 n, const u64* types, ThreadPool* pool, u32* lms) {
-  const unsigned workers = pool->thread_count();
-  const std::size_t chunks =
-      std::min<std::size_t>(4 * workers, (n + kParallelSaThreshold - 1) /
-                                             kParallelSaThreshold);
-  const std::size_t chunk_len = (n + chunks - 1) / chunks;
-  std::vector<u32> chunk_count(chunks, 0);
-  auto chunk_range = [&](std::size_t c) {
-    // LMS candidates live in [1, n-1].
-    const u32 begin = static_cast<u32>(std::max<std::size_t>(1, c * chunk_len));
-    const u32 end = static_cast<u32>(std::min<std::size_t>(n, (c + 1) * chunk_len));
-    return std::pair<u32, u32>(begin, end);
-  };
-  ParallelFor(pool, chunks, [&](std::size_t c, unsigned /*worker*/) {
-    const auto [begin, end] = chunk_range(c);
-    u32 local = 0;
-    for (u32 i = begin; i < end; ++i) local += IsLmsAt(types, i);
-    chunk_count[c] = local;
-  });
-  std::vector<u32> offset(chunks + 1, 0);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    offset[c + 1] = offset[c] + chunk_count[c];
-  }
-  ParallelFor(pool, chunks, [&](std::size_t c, unsigned /*worker*/) {
-    const auto [begin, end] = chunk_range(c);
-    u32 out = offset[c];
-    for (u32 i = begin; i < end; ++i) {
-      if (IsLmsAt(types, i)) lms[out++] = i;
-    }
-  });
-  return offset[chunks];
 }
 
 // ---------------------------------------------------------------------------
@@ -256,8 +189,7 @@ void InduceSa(const SymT* s, u32 n, const u64* types, const u32* bucket_start,
 // ---------------------------------------------------------------------------
 
 template <typename SymT>
-void SaIsLevel(const SymT* s, u32 n, u32 sigma, u32* sa, SaIsWorkspace& ws,
-               ThreadPool* pool) {
+void SaIsLevel(const SymT* s, u32 n, u32 sigma, u32* sa, SaIsWorkspace& ws) {
   USI_DCHECK(n >= 1);
   const SaIsWorkspace::Mark level_mark = ws.Snapshot();
 
@@ -278,28 +210,8 @@ void SaIsLevel(const SymT* s, u32 n, u32 sigma, u32* sa, SaIsWorkspace& ws,
                                   // exclusive prefix sums directly.
 
   u32* lms = ws.AllocU32(n / 2 + 1);
-  u32 m;
-  const bool parallel_level0 =
-      pool != nullptr && pool->thread_count() > 1 && n >= kParallelSaThreshold;
-  if constexpr (std::is_same_v<SymT, u8>) {
-    if (parallel_level0) {
-      // Histogram and LMS gathering run chunked on the pool; the backward
-      // classification pass is stripped to type bits only.
-      ParallelHistogram(s, n, pool, count);
-      ClassifySuffixes<SymT, /*kCount=*/false, /*kGather=*/false>(
-          s, n, types, count, lms);
-      m = ParallelGatherLms(n, types, pool, lms);
-    } else {
-      m = ClassifySuffixes<SymT, /*kCount=*/true, /*kGather=*/true>(
-          s, n, types, count, lms);
-      std::reverse(lms, lms + m);
-    }
-  } else {
-    (void)parallel_level0;
-    m = ClassifySuffixes<SymT, /*kCount=*/true, /*kGather=*/true>(
-        s, n, types, count, lms);
-    std::reverse(lms, lms + m);
-  }
+  const u32 m = ClassifySuffixes(s, n, types, count, lms);
+  std::reverse(lms, lms + m);
   USI_DCHECK(2 * static_cast<std::size_t>(m) <= n);
   for (u32 c = 0; c < sigma; ++c) bucket_start[c + 1] += bucket_start[c];
   USI_DCHECK(bucket_start[sigma] == n);
@@ -367,7 +279,7 @@ void SaIsLevel(const SymT* s, u32 n, u32 sigma, u32* sa, SaIsWorkspace& ws,
     u32* reduced = sa + (n + 1 - m);
     for (u32 j = 0; j < m; ++j) reduced[j] = names[lms[j] >> 1];
     ws.Rewind(naming_mark);  // lms_order + names feed the deeper level.
-    SaIsLevel<u32>(reduced, m, num_names, sa, ws, nullptr);
+    SaIsLevel<u32>(reduced, m, num_names, sa, ws);
     u32* mapped = ws.AllocU32(m);
     for (u32 j = 0; j < m; ++j) mapped[j] = lms[sa[1 + j]];
     sorted_lms = mapped;
@@ -383,13 +295,13 @@ void SaIsLevel(const SymT* s, u32 n, u32 sigma, u32* sa, SaIsWorkspace& ws,
 
 }  // namespace
 
-std::vector<index_t> BuildSuffixArray(const Text& text, ThreadPool* pool) {
+std::vector<index_t> BuildSuffixArray(const Text& text) {
   const std::size_t n = text.size();
   if (n == 0) return {};
   std::vector<index_t> sa(n + 1);
   SaIsWorkspace workspace;
   SaIsLevel<Symbol>(text.data(), static_cast<u32>(n), 256, sa.data(),
-                    workspace, pool);
+                    workspace);
   USI_DCHECK(sa[0] == n);
   sa.erase(sa.begin());  // Drop the virtual sentinel suffix.
   return sa;

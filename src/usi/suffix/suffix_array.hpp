@@ -11,9 +11,9 @@
 /// fuses classification with bucket counting, repairs bucket cursors by
 /// copying from an immutable prefix-sum array instead of recomputing it, and
 /// threads one reusable slab arena through the recursion so levels below 0
-/// perform near-zero heap allocations. When a ThreadPool is supplied, the
-/// level-0 symbol histogram and LMS-position gathering run chunk-parallel;
-/// the result is identical for every pool width (and to the sequential run).
+/// perform near-zero heap allocations. It runs on the calling thread: its
+/// passes are bound by memory, and chunking the level-0 histogram and LMS
+/// gather over a pool measured slower than one thread.
 ///
 /// BuildSuffixArrayReference is the seed's textbook SA-IS, kept verbatim as
 /// the differential-test oracle and as the baseline the bench_buildpath
@@ -29,15 +29,10 @@
 
 namespace usi {
 
-class ThreadPool;
-
 /// Builds the suffix array of \p text in O(n) (SA-IS). SA[i] is the starting
 /// position of the i-th lexicographically smallest suffix; the empty suffix
-/// is not included, so the result has exactly text.size() entries. \p pool
-/// (may be null) parallelizes the level-0 histogram and LMS gathering; the
-/// output does not depend on it.
-std::vector<index_t> BuildSuffixArray(const Text& text,
-                                      ThreadPool* pool = nullptr);
+/// is not included, so the result has exactly text.size() entries.
+std::vector<index_t> BuildSuffixArray(const Text& text);
 
 /// The seed's textbook SA-IS (u32-widened input, std::vector<bool> type
 /// bits, per-level allocations). Oracle + bench baseline only — use

@@ -165,6 +165,32 @@ TEST(LearnedSa, PackSuffixKeyIsMonotoneInSaOrder) {
   }
 }
 
+TEST(LearnedSa, PackSuffixKeyMatchesPerSymbolReference) {
+  // The word-at-a-time packer against the plain one-symbol-at-a-time
+  // definition, at every bit width and every position of a short text: the
+  // last kp.chars positions exercise the short-suffix tail and the
+  // positions whose last partial word ends exactly at the text's end.
+  Rng rng(0x9AC4);
+  for (u32 bits = 1; bits <= 8; ++bits) {
+    const KeyPacking kp{bits, 64 / bits};
+    Text text(3 * kp.chars + 11);
+    for (Symbol& c : text) {
+      c = static_cast<Symbol>(rng.UniformBelow(u64{1} << bits));
+    }
+    for (index_t pos = 0; pos < text.size(); ++pos) {
+      const std::size_t take =
+          std::min<std::size_t>(kp.chars, text.size() - pos);
+      u64 want = 0;
+      for (std::size_t j = 0; j < take; ++j) {
+        want = (want << bits) | text[pos + j];
+      }
+      want <<= 64 - bits * static_cast<u32>(take);
+      ASSERT_EQ(PackSuffixKey(text, pos, kp), want)
+          << "bits " << bits << " pos " << pos;
+    }
+  }
+}
+
 TEST(LearnedSa, IntervalParityOnAdversarialTexts) {
   for (const auto& [name, text] : AdversarialTexts()) {
     const std::vector<index_t> sa = BuildSuffixArray(text);

@@ -10,7 +10,11 @@ BENCHMARK.json by the rules a performance claim is held to:
     median) wider than the bound, the metric is unresolved instead, unless
     every change run beats every parent run;
   * claim: the change wins at least 9 of every 10 pairs, and its median is
-    better than the parent's by more than the parent's interquartile range.
+    better than the parent's by more than the parent's interquartile range;
+  * balance: the parent runs first in half of the pairs. The first run of a
+    pair can win on order alone, so a set where either side ran first more
+    often prints as "unbalanced (parent first in k of n)" and its claim
+    verdicts are withheld. Run mode refuses an odd number of seeds.
 
 The median per-pair ratio (change / parent) is printed beside them: pairs
 run back to back, so it is robust to a host whose speed drifts during a
@@ -74,6 +78,9 @@ DEFAULT_METRICS = [
 # record cost must read in, normalized by the hit path: the set read 0.539
 # (0.502 unnormalized).
 TRACED_SET = "traced"
+# The fixture's odd set: the first 5 pairs of a recorded 10-pair
+# w2-hot-large set (seeds 27001-27005), so its parent ran first 3 times.
+ODD_SET = "odd"
 TRACED_RECORD_NORMALIZED = (0.52, 0.56)
 
 CLAIM_MIN_PAIRS = 10
@@ -190,8 +197,9 @@ def fmt(value):
     return f"{value:.4g}"
 
 
-def judge(metric, parent, change):
-    """Verdicts for one metric over aligned per-pair values."""
+def judge(metric, parent, change, balanced=True):
+    """Verdicts for one metric over aligned per-pair values; an unbalanced
+    set's claim is withheld (never met)."""
     higher = metric["better"] == "higher"
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
@@ -222,9 +230,10 @@ def judge(metric, parent, change):
 
     gap = -worse
     iqr = p3 - p1
-    met = (pairs >= CLAIM_MIN_PAIRS and wins >= CLAIM_WIN_SHARE * pairs
-           and gap > iqr)
-    claim = (f"{'met' if met else 'not met'} "
+    met = (balanced and pairs >= CLAIM_MIN_PAIRS
+           and wins >= CLAIM_WIN_SHARE * pairs and gap > iqr)
+    claim = ("withheld (unbalanced set)" if not balanced else
+             f"{'met' if met else 'not met'} "
              f"(wins {wins}/{pairs}, gap {fmt(gap)} vs IQR {fmt(iqr)})")
     return {"parent": (p1, pm, p3), "change": (c1, cm, c3), "wins": wins,
             "pairs": pairs, "ratio": ratio, "bound": bound_verdict,
@@ -239,6 +248,16 @@ def group_sets(records):
         sides = sets.setdefault(key, {}).setdefault(record["seed"], {})
         sides[record["side"]] = record  # A re-run replaces the earlier one.
     return sets
+
+
+def balance_text(complete):
+    """("", True) when the parent ran first in exactly half of the complete
+    pairs, else ("unbalanced (parent first in k of n)", False). run_pairs
+    puts the parent first in even-numbered pairs."""
+    first = sum(1 for s in complete if s["parent"].get("pair", 0) % 2 == 0)
+    if 2 * first == len(complete):
+        return "", True
+    return f"unbalanced (parent first in {first} of {len(complete)})", False
 
 
 def run_ok(record):
@@ -266,9 +285,11 @@ def analyze(records, metrics):
         if not any(metric_value(r, m["name"]) is not None
                    for r in runs for m in metrics):
             continue  # Traced runs: see analyze_layers.
+        unbalanced, balanced = balance_text(complete)
         print(f"\nset {label}  workload {workload}  pairs {len(complete)}  "
               f"runs correct {ok}/{len(runs)}  failed ops parent "
-              f"{failed['parent']} change {failed['change']}")
+              f"{failed['parent']} change {failed['change']}"
+              f"{'  ' + unbalanced if unbalanced else ''}")
         print(f"{'metric':<14} {'parent median [Q1, Q3]':<32} "
               f"{'change median [Q1, Q3]':<32} {'wins':>6} "
               f"{'pair ratio':>10}  bound / claim")
@@ -281,7 +302,7 @@ def analyze(records, metrics):
             if not pairs:
                 continue
             verdict = judge(metric, [p for p, _ in pairs],
-                            [c for _, c in pairs])
+                            [c for _, c in pairs], balanced)
             set_verdicts[name] = verdict
             wins = f"{verdict['wins']}/{verdict['pairs']}"
             print(f"{name:<14} {spread_text(verdict['parent']):<32} "
@@ -317,8 +338,10 @@ def analyze_layers(records, layers, normalize_by):
             return ratios
 
         reference = pair_ratios(normalize_by)
+        unbalanced, _ = balance_text(complete)
         print(f"\nlayers of set {label}  workload {workload}  traced pairs "
-              f"{len(complete)}  normalized by {normalize_by}")
+              f"{len(complete)}  normalized by {normalize_by}"
+              f"{'  ' + unbalanced if unbalanced else ''}")
         print(f"{'layer metric':<36} {'parent median':>14} "
               f"{'change median':>14} {'pair ratio':>10} {'normalized':>10}")
         table = {}
@@ -357,7 +380,8 @@ def selftest():
     for the equal-range learned miss search: two missed the claim rule (one
     on host drift, one by ~2% of the IQR rule), the third met it. The
     drifting set's parent runs spread wider than the bound. A fourth,
-    traced set holds four per-layer metrics of recorded traced pairs."""
+    traced set holds four per-layer metrics of recorded traced pairs, and
+    a fifth, odd-sized set the end-to-end metrics of 5 recorded pairs."""
     failures = []
     verdicts = analyze(read_log(FIXTURE), DEFAULT_METRICS)
     if any(label == TRACED_SET for label, _ in verdicts):
@@ -374,18 +398,41 @@ def selftest():
             failures.append(f"set {label}: claim met={got['met']}, bound "
                             f"{got['state']}; want met={met}, bound {state}")
 
+    # The odd set: recorded pairs whose parent ran first in 3 of 5. Every
+    # claim verdict must be withheld, whatever the pairs read.
+    odd = verdicts.get((ODD_SET, "w2-hot-large"), {})
+    if not odd:
+        failures.append(f"set {ODD_SET}: no verdicts")
+    elif any(v["met"] or not v["claim"].startswith("withheld")
+             for v in odd.values()):
+        failures.append(f"set {ODD_SET}: an unbalanced set gave a claim "
+                        "verdict")
+
+    def synthetic(label, pairs, parent_qps, change_qps):
+        records = []
+        for pair in range(pairs):
+            for side, qps in (("parent", parent_qps + pair),
+                              ("change", change_qps + pair)):
+                records.append({
+                    "set": label, "workload": "w2-hot-large", "seed": pair,
+                    "pair": pair, "side": side, "exit_code": 0,
+                    "result": {"correct": True, "failed": 0, "metrics": {
+                        "query_qps": {"value": qps, "unit": "1/s"}}}})
+        return analyze(records, DEFAULT_METRICS)[
+            (label, "w2-hot-large")]["query_qps"]
+
     # A uniform 30% slowdown must read as a regression and never as a claim.
-    slow = []
-    for pair in range(10):
-        for side, qps in (("parent", 1.0e6 + pair), ("change", 0.7e6 + pair)):
-            slow.append({"set": "slow", "workload": "w2-hot-large",
-                         "seed": pair, "pair": pair, "side": side,
-                         "exit_code": 0,
-                         "result": {"correct": True, "failed": 0, "metrics": {
-                             "query_qps": {"value": qps, "unit": "1/s"}}}})
-    got = analyze(slow, DEFAULT_METRICS)[("slow", "w2-hot-large")]["query_qps"]
+    got = synthetic("slow", 10, 1.0e6, 0.7e6)
     if got["state"] != "REGRESSED" or got["met"]:
         failures.append("a 30% slowdown was not reported as regressed")
+
+    # A uniform 30% gain meets the claim over 10 pairs, and is withheld
+    # over 11, where the parent ran first once more than the change.
+    if not synthetic("fast-10", 10, 1.0e6, 1.3e6)["met"]:
+        failures.append("a 30% gain over 10 balanced pairs missed the claim")
+    got = synthetic("fast-11", 11, 1.0e6, 1.3e6)
+    if got["met"] or not got["claim"].startswith("withheld"):
+        failures.append("a claim over 11 pairs was not withheld")
 
     # Traced pairs: the fixture's traced set, normalized by the index's hit
     # path, must read the tier's record cost as the change's own drop and
@@ -446,6 +493,9 @@ def main():
         return 0
     if not (args.parent and args.change and args.workload and args.seeds):
         parser.error("--parent, --change, --workload and --seeds are required")
+    if len(parse_seeds(args.seeds)) % 2 != 0:
+        parser.error("--seeds must name an even number of pairs, so each "
+                     "side runs first in half of them")
     records = run_pairs(args)
     change = os.path.abspath(args.change)
     analyze(records, load_metrics(change))
