@@ -2,17 +2,22 @@
 #define USI_CORE_INDEX_FORMAT_HPP_
 
 /// \file index_format.hpp
-/// The on-disk layout of persisted UsiIndex files: format v3, a section file
-/// whose on-disk bytes ARE the in-memory structures. It is opened two ways
-/// (usi_index.hpp), which differ only in the backing of the same image:
+/// The layout of a UsiIndex image: format v3, a section file whose bytes
+/// ARE the in-memory structures. Every index serves from one such image
+/// (usi_index.hpp); the three ways of getting one differ only in its
+/// backing (util/mapped_file.hpp):
 ///
-///  * OpenMapped — mmap the file (util/mapped_file.hpp); opening is the
-///    O(1) checks of UsiIndex::ValidateImage + pointer fixup, the kernel
-///    demand-pages the sections and shares them across processes.
-///  * LoadFromFile — read the file into one owned, 64-byte-aligned heap
-///    buffer, run the same validator with every payload checksummed, then
-///    the same fixup. Costs one sequential O(file) pass; the result cannot
-///    fault when the file is truncated later.
+///  * UsiBuilder — writes the sections in place into an owned anonymous
+///    mapping, then seals it read-only.
+///  * OpenMapped — mmap the file; opening is the O(1) checks of
+///    UsiIndex::ValidateImage + pointer fixup, the kernel demand-pages the
+///    sections and shares them across processes.
+///  * LoadFromFile — read the file into an owned anonymous mapping, run the
+///    same validator with every payload checksummed, then the same fixup.
+///    Costs one sequential O(file) pass; the result cannot fault when the
+///    file is truncated later.
+///
+/// SaveToFile writes the image, computing the header's checksums.
 ///
 /// UsiIndex::ValidateImage is the only statement of the validity rules
 /// below; `usi_inspect info` prints its verdict rather than re-checking.
@@ -132,7 +137,7 @@ inline constexpr u32 kLearnedMagic = 0x5553494C;
 /// unchanged; the extension needs no version bump and no header change.
 /// The entry sits OUTSIDE header_checksum's coverage (which must stay the
 /// last covered field), so it carries its own entry_checksum; the payload —
-/// a LearnedSa::Serialize image appended after the last core section, with
+/// LearnedSa::payload() appended after the last core section, with
 /// file_bytes grown to cover it — is guarded by checksum like any section.
 struct LearnedSectionEntry {
   u32 ext_magic = 0;       ///< kLearnedMagic when present, 0 when absent.

@@ -70,7 +70,7 @@ struct UsiMultiService::Generation {
   /// Non-empty: serving straight out of this mmap'd file
   /// (RegisterTextFromFile). A mapped generation that faults mid-serve
   /// (SIGBUS on a truncated or revoked backing file) is demoted and
-  /// recovered, by a heap read of this file when it is still good; heap
+  /// recovered, by an owned read of this file when it is still good; owned
   /// generations cannot lose their backing, so a serve failure there is
   /// reported but never demotes.
   std::string source_path;
@@ -677,9 +677,9 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
     // serving and the overlay absorbing, per the quarantine semantics.
     if (job.compaction) USI_FAILPOINT("compact.swap");
     if (!job.recover_path.empty()) {
-      // Recovery after a mapped-generation fault: a heap read of the source
-      // file (one sequential pass, every section checksummed) is much
-      // cheaper than a rebuild, and the heap copy cannot fault again the way
+      // Recovery after a mapped-generation fault: an owned read of the
+      // source file (one sequential pass, every section checksummed) is much
+      // cheaper than a rebuild, and the owned copy cannot fault again the way
       // re-mapping the file would. A file that is gone or corrupt now
       // falls through to the rebuild.
       gen->index = UsiIndex::LoadFromFile(*gen->ws, job.recover_path);

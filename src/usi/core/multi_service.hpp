@@ -22,7 +22,7 @@
 ///
 ///     SubmitText/UpdateText ──► build queue ──► build lanes 1..N (one pool
 ///     AppendText compactions                      │ task each, per-text claim)
-///     mapped-fault recovery                       │ heap read or staged
+///     mapped-fault recovery                       │ owned read or staged
 ///                                                 │ UsiBuilder
 ///                                                 ▼
 ///     readers: pin = copy of current     publish: current = new generation
@@ -525,7 +525,7 @@ class UsiMultiService {
   ServeStatus Account(const BatchScratch& batch, ServeStatus admitted);
 
   /// Demotes a mapped generation that faulted mid-serve and schedules its
-  /// recovery (heap read of the source file, rebuild otherwise).
+  /// recovery (owned read of the source file, rebuild otherwise).
   void DemoteFaulted(const EntryPtr& entry,
                      const std::shared_ptr<const Generation>& gen);
 

@@ -8,9 +8,13 @@
 /// text), "mine" (phase (i) top-K mining), "table" (phase (ii): one
 /// SA-order sweep that aggregates every mined substring's occurrences into
 /// H), "learn" (the PLA last-mile model fit over the finished SA;
-/// learned_sa.hpp) and "finalize" (fallback wiring). Each stage is timed
-/// individually and its peak-RSS growth recorded; the summary lands in
-/// UsiIndex::build_info().
+/// learned_sa.hpp) and "finalize" (the image's header, then sealing it).
+/// Each stage is timed individually and its peak-RSS growth recorded; the
+/// summary lands in UsiIndex::build_info().
+///
+/// The stages write the v3 image the index serves (index_format.hpp) in
+/// place: SA and PSW never exist twice; H (canonical) and the learned
+/// payload are staged once and copied in.
 ///
 /// "mine" runs on the pool when one is given: chunked Kasai LCP, then the
 /// exact miner's two sequential LCP-interval (ESA) passes, which keep only
@@ -75,13 +79,8 @@ class UsiBuilder {
   /// created owned pool per options.threads, else null (sequential).
   ThreadPool* EffectivePool();
 
-  /// Runs the staged pipeline into \p index (whose invariant members the
-  /// BuildTag constructor already initialized).
-  void BuildInto(UsiIndex& index);
-
-  /// Phase (ii): fills H from the mined list in one SA sweep, and records
-  /// L_K (the number of distinct mined lengths) in build_info.
-  void PopulateTable(UsiIndex& index, const TopKList& mined);
+  /// Runs the staged pipeline: the sealed image an index is fixed up from.
+  UsiIndex::Image BuildImage();
 
   const WeightedString* ws_;
   UsiOptions options_;

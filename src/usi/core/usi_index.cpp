@@ -9,6 +9,11 @@
 #include "usi/util/binary_io.hpp"
 #include "usi/util/failpoint.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <unistd.h>
+#endif
+
 namespace usi {
 
 const char* LoadErrorCodeName(LoadErrorCode code) {
@@ -50,34 +55,71 @@ constexpr std::size_t kPipelinedProbeMinTableBytes = std::size_t{2} << 20;
 /// machine's setup outweighs the miss overlap it buys.
 constexpr std::size_t kBatchedMissMin = 4;
 
-/// Flat hash-table entry: the unit of canonical table ordering.
-struct SerializedEntry {
-  u64 fp;
-  u32 len;
-  u32 count;
-  double value;
-};
+/// Section \p id of a v3 image as an array of T. Section offsets are
+/// 64-aligned and images page-aligned, so the cast lands on aligned memory.
+template <typename T>
+const T* SectionOf(const MappedFile& image, const format_v3::FileHeader& header,
+                   format_v3::SectionId id) {
+  return reinterpret_cast<const T*>(image.data() + header.sections[id].offset);
+}
 
 }  // namespace
 
-UsiIndex::UsiIndex(BuildTag, const WeightedString& ws,
-                   const UsiOptions& options)
-    : ws_(&ws),
-      kind_(options.utility),
-      miner_(options.miner),
-      hasher_(options.hash_seed),
-      psw_(ws),
-      table_(options.k > 0 ? options.k : std::max<u64>(1, ws.size() / 100)) {}
-
-UsiIndex::UsiIndex(const WeightedString& ws, const UsiOptions& options)
-    : UsiIndex(ws, options, nullptr) {}
-
 UsiIndex::UsiIndex(const WeightedString& ws, const UsiOptions& options,
                    ThreadPool* pool)
-    : UsiIndex(BuildTag{}, ws, options) {
-  UsiBuilder builder(ws, options);
-  if (pool != nullptr) builder.UsePool(pool);
-  builder.BuildInto(*this);
+    : UsiIndex(ImageTag{}, ws,
+               UsiBuilder(ws, options).UsePool(pool).BuildImage()) {}
+
+UsiIndex::UsiIndex(ImageTag, const WeightedString& ws, Image image)
+    : ws_(&ws),
+      kind_(static_cast<GlobalUtilityKind>(image.header.kind)),
+      miner_(static_cast<UsiMiner>(image.header.miner)),
+      hasher_(KarpRabinHasher::FromBase(image.header.base)),
+      // Pointer fixup — the whole "load": every structure views the image.
+      sa_span_(SectionOf<index_t>(*image.bytes, image.header,
+                                  format_v3::kSuffixArray),
+               image.header.n),
+      psw_(PrefixSumWeights::FromRaw(
+          SectionOf<double>(*image.bytes, image.header,
+                            format_v3::kPrefixSums),
+          static_cast<index_t>(image.header.n))),
+      table_(SectionOf<u8>(*image.bytes, image.header, format_v3::kTableCtrl),
+             SectionOf<Table::Slot>(*image.bytes, image.header,
+                                    format_v3::kTableSlots),
+             image.header.table_capacity, image.header.table_size),
+      fallback_(ws.text(), sa_span_, psw_, kind_),
+      build_info_(image.build_info),
+      image_(std::move(image.bytes)) {
+  using namespace format_v3;
+  const FileHeader& header = image.header;
+  const u8* const base = image_->data();
+  build_info_.k = header.k;
+  build_info_.tau_k = header.tau_k;
+  build_info_.num_lengths = header.num_lengths;
+  // The learned payload is served in place — the image outlives the model.
+  const LearnedSectionEntry& ext = image.learned;
+  if (ext.ext_magic == kLearnedMagic) {
+    USI_CHECK(learned_.AdoptView(base + ext.offset, ext.length));
+    fallback_.AttachLearned(&learned_);
+  }
+#if defined(__SANITIZE_ADDRESS__)
+  // A read past a section lands in padding or past the image end, all
+  // still mapped: poisoned, it fails under ASan as a read past a heap
+  // vector would (~MappedFile unpoisons before unmapping). Regions come in
+  // image order; the gap before each one is poisoned.
+  u64 end = kFirstSectionOffset;
+  const auto region = [&](u64 offset, u64 length) {
+    if (offset < end) return;  // The absent learned section's {0, 0}.
+    ASAN_POISON_MEMORY_REGION(base + end, offset - end);
+    end = offset + length;
+  };
+  for (const SectionEntry& section : header.sections) {
+    region(section.offset, section.length);
+  }
+  region(ext.offset, ext.length);
+  const auto page = static_cast<u64>(::sysconf(_SC_PAGESIZE));
+  region((header.file_bytes + page - 1) / page * page, 0);  // The page end.
+#endif
 }
 
 QueryResult UsiIndex::Query(std::span<const Symbol> pattern) const {
@@ -235,142 +277,28 @@ void UsiIndex::QueryAllWindows(std::span<const Symbol> document,
 }
 
 std::size_t UsiIndex::SizeInBytes() const {
-  // sa_span_.size(), not a capacity: the builder shrinks its vectors and
-  // loaders read them exact, so slack must never inflate the figure; for a
-  // mapped index this counts the file-backed bytes the views reference.
-  // The fallback engine borrows the SA/PSW (counted once, above); only its
-  // own object footprint is added. No query path grows the hasher's power
-  // table, so the figure never depends on the patterns served.
+  // The section bytes the views reference, whatever backs the image (for a
+  // mapped index, file-backed pages). The fallback engine borrows the
+  // SA/PSW, so only its own object footprint is added. No query path grows
+  // the hasher's power table, so the figure never depends on the patterns
+  // served.
   return sa_span_.size() * sizeof(index_t) + psw_.SizeInBytes() +
          table_.SizeInBytes() + sizeof(fallback_) + learned_.SizeInBytes();
 }
 
-UsiIndex::UsiIndex(LoadTag, const WeightedString& ws)
-    : ws_(&ws),
-      kind_(GlobalUtilityKind::kSum),
-      hasher_(),
-      table_(16) {}
-// psw_ stays default-constructed: ParseImage views the file's PSW section —
-// building it here would put an O(n) pass on the near-zero open path.
-
-namespace {
-
-/// The table entries in canonical (length, fingerprint) order: equal table
-/// contents serialize to equal bytes no matter what insertion order the
-/// build schedule produced.
-template <typename Table>
-std::vector<SerializedEntry> CanonicalEntries(const Table& table) {
-  std::vector<SerializedEntry> entries;
-  entries.reserve(table.size());
-  table.ForEach([&](const PatternKey& key, const UtilityAccumulator& value) {
-    entries.push_back(
-        SerializedEntry{key.fp, key.len, value.count, value.value});
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const SerializedEntry& a, const SerializedEntry& b) {
-              return a.len != b.len ? a.len < b.len : a.fp < b.fp;
-            });
-  return entries;
-}
-
-}  // namespace
-
-bool UsiIndex::SaveV3Body(BinaryWriter& writer,
-                          const SaveOptions& save_options) const {
+UsiIndex::CoreLayout UsiIndex::LayoutCore(u64 n, u64 capacity) {
   using namespace format_v3;
-  using Table = FingerprintTable<TableValue>;
-
-  // Canonical table image: re-insert the sorted entries into a fresh table
-  // pre-sized for exactly size() entries. The pre-size loop guarantees the
-  // final capacity up front, so no rehash happens and the resulting
-  // ctrl/slot bytes are a pure function of the table CONTENTS — the v3
-  // image is byte-deterministic. AllocateTable blanks the slot
-  // array before any insert, so record padding is zero, never
-  // uninitialized heap bytes.
-  const std::vector<SerializedEntry> entries = CanonicalEntries(table_);
-  Table canon(entries.size());
-  for (const SerializedEntry& entry : entries) {
-    TableValue value;
-    value.value = entry.value;
-    value.count = entry.count;
-    canon.FindOrInsert(PatternKey{entry.fp, entry.len}, value);
-  }
-  const std::span<const u8> ctrl = canon.ctrl_bytes();
-  const std::span<const Table::Slot> slots = canon.slots();
-
-  FileHeader header;
-  header.n = static_cast<u32>(ws_->size());
-  header.kind = static_cast<u8>(kind_);
-  header.miner = static_cast<u8>(miner_);
-  header.base = hasher_.base();
-  header.k = build_info_.k;
-  header.tau_k = build_info_.tau_k;
-  header.num_lengths = build_info_.num_lengths;
-  header.table_size = canon.size();
-  header.table_capacity = canon.capacity();
-  header.slot_bytes = sizeof(Table::Slot);
-
-  const void* payloads[kNumSections] = {sa_span_.data(), psw_.data(),
-                                        ctrl.data(), slots.data()};
-  const u64 lengths[kNumSections] = {
-      sa_span_.size_bytes(), static_cast<u64>(psw_.size()) * sizeof(double),
-      ctrl.size_bytes(), slots.size_bytes()};
+  CoreLayout layout{{}, {n * sizeof(index_t), n * sizeof(double),
+                         capacity + Table::kGroupWidth,
+                         capacity * sizeof(Table::Slot)},
+                    0};
   u64 offset = kFirstSectionOffset;
   for (std::size_t s = 0; s < kNumSections; ++s) {
-    header.sections[s].id = static_cast<u32>(s);
-    header.sections[s].offset = offset;
-    header.sections[s].length = lengths[s];
-    header.sections[s].checksum = Checksum64(payloads[s], lengths[s]);
-    offset = AlignUp(offset + lengths[s]);
+    layout.offset[s] = offset;
+    layout.end = offset + layout.length[s];
+    offset = AlignUp(layout.end);
   }
-  // Exact end of the last payload — no tail padding, so file_bytes pins
-  // the file size byte-for-byte.
-  header.file_bytes = header.sections[kNumSections - 1].offset +
-                      header.sections[kNumSections - 1].length;
-
-  // Optional learned-model section: a Serialize() image appended after the
-  // last core section, described by the extension entry in the header
-  // slack. When the index carries no model (legacy mapped image, or a build
-  // with learned_epsilon == 0) a default-ε model is fit for the save, so
-  // every default save of equal indexes emits equal bytes. The absent case
-  // writes an all-zero entry — byte-identical to the zero padding every
-  // pre-extension writer put there.
-  LearnedSectionEntry ext;
-  std::vector<u8> learned_payload;
-  if (save_options.learned_section) {
-    LearnedSa refit;
-    const LearnedSa* model = &learned_;
-    if (learned_.empty()) {
-      refit.Build(ws_->text(), sa_span_);
-      model = &refit;
-    }
-    if (!model->empty()) {
-      learned_payload = model->Serialize();
-      ext.ext_magic = kLearnedMagic;
-      ext.epsilon = model->epsilon();
-      ext.offset = AlignUp(header.file_bytes);
-      ext.length = learned_payload.size();
-      ext.checksum = Checksum64(learned_payload.data(), ext.length);
-      ext.num_segments = model->num_segments();
-      ext.entry_checksum =
-          Checksum64(&ext, offsetof(LearnedSectionEntry, entry_checksum));
-      header.file_bytes = ext.offset + ext.length;
-    }
-  }
-  header.header_checksum =
-      Checksum64(&header, offsetof(FileHeader, header_checksum));
-
-  writer.WriteRaw(&header, sizeof(header));
-  writer.WriteRaw(&ext, sizeof(ext));  // Fills the slack at offset 208.
-  for (std::size_t s = 0; s < kNumSections; ++s) {
-    writer.PadTo(header.sections[s].offset);
-    writer.WriteRaw(payloads[s], lengths[s]);
-  }
-  if (ext.ext_magic == kLearnedMagic) {
-    writer.PadTo(ext.offset);
-    writer.WriteRaw(learned_payload.data(), ext.length);
-  }
-  return writer.ok() && writer.bytes_written() == header.file_bytes;
+  return layout;
 }
 
 bool UsiIndex::SaveToFile(const std::string& path,
@@ -380,13 +308,50 @@ bool UsiIndex::SaveToFile(const std::string& path,
 
 bool UsiIndex::SaveToFile(const std::string& path, IndexFileFormat /*format*/,
                           const SaveOptions& save_options) const {
+  using namespace format_v3;
+  // Seal a copy of the image's header: every payload checksum, the learned
+  // entry's own, then the header's. The payloads go out as the index serves
+  // them — H already in canonical order, the learned section as fitted.
+  const u8* const base = image_->data();
+  FileHeader header;
+  std::memcpy(&header, base, sizeof(header));
+  LearnedSectionEntry ext;
+  std::memcpy(&ext, base + sizeof(header), sizeof(ext));
+  if (!save_options.learned_section && ext.ext_magic != 0) {
+    // The absent case writes an all-zero entry — byte-identical to the
+    // zero padding every pre-extension writer put there.
+    ext = LearnedSectionEntry{};
+    const SectionEntry& last = header.sections[kNumSections - 1];
+    header.file_bytes = last.offset + last.length;
+  }
+  for (SectionEntry& section : header.sections) {
+    section.checksum = Checksum64(base + section.offset, section.length);
+  }
+  if (ext.ext_magic != 0) {
+    ext.checksum = Checksum64(base + ext.offset, ext.length);
+    ext.entry_checksum =
+        Checksum64(&ext, offsetof(LearnedSectionEntry, entry_checksum));
+  }
+  header.header_checksum =
+      Checksum64(&header, offsetof(FileHeader, header_checksum));
+
   // Atomic publish (util/mapped_file.hpp): the destination is replaced only
   // by a complete, flushed image. A crash — or a failed write, flush, or
   // fsync — leaves `path` untouched, holding whatever complete image it had
   // before.
   const std::string staged = StageTempPath(path);
   BinaryWriter writer(staged);
-  bool body_ok = SaveV3Body(writer, save_options);
+  writer.WriteRaw(&header, sizeof(header));
+  writer.WriteRaw(&ext, sizeof(ext));  // Fills the slack at offset 208.
+  for (const SectionEntry& section : header.sections) {
+    writer.PadTo(section.offset);
+    writer.WriteRaw(base + section.offset, section.length);
+  }
+  if (ext.ext_magic != 0) {
+    writer.PadTo(ext.offset);
+    writer.WriteRaw(base + ext.offset, ext.length);
+  }
+  bool body_ok = writer.ok() && writer.bytes_written() == header.file_bytes;
   // Chaos hooks for the two failure classes the publish protocol must
   // contain: a write/flush error while staging (save.body) and a failed
   // rename/fsync at publish time (save.publish). Either way the
@@ -404,67 +369,27 @@ bool UsiIndex::SaveToFile(const std::string& path, IndexFileFormat /*format*/,
 }
 
 std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
-                                               const std::string& path) {
-  return OpenMapped(ws, path, nullptr);
-}
-
-std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
                                                const std::string& path,
                                                LoadError* error) {
-  if (error != nullptr) *error = LoadError{};
   if (USI_FAILPOINT_FIRED("open.mapped")) {
     return LoadFail(error, LoadErrorCode::kIo, "failpoint open.mapped");
   }
-  int open_errno = 0;
-  std::unique_ptr<MappedFile> mapping =
-      MappedFile::OpenReadOnly(path, &open_errno);
-  if (mapping == nullptr) {
-    return open_errno == ENOENT
-               ? LoadFail(error, LoadErrorCode::kNotFound,
-                          "cannot open " + path)
-               : LoadFail(error, LoadErrorCode::kIo,
-                          "open/stat/mmap failed: " + path);
-  }
-  std::unique_ptr<UsiIndex> index =
-      ParseImage(ws, std::move(mapping), /*verify_payloads=*/false, error);
-  // Serving probes pages out of order; default readahead would fault in
-  // neighbours pointlessly.
-  if (index != nullptr) index->image_->AdviseRandom();
-  return index;
-}
-
-std::unique_ptr<UsiIndex> UsiIndex::LoadFromFile(const WeightedString& ws,
-                                                 const std::string& path) {
-  return LoadFromFile(ws, path, nullptr);
+  return OpenImage(ws, path, /*mapped=*/true, error);
 }
 
 std::unique_ptr<UsiIndex> UsiIndex::LoadFromFile(const WeightedString& ws,
                                                  const std::string& path,
                                                  LoadError* error) {
-  if (error != nullptr) *error = LoadError{};
   if (USI_FAILPOINT_FIRED("load.heap")) {
     return LoadFail(error, LoadErrorCode::kIo, "failpoint load.heap");
   }
-  int open_errno = 0;
-  std::unique_ptr<MappedFile> image =
-      MappedFile::ReadIntoMemory(path, &open_errno);
-  if (image == nullptr) {
-    return open_errno == ENOENT
-               ? LoadFail(error, LoadErrorCode::kNotFound,
-                          "cannot open " + path)
-               : LoadFail(error, LoadErrorCode::kIo,
-                          "open/stat/read failed: " + path);
-  }
-  // The bytes are owned and read once, so every payload is verified: a
-  // heap index never trusts an image it has not checksummed.
-  return ParseImage(ws, std::move(image), /*verify_payloads=*/true, error);
+  return OpenImage(ws, path, /*mapped=*/false, error);
 }
 
 LoadError UsiIndex::ValidateImage(std::span<const u8> image,
                                   const WeightedString* ws,
                                   bool verify_payloads, ValidatedImage* out) {
   using namespace format_v3;
-  using Table = FingerprintTable<TableValue>;
   using Slot = Table::Slot;
   const u8* const base = image.data();
   const std::size_t size = image.size();
@@ -524,29 +449,24 @@ LoadError UsiIndex::ValidateImage(std::span<const u8> image,
     return {LoadErrorCode::kHostMismatch,
             "table slot layout differs from this host"};
   }
-  // Same invariants AdoptView asserts, but as load failures: a corrupt
-  // capacity/size pair must reject the file, not abort the process.
+  // Same invariants the table's view constructor asserts, but as load
+  // failures: a corrupt capacity/size pair must reject the file, not abort
+  // the process.
   const u64 capacity = header.table_capacity;
   if (capacity < Table::kMinCapacity || (capacity & (capacity - 1)) != 0 ||
       header.table_size * Table::kMaxLoadDen > capacity * Table::kMaxLoadNum) {
     return {LoadErrorCode::kCorrupt, "invalid table capacity/size pair"};
   }
-  const u64 expected_lengths[kNumSections] = {
-      static_cast<u64>(header.n) * sizeof(index_t),
-      static_cast<u64>(header.n) * sizeof(double),
-      capacity + Table::kGroupWidth, capacity * sizeof(Slot)};
-  u64 expected_offset = kFirstSectionOffset;
+  const CoreLayout layout = LayoutCore(header.n, capacity);
   for (std::size_t s = 0; s < kNumSections; ++s) {
     const SectionEntry& section = header.sections[s];
-    if (section.id != s || section.offset != expected_offset ||
-        section.length != expected_lengths[s] ||
+    if (section.id != s || section.offset != layout.offset[s] ||
+        section.length != layout.length[s] ||
         section.offset + section.length > header.file_bytes) {
       return {LoadErrorCode::kCorrupt, "section directory geometry mismatch"};
     }
-    expected_offset = AlignUp(expected_offset + section.length);
   }
-  const u64 core_end = header.sections[kNumSections - 1].offset +
-                       header.sections[kNumSections - 1].length;
+  const u64 core_end = layout.end;
 
   // A nonzero learned entry that fails ANY check rejects the file: a
   // present-but-corrupt extension is corruption like any other, not
@@ -635,54 +555,37 @@ LoadError UsiIndex::ValidateImage(std::span<const u8> image,
     return {LoadErrorCode::kCorrupt,
             "learned section payload inconsistent with entry"};
   }
-  if (out != nullptr) out->model = std::move(model);
   return LoadError{};
 }
 
-std::unique_ptr<UsiIndex> UsiIndex::ParseImage(
-    const WeightedString& ws, std::unique_ptr<MappedFile> image,
-    bool verify_payloads, LoadError* error) {
-  using namespace format_v3;
+std::unique_ptr<UsiIndex> UsiIndex::OpenImage(const WeightedString& ws,
+                                              const std::string& path,
+                                              bool mapped, LoadError* error) {
+  if (error != nullptr) *error = LoadError{};
+  int open_errno = 0;
+  std::unique_ptr<MappedFile> image =
+      mapped ? MappedFile::OpenReadOnly(path, &open_errno)
+             : MappedFile::ReadIntoMemory(path, &open_errno);
+  if (image == nullptr) {
+    return open_errno == ENOENT
+               ? LoadFail(error, LoadErrorCode::kNotFound,
+                          "cannot open " + path)
+               : LoadFail(error, LoadErrorCode::kIo, "cannot read " + path);
+  }
+  // Owned bytes are read once, so every payload is verified: an owned read
+  // never trusts an image it has not checksummed.
   ValidatedImage parsed;
   LoadError verdict = ValidateImage({image->data(), image->size()}, &ws,
-                                    verify_payloads, &parsed);
+                                    /*verify_payloads=*/!mapped, &parsed);
   if (verdict.code != LoadErrorCode::kOk) {
     return LoadFail(error, verdict.code, std::move(verdict.message));
   }
-  const FileHeader& header = parsed.header;
-  const u8* const base = image->data();
-  std::unique_ptr<UsiIndex> index(new UsiIndex(LoadTag{}, ws));
-  index->kind_ = static_cast<GlobalUtilityKind>(header.kind);
-  index->miner_ = static_cast<UsiMiner>(header.miner);
-  index->hasher_ = KarpRabinHasher::FromBase(header.base);
-  index->build_info_.k = header.k;
-  index->build_info_.tau_k = header.tau_k;
-  index->build_info_.num_lengths = header.num_lengths;
-  // Pointer fixup — the whole "load": every structure views the image.
-  // Section offsets are 64-aligned in the file and the image is at least
-  // 64-aligned (a page-aligned mapping or an aligned heap buffer), so each
-  // cast below lands on aligned memory.
-  index->sa_span_ = {reinterpret_cast<const index_t*>(
-                         base + header.sections[kSuffixArray].offset),
-                     header.n};
-  index->psw_ = PrefixSumWeights::FromRaw(
-      reinterpret_cast<const double*>(base +
-                                      header.sections[kPrefixSums].offset),
-      static_cast<index_t>(header.n));
-  index->table_.AdoptView(
-      base + header.sections[kTableCtrl].offset,
-      reinterpret_cast<const FingerprintTable<TableValue>::Slot*>(
-          base + header.sections[kTableSlots].offset),
-      header.table_capacity, header.table_size);
-  index->fallback_ = ExhaustiveQueryEngine(ws.text(), index->sa_span_,
-                                           index->psw_, index->kind_);
-  // The learned payload is served in place — the image outlives the model.
-  if (!parsed.model.empty()) {
-    index->learned_ = std::move(parsed.model);
-    index->fallback_.AttachLearned(&index->learned_);
-  }
-  index->image_ = std::move(image);
-  return index;
+  // Serving probes a mapping's pages out of order; default readahead would
+  // fault in neighbours pointlessly. (A no-op on owned bytes.)
+  image->AdviseRandom();
+  return std::unique_ptr<UsiIndex>(new UsiIndex(
+      ImageTag{}, ws,
+      Image{std::move(image), parsed.header, parsed.learned, UsiBuildInfo{}}));
 }
 
 }  // namespace usi

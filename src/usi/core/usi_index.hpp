@@ -22,6 +22,11 @@
 /// mining, and the phase (ii) table population are instrumented stages; SA
 /// and mining run on a thread pool when one is given — with byte-identical
 /// serialized output to a sequential build.
+///
+/// Every index serves from one v3 image (index_format.hpp): SA, PSW and H
+/// view its sections. UsiBuilder writes it into an owned mapping,
+/// LoadFromFile reads a file into one and OpenMapped maps the file; all
+/// three end in one private fixup, so they serve, size and save alike.
 
 #include <memory>
 #include <span>
@@ -40,7 +45,6 @@
 
 namespace usi {
 
-class BinaryWriter;
 class ThreadPool;
 class UsiBuilder;
 
@@ -119,18 +123,18 @@ struct UsiBuildInfo {
 class UsiIndex : public QueryEngine {
  public:
   /// Builds the index. \p ws is borrowed and must outlive the index.
-  /// options.threads > 1 (or 0) runs the parallel build pipeline.
-  UsiIndex(const WeightedString& ws, const UsiOptions& options = {});
-
-  /// As above, sharing an existing pool (borrowed; may be null).
-  UsiIndex(const WeightedString& ws, const UsiOptions& options,
-           ThreadPool* pool);
+  /// options.threads > 1 (or 0) runs the parallel build pipeline, on
+  /// \p pool when one is given (borrowed).
+  UsiIndex(const WeightedString& ws, const UsiOptions& options = {},
+           ThreadPool* pool = nullptr);
 
   /// Persists the index as a v3 image (index_format.hpp documents the
-  /// layout), which both OpenMapped and LoadFromFile open. Hash-table
-  /// entries are written in canonical (length, fingerprint) order, so equal
-  /// indexes serialize to equal bytes regardless of build schedule; and the
-  /// save goes through the atomic publish protocol (stage to
+  /// layout), which both OpenMapped and LoadFromFile open: the bytes the
+  /// index serves from, with the header sealed (section, learned-entry and
+  /// header checksums computed). The builder stores H's entries in
+  /// canonical (length, fingerprint) order, so equal indexes serialize to
+  /// equal bytes regardless of build schedule; and the save goes through
+  /// the atomic publish protocol (stage to
   /// `path.tmp.<pid>`, fsync, rename, fsync parent — util/mapped_file.hpp),
   /// so a crash mid-save never leaves a torn file at \p path. Returns false
   /// on any I/O failure, INCLUDING the final flush — an out-of-space file is
@@ -140,13 +144,10 @@ class UsiIndex : public QueryEngine {
 
   /// SaveToFile knobs.
   struct SaveOptions {
-    /// Include the learned-model section. When true (the default) and the
-    /// index carries no model (legacy image, or a build with
-    /// learned_epsilon == 0), a default-ε model is fit for the save, so
-    /// every default image carries the section and equal indexes keep
-    /// serializing to equal bytes. False omits the section —
-    /// the image opens and serves fine, answering misses by plain binary
-    /// search (also the shape every pre-extension image has).
+    /// Include the learned-model section when the index has one (an index
+    /// without one saves without one). False omits it — the image opens
+    /// and serves fine, answering misses by plain binary search (also the
+    /// shape every pre-extension image has).
     bool learned_section = true;
   };
 
@@ -159,40 +160,30 @@ class UsiIndex : public QueryEngine {
   /// fixup only — no array is read until queries touch it (demand paging),
   /// and the page cache is shared across processes serving the same file.
   /// The mapping lives inside the returned index. Returns nullptr on I/O
-  /// failure or any ValidateImage refusal. A verified open is LoadFromFile.
-  static std::unique_ptr<UsiIndex> OpenMapped(const WeightedString& ws,
-                                              const std::string& path);
-
-  /// As above, reporting WHY a file was refused through \p error (always
-  /// written: kOk on success). \p error may be null.
+  /// failure or any ValidateImage refusal, reporting WHY through \p error
+  /// when it is non-null (always written: kOk on success). A verified open
+  /// is LoadFromFile.
   static std::unique_ptr<UsiIndex> OpenMapped(const WeightedString& ws,
                                               const std::string& path,
-                                              LoadError* error);
+                                              LoadError* error = nullptr);
 
-  /// Heap-read open of a v3 image saved over the same weighted string: the
-  /// file is read into one owned, 64-byte-aligned buffer, the verifying
+  /// Owned-read open of a v3 image saved over the same weighted string: the
+  /// file is read into one owned anonymous mapping, the verifying
   /// ValidateImage runs over it (every section payload, the learned one
   /// too, is checksummed and the SA range-checked), then the same pointer
   /// fixup as OpenMapped. The result is not mapped (IsMapped() is false):
   /// truncating the file later cannot fault it. Returns nullptr on I/O
-  /// failure or any ValidateImage refusal.
-  static std::unique_ptr<UsiIndex> LoadFromFile(const WeightedString& ws,
-                                                const std::string& path);
-
-  /// As above, reporting WHY a file was refused through \p error (always
-  /// written: kOk on success). \p error may be null.
+  /// failure or any ValidateImage refusal, reporting WHY as OpenMapped does.
   static std::unique_ptr<UsiIndex> LoadFromFile(const WeightedString& ws,
                                                 const std::string& path,
-                                                LoadError* error);
+                                                LoadError* error = nullptr);
 
-  /// What ValidateImage read out of an image. header and learned are
-  /// copied as soon as the image is long enough to hold them (whatever the
-  /// verdict, so usi_inspect can dump a refused file); model is set only on
-  /// kOk, viewing the learned payload (empty when the image has none).
+  /// What ValidateImage read out of an image, copied as soon as the image
+  /// is long enough to hold it (whatever the verdict, so usi_inspect can
+  /// dump a refused file).
   struct ValidatedImage {
     format_v3::FileHeader header;
     format_v3::LearnedSectionEntry learned;  ///< ext_magic 0: absent.
-    LearnedSa model;
   };
 
   /// The v3 validity rules, the only copy: OpenMapped runs them shallow,
@@ -213,8 +204,8 @@ class UsiIndex : public QueryEngine {
   ///  * the learned payload adopts, and its epsilon, segment count and fit
   ///    length match the entry and header (kCorrupt).
   /// Without \p verify_payloads every check is O(1). Returns the first
-  /// failure, or kOk. \p image must be 64-byte aligned (a mapping or a
-  /// MappedFile heap buffer) and outlive \p out->model; \p out may be null.
+  /// failure, or kOk. \p image must be 64-byte aligned (a MappedFile is);
+  /// \p out may be null.
   static LoadError ValidateImage(std::span<const u8> image,
                                  const WeightedString* ws,
                                  bool verify_payloads, ValidatedImage* out);
@@ -278,64 +269,74 @@ class UsiIndex : public QueryEngine {
   /// Number of precomputed entries in H.
   std::size_t HashTableEntries() const { return table_.size(); }
 
-  /// Index size: SA + PSW + H + the fallback engine object (the text is
-  /// borrowed, as in the paper's accounting, which reports the index on top
-  /// of S). The SA contributes its used size — BuildInto shrinks build-owned
-  /// vectors, so no construction slack is ever reported.
+  /// Index size: SA + PSW + H + the learned model + the fallback engine
+  /// object (the text is borrowed, as in the paper's accounting, which
+  /// reports the index on top of S): the image's section bytes, the same
+  /// for a built, a read and a mapped index over one image.
   std::size_t SizeInBytes() const override;
 
-  /// The suffix array (exposed for examples and tests). A span: it views
-  /// the owned vector for built indexes and the file image for opened ones.
+  /// The suffix array (exposed for examples and tests): the image's SA
+  /// section.
   std::span<const index_t> sa() const { return sa_span_; }
 
   /// Whether this index serves straight out of an mmap'd file (OpenMapped).
-  bool IsMapped() const { return image_ != nullptr && image_->mapped(); }
+  bool IsMapped() const { return image_->mapped(); }
 
  private:
   friend class UsiBuilder;
 
   /// Value stored in H: a utility accumulator (value + occurrence count).
   using TableValue = UtilityAccumulator;
+  using Table = FingerprintTable<TableValue>;
 
-  /// Deserialization constructor: members are filled by LoadFromFile /
-  /// OpenMapped. The tag comes first so the public (ws, options = {})
-  /// constructor never competes with it in overload resolution.
-  struct LoadTag {};
-  UsiIndex(LoadTag, const WeightedString& ws);
+  /// The four core sections of a v3 image over \p n symbols with a
+  /// \p capacity-slot table, and where the last ends: the layout the
+  /// builder writes and ValidateImage checks.
+  struct CoreLayout {
+    u64 offset[format_v3::kNumSections];
+    u64 length[format_v3::kNumSections];
+    u64 end;
+  };
+  static CoreLayout LayoutCore(u64 n, u64 capacity);
 
-  /// Builder constructor: initializes the invariant members; UsiBuilder
-  /// fills sa_/table_/fallback_/build_info_ through BuildInto.
-  struct BuildTag {};
-  UsiIndex(BuildTag, const WeightedString& ws, const UsiOptions& options);
+  /// A finished image with copies of its header and learned entry: the
+  /// builder's output, or an opened file after ValidateImage.
+  struct Image {
+    std::unique_ptr<MappedFile> bytes;
+    format_v3::FileHeader header;
+    format_v3::LearnedSectionEntry learned;  ///< ext_magic 0: absent.
+    UsiBuildInfo build_info;  ///< k, tau_k and num_lengths come from header.
+  };
 
-  bool SaveV3Body(BinaryWriter& writer, const SaveOptions& save_options) const;
+  /// The fixup every index ends in: views \p image's sections and wires
+  /// the fallback path. The tag keeps the public (ws, options = {})
+  /// constructor out of overload resolution with it.
+  struct ImageTag {};
+  UsiIndex(ImageTag, const WeightedString& ws, Image image);
 
-  /// Shared body of OpenMapped and LoadFromFile: ValidateImage over \p image
-  /// (verifying payloads when \p verify_payloads), then pointer fixup into
-  /// an index whose structures view the image (which it takes ownership of).
-  static std::unique_ptr<UsiIndex> ParseImage(
-      const WeightedString& ws, std::unique_ptr<MappedFile> image,
-      bool verify_payloads, LoadError* error);
+  /// Shared body of OpenMapped and LoadFromFile: \p path mapped (\p mapped)
+  /// or read into an owned mapping, ValidateImage over it (verifying every
+  /// payload of an owned read), then the fixup.
+  static std::unique_ptr<UsiIndex> OpenImage(const WeightedString& ws,
+                                             const std::string& path,
+                                             bool mapped, LoadError* error);
 
   const WeightedString* ws_;
   GlobalUtilityKind kind_;
-  UsiMiner miner_ = UsiMiner::kExact;
+  UsiMiner miner_;
   KarpRabinHasher hasher_;
-  /// Owned SA storage (built indexes; empty when opened from a file).
-  std::vector<index_t> sa_;
-  /// The SA every query path reads: views sa_ or the file image.
+  /// The SA every query path reads: the image's SA section.
   std::span<const index_t> sa_span_;
   PrefixSumWeights psw_;
-  FingerprintTable<TableValue> table_;
-  /// Learned last-mile model for table misses. Owns its arrays for built
-  /// indexes; views the image's learned section for opened ones.
+  Table table_;
+  /// Learned last-mile model for table misses (empty when the image has no
+  /// learned section).
   LearnedSa learned_;
   ExhaustiveQueryEngine fallback_;
   UsiBuildInfo build_info_;
-  /// The file image an opened index views — sa_span_, psw_, table_ and
-  /// learned_ point into it: the mapping (OpenMapped) or the heap copy
-  /// (LoadFromFile). Null for built indexes. (Destruction order is
-  /// immaterial: the views' destructors never dereference their backing.)
+  /// The image every structure above views. Declared last: the views are
+  /// initialized from it before it moves in, and their destructors never
+  /// dereference it.
   std::unique_ptr<MappedFile> image_;
 };
 

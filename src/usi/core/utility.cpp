@@ -20,13 +20,17 @@ const char* GlobalUtilityKindName(GlobalUtilityKind kind) {
 
 PrefixSumWeights::PrefixSumWeights(const WeightedString& ws) {
   psw_.resize(ws.size());
+  Compute(ws, psw_.data());
+  data_ = psw_.data();
+  size_ = psw_.size();
+}
+
+void PrefixSumWeights::Compute(const WeightedString& ws, double* out) {
   double running = 0;
   for (index_t i = 0; i < ws.size(); ++i) {
     running += ws.weight(i);
-    psw_[i] = running;
+    out[i] = running;
   }
-  data_ = psw_.data();
-  size_ = psw_.size();
 }
 
 double UtilityAccumulator::Finalize(GlobalUtilityKind kind) const {

@@ -50,24 +50,13 @@ class PrefixSumWeights {
   /// Builds PSW from \p ws in one scan.
   explicit PrefixSumWeights(const WeightedString& ws);
 
-  PrefixSumWeights(const PrefixSumWeights& other) { *this = other; }
-  PrefixSumWeights& operator=(const PrefixSumWeights& other) {
-    psw_ = other.psw_;
-    view_ = other.view_;
-    size_ = other.size_;
-    data_ = view_ ? other.data_ : psw_.data();
-    return *this;
-  }
-  PrefixSumWeights(PrefixSumWeights&& other) noexcept {
-    *this = std::move(other);
-  }
-  PrefixSumWeights& operator=(PrefixSumWeights&& other) noexcept {
-    psw_ = std::move(other.psw_);
-    view_ = other.view_;
-    size_ = other.size_;
-    data_ = view_ ? other.data_ : psw_.data();
-    return *this;
-  }
+  /// The scan itself, into out[0, ws.size()): the index image's section.
+  static void Compute(const WeightedString& ws, double* out);
+
+  // Moves keep the owned buffer, so data_ stays valid; a copy would point
+  // at its source's.
+  PrefixSumWeights(PrefixSumWeights&&) noexcept = default;
+  PrefixSumWeights& operator=(PrefixSumWeights&&) noexcept = default;
 
   /// Wraps an external prefix-sum array of \p size doubles without copying.
   /// The array must already hold inclusive prefix sums and must outlive the
@@ -111,9 +100,6 @@ class PrefixSumWeights {
 
   /// First prefix sum (size() doubles); what SaveToFile serializes.
   const double* data() const { return data_; }
-
-  /// Whether the array is owned (false for FromRaw views).
-  bool OwnsStorage() const { return !view_; }
 
   /// Heap footprint in bytes; views report the bytes they reference.
   std::size_t SizeInBytes() const {

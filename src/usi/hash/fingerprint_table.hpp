@@ -33,15 +33,15 @@
 /// lives). No deletion (the index is rebuilt, never shrunk) keeps probing
 /// tombstone-free and lets the table run at a 7/8 max load factor — the
 /// byte footprint is well under the old padded slots-with-flag layout at
-/// 3/5 load. Large tables are backed by transparent huge pages where the
-/// OS offers them (random probes otherwise pay a TLB walk per lookup).
+/// 3/5 load. An index's table lives in its image, which asks for
+/// transparent huge pages as a whole (util/mapped_file.hpp).
 ///
 /// The slot/tag hash is a single Fibonacci multiply: Karp-Rabin
 /// fingerprints are already uniform, so the full splitmix finalizer
 /// (HashPatternKey, still used by the query caches and sketches) is wasted
-/// work on this hot path. Serialization is unaffected by any of this: the
-/// index writes entries in canonical (len, fp) order, so table layout never
-/// leaks into saved bytes.
+/// work on this hot path. The index builder inserts H's entries in
+/// canonical (len, fp) order into a table sized for exactly their count, so
+/// the table's bytes are a pure function of its contents.
 
 #include <bit>
 #include <cstdint>
@@ -51,9 +51,6 @@
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
-#endif
-#if defined(__linux__)
-#include <sys/mman.h>
 #endif
 
 #include "usi/hash/pattern_key.hpp"
@@ -68,9 +65,9 @@ namespace usi {
 /// The table runs in one of two modes, serving identical answers:
 ///  * owning (default): ctrl + record arrays live in cache-aligned heap
 ///    vectors; all mutating operations are available.
-///  * non-owning view (AdoptView): the arrays live in externally managed
-///    read-only memory — index format v3 points them straight into an
-///    mmap'd file image — and only the read surface (Find, VisitBatch,
+///  * non-owning view (the view constructor): the arrays live in
+///    externally managed read-only memory — a UsiIndex points them straight
+///    into its v3 image — and only the read surface (Find, VisitBatch,
 ///    const ForEach, size/capacity) is usable; mutators abort via
 ///    USI_CHECK. The backing storage must outlive the table.
 template <typename V>
@@ -78,7 +75,7 @@ class FingerprintTable {
  public:
   /// One record: key and value adjacent (see file header for why). Public
   /// because this is the unit of the serialized record array — index format
-  /// v3 persists the records verbatim and maps them back with AdoptView.
+  /// v3 persists the records verbatim and views them in place.
   struct Slot {
     PatternKey key;
     V value{};
@@ -105,25 +102,35 @@ class FingerprintTable {
 
   /// Pre-sizes for \p expected entries (avoids rehashing in construction).
   explicit FingerprintTable(std::size_t expected) {
-    std::size_t capacity = kMinCapacity;
-    while (capacity * kMaxLoadNum < expected * kMaxLoadDen) capacity <<= 1;
-    AllocateTable(capacity);
+    AllocateTable(CapacityFor(expected));
   }
 
-  // Copies re-anchor the storage pointers: an owning copy must probe its own
-  // fresh arrays, not the source's. Moves transfer the heap buffers, so the
-  // copied pointers stay valid and the defaults are correct.
-  FingerprintTable(const FingerprintTable& other) { *this = other; }
-  FingerprintTable& operator=(const FingerprintTable& other) {
-    ctrl_ = other.ctrl_;
-    entries_ = other.entries_;
-    mask_ = other.mask_;
-    size_ = other.size_;
-    view_ = other.view_;
-    ctrl_p_ = view_ ? other.ctrl_p_ : ctrl_.data();
-    slots_p_ = view_ ? other.slots_p_ : entries_.data();
-    return *this;
+  /// A non-owning view of read-only storage that outlives it: \p ctrl and
+  /// \p slots hold bytes produced by ctrl_bytes()/slots() of an owning
+  /// table with \p capacity slots and \p size entries.
+  FingerprintTable(const u8* ctrl, const Slot* slots, std::size_t capacity,
+                   std::size_t size)
+      : ctrl_p_(ctrl),
+        slots_p_(slots),
+        mask_(capacity - 1),
+        size_(size),
+        view_(true) {
+    USI_CHECK(capacity >= kMinCapacity &&
+              (capacity & (capacity - 1)) == 0 &&
+              size * kMaxLoadDen <= capacity * kMaxLoadNum);
   }
+
+  /// The capacity a table pre-sized for \p expected entries starts with:
+  /// the smallest power of two, at least kMinCapacity, that holds them
+  /// under the 7/8 load factor.
+  static std::size_t CapacityFor(std::size_t expected) {
+    std::size_t capacity = kMinCapacity;
+    while (capacity * kMaxLoadNum < expected * kMaxLoadDen) capacity <<= 1;
+    return capacity;
+  }
+
+  // Moves keep the heap buffers, so the storage pointers stay valid; a copy
+  // would probe its source's.
   FingerprintTable(FingerprintTable&&) noexcept = default;
   FingerprintTable& operator=(FingerprintTable&&) noexcept = default;
 
@@ -133,28 +140,7 @@ class FingerprintTable {
   /// Number of slots (power of two; grows when size exceeds 7/8 of it).
   std::size_t capacity() const { return mask_ + 1; }
 
-  /// Rebinds the table to externally managed, read-only storage: \p ctrl
-  /// must point at \p capacity + kGroupWidth control bytes (cloned tail
-  /// included) and \p slots at \p capacity records laid out exactly as the
-  /// owning mode stores them — i.e. at bytes previously produced by
-  /// ctrl_bytes()/slots() of an equivalent table. Frees any owned arrays.
-  /// The caller guarantees the backing outlives the table; \p size is the
-  /// occupied-entry count the backing was serialized with.
-  void AdoptView(const u8* ctrl, const Slot* slots, std::size_t capacity,
-                 std::size_t size) {
-    USI_CHECK(capacity >= kMinCapacity &&
-              (capacity & (capacity - 1)) == 0 &&
-              size * kMaxLoadDen <= capacity * kMaxLoadNum);
-    ctrl_ = CtrlArray();
-    entries_ = EntryArray();
-    ctrl_p_ = ctrl;
-    slots_p_ = slots;
-    mask_ = capacity - 1;
-    size_ = size;
-    view_ = true;
-  }
-
-  /// Whether the arrays are heap-owned (false after AdoptView).
+  /// Whether the arrays are heap-owned (false for a view).
   bool OwnsStorage() const { return !view_; }
 
   /// The control-byte array, cloned tail included — the exact bytes a
@@ -321,7 +307,7 @@ class FingerprintTable {
   /// Capacity floor, the 7/8 max load factor and the empty control byte.
   /// Public because persisted table images (index format v3) record their
   /// capacity/size and loaders must re-validate the same invariants
-  /// AdoptView enforces — without aborting on corrupt input.
+  /// the view constructor enforces — without aborting on corrupt input.
   static constexpr std::size_t kMinCapacity = 16;
   static constexpr std::size_t kMaxLoadNum = 7;  // Load factor 7/8.
   static constexpr std::size_t kMaxLoadDen = 8;
@@ -456,35 +442,9 @@ class FingerprintTable {
     if (s < kGroupWidth) ctrl_[capacity() + s] = byte;
   }
 
-  /// Best-effort THP backing for a large buffer: with the kernel in
-  /// "madvise" THP mode, random probes over a 4K-paged table pay a TLB
-  /// walk per lookup. Must run before the pages are first touched.
-  static void AdviseHugePages(const void* data, std::size_t bytes) {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-    constexpr std::uintptr_t kPage = 4096;
-    if (bytes < (std::size_t{8} << 20)) return;
-    const auto addr = reinterpret_cast<std::uintptr_t>(data);
-    const std::uintptr_t begin = (addr + kPage - 1) & ~(kPage - 1);
-    const std::uintptr_t end = (addr + bytes) & ~(kPage - 1);
-    if (end > begin) {
-      (void)madvise(reinterpret_cast<void*>(begin), end - begin,
-                    MADV_HUGEPAGE);
-    }
-#else
-    (void)data;
-    (void)bytes;
-#endif
-  }
-
   void AllocateTable(std::size_t new_capacity) {
-    ctrl_ = CtrlArray();
-    ctrl_.reserve(new_capacity + kGroupWidth);
-    AdviseHugePages(ctrl_.data(), ctrl_.capacity());
-    ctrl_.assign(new_capacity + kGroupWidth, kEmpty);
-    entries_ = EntryArray();
-    entries_.reserve(new_capacity);
-    AdviseHugePages(entries_.data(), entries_.capacity() * sizeof(Slot));
-    entries_.resize(new_capacity);
+    ctrl_ = CtrlArray(new_capacity + kGroupWidth, kEmpty);
+    entries_ = EntryArray(new_capacity);
     // Value-initialization zeroes the members but not the struct padding
     // (after PatternKey::len and V's tail), and PlaceAt assigns members
     // only — so without this memset the padding would carry heap garbage

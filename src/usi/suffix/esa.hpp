@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "usi/parallel/thread_pool.hpp"
@@ -54,11 +55,11 @@ struct LcpStackEntry {
 /// straight off it: (*this)[k] = n - sa[k]. The traversal takes it in place
 /// of a materialized suffix-length array, so it costs no extra n words.
 struct DenseSuffixLengthView {
-  const std::vector<index_t>* sa;
+  std::span<const index_t> sa;
   index_t n;
 
-  index_t operator[](std::size_t k) const { return n - (*sa)[k]; }
-  std::size_t size() const { return sa->size(); }
+  index_t operator[](std::size_t k) const { return n - sa[k]; }
+  std::size_t size() const { return sa.size(); }
 };
 
 /// Processes traversal steps i in [\p begin, \p end) of the bottom-up pass
@@ -72,7 +73,7 @@ struct DenseSuffixLengthView {
 /// outputs into the byte-identical sequential order. \p suffix_len is a
 /// std::vector<index_t> or a DenseSuffixLengthView.
 template <typename SuffixLengths, typename EmitFn>
-void EnumerateSuffixTreeNodeRange(const std::vector<index_t>& lcp,
+void EnumerateSuffixTreeNodeRange(std::span<const index_t> lcp,
                                   const SuffixLengths& suffix_len,
                                   index_t begin, index_t end,
                                   std::vector<LcpStackEntry>& stack,
@@ -111,7 +112,7 @@ void EnumerateSuffixTreeNodeRange(const std::vector<index_t>& lcp,
 /// bottom-up lcp-interval order; leaves are emitted before the internal
 /// nodes that close over them.
 template <typename SuffixLengths, typename EmitFn>
-void EnumerateSuffixTreeNodes(const std::vector<index_t>& lcp,
+void EnumerateSuffixTreeNodes(std::span<const index_t> lcp,
                               const SuffixLengths& suffix_len,
                               EmitFn emit) {
   const index_t m = static_cast<index_t>(suffix_len.size());

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "usi/parallel/thread_pool.hpp"
-#include "usi/suffix/suffix_array.hpp"
 
 namespace usi {
 namespace {
@@ -20,9 +19,9 @@ namespace {
 /// kSlotLead - kTextLead positions earlier; h is the current lcp, which
 /// stays close to the one that position will start from). Every address is
 /// clamped to its array.
-void KasaiRange(const Text& text, const std::vector<index_t>& sa,
-                const std::vector<index_t>& rank, index_t begin, index_t end,
-                std::vector<index_t>& lcp) {
+void KasaiRange(const Text& text, std::span<const index_t> sa,
+                std::span<const index_t> rank, index_t begin, index_t end,
+                std::span<index_t> lcp) {
   constexpr index_t kSlotLead = 16;
   constexpr index_t kTextLead = 8;
   const index_t n = static_cast<index_t>(text.size());
@@ -53,18 +52,19 @@ void KasaiRange(const Text& text, const std::vector<index_t>& sa,
 
 }  // namespace
 
-std::vector<index_t> BuildLcpArray(const Text& text,
-                                   const std::vector<index_t>& sa,
-                                   ThreadPool* pool) {
+void BuildLcpArray(const Text& text, std::span<const index_t> sa,
+                   std::span<index_t> rank, std::span<index_t> lcp,
+                   ThreadPool* pool) {
   const std::size_t n = text.size();
-  std::vector<index_t> lcp(n, 0);
-  if (n == 0) return lcp;
-  const std::vector<index_t> rank = InverseSuffixArray(sa);
+  USI_CHECK(sa.size() == n && rank.size() >= n && lcp.size() == n);
+  if (n == 0) return;
+  for (std::size_t i = 0; i < n; ++i) rank[sa[i]] = static_cast<index_t>(i);
+  lcp[0] = 0;
 
   const unsigned workers = pool == nullptr ? 1 : pool->thread_count();
   if (workers <= 1 || n < 4096) {
     KasaiRange(text, sa, rank, 0, static_cast<index_t>(n), lcp);
-    return lcp;
+    return;
   }
 
   // A handful of chunks per worker smooths out ranges whose suffixes have
@@ -77,6 +77,13 @@ std::vector<index_t> BuildLcpArray(const Text& text,
         static_cast<index_t>(std::min(n, (c + 1) * chunk_len));
     KasaiRange(text, sa, rank, begin, end, lcp);
   });
+}
+
+std::vector<index_t> BuildLcpArray(const Text& text,
+                                   std::span<const index_t> sa,
+                                   ThreadPool* pool) {
+  std::vector<index_t> rank(text.size()), lcp(text.size());
+  BuildLcpArray(text, sa, rank, lcp, pool);
   return lcp;
 }
 

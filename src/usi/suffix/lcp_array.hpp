@@ -7,6 +7,7 @@
 /// LCP[0] = 0 and LCP[j] = |longest common prefix of suffixes SA[j-1] and
 /// SA[j]| for j > 0 — the exact convention of the paper.
 
+#include <span>
 #include <vector>
 
 #include "usi/text/alphabet.hpp"
@@ -24,8 +25,14 @@ class ThreadPool;
 /// chunk at h = 0 yields byte-identical output to the sequential scan; each
 /// chunk merely pays one cold re-match at its first position.
 std::vector<index_t> BuildLcpArray(const Text& text,
-                                   const std::vector<index_t>& sa,
+                                   std::span<const index_t> sa,
                                    ThreadPool* pool = nullptr);
+
+/// As above, into \p lcp (n slots), with \p rank (at least n slots) as
+/// scratch for the inverse suffix array.
+void BuildLcpArray(const Text& text, std::span<const index_t> sa,
+                   std::span<index_t> rank, std::span<index_t> lcp,
+                   ThreadPool* pool = nullptr);
 
 }  // namespace usi
 

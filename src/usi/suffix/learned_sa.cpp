@@ -16,6 +16,12 @@ constexpr u32 kPayloadMagic = 0x4C534131;
 /// segments, capped so the table never dominates the model's footprint.
 constexpr u32 kMaxRadixBits = 18;
 
+/// The key fit prefetches suffix bytes only over an SA larger than this
+/// (one core's L2 on the Xeon hosts measured): a 100k-symbol fit took
+/// 1.65-1.83 ms with the prefetches and 1.38-1.45 ms without them, while a
+/// 4M-symbol one fell from 169-201 to 103-104 ms with them.
+constexpr std::size_t kFitPrefetchMinSaBytes = std::size_t{2} << 20;
+
 /// Serialized payload header. Written and read raw; every field is
 /// fixed-width and the struct is padded to a multiple of 8 so the segment
 /// array that follows the (8-padded) radix table stays 8-byte aligned in
@@ -512,9 +518,8 @@ void LearnedSa::Build(const Text& text, std::span<const index_t> sa,
                       const Options& options) {
   *this = LearnedSa();
   if (sa.empty() || options.epsilon == 0) return;
-  n_ = sa.size();
-  epsilon_ = options.epsilon;
-  packing_ = KeyPacking::ForText(text);
+  const u64 n = sa.size();
+  const KeyPacking packing = KeyPacking::ForText(text);
   const double eps = static_cast<double>(options.epsilon);
 
   // One deterministic pass streams the distinct keys off the SA into both
@@ -523,22 +528,24 @@ void LearnedSa::Build(const Text& text, std::span<const index_t> sa,
   // identical, so the two models share the radix geometry below.
   ConeFitter lower_fit(eps);
   ConeFitter upper_fit(eps);
-  // The suffix bytes a key packs are a random read per rank: each rank
-  // prefetches the first and last key byte of the suffix kLead ranks ahead
-  // (clamped to the text), so those misses overlap instead of stalling the
-  // fit one rank at a time.
+  // The suffix bytes a key packs are a random read per rank: over an SA
+  // past the L2, each rank prefetches the first and last key byte of the
+  // suffix kLead ranks ahead (clamped to the text), so those misses overlap
+  // instead of stalling the fit one rank at a time.
   constexpr u64 kLead = 16;
+  const u64 prefetch_end =
+      n * sizeof(index_t) > kFitPrefetchMinSaBytes ? n - std::min(n, kLead) : 0;
   const Symbol* const text_p = text.data();
   const std::size_t text_n = text.size();
-  const KeyPacker packer(packing_);
+  const KeyPacker packer(packing);
   u64 prev_key = 0;
   bool have_prev = false;
-  for (u64 i = 0; i < n_; ++i) {
-    if (i + kLead < n_) {
+  for (u64 i = 0; i < n; ++i) {
+    if (i < prefetch_end) {
       const std::size_t ahead = sa[i + kLead];
       __builtin_prefetch(text_p + ahead);
       __builtin_prefetch(
-          text_p + std::min(ahead + packing_.chars - 1, text_n - 1));
+          text_p + std::min(ahead + packing.chars - 1, text_n - 1));
     }
     const u64 key = packer.Key(text_p, text_n, sa[i]);
     USI_DCHECK(!have_prev || key >= prev_key);
@@ -548,37 +555,62 @@ void LearnedSa::Build(const Text& text, std::span<const index_t> sa,
     prev_key = key;
     have_prev = true;
   }
-  upper_fit.Add(prev_key, n_);
+  upper_fit.Add(prev_key, n);
   lower_fit.Finish();
   upper_fit.Finish();
-  lower_own_ = std::move(lower_fit.segments());
-  upper_own_ = std::move(upper_fit.segments());
+  const std::vector<Segment>& lower = lower_fit.segments();
+  const std::vector<Segment>& upper = upper_fit.segments();
+  PayloadHeader header;
+  header.epsilon = options.epsilon;
   const double max_err = std::max(lower_fit.max_err(), upper_fit.max_err());
-  if (max_err > static_cast<double>(epsilon_)) {
-    epsilon_ = static_cast<u32>(std::min<double>(
+  if (max_err > eps) {
+    header.epsilon = static_cast<u32>(std::min<double>(
         std::ceil(max_err), std::numeric_limits<u32>::max()));
   }
-  min_key_ = lower_own_.front().first_key;
-  max_key_ = prev_key;
+  header.n = n;
+  header.num_segments = lower.size();
+  header.num_upper_segments = upper.size();
+  header.min_key = lower.front().first_key;
+  header.max_key = prev_key;
+  header.key_bits = packing.bits;
 
   // Shared radix root: bucket(q) = (q - min_key) >> shift over the
   // populated key range, one table per model.
-  const u64 range = max_key_ - min_key_;
+  const u64 range = header.max_key - header.min_key;
   const u32 range_bits = static_cast<u32>(std::bit_width(range | 1));
   const u32 want_bits = std::min<u32>(
       kMaxRadixBits,
-      static_cast<u32>(std::bit_width(
-          std::max(lower_own_.size(), upper_own_.size()))) + 2);
+      static_cast<u32>(std::bit_width(std::max(lower.size(), upper.size()))) +
+          2);
   const u32 bits = std::min(std::max(want_bits, 1u), range_bits);
-  shift_ = range_bits - bits;
-  const u64 num_buckets = (range >> shift_) + 1;
-  radix_lower_own_ = BuildRadix(lower_own_, min_key_, shift_, num_buckets);
-  radix_upper_own_ = BuildRadix(upper_own_, min_key_, shift_, num_buckets);
+  header.shift = range_bits - bits;
+  const u64 num_buckets = (range >> header.shift) + 1;
+  const std::vector<u32> radix_lower =
+      BuildRadix(lower, header.min_key, header.shift, num_buckets);
+  const std::vector<u32> radix_upper =
+      BuildRadix(upper, header.min_key, header.shift, num_buckets);
+  header.num_radix = radix_lower.size();
 
-  radix_lower_ = radix_lower_own_;
-  radix_upper_ = radix_upper_own_;
-  lower_ = lower_own_;
-  upper_ = upper_own_;
+  // The fit is served from its serialized payload, the bytes the v3
+  // learned section stores. Layout: header | lower radix (8-padded) |
+  // lower segments | upper radix (8-padded) | upper segments. Pad gaps stay
+  // zero (vector value-init) — deterministic bytes.
+  const std::size_t radix_bytes =
+      (radix_lower.size() * sizeof(u32) + 7) & ~std::size_t{7};
+  std::vector<u8> payload(sizeof(header) + 2 * radix_bytes +
+                          (lower.size() + upper.size()) * sizeof(Segment));
+  u8* out = payload.data();
+  std::memcpy(out, &header, sizeof(header));
+  out += sizeof(header);
+  std::memcpy(out, radix_lower.data(), radix_lower.size() * sizeof(u32));
+  out += radix_bytes;
+  std::memcpy(out, lower.data(), lower.size() * sizeof(Segment));
+  out += lower.size() * sizeof(Segment);
+  std::memcpy(out, radix_upper.data(), radix_upper.size() * sizeof(u32));
+  out += radix_bytes;
+  std::memcpy(out, upper.data(), upper.size() * sizeof(Segment));
+  USI_CHECK(AdoptView(payload.data(), payload.size()));
+  payload_ = std::move(payload);  // Moving keeps the buffer the views see.
 }
 
 u64 LearnedSa::Predict(std::span<const u32> radix,
@@ -742,37 +774,6 @@ void LearnedSa::FindIntervalBatch(
   }
 }
 
-std::vector<u8> LearnedSa::Serialize() const {
-  if (empty()) return {};
-  PayloadHeader header;
-  header.epsilon = epsilon_;
-  header.n = n_;
-  header.num_radix = radix_lower_.size();
-  header.num_segments = lower_.size();
-  header.num_upper_segments = upper_.size();
-  header.min_key = min_key_;
-  header.max_key = max_key_;
-  header.shift = shift_;
-  header.key_bits = packing_.bits;
-  // Layout: header | lower radix (8-padded) | lower segments | upper radix
-  // (8-padded) | upper segments. Pad gaps stay zero (vector value-init) —
-  // deterministic bytes.
-  const u64 radix_bytes = (radix_lower_.size_bytes() + 7) & ~u64{7};
-  std::vector<u8> payload(sizeof(header) + 2 * radix_bytes +
-                          lower_.size_bytes() + upper_.size_bytes());
-  u8* out = payload.data();
-  std::memcpy(out, &header, sizeof(header));
-  out += sizeof(header);
-  std::memcpy(out, radix_lower_.data(), radix_lower_.size_bytes());
-  out += radix_bytes;
-  std::memcpy(out, lower_.data(), lower_.size_bytes());
-  out += lower_.size_bytes();
-  std::memcpy(out, radix_upper_.data(), radix_upper_.size_bytes());
-  out += radix_bytes;
-  std::memcpy(out, upper_.data(), upper_.size_bytes());
-  return payload;
-}
-
 bool LearnedSa::AdoptView(const u8* data, u64 length) {
   *this = LearnedSa();
   if (data == nullptr || length < sizeof(PayloadHeader)) return false;
@@ -816,14 +817,8 @@ bool LearnedSa::AdoptView(const u8* data, u64 length) {
   p += radix_bytes;
   upper_ = {reinterpret_cast<const Segment*>(p),
             static_cast<std::size_t>(header.num_upper_segments)};
+  bytes_ = {data, static_cast<std::size_t>(length)};
   return true;
-}
-
-std::size_t LearnedSa::SizeInBytes() const {
-  if (empty()) return 0;
-  return sizeof(PayloadHeader) +
-         2 * ((radix_lower_.size_bytes() + 7) & ~u64{7}) +
-         lower_.size_bytes() + upper_.size_bytes();
 }
 
 }  // namespace usi

@@ -48,11 +48,12 @@
 /// O(log n) probes, never to a wrong interval.
 ///
 /// \par Storage
-/// The model is position-only (no text/SA pointers), trivially serialized:
-/// a 64-byte payload header, the two u32 radix tables, and the two models'
-/// 24-byte (first_key, slope, intercept) segment arrays. Index format v3
-/// carries the payload in an optional checksummed section; AdoptView serves
-/// it straight out of the mmap the way FingerprintTable::AdoptView does.
+/// The model is position-only (no text/SA pointers) and always served from
+/// its serialized payload: a 64-byte payload header, the two u32 radix
+/// tables, and the two models' 24-byte (first_key, slope, intercept)
+/// segment arrays. Build serializes its fit into a buffer it owns;
+/// AdoptView serves a payload in place (index format v3 carries one in an
+/// optional checksummed section).
 
 #include <span>
 #include <vector>
@@ -100,6 +101,12 @@ class LearnedSa {
 
   LearnedSa() = default;
 
+  // A copy would view its source's payload; moves keep the buffer.
+  LearnedSa(LearnedSa&&) noexcept = default;
+  LearnedSa& operator=(LearnedSa&&) noexcept = default;
+  LearnedSa(const LearnedSa&) = delete;
+  LearnedSa& operator=(const LearnedSa&) = delete;
+
   /// One linear segment: pred(q) = intercept + slope * (q - first_key).
   /// Keys are offset per segment before the double conversion, so the
   /// mantissa loss on a 2^64-wide axis never exceeds slope * key_ulp —
@@ -112,7 +119,8 @@ class LearnedSa {
   static_assert(sizeof(Segment) == 24);
 
   /// Fits the model over \p sa (one deterministic sequential pass: key
-  /// extraction + greedy shrinking-cone segmentation + radix table). An
+  /// extraction + greedy shrinking-cone segmentation + radix table) and
+  /// serializes the fit into an owned payload it then serves from. An
   /// empty SA, or epsilon == 0, leaves the model empty.
   void Build(const Text& text, std::span<const index_t> sa,
              const Options& options);
@@ -142,9 +150,10 @@ class LearnedSa {
                          std::span<const std::span<const Symbol>> patterns,
                          std::span<SaInterval> out) const;
 
-  /// Serializes the model payload (header + radix table + segments) into a
-  /// deterministic byte image — what the v3 learned section stores.
-  std::vector<u8> Serialize() const;
+  /// The serialized model (header + radix tables + segments) it serves
+  /// from, owned or adopted: a deterministic byte image, what the v3
+  /// learned section stores. Empty for an empty model.
+  std::span<const u8> payload() const { return bytes_; }
 
   /// Adopts a serialized payload in place (no copy); \p data must stay
   /// 8-byte aligned and outlive the model (an opened index keeps its file
@@ -167,9 +176,8 @@ class LearnedSa {
   /// SA length the model was fit over.
   u64 fit_n() const { return n_; }
 
-  /// Payload bytes a Serialize() image occupies (== referenced bytes for an
-  /// adopted view).
-  std::size_t SizeInBytes() const;
+  /// Payload bytes (owned or referenced).
+  std::size_t SizeInBytes() const { return bytes_.size(); }
 
  private:
   /// Clamped evaluation of one model (its radix table + segments): a
@@ -186,10 +194,8 @@ class LearnedSa {
   /// position for the double-precision floor on evaluation).
   u64 Slack() const { return static_cast<u64>(epsilon_) + 1; }
 
-  std::vector<u32> radix_lower_own_;
-  std::vector<u32> radix_upper_own_;
-  std::vector<Segment> lower_own_;
-  std::vector<Segment> upper_own_;
+  std::vector<u8> payload_;     ///< Build's serialized fit; empty if adopted.
+  std::span<const u8> bytes_;   ///< The payload served: payload_ or adopted.
   std::span<const u32> radix_lower_;
   std::span<const u32> radix_upper_;
   std::span<const Segment> lower_;

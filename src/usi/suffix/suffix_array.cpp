@@ -4,6 +4,8 @@
 #include <cstring>
 #include <numeric>
 
+#include "usi/util/mapped_file.hpp"
+
 namespace usi {
 namespace {
 
@@ -17,7 +19,9 @@ constexpr u32 kEmpty = ~u32{0};
 // serves all of them: blocks never move (slabs are only appended, never
 // reallocated), a level releases everything it took with one Rewind, and a
 // deeper level reuses the space a shallower level just vacated — so levels
-// below 0 run allocation-free once the slabs are warm.
+// below 0 run allocation-free once the slabs are warm. Slabs are anonymous
+// mappings, unmapped with the workspace: level 0 alone takes ~4n bytes, and
+// from the heap a build lane's arena would keep them resident afterwards.
 // ---------------------------------------------------------------------------
 
 class SaIsWorkspace {
@@ -36,9 +40,9 @@ class SaIsWorkspace {
   u64* AllocU64(std::size_t count) {
     while (true) {
       if (slab_ < slabs_.size()) {
-        std::vector<u64>& slab = slabs_[slab_];
-        if (slab.size() - used_ >= count) {
-          u64* block = slab.data() + used_;
+        MappedFile& slab = *slabs_[slab_];
+        if (slab.size() / sizeof(u64) - used_ >= count) {
+          u64* block = reinterpret_cast<u64*>(slab.mutable_data()) + used_;
           used_ += count;
           return block;
         }
@@ -47,11 +51,13 @@ class SaIsWorkspace {
         continue;
       }
       // Geometric slab growth keeps the number of slabs logarithmic; the
-      // outer vector only moves the (small) inner vector objects, never the
-      // slab storage itself, so previously returned pointers stay valid.
+      // outer vector only moves the slab handles, never the slab storage
+      // itself, so previously returned pointers stay valid.
       const std::size_t grown =
-          slabs_.empty() ? std::size_t{1024} : 2 * slabs_.back().size();
-      slabs_.emplace_back(std::max(count, grown));
+          slabs_.empty() ? std::size_t{1024}
+                         : 2 * slabs_.back()->size() / sizeof(u64);
+      slabs_.push_back(
+          MappedFile::CreateOwned(std::max(count, grown) * sizeof(u64)));
     }
   }
 
@@ -62,7 +68,7 @@ class SaIsWorkspace {
   }
 
  private:
-  std::vector<std::vector<u64>> slabs_;
+  std::vector<std::unique_ptr<MappedFile>> slabs_;
   std::size_t slab_ = 0;
   std::size_t used_ = 0;
 };
@@ -296,15 +302,18 @@ void SaIsLevel(const SymT* s, u32 n, u32 sigma, u32* sa, SaIsWorkspace& ws) {
 }  // namespace
 
 std::vector<index_t> BuildSuffixArray(const Text& text) {
-  const std::size_t n = text.size();
-  if (n == 0) return {};
-  std::vector<index_t> sa(n + 1);
-  SaIsWorkspace workspace;
-  SaIsLevel<Symbol>(text.data(), static_cast<u32>(n), 256, sa.data(),
-                    workspace);
-  USI_DCHECK(sa[0] == n);
+  std::vector<index_t> sa(text.size() + 1);
+  BuildSuffixArrayAt(text, sa.data());
   sa.erase(sa.begin());  // Drop the virtual sentinel suffix.
   return sa;
+}
+
+void BuildSuffixArrayAt(const Text& text, index_t* sa) {
+  const std::size_t n = text.size();
+  if (n == 0) return;
+  SaIsWorkspace workspace;
+  SaIsLevel<Symbol>(text.data(), static_cast<u32>(n), 256, sa, workspace);
+  USI_DCHECK(sa[0] == n);
 }
 
 namespace {
@@ -470,7 +479,7 @@ std::vector<index_t> BuildSuffixArrayDoubling(const Text& text) {
   return sa;
 }
 
-std::vector<index_t> InverseSuffixArray(const std::vector<index_t>& sa) {
+std::vector<index_t> InverseSuffixArray(std::span<const index_t> sa) {
   std::vector<index_t> inverse(sa.size());
   for (std::size_t i = 0; i < sa.size(); ++i) inverse[sa[i]] = static_cast<index_t>(i);
   return inverse;

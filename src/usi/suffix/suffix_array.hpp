@@ -22,6 +22,7 @@
 /// an independently-derived oracle for the property tests and an ablation
 /// subject.
 
+#include <span>
 #include <vector>
 
 #include "usi/text/alphabet.hpp"
@@ -34,6 +35,10 @@ namespace usi {
 /// is not included, so the result has exactly text.size() entries.
 std::vector<index_t> BuildSuffixArray(const Text& text);
 
+/// As above, into sa[1 .. text.size()]; sa[0] is scratch for SA-IS's
+/// virtual sentinel suffix.
+void BuildSuffixArrayAt(const Text& text, index_t* sa);
+
 /// The seed's textbook SA-IS (u32-widened input, std::vector<bool> type
 /// bits, per-level allocations). Oracle + bench baseline only — use
 /// BuildSuffixArray everywhere else.
@@ -43,7 +48,7 @@ std::vector<index_t> BuildSuffixArrayReference(const Text& text);
 std::vector<index_t> BuildSuffixArrayDoubling(const Text& text);
 
 /// Inverse permutation: rank[SA[i]] = i.
-std::vector<index_t> InverseSuffixArray(const std::vector<index_t>& sa);
+std::vector<index_t> InverseSuffixArray(std::span<const index_t> sa);
 
 }  // namespace usi
 

@@ -6,6 +6,7 @@
 #include "usi/suffix/esa.hpp"
 #include "usi/suffix/lcp_array.hpp"
 #include "usi/suffix/suffix_array.hpp"
+#include "usi/util/mapped_file.hpp"
 #include "usi/util/radix_sort.hpp"
 
 namespace usi {
@@ -18,11 +19,13 @@ namespace {
 /// min(k, 2^32 - 1). Scanning f downwards, every count passed before the
 /// stop is exact, so the stop is tau_K; a count clipped at 2^32 - 1 < k can
 /// only stop the scan lower, which keeps more nodes but changes no output.
-index_t FrequencyThreshold(const std::vector<index_t>& lcp,
-                           const DenseSuffixLengthView& suffix_len, u64 k) {
+/// \p counts (n + 1 slots) is scratch.
+index_t FrequencyThreshold(std::span<const index_t> lcp,
+                           const DenseSuffixLengthView& suffix_len, u64 k,
+                           std::span<u32> counts) {
   const index_t n = static_cast<index_t>(suffix_len.size());
   const u64 cap = std::min<u64>(k, std::numeric_limits<u32>::max());
-  std::vector<u32> counts(static_cast<std::size_t>(n) + 1, 0);
+  std::fill(counts.begin(), counts.end(), 0);
   EnumerateSuffixTreeNodes(lcp, suffix_len, [&](const SuffixTreeNode& node) {
     u32& count = counts[node.frequency()];
     count = static_cast<u32>(std::min<u64>(cap, count + node.edge_length()));
@@ -38,16 +41,27 @@ index_t FrequencyThreshold(const std::vector<index_t>& lcp,
 
 }  // namespace
 
-TopKList ExactTopK(const Text& text, const std::vector<index_t>& sa, u64 k,
+TopKList ExactTopK(const Text& text, std::span<const index_t> sa, u64 k,
                    ThreadPool* pool) {
   USI_CHECK(sa.size() == text.size());
   TopKList result;
   const index_t n = static_cast<index_t>(text.size());
   if (n == 0 || k == 0) return result;
 
-  const std::vector<index_t> lcp = BuildLcpArray(text, sa, pool);
-  const DenseSuffixLengthView suffix_len{&sa, n};
-  const index_t tau = FrequencyThreshold(lcp, suffix_len, k);
+  // The LCP, and Kasai's rank array whose n + 1 words then hold the
+  // frequency counts, each in its own mapping, unmapped when dropped: from
+  // the heap, a build lane's arena would keep these 8n bytes resident.
+  const auto words = [](std::unique_ptr<MappedFile>& bytes, std::size_t size) {
+    bytes = MappedFile::CreateOwned(size * sizeof(index_t));
+    return std::span(reinterpret_cast<index_t*>(bytes->mutable_data()), size);
+  };
+  std::unique_ptr<MappedFile> lcp_bytes, counts_bytes;
+  const std::span<index_t> lcp = words(lcp_bytes, n);
+  const std::span<index_t> counts = words(counts_bytes, std::size_t{n} + 1);
+  BuildLcpArray(text, sa, counts, lcp, pool);
+  const DenseSuffixLengthView suffix_len{sa, n};
+  const index_t tau = FrequencyThreshold(lcp, suffix_len, k, counts);
+  counts_bytes.reset();  // Pass 2's nodes may reuse the pages.
 
   // Pass 2: the nodes at or above tau_K, in emission order.
   std::vector<SuffixTreeNode> kept;

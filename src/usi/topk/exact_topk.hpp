@@ -17,6 +17,7 @@
 /// of substrings that occur twice or more), every node is kept and M
 /// reaches ~2n, the size of the node table.
 
+#include <span>
 #include <vector>
 
 #include "usi/text/alphabet.hpp"
@@ -32,7 +33,7 @@ class ThreadPool;
 /// ties broken shorter-first. With \p pool, the LCP scan runs chunked on it
 /// (Kasai); both passes stay sequential, so the output is the same at every
 /// pool width.
-TopKList ExactTopK(const Text& text, const std::vector<index_t>& sa, u64 k,
+TopKList ExactTopK(const Text& text, std::span<const index_t> sa, u64 k,
                    ThreadPool* pool = nullptr);
 
 /// As above, building the suffix array first.

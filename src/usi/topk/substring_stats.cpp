@@ -52,7 +52,7 @@ void SubstringStats::EnumerateNodes(const std::vector<index_t>& lcp,
     partial[c].reserve(2 * static_cast<std::size_t>(chunks.end(c) -
                                                     chunks.begin(c)));
   }
-  chunks.Enumerate(lcp, DenseSuffixLengthView{&sa_, n_}, pool,
+  chunks.Enumerate(lcp, DenseSuffixLengthView{sa_, n_}, pool,
                    [&](std::size_t c, const SuffixTreeNode& node) {
                      partial[c].push_back(Triplet{node.frequency(), node.depth,
                                                   node.parent_depth, node.lb,

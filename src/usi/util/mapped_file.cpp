@@ -14,14 +14,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace usi {
 namespace {
 
 // ---------------------------------------------------------------------------
 // SIGBUS guard plumbing. Everything the signal handler touches is lock-free
 // and async-signal-safe: a fixed array of atomic (begin, length) slots for
-// the registered ranges, a thread-local pointer to the innermost guard
-// frame, and a recovered-fault counter.
+// the registered ranges and a thread-local pointer to the innermost guard
+// frame.
 
 /// Upper bound on concurrently open mappings the guard can vouch for. A
 /// mapping past the cap still serves (registration is best-effort) — it just
@@ -35,7 +39,6 @@ struct GuardedRange {
 
 GuardedRange g_ranges[kMaxGuardedRanges];
 std::atomic<int> g_registered{0};   ///< Live registrations (guard engaged?).
-std::atomic<u64> g_recovered{0};    ///< Faults converted into Run() == false.
 std::mutex g_register_mu;           ///< Serializes slot claim/release only.
 std::once_flag g_handler_once;
 struct sigaction g_previous_bus;    ///< Disposition to restore on re-raise.
@@ -59,7 +62,6 @@ bool AddrInGuardedRange(const void* addr) {
 void SigbusHandler(int sig, siginfo_t* info, void* /*ucontext*/) {
   if (t_fault_target != nullptr && info != nullptr &&
       AddrInGuardedRange(info->si_addr)) {
-    g_recovered.fetch_add(1, std::memory_order_relaxed);
     siglongjmp(*t_fault_target, 1);  // Unwinds to MappedFaultGuard::Run.
   }
   // Not ours (or no guard frame active): restore the previous disposition
@@ -125,95 +127,115 @@ bool MappedFaultGuard::Engaged() {
   return g_registered.load(std::memory_order_acquire) > 0;
 }
 
-u64 MappedFaultGuard::RecoveredFaults() {
-  return g_recovered.load(std::memory_order_relaxed);
-}
-
-MappedFile::MappedFile(const u8* data, std::size_t size, bool mapped)
+MappedFile::MappedFile(u8* data, std::size_t size, bool mapped)
     : data_(data), size_(size), mapped_(mapped) {
   if (mapped_) RegisterRange(data_, size_);
 }
 
+namespace {
+
+/// The open + fstat both file openers start with. fd is -1 when open or
+/// fstat failed (*out_errno, when non-null, says why) or when the path is
+/// not a regular file (*out_errno 0). The descriptor closes with the object.
+struct RegularFile {
+  RegularFile(const std::string& path, int* out_errno)
+      : fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    struct stat st {};
+    const bool ok = fd >= 0 && ::fstat(fd, &st) == 0;
+    if (out_errno != nullptr) *out_errno = ok ? 0 : errno;
+    if (ok && S_ISREG(st.st_mode)) {
+      size = static_cast<std::size_t>(st.st_size);
+    } else if (fd >= 0) {
+      ::close(fd);
+      fd = -1;
+    }
+  }
+  ~RegularFile() {
+    if (fd >= 0) ::close(fd);
+  }
+  RegularFile(const RegularFile&) = delete;
+  RegularFile& operator=(const RegularFile&) = delete;
+
+  int fd;
+  std::size_t size = 0;
+};
+
+}  // namespace
+
 std::unique_ptr<MappedFile> MappedFile::OpenReadOnly(const std::string& path,
                                                      int* out_errno) {
-  if (out_errno != nullptr) *out_errno = 0;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (out_errno != nullptr) *out_errno = errno;
-    return nullptr;
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    if (out_errno != nullptr) *out_errno = errno;
-    ::close(fd);
-    return nullptr;
-  }
-  if (!S_ISREG(st.st_mode)) {
-    ::close(fd);
-    return nullptr;
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) {
-    // Nothing to map: the same empty image ReadIntoMemory yields, so a
-    // caller refuses an empty file by its (absent) contents either way.
-    ::close(fd);
-    return std::unique_ptr<MappedFile>(
-        new MappedFile(nullptr, 0, /*mapped=*/false));
-  }
-  void* const addr = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
-  // The mapping holds its own reference to the file; the descriptor is not
-  // needed past this point (and keeping it would leak fds per open index).
-  ::close(fd);
+  const RegularFile file(path, out_errno);
+  if (file.fd < 0) return nullptr;
+  // Nothing to map in an empty file: the same empty image ReadIntoMemory
+  // yields, so a caller refuses it by its (absent) contents either way.
+  if (file.size == 0) return CreateOwned(0);
+  // The mapping holds its own reference to the file, so the descriptor
+  // closes on return (keeping it would leak fds per open index).
+  void* const addr =
+      ::mmap(nullptr, file.size, PROT_READ, MAP_SHARED, file.fd, 0);
   if (addr == MAP_FAILED) return nullptr;
   return std::unique_ptr<MappedFile>(
-      new MappedFile(static_cast<const u8*>(addr), size, /*mapped=*/true));
+      new MappedFile(static_cast<u8*>(addr), file.size, /*mapped=*/true));
 }
 
 std::unique_ptr<MappedFile> MappedFile::ReadIntoMemory(const std::string& path,
                                                        int* out_errno) {
-  if (out_errno != nullptr) *out_errno = 0;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (out_errno != nullptr) *out_errno = errno;
-    return nullptr;
-  }
-  struct FdCloser {
-    int fd;
-    ~FdCloser() { ::close(fd); }
-  } closer{fd};
-  struct stat st {};
-  const int stat_errno = ::fstat(fd, &st) != 0 ? errno : 0;
-  if (stat_errno != 0 || !S_ISREG(st.st_mode)) {
-    if (out_errno != nullptr) *out_errno = stat_errno;
-    return nullptr;
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  // The image owns the buffer as soon as it is allocated, so every exit
-  // below frees it.
-  std::unique_ptr<MappedFile> image(
-      new MappedFile(nullptr, size, /*mapped=*/false));
-  auto* const buffer = static_cast<u8*>(
-      ::operator new[](size, std::align_val_t{kHeapImageAlign}));
-  image->data_ = buffer;
+  const RegularFile file(path, out_errno);
+  if (file.fd < 0) return nullptr;
+  std::unique_ptr<MappedFile> image = CreateOwned(file.size);
+  u8* const buffer = image->mutable_data();
   std::size_t done = 0;
-  while (done < size) {
-    const ssize_t got = ::read(fd, buffer + done, size - done);
+  while (done < file.size) {
+    const ssize_t got = ::read(file.fd, buffer + done, file.size - done);
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) break;  // Error, or the file shrank under us.
     done += static_cast<std::size_t>(got);
   }
-  return done == size ? std::move(image) : nullptr;
+  if (done != file.size) return nullptr;
+  image->Seal();
+  return image;
+}
+
+std::unique_ptr<MappedFile> MappedFile::CreateOwned(std::size_t size) {
+  if (size == 0) {
+    return std::unique_ptr<MappedFile>(
+        new MappedFile(nullptr, 0, /*mapped=*/false));
+  }
+  void* const addr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (addr == MAP_FAILED) throw std::bad_alloc();
+  // Random probes over a 4K-paged image pay a TLB walk per lookup; THP
+  // backing (where the kernel offers it) must be asked for before the pages
+  // are first touched. Best-effort.
+  (void)::madvise(addr, size, MADV_HUGEPAGE);
+  return std::unique_ptr<MappedFile>(
+      new MappedFile(static_cast<u8*>(addr), size, /*mapped=*/false));
+}
+
+void MappedFile::Resize(std::size_t size) {
+  USI_CHECK(!mapped_ && !sealed_ && data_ != nullptr && size > 0);
+  void* const addr = ::mremap(data_, size_, size, MREMAP_MAYMOVE);
+  if (addr == MAP_FAILED) throw std::bad_alloc();
+  data_ = static_cast<u8*>(addr);
+  size_ = size;
+}
+
+void MappedFile::Seal() {
+  USI_CHECK(!mapped_);
+  if (data_ != nullptr) (void)::mprotect(data_, size_, PROT_READ);
+  sealed_ = true;
 }
 
 MappedFile::~MappedFile() {
   if (data_ == nullptr) return;
-  if (!mapped_) {
-    ::operator delete[](const_cast<u8*>(data_),
-                        std::align_val_t{kHeapImageAlign});
-    return;
-  }
-  UnregisterRange(data_);
-  ::munmap(const_cast<u8*>(data_), size_);
+  if (mapped_) UnregisterRange(data_);
+#if defined(__SANITIZE_ADDRESS__)
+  // UsiIndex poisons the padding between sections and the page tail; the
+  // address range may be mapped again by anyone once it is unmapped.
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  ASAN_UNPOISON_MEMORY_REGION(data_, (size_ + page - 1) / page * page);
+#endif
+  ::munmap(data_, size_);
 }
 
 void MappedFile::AdviseWillNeed() const {

@@ -2,13 +2,14 @@
 #define USI_UTIL_MAPPED_FILE_HPP_
 
 /// \file mapped_file.hpp
-/// Read-only file images (memory-mapped, or read into an owned heap buffer)
-/// and the atomic publish protocol.
+/// Index images (a file mapping, or an owned anonymous mapping) and the
+/// atomic publish protocol.
 ///
-/// This is the substrate of index format v3 (core/index_format.hpp): an
-/// index file whose on-disk layout IS the in-memory layout is opened with
-/// MappedFile and served straight out of the page cache — near-zero startup,
-/// demand paging, and kernel-shared pages across serving processes.
+/// This is the substrate of index format v3 (core/index_format.hpp), whose
+/// on-disk layout IS the in-memory layout: every UsiIndex serves from one
+/// MappedFile, which the builder writes in place, LoadFromFile reads a file
+/// into, or OpenMapped maps straight out of the page cache — near-zero
+/// startup, demand paging, and kernel-shared pages across processes.
 ///
 /// \par Atomic publish protocol
 /// Every persisted artifact goes through the same three-step protocol, so a
@@ -37,16 +38,17 @@
 
 namespace usi {
 
-/// Read-only image of a whole file: mmap'd (OpenReadOnly) or copied into an
-/// owned heap buffer (ReadIntoMemory). The image lives for the object's
-/// lifetime; spans handed out by data() are invalidated by destruction.
+/// One index image in memory: a mapping of the file itself (OpenReadOnly),
+/// or an owned, private anonymous mapping — read from a file
+/// (ReadIntoMemory) or written in place (CreateOwned, then Seal). Spans
+/// handed out by data() are invalidated by destruction (and, on an
+/// unsealed owned image, by Resize).
 ///
-/// Every open mapping is registered with the process-wide SIGBUS guard (see
-/// MappedFaultGuard): a fault on a registered range — a page whose backing
-/// file was truncated or revoked after open — can be converted into a clean
-/// "this batch failed" return instead of crashing the process. A heap image
-/// is process memory, so it is never registered: truncating the file
-/// afterwards cannot fault a reader.
+/// Only file mappings are registered with the process-wide SIGBUS guard
+/// (see MappedFaultGuard): a fault on one — a page whose backing file was
+/// truncated or revoked after open — can be converted into a clean "this
+/// batch failed" return instead of crashing the process. An owned image is
+/// process memory, so truncating the file afterwards cannot fault a reader.
 class MappedFile {
  public:
   /// Maps \p path read-only (MAP_SHARED, so identical pages are shared with
@@ -59,26 +61,32 @@ class MappedFile {
   static std::unique_ptr<MappedFile> OpenReadOnly(const std::string& path,
                                                   int* out_errno = nullptr);
 
-  /// The heap counterpart of OpenReadOnly: reads all of \p path into one
-  /// owned buffer aligned to kHeapImageAlign. Returns nullptr on open, stat
-  /// or read failure (or when the file shrinks mid-read); \p out_errno as
-  /// for OpenReadOnly.
+  /// The owned counterpart of OpenReadOnly: reads all of \p path into an
+  /// owned image and seals it. Returns nullptr on any I/O failure (or when
+  /// the file shrinks mid-read); \p out_errno as for OpenReadOnly. Throws
+  /// std::bad_alloc as CreateOwned does.
   static std::unique_ptr<MappedFile> ReadIntoMemory(const std::string& path,
                                                     int* out_errno = nullptr);
 
-  /// Alignment of ReadIntoMemory buffers: one cache line, the section
-  /// alignment of the v3 index image, so section casts land aligned.
-  static constexpr std::size_t kHeapImageAlign = 64;
+  /// A writable, zero-filled owned image of \p size bytes, advised
+  /// MADV_HUGEPAGE once. Pages never written cost no RSS. Throws
+  /// std::bad_alloc when the mapping fails.
+  static std::unique_ptr<MappedFile> CreateOwned(std::size_t size);
 
   ~MappedFile();
 
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
-  /// First byte of the image. Page-aligned when mapped (mmap guarantee),
-  /// kHeapImageAlign-aligned otherwise, so any section offset aligned in
-  /// the file is equally aligned in memory.
+  /// First byte of the image; page-aligned (mmap guarantee), so any section
+  /// offset aligned in the file is equally aligned in memory.
   const u8* data() const { return data_; }
+
+  /// Writable bytes of an owned image that is not sealed yet.
+  u8* mutable_data() {
+    USI_CHECK(!mapped_ && !sealed_);
+    return data_;
+  }
 
   /// Image length in bytes (the file size at open time).
   std::size_t size() const { return size_; }
@@ -86,22 +94,30 @@ class MappedFile {
   /// Whether the image is an mmap of the file (OpenReadOnly).
   bool mapped() const { return mapped_; }
 
+  /// Grows or trims an owned, unsealed image (mremap: it may move; grown
+  /// bytes read zero). Throws std::bad_alloc, changing nothing, on failure.
+  void Resize(std::size_t size);
+
+  /// Makes an owned image read-only (mprotect).
+  void Seal();
+
   /// Advises the kernel the whole mapping will be read sequentially soon
-  /// (readahead for eager validation passes). Best-effort; no-op on a heap
-  /// image.
+  /// (readahead for eager validation passes). Best-effort; no-op on an
+  /// owned image.
   void AdviseWillNeed() const;
 
   /// Advises random access (index serving probes pages out of order;
   /// default readahead would drag in neighbours pointlessly). Best-effort;
-  /// no-op on a heap image.
+  /// no-op on an owned image.
   void AdviseRandom() const;
 
  private:
-  MappedFile(const u8* data, std::size_t size, bool mapped);
+  MappedFile(u8* data, std::size_t size, bool mapped);
 
-  const u8* data_ = nullptr;
+  u8* data_ = nullptr;
   std::size_t size_ = 0;
   bool mapped_ = true;
+  bool sealed_ = false;
 };
 
 namespace detail {
@@ -166,9 +182,6 @@ class MappedFaultGuard {
   /// Whether any mapped range is currently registered (i.e. a fault is
   /// possible and Run must arm a frame).
   static bool Engaged();
-
-  /// Lifetime count of SIGBUS faults the guard recovered from.
-  static u64 RecoveredFaults();
 };
 
 /// 64-bit checksum over an arbitrary byte range: FNV-1a folded over 64-bit

@@ -153,7 +153,7 @@ TEST(EsaChunked, BoundaryStacksMatchDirectReplay) {
   const Text text = testing::RandomText(3000, 3, 21);
   const std::vector<index_t> sa = BuildSuffixArray(text);
   const std::vector<index_t> lcp = BuildLcpArray(text, sa);
-  const DenseSuffixLengthView suffix_len{&sa,
+  const DenseSuffixLengthView suffix_len{sa,
                                         static_cast<index_t>(text.size())};
 
   // Snapshots via the pre-pass must equal the stack a full enumeration has
@@ -174,7 +174,7 @@ TEST(EsaChunked, ChunkedEnumerationEqualsSequentialExactly) {
   const std::vector<index_t> sa = BuildSuffixArray(text);
   const std::vector<index_t> lcp = BuildLcpArray(text, sa);
   const index_t m = static_cast<index_t>(text.size());
-  const DenseSuffixLengthView suffix_len{&sa, m};
+  const DenseSuffixLengthView suffix_len{sa, m};
 
   const std::vector<SuffixTreeNode> sequential =
       CollectSuffixTreeNodes(lcp, suffix_len);

@@ -28,7 +28,7 @@ EsaView BuildView(const Text& text) {
   view.lcp = BuildLcpArray(text, view.sa);
   view.nodes = CollectSuffixTreeNodes(
       view.lcp,
-      DenseSuffixLengthView{&view.sa, static_cast<index_t>(text.size())});
+      DenseSuffixLengthView{view.sa, static_cast<index_t>(text.size())});
   return view;
 }
 
@@ -148,7 +148,7 @@ TEST(Esa, ChunksFallBackToOneWhenStacksAreDeep) {
 
   // The chunked pass still emits exactly the sequential node sequence.
   std::vector<std::vector<SuffixTreeNode>> per_chunk(chunks.size());
-  chunks.Enumerate(random.lcp, DenseSuffixLengthView{&random.sa, n}, &pool,
+  chunks.Enumerate(random.lcp, DenseSuffixLengthView{random.sa, n}, &pool,
                    [&](std::size_t c, const SuffixTreeNode& node) {
                      per_chunk[c].push_back(node);
                    });

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -341,7 +343,8 @@ TEST(LearnedSa, MisleadingPredictionsMatchPlainSearch) {
     for (const u32 epsilon : {4u, 32u}) {
       LearnedSa fitted;
       fitted.Build(text, sa, {epsilon});
-      const std::vector<u8> payload = fitted.Serialize();
+      const std::vector<u8> payload(fitted.payload().begin(),
+                                    fitted.payload().end());
       struct Shift {
         const char* what;
         bool upper;
@@ -399,7 +402,8 @@ TEST(LearnedSa, SerializeAdoptRoundTrip) {
   LearnedSa model;
   model.Build(text, sa);
   ASSERT_FALSE(model.empty());
-  const std::vector<u8> payload = model.Serialize();
+  const std::vector<u8> payload(model.payload().begin(),
+                                model.payload().end());
   EXPECT_EQ(payload.size(), model.SizeInBytes());
 
   LearnedSa adopted;
@@ -413,8 +417,9 @@ TEST(LearnedSa, SerializeAdoptRoundTrip) {
     ASSERT_EQ(a.lb, b.lb);
     ASSERT_EQ(a.rb, b.rb);
   }
-  // An adopted model re-serializes to the same bytes.
-  EXPECT_EQ(adopted.Serialize(), payload);
+  // An adopted model serves the very bytes it adopted.
+  EXPECT_EQ(adopted.payload().data(), payload.data());
+  EXPECT_EQ(adopted.payload().size(), payload.size());
 
   // Malformed payloads are rejected, never adopted: truncation, a flipped
   // magic, and a geometry lie.
@@ -512,6 +517,17 @@ TEST(LearnedSa, V3RoundTripWithAndWithoutLearnedSection) {
       UsiIndex::OpenMapped(ws, without_path);
   ASSERT_NE(without, nullptr);
   EXPECT_TRUE(without->learned_sa().empty());
+
+  // Saving an index without a learned section writes none: the re-save
+  // reproduces the image byte for byte, with no model fit for the save.
+  const std::string resaved_path = dir + "/learned_sa_test_resaved.bin";
+  ASSERT_TRUE(without->SaveToFile(resaved_path, IndexFileFormat::kV3Mapped));
+  const auto read_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(read_bytes(resaved_path), read_bytes(without_path));
+  std::remove(resaved_path.c_str());
 
   // The heap read carries the saved model losslessly (same ε, same
   // segments), and serves the same answers again.

@@ -145,6 +145,30 @@ TEST_F(MappedIndexTest, StructuralAccessorsAgree) {
   EXPECT_EQ(heap_->learned_sa().epsilon(), built_->learned_sa().epsilon());
   EXPECT_EQ(heap_->learned_sa().num_segments(),
             built_->learned_sa().num_segments());
+  // One image, three backings: the built index reports what both reads of
+  // its saved bytes report.
+  EXPECT_EQ(built_->SizeInBytes(), heap_->SizeInBytes());
+  EXPECT_EQ(built_->SizeInBytes(), v3_->SizeInBytes());
+  EXPECT_EQ(built_->HashTableEntries(), heap_->HashTableEntries());
+  EXPECT_EQ(built_->HashTableEntries(), v3_->HashTableEntries());
+}
+
+TEST_F(MappedIndexTest, ReadPastTheSaSectionFailsUnderAsan) {
+#if !defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "needs AddressSanitizer";
+#endif
+  // The SA is a section of the index's image, not a heap vector of its
+  // own, so the padding after it is poisoned: ASan reports a read past
+  // sa() as it would a read past a vector.
+  const index_t n = ws_.size();
+  ASSERT_NE(n * sizeof(index_t) % 64, 0u) << "no padding after the SA";
+  const index_t* sa = built_->sa().data();
+  EXPECT_DEATH(
+      {
+        const volatile index_t past = sa[n];
+        (void)past;
+      },
+      "use-after-poison");
 }
 
 TEST_F(MappedIndexTest, V3BytesAreDeterministic) {
@@ -176,10 +200,8 @@ TEST(FingerprintTableViewTest, AdoptedViewAnswersLikeTheOwner) {
     keys.push_back(key);
   }
 
-  Table adopted;
-  adopted.AdoptView(owner.ctrl_bytes().data(), owner.slots().data(),
-                    owner.capacity(), owner.size());
-  const Table& view = adopted;  // Views expose only the const read surface.
+  const Table view(owner.ctrl_bytes().data(), owner.slots().data(),
+                   owner.capacity(), owner.size());  // Const read surface.
   ASSERT_FALSE(view.OwnsStorage());
   EXPECT_EQ(view.size(), owner.size());
   EXPECT_EQ(view.capacity(), owner.capacity());

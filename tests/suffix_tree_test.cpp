@@ -107,7 +107,7 @@ TEST(SuffixTree, NodeSummariesMatchEsaOnSentinelTexts) {
     const std::vector<index_t> sa = BuildSuffixArray(text);
     const std::vector<index_t> lcp = BuildLcpArray(text, sa);
     const auto esa_nodes = CollectSuffixTreeNodes(
-        lcp, DenseSuffixLengthView{&sa, static_cast<index_t>(text.size())});
+        lcp, DenseSuffixLengthView{sa, static_cast<index_t>(text.size())});
     std::vector<SuffixTree::NodeSummary> esa_summaries;
     for (const SuffixTreeNode& node : esa_nodes) {
       esa_summaries.push_back(

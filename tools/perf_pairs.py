@@ -46,6 +46,20 @@ change's own effect. For example
       --workload w2-hot-large --seeds 7001-7005 \\
       --normalize-by usi_index.hit_ns_per_query
 
+Every analyzed metric also prints its floor: the smallest relative median
+gap the set resolves. The claim rule asks for a median gap wider than the
+parent's interquartile range, and either tree may be the parent, so the
+floor is the larger of the two sides' IQR over median; in an A/A set the
+gap between its medians is noise too, so it counts as well. --aa runs one
+tree (--change) on both sides, from one build, to measure that floor:
+
+  tools/perf_pairs.py --aa --change . --workload w2-hot-large \
+      --seeds 28001-28010 --log aa.jsonl
+
+--change-env VAR=VAL (repeatable) sets an environment variable for the
+change side's runs only; with --aa it measures what the variable alone
+does to one tree, e.g. --change-env MALLOC_MMAP_THRESHOLD_=131072.
+
 --selftest analyzes the committed fixture under tools/testdata and checks
 the verdicts it must give (the `perf_pairs_selftest` CTest entry).
 
@@ -82,6 +96,13 @@ TRACED_SET = "traced"
 # w2-hot-large set (seeds 27001-27005), so its parent ran first 3 times.
 ODD_SET = "odd"
 TRACED_RECORD_NORMALIZED = (0.52, 0.56)
+# The fixture's A/A set: 10 w2-hot-large pairs of one tree on both sides
+# (seeds 28501-28510), and the floors it recorded. Any gap under a floor
+# is noise at that set size.
+AA_SET = "aa"
+AA_FLOORS = {"query_qps": 0.2949, "batch_p50_us": 0.2968,
+             "batch_p99_us": 0.2228, "setup_s": 0.2690,
+             "peak_rss_mb": 0.0115}
 
 CLAIM_MIN_PAIRS = 10
 CLAIM_WIN_SHARE = 0.9
@@ -119,8 +140,8 @@ def build(tree, target):
                    stdout=sys.stderr, check=True)
 
 
-def run_one(tree, target, workload, seed, seconds, trace):
-    env = dict(os.environ, CARGO_TARGET_DIR=target)
+def run_one(tree, target, workload, seed, seconds, trace, extra_env):
+    env = dict(os.environ, CARGO_TARGET_DIR=target, **extra_env)
     done = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
@@ -136,15 +157,34 @@ def run_one(tree, target, workload, seed, seconds, trace):
     return done.returncode, result
 
 
+def parse_env(assignments):
+    """["VAR=VAL", ...] -> {"VAR": "VAL", ...}."""
+    env = {}
+    for assignment in assignments:
+        name, sep, value = assignment.partition("=")
+        if not name or not sep:
+            raise ValueError(f"--change-env wants VAR=VAL, got {assignment!r}")
+        env[name] = value
+    return env
+
+
 def run_pairs(args):
-    trees = {"parent": os.path.abspath(args.parent),
-             "change": os.path.abspath(args.change)}
     build_root = os.path.abspath(args.build_dir)
-    targets = {side: os.path.join(build_root, side) for side in trees}
+    if args.aa:
+        # One tree and one build on both sides: any gap is noise.
+        tree = os.path.abspath(args.change)
+        trees = {"parent": tree, "change": tree}
+        targets = {side: os.path.join(build_root, "aa") for side in trees}
+    else:
+        trees = {"parent": os.path.abspath(args.parent),
+                 "change": os.path.abspath(args.change)}
+        targets = {side: os.path.join(build_root, side) for side in trees}
     for side, tree in trees.items():
         print(f"perf_pairs: building {side} perfbench ({tree})",
               file=sys.stderr)
         build(tree, targets[side])
+    change_env = parse_env(args.change_env)
+    envs = {"parent": {}, "change": change_env}
 
     seeds = parse_seeds(args.seeds)
     label = args.set or f"{args.workload}:{seeds[0]}-{seeds[-1]}"
@@ -153,10 +193,11 @@ def run_pairs(args):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             code, result = run_one(trees[side], targets[side], args.workload,
-                                   seed, args.seconds, args.trace)
+                                   seed, args.seconds, args.trace, envs[side])
             record = {"set": label, "workload": args.workload, "seed": seed,
                       "pair": pair, "side": side, "seconds": args.seconds,
-                      "trace": int(args.trace), "exit_code": code,
+                      "trace": int(args.trace), "aa": int(args.aa),
+                      "env": envs[side], "exit_code": code,
                       "result": result}
             records.append(record)
             with open(args.log, "a", encoding="utf-8") as log:
@@ -197,9 +238,11 @@ def fmt(value):
     return f"{value:.4g}"
 
 
-def judge(metric, parent, change, balanced=True):
+def judge(metric, parent, change, balanced=True, aa=False):
     """Verdicts for one metric over aligned per-pair values; an unbalanced
-    set's claim is withheld (never met)."""
+    set's claim is withheld (never met). "floor" is the smallest relative
+    median gap the set resolves (module docstring); an A/A set's own median
+    gap counts toward it."""
     higher = metric["better"] == "higher"
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
@@ -212,6 +255,8 @@ def judge(metric, parent, change, balanced=True):
     worse = (pm - cm) if higher else (cm - pm)
     worse_share = worse / abs(pm) if pm != 0 else 0.0
     spread = (p3 - p1) / abs(pm) if pm != 0 else 0.0
+    change_spread = (c3 - c1) / abs(cm) if cm != 0 else 0.0
+    floor = max(spread, change_spread, abs(delta) if aa else 0.0)
     separated = (min(change) > max(parent)) if higher else \
         (max(change) < min(parent))
     bound = metric.get("bound")
@@ -237,7 +282,7 @@ def judge(metric, parent, change, balanced=True):
              f"(wins {wins}/{pairs}, gap {fmt(gap)} vs IQR {fmt(iqr)})")
     return {"parent": (p1, pm, p3), "change": (c1, cm, c3), "wins": wins,
             "pairs": pairs, "ratio": ratio, "bound": bound_verdict,
-            "state": state, "claim": claim, "met": met}
+            "state": state, "claim": claim, "met": met, "floor": floor}
 
 
 def group_sets(records):
@@ -286,9 +331,14 @@ def analyze(records, metrics):
                    for r in runs for m in metrics):
             continue  # Traced runs: see analyze_layers.
         unbalanced, balanced = balance_text(complete)
+        aa = any(r.get("aa") for r in runs)
+        env = (complete[0]["change"].get("env") or {}) if complete else {}
+        change_env = " ".join(f"{k}={v}" for k, v in env.items())
         print(f"\nset {label}  workload {workload}  pairs {len(complete)}  "
               f"runs correct {ok}/{len(runs)}  failed ops parent "
               f"{failed['parent']} change {failed['change']}"
+              f"{'  A/A' if aa else ''}"
+              f"{'  change env ' + change_env if change_env else ''}"
               f"{'  ' + unbalanced if unbalanced else ''}")
         print(f"{'metric':<14} {'parent median [Q1, Q3]':<32} "
               f"{'change median [Q1, Q3]':<32} {'wins':>6} "
@@ -302,13 +352,13 @@ def analyze(records, metrics):
             if not pairs:
                 continue
             verdict = judge(metric, [p for p, _ in pairs],
-                            [c for _, c in pairs], balanced)
+                            [c for _, c in pairs], balanced, aa)
             set_verdicts[name] = verdict
             wins = f"{verdict['wins']}/{verdict['pairs']}"
             print(f"{name:<14} {spread_text(verdict['parent']):<32} "
                   f"{spread_text(verdict['change']):<32} {wins:>6} "
                   f"{verdict['ratio']:>10.3f}  {verdict['bound']}; "
-                  f"claim {verdict['claim']}")
+                  f"claim {verdict['claim']}; floor {verdict['floor']:.1%}")
         verdicts[(label, workload)] = set_verdicts
     return verdicts
 
@@ -380,8 +430,9 @@ def selftest():
     for the equal-range learned miss search: two missed the claim rule (one
     on host drift, one by ~2% of the IQR rule), the third met it. The
     drifting set's parent runs spread wider than the bound. A fourth,
-    traced set holds four per-layer metrics of recorded traced pairs, and
-    a fifth, odd-sized set the end-to-end metrics of 5 recorded pairs."""
+    traced set holds four per-layer metrics of recorded traced pairs, a
+    fifth, odd-sized set the end-to-end metrics of 5 recorded pairs, and a
+    sixth the end-to-end metrics of a recorded 10-pair A/A set."""
     failures = []
     verdicts = analyze(read_log(FIXTURE), DEFAULT_METRICS)
     if any(label == TRACED_SET for label, _ in verdicts):
@@ -408,14 +459,23 @@ def selftest():
         failures.append(f"set {ODD_SET}: an unbalanced set gave a claim "
                         "verdict")
 
-    def synthetic(label, pairs, parent_qps, change_qps):
+    # The A/A set reads its recorded floors, and no claim: one tree cannot
+    # beat itself.
+    aa = verdicts.get((AA_SET, "w2-hot-large"), {})
+    for name, floor in AA_FLOORS.items():
+        got = aa.get(name)
+        if got is None or abs(got["floor"] - floor) > 5e-4 or got["met"]:
+            failures.append(f"set {AA_SET}: {name} floor "
+                            f"{got and got['floor']}, want {floor}")
+
+    def synthetic(label, pairs, parent_qps, change_qps, aa=False):
         records = []
         for pair in range(pairs):
             for side, qps in (("parent", parent_qps + pair),
                               ("change", change_qps + pair)):
                 records.append({
                     "set": label, "workload": "w2-hot-large", "seed": pair,
-                    "pair": pair, "side": side, "exit_code": 0,
+                    "pair": pair, "side": side, "exit_code": 0, "aa": int(aa),
                     "result": {"correct": True, "failed": 0, "metrics": {
                         "query_qps": {"value": qps, "unit": "1/s"}}}})
         return analyze(records, DEFAULT_METRICS)[
@@ -433,6 +493,13 @@ def selftest():
     got = synthetic("fast-11", 11, 1.0e6, 1.3e6)
     if got["met"] or not got["claim"].startswith("withheld"):
         failures.append("a claim over 11 pairs was not withheld")
+
+    # An A/A set whose medians sit 10% apart with tight runs: that gap is
+    # noise, so it sets the floor.
+    got = synthetic("aa-gap", 10, 1.0e6, 1.1e6, aa=True)
+    if abs(got["floor"] - 0.1) > 1e-3:
+        failures.append(f"an A/A set's 10% median gap read floor "
+                        f"{got['floor']}, want 0.1")
 
     # Traced pairs: the fixture's traced set, normalized by the index's hit
     # path, must read the tier's record cost as the change's own drop and
@@ -478,6 +545,11 @@ def main():
                         default="usi_index.hit_ns_per_query",
                         help="per-layer metric the traced tables divide "
                         "every ratio by (default %(default)s)")
+    parser.add_argument("--aa", action="store_true",
+                        help="A/A set: run the --change tree on both sides")
+    parser.add_argument("--change-env", metavar="VAR=VAL", action="append",
+                        default=[], help="environment variable set on the "
+                        "change side's runs only (repeatable)")
     parser.add_argument("--analyze", metavar="LOG",
                         help="print the analysis of a saved log and exit")
     parser.add_argument("--selftest", action="store_true")
@@ -491,8 +563,16 @@ def main():
         analyze_layers(records, load_metrics(REPO, "per_layer"),
                        args.normalize_by)
         return 0
-    if not (args.parent and args.change and args.workload and args.seeds):
-        parser.error("--parent, --change, --workload and --seeds are required")
+    if args.aa and args.parent:
+        parser.error("--aa runs the --change tree on both sides; drop --parent")
+    if not ((args.parent or args.aa) and args.change and args.workload
+            and args.seeds):
+        parser.error("--parent (or --aa), --change, --workload and --seeds "
+                     "are required")
+    try:
+        parse_env(args.change_env)
+    except ValueError as error:
+        parser.error(str(error))
     if len(parse_seeds(args.seeds)) % 2 != 0:
         parser.error("--seeds must name an even number of pairs, so each "
                      "side runs first in half of them")

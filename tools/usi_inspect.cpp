@@ -12,11 +12,11 @@
 //
 //   usi_inspect convert <in> <out>
 //                       (--dataset NAME [--n N] | --text FILE [--seed S])
-//       Re-saves an index through a verifying heap read, producing the
-//       canonical image (an image saved without the learned section gains
-//       one). The read needs the weighted string, and index files do not
-//       embed the text — so it has to be re-materialized the same way it
-//       was at build time: either a registry dataset (--dataset,
+//       Re-saves an index through a verifying owned read, producing the
+//       same bytes (an image saved without the learned section stays
+//       without one). The read needs the weighted string, and index files
+//       do not embed the text — so it has to be re-materialized the same
+//       way it was at build time: either a registry dataset (--dataset,
 //       deterministic stand-in) or a raw text file with the paper's
 //       synthetic-utility recipe (--text, same --seed as the original run).
 //
