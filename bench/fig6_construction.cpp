@@ -1,10 +1,11 @@
 // Regenerates Fig. 6q-t: construction time of UET, UAT and BSL1-4 versus K
 // and versus n (XML- and HUM-like). Shape: baselines build faster (no top-K
 // mining or table population), UET builds faster than UAT, and everything
-// scales (near-)linearly in n. A final section reports the staged parallel
-// build pipeline (UsiBuilder): per-stage seconds and peak-RSS deltas at 1, 2
-// and hardware-concurrency threads — all three timed stages (SA-IS, mining,
-// phase (ii) table population) run on the pool.
+// scales (near-)linearly in n. A UAT build is ApproximateTopK plus
+// UsiBuilder::Build over its list. A final section reports the staged
+// parallel build pipeline (UsiBuilder): per-stage seconds and peak-RSS
+// deltas at 1, 2 and hardware-concurrency threads (only mining's LCP scan
+// runs on the pool).
 //
 // --json PATH writes every measurement as BenchJson (the CI perf-trajectory
 // artifact consumes it as BENCH_construction.json).
@@ -13,9 +14,11 @@
 
 #include "bench_common.hpp"
 #include "usi/core/baselines.hpp"
+#include "usi/core/usi_builder.hpp"
 #include "usi/core/usi_index.hpp"
 #include "usi/parallel/thread_pool.hpp"
 #include "usi/suffix/suffix_array.hpp"
+#include "usi/topk/approximate_topk.hpp"
 #include "usi/util/memory.hpp"
 
 namespace usi {
@@ -39,9 +42,10 @@ std::vector<std::string> ConstructionRow(const WeightedString& ws, u64 k,
     const double seconds = bench::TimeOnce([&] {
       UsiOptions options;
       options.k = k;
-      options.miner = UsiMiner::kApproximate;
-      options.approx.rounds = s;
-      UsiIndex uat(ws, options);
+      ApproximateTopKOptions approx;
+      approx.rounds = s;
+      const std::unique_ptr<UsiIndex> uat = UsiBuilder(ws, options).Build(
+          ApproximateTopK(ws.text(), k, approx));
     });
     row.push_back(TablePrinter::Num(seconds, 3));
     json->Add(section, label + ".uat_s", seconds, "s");

@@ -7,8 +7,10 @@
 
 #include "bench_common.hpp"
 #include "usi/core/baselines.hpp"
+#include "usi/core/usi_builder.hpp"
 #include "usi/core/usi_index.hpp"
 #include "usi/suffix/suffix_array.hpp"
+#include "usi/topk/approximate_topk.hpp"
 #include "usi/util/memory.hpp"
 
 namespace usi {
@@ -18,13 +20,13 @@ std::vector<std::string> SizesRow(const WeightedString& ws,
                                   const std::vector<index_t>& sa,
                                   const PrefixSumWeights& psw, u64 k, u32 s,
                                   std::string label) {
-  UsiOptions uet_options;
-  uet_options.k = k;
-  const UsiIndex uet(ws, uet_options);
-  UsiOptions uat_options = uet_options;
-  uat_options.miner = UsiMiner::kApproximate;
-  uat_options.approx.rounds = s;
-  const UsiIndex uat(ws, uat_options);
+  UsiOptions options;
+  options.k = k;
+  const UsiIndex uet(ws, options);
+  ApproximateTopKOptions approx;
+  approx.rounds = s;
+  const std::unique_ptr<UsiIndex> uat =
+      UsiBuilder(ws, options).Build(ApproximateTopK(ws.text(), k, approx));
   BaselineContext context;
   context.ws = &ws;
   context.sa = &sa;
@@ -33,7 +35,7 @@ std::vector<std::string> SizesRow(const WeightedString& ws,
 
   std::vector<std::string> row = {std::move(label),
                                   FormatBytes(uet.SizeInBytes()),
-                                  FormatBytes(uat.SizeInBytes())};
+                                  FormatBytes(uat->SizeInBytes())};
   for (auto kind : {BaselineKind::kBsl1, BaselineKind::kBsl2,
                     BaselineKind::kBsl3, BaselineKind::kBsl4}) {
     auto baseline = MakeBaseline(kind, context);

@@ -16,11 +16,13 @@
 
 #include "bench_common.hpp"
 #include "usi/core/baselines.hpp"
+#include "usi/core/usi_builder.hpp"
 #include "usi/core/usi_index.hpp"
 #include "usi/core/usi_service.hpp"
 #include "usi/core/workload.hpp"
 #include "usi/parallel/thread_pool.hpp"
 #include "usi/suffix/suffix_array.hpp"
+#include "usi/topk/approximate_topk.hpp"
 #include "usi/topk/substring_stats.hpp"
 
 namespace usi {
@@ -77,6 +79,8 @@ void RunDataset(const DatasetSpec& spec, const bench::BenchArgs& args,
   wopts.random_max_len =
       spec.name == "ADV" ? 200 : (spec.name == "IOT" ? 20'000 : 5'000);
   wopts.seed = spec.seed ^ 0xBE;
+  ApproximateTopKOptions approx;
+  approx.rounds = spec.default_s;
   const Workload w1 = MakeWorkloadW1(ws.text(), pool_w1.items, wopts);
 
   // --- Fig. 6a-e: query time vs K on W1. ---
@@ -86,13 +90,11 @@ void RunDataset(const DatasetSpec& spec, const bench::BenchArgs& args,
   for (std::size_t ki = 0; ki + 1 < spec.k_sweep.size(); ++ki) {
     const u64 k = std::max<u64>(
         10, static_cast<u64>(spec.k_sweep[ki]) * n / spec.default_n);
-    UsiOptions uet_options;
-    uet_options.k = k;
-    UsiIndex uet(ws, uet_options);
-    UsiOptions uat_options = uet_options;
-    uat_options.miner = UsiMiner::kApproximate;
-    uat_options.approx.rounds = spec.default_s;
-    UsiIndex uat(ws, uat_options);
+    UsiOptions options;
+    options.k = k;
+    UsiIndex uet(ws, options);
+    const std::unique_ptr<UsiIndex> uat =
+        UsiBuilder(ws, options).Build(ApproximateTopK(ws.text(), k, approx));
 
     BaselineContext context;
     context.ws = &ws;
@@ -103,7 +105,7 @@ void RunDataset(const DatasetSpec& spec, const bench::BenchArgs& args,
     std::vector<std::string> row = {
         TablePrinter::Int(static_cast<long long>(k))};
     row.push_back(TablePrinter::Num(AvgMicros(uet, w1.patterns), 2));
-    row.push_back(TablePrinter::Num(AvgMicros(uat, w1.patterns), 2));
+    row.push_back(TablePrinter::Num(AvgMicros(*uat, w1.patterns), 2));
     for (auto kind : {BaselineKind::kBsl1, BaselineKind::kBsl2,
                       BaselineKind::kBsl3, BaselineKind::kBsl4}) {
       auto baseline = MakeBaseline(kind, context);
@@ -116,13 +118,11 @@ void RunDataset(const DatasetSpec& spec, const bench::BenchArgs& args,
   // --- Fig. 6f-j: query time vs p on W2,p at the default K. ---
   const u64 k =
       std::max<u64>(10, static_cast<u64>(spec.default_k) * n / spec.default_n);
-  UsiOptions uet_options;
-  uet_options.k = k;
-  UsiIndex uet(ws, uet_options);
-  UsiOptions uat_options = uet_options;
-  uat_options.miner = UsiMiner::kApproximate;
-  uat_options.approx.rounds = spec.default_s;
-  UsiIndex uat(ws, uat_options);
+  UsiOptions options;
+  options.k = k;
+  UsiIndex uet(ws, options);
+  const std::unique_ptr<UsiIndex> uat =
+      UsiBuilder(ws, options).Build(ApproximateTopK(ws.text(), k, approx));
 
   TablePrinter by_p("Fig. 6f-j — avg W2,p query time (us) vs p on " +
                     spec.name + " (K=" +
@@ -138,7 +138,7 @@ void RunDataset(const DatasetSpec& spec, const bench::BenchArgs& args,
     context.cache_capacity = k;
     std::vector<std::string> row = {TablePrinter::Int(p)};
     const double uet_us = AvgMicros(uet, w2.patterns);
-    const double uat_us = AvgMicros(uat, w2.patterns);
+    const double uat_us = AvgMicros(*uat, w2.patterns);
     json.Add(spec.name, "w2_p" + std::to_string(p) + "_uet_avg_us", uet_us,
              "us");
     json.Add(spec.name, "w2_p" + std::to_string(p) + "_uat_avg_us", uat_us,

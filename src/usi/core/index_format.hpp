@@ -58,6 +58,23 @@ enum class IndexFileFormat : u8 {
   kV3Mapped,  ///< The v3 section file; same-host only.
 };
 
+/// Where the mined top-K list came from: FileHeader::miner. UsiBuilder
+/// derives it from the list, not from an option.
+enum class UsiMiner : u8 {
+  kExact,        ///< UET: every item carried its SA interval (ExactTopK).
+  kApproximate,  ///< UAT: some item was a witness only (ApproximateTopK).
+};
+
+/// Number of UsiMiner values; ValidateImage refuses any other byte.
+inline constexpr u8 kNumUsiMiners = 2;
+
+/// Display name of a miner byte: "UET", "UAT", or "?" for any other byte.
+constexpr const char* UsiMinerName(u8 miner) {
+  return miner == static_cast<u8>(UsiMiner::kExact)         ? "UET"
+         : miner == static_cast<u8>(UsiMiner::kApproximate) ? "UAT"
+                                                             : "?";
+}
+
 namespace format_v3 {
 
 /// "USI3". Files that start with anything else (including the retired
@@ -104,7 +121,7 @@ struct FileHeader {
   u64 file_bytes = 0;  ///< Exact total file size.
   u32 n = 0;           ///< Text length the index was built over.
   u8 kind = 0;         ///< GlobalUtilityKind.
-  u8 miner = 0;        ///< UsiMiner.
+  u8 miner = 0;        ///< UsiMiner, named by UsiMinerName.
   u16 reserved0 = 0;   ///< Zero.
   u64 base = 0;        ///< Karp-Rabin base.
   u64 k = 0;           ///< Effective K.

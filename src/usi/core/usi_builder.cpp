@@ -97,18 +97,37 @@ ThreadPool* UsiBuilder::EffectivePool() {
   return owned_pool_.get();
 }
 
-std::unique_ptr<UsiIndex> UsiBuilder::Build() {
-  return std::unique_ptr<UsiIndex>(
-      new UsiIndex(UsiIndex::ImageTag{}, *ws_, BuildImage()));
+u64 UsiBuilder::EffectiveK() const {
+  return options_.k > 0 ? options_.k : std::max<u64>(1, ws_->size() / 100);
 }
 
-UsiIndex::Image UsiBuilder::BuildImage() {
+std::unique_ptr<UsiIndex> UsiBuilder::Build() {
+  return std::unique_ptr<UsiIndex>(
+      new UsiIndex(UsiIndex::ImageTag{}, *ws_, BuildImage(nullptr)));
+}
+
+std::unique_ptr<UsiIndex> UsiBuilder::Build(TopKList mined) {
+  const index_t n = ws_->size();
+  const auto fits = [n](const TopKSubstring& item) {
+    return item.length > 0 && item.witness < n &&
+           item.length <= n - item.witness &&
+           (!item.HasInterval() || (item.lb <= item.rb && item.rb < n));
+  };
+  if (mined.items.size() > EffectiveK() ||
+      !std::all_of(mined.items.begin(), mined.items.end(), fits)) {
+    return nullptr;
+  }
+  return std::unique_ptr<UsiIndex>(
+      new UsiIndex(UsiIndex::ImageTag{}, *ws_, BuildImage(&mined)));
+}
+
+UsiIndex::Image UsiBuilder::BuildImage(TopKList* premined) {
   using namespace format_v3;
   stages_.clear();
   Timer total_timer;
   const Text& text = ws_->text();
   const index_t n = ws_->size();
-  const u64 k = options_.k > 0 ? options_.k : std::max<u64>(1, n / 100);
+  const u64 k = EffectiveK();
   ThreadPool* pool = EffectivePool();
   const KarpRabinHasher hasher(options_.hash_seed);
 
@@ -118,7 +137,6 @@ UsiIndex::Image UsiBuilder::BuildImage() {
   FileHeader& header = image.header;
   header.n = n;
   header.kind = static_cast<u8>(options_.utility);
-  header.miner = static_cast<u8>(options_.miner);
   header.base = hasher.base();
   header.k = k;
   header.slot_bytes = sizeof(Table::Slot);
@@ -159,22 +177,28 @@ UsiIndex::Image UsiBuilder::BuildImage() {
     BuildSuffixArrayAt(text, sa_p - 1);
   });
 
-  // Stage "mine": phase (i), the top-K frequent substrings. ExactTopK's
-  // LCP array and kept nodes are local to the call, so none of the mining
-  // intermediates are resident while the table stage runs.
+  // Stage "mine": phase (i), the top-K frequent substrings, or the list
+  // mined outside the builder. ExactTopK's LCP array and kept nodes are
+  // local to the call, so none of the mining intermediates are resident
+  // while the table stage runs. The miner byte records whether every item
+  // came with its SA interval (ExactTopK's do) or some are witnesses only.
   TopKList mined;
   stage("mine", &info.mining_seconds, &info.mining_rss_delta_bytes, [&] {
     USI_FAILPOINT("build.mine");
-    if (n == 0) return;
-    mined = options_.miner == UsiMiner::kExact
-                ? ExactTopK(text, sa, k, pool)
-                : ApproximateTopK(text, k, options_.approx);
+    if (premined != nullptr) {
+      mined = std::move(*premined);
+    } else if (n > 0) {
+      mined = ExactTopK(text, sa, k, pool);
+    }
   });
   index_t tau = kInvalidIndex;
+  UsiMiner miner = UsiMiner::kExact;
   for (const TopKSubstring& item : mined.items) {
     tau = std::min(tau, item.frequency);
+    if (!item.HasInterval()) miner = UsiMiner::kApproximate;
   }
   header.tau_k = mined.items.empty() ? 0 : tau;
+  header.miner = static_cast<u8>(miner);
 
   // Stage "table": phases (ii)+(iii), one sequential SA sweep into the
   // staged canonical table, then copied into the table sections.

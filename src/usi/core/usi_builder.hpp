@@ -19,6 +19,10 @@
 /// "mine" runs on the pool when one is given: chunked Kasai LCP, then the
 /// exact miner's two sequential LCP-interval (ESA) passes, which keep only
 /// the nodes at or above tau_K (ExactTopK; no node table, no radix sort).
+/// ExactTopK is the only miner the builder runs; Build(TopKList) takes a
+/// list mined elsewhere (the paper kit's Approximate-Top-K, Section VI)
+/// in its place and runs every other stage unchanged. The image's miner
+/// byte says which kind of list it was built from.
 /// "sa" always runs on the calling thread. Phase (ii) is sequential:
 /// ExhaustiveQueryEngine::AggregateIntervals walks the SA once, O(n + sum
 /// of occurrences), and folds each key's occurrences in SA order — the
@@ -69,6 +73,15 @@ class UsiBuilder {
   /// Runs all stages and returns the finished index.
   std::unique_ptr<UsiIndex> Build();
 
+  /// As Build(), with \p mined standing in for the "mine" stage's output:
+  /// a list mined outside the builder over the same text, such as the
+  /// paper kit's ApproximateTopK for a UAT index. Items without an SA
+  /// interval are located in the SA by the table stage. Returns null, and
+  /// builds nothing, when the list holds more than K items (options.k, or
+  /// n/100 when 0) or an item does not fit the text: a zero length, a
+  /// witness occurrence past its end, or an SA interval past n.
+  std::unique_ptr<UsiIndex> Build(TopKList mined);
+
   /// Per-stage timings of the most recent Build.
   const std::vector<UsiBuildStage>& stages() const { return stages_; }
 
@@ -79,8 +92,12 @@ class UsiBuilder {
   /// created owned pool per options.threads, else null (sequential).
   ThreadPool* EffectivePool();
 
+  /// K: options.k, or n/100 (at least 1) when it is 0.
+  u64 EffectiveK() const;
+
   /// Runs the staged pipeline: the sealed image an index is fixed up from.
-  UsiIndex::Image BuildImage();
+  /// A non-null \p premined is moved in as the "mine" stage's output.
+  UsiIndex::Image BuildImage(TopKList* premined);
 
   const WeightedString* ws_;
   UsiOptions options_;

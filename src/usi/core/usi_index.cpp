@@ -42,9 +42,6 @@ std::unique_ptr<UsiIndex> LoadFail(LoadError* error, LoadErrorCode code,
   return nullptr;
 }
 
-/// Number of UsiMiner enumerators; loaders validate the serialized byte.
-constexpr u8 kNumUsiMiners = static_cast<u8>(UsiMiner::kApproximate) + 1;
-
 /// QueryBatch uses the table's pipelined VisitBatch only for tables at
 /// least this large; smaller tables are cache-resident, where the
 /// pipeline's bookkeeping costs more than the misses it hides (~L2 size).
@@ -68,12 +65,11 @@ const T* SectionOf(const MappedFile& image, const format_v3::FileHeader& header,
 UsiIndex::UsiIndex(const WeightedString& ws, const UsiOptions& options,
                    ThreadPool* pool)
     : UsiIndex(ImageTag{}, ws,
-               UsiBuilder(ws, options).UsePool(pool).BuildImage()) {}
+               UsiBuilder(ws, options).UsePool(pool).BuildImage(nullptr)) {}
 
 UsiIndex::UsiIndex(ImageTag, const WeightedString& ws, Image image)
     : ws_(&ws),
       kind_(static_cast<GlobalUtilityKind>(image.header.kind)),
-      miner_(static_cast<UsiMiner>(image.header.miner)),
       hasher_(KarpRabinHasher::FromBase(image.header.base)),
       // Pointer fixup — the whole "load": every structure views the image.
       sa_span_(SectionOf<index_t>(*image.bytes, image.header,
@@ -284,6 +280,11 @@ std::size_t UsiIndex::SizeInBytes() const {
   // served.
   return sa_span_.size() * sizeof(index_t) + psw_.SizeInBytes() +
          table_.SizeInBytes() + sizeof(fallback_) + learned_.SizeInBytes();
+}
+
+const char* UsiIndex::Name() const {
+  return UsiMinerName(
+      reinterpret_cast<const format_v3::FileHeader*>(image_->data())->miner);
 }
 
 UsiIndex::CoreLayout UsiIndex::LayoutCore(u64 n, u64 capacity) {
@@ -516,11 +517,11 @@ LoadError UsiIndex::ValidateImage(std::span<const u8> image,
     if (learned && Checksum64(base + ext.offset, ext.length) != ext.checksum) {
       return {LoadErrorCode::kCorrupt, "learned section checksum mismatch"};
     }
-    // Header fields the table payload pins. Both miners emit at most k
-    // items and each stores one key, so table_size <= k; num_lengths counts
-    // the distinct lengths among them. tau_k stays unchecked: an
-    // approximate miner's tau_k is an estimate, and confirming it means
-    // mining the text again, O(occ) at least.
+    // Header fields the table payload pins. A mined list holds at most k
+    // items (UsiBuilder refuses a longer one) and each stores one key, so
+    // table_size <= k; num_lengths counts the distinct lengths among them.
+    // tau_k stays unchecked: an approximate miner's tau_k is an estimate,
+    // and confirming it means mining the text again, O(occ) at least.
     if (header.table_size > header.k) {
       return {LoadErrorCode::kCorrupt, "table size exceeds k"};
     }

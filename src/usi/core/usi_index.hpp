@@ -11,16 +11,16 @@
 /// array PSW. Queries: O(m) fingerprint + O(1) probe on a hit; O(m log n +
 /// occ) <= O(m log n + tau_K) via SA + PSW on a miss.
 ///
-/// The top-K set comes from either miner:
-///  * UET — Exact-Top-K (Section V): exact frequencies, SA intervals, and the
-///    O(m + tau_K) query guarantee.
-///  * UAT — Approximate-Top-K (Section VI): smaller construction space; the
-///    guarantee is forfeited (Section VI discusses why) but practice is
-///    competitive, as Fig. 6 shows.
+/// The top-K set comes from Exact-Top-K (Section V): exact frequencies, SA
+/// intervals, and the O(m + tau_K) query guarantee — a UET index. The
+/// builder also takes a list mined outside it (UsiBuilder::Build(TopKList));
+/// given Approximate-Top-K's list (Section VI, in the usi_paper kit) it
+/// builds a UAT index, whose guarantee is forfeited (Section VI discusses
+/// why). The image's miner byte records which one it is.
 ///
 /// Construction runs through the staged UsiBuilder (usi_builder.hpp): SA,
-/// mining, and the phase (ii) table population are instrumented stages; SA
-/// and mining run on a thread pool when one is given — with byte-identical
+/// mining, and the phase (ii) table population are instrumented stages;
+/// mining runs on a thread pool when one is given — with byte-identical
 /// serialized output to a sequential build.
 ///
 /// Every index serves from one v3 image (index_format.hpp): SA, PSW and H
@@ -39,7 +39,6 @@
 #include "usi/hash/karp_rabin.hpp"
 #include "usi/suffix/learned_sa.hpp"
 #include "usi/text/weighted_string.hpp"
-#include "usi/topk/approximate_topk.hpp"
 #include "usi/topk/topk_types.hpp"
 #include "usi/util/mapped_file.hpp"
 
@@ -47,12 +46,6 @@ namespace usi {
 
 class ThreadPool;
 class UsiBuilder;
-
-/// Which mining algorithm feeds construction phase (i).
-enum class UsiMiner : u8 {
-  kExact,        ///< UET.
-  kApproximate,  ///< UAT.
-};
 
 /// Why LoadFromFile / OpenMapped refused a file. The nullptr-returning
 /// entry points collapse every failure into "no index"; the LoadError
@@ -84,9 +77,7 @@ struct UsiOptions {
   /// K = Theta(n) regime Section IV recommends.
   u64 k = 0;
   GlobalUtilityKind utility = GlobalUtilityKind::kSum;
-  UsiMiner miner = UsiMiner::kExact;
-  ApproximateTopKOptions approx = {};  ///< Used when miner == kApproximate.
-  u64 hash_seed = 0x05111;             ///< Karp-Rabin base seed.
+  u64 hash_seed = 0x05111;  ///< Karp-Rabin base seed.
   /// Error bound ε for the learned fallback model (the "learn" build
   /// stage); 0 skips the stage and serves table misses by plain binary
   /// search. learned_sa.hpp documents the contract.
@@ -244,9 +235,8 @@ class UsiIndex : public QueryEngine {
                   QueryScratch* scratch) override {
     static_cast<const UsiIndex*>(this)->QueryBatch(patterns, results, scratch);
   }
-  const char* Name() const override {
-    return miner_ == UsiMiner::kExact ? "UET" : "UAT";
-  }
+  /// "UET" or "UAT": the image's miner byte (UsiMinerName).
+  const char* Name() const override;
   bool SupportsConcurrentQuery() const override { return true; }
 
   /// Convenience: just the utility value.
@@ -323,7 +313,6 @@ class UsiIndex : public QueryEngine {
 
   const WeightedString* ws_;
   GlobalUtilityKind kind_;
-  UsiMiner miner_;
   KarpRabinHasher hasher_;
   /// The SA every query path reads: the image's SA section.
   std::span<const index_t> sa_span_;

@@ -73,23 +73,14 @@ index_t NaiveLce::Lce(index_t i, index_t j) const {
   return k;
 }
 
-RmqLce::RmqLce(const Text& text) : LceOracle(text) {
-  owned_sa_ = BuildSuffixArray(text);
-  owned_lcp_ = BuildLcpArray(text, owned_sa_);
-  lcp_ = &owned_lcp_;
-  BuildRank(owned_sa_);
-  rmq_ = RangeMin(*lcp_);
-}
-
-RmqLce::RmqLce(const Text& text, const std::vector<index_t>& sa,
-               const std::vector<index_t>& lcp)
-    : LceOracle(text), lcp_(&lcp) {
-  BuildRank(sa);
-  rmq_ = RangeMin(*lcp_);
-}
-
-void RmqLce::BuildRank(const std::vector<index_t>& sa) {
-  rank_ = InverseSuffixArray(sa);
+RmqLce::RmqLce(const Text& text)
+    : LceOracle(text),
+      sa_(BuildSuffixArray(text)),
+      lcp_(text.size()),
+      rank_(text.size()) {
+  // Kasai's scan leaves its inverse-SA scratch in rank_: one rank pass.
+  BuildLcpArray(text, sa_, rank_, lcp_);
+  rmq_ = RangeMin(lcp_);
 }
 
 index_t RmqLce::Lce(index_t i, index_t j) const {
@@ -101,8 +92,8 @@ index_t RmqLce::Lce(index_t i, index_t j) const {
 }
 
 std::size_t RmqLce::SizeInBytes() const {
-  return owned_sa_.capacity() * sizeof(index_t) +
-         owned_lcp_.capacity() * sizeof(index_t) +
+  return sa_.capacity() * sizeof(index_t) +
+         lcp_.capacity() * sizeof(index_t) +
          rank_.capacity() * sizeof(index_t) + rmq_.SizeInBytes();
 }
 

@@ -70,21 +70,14 @@ class RmqLce : public LceOracle {
   /// Builds SA + LCP + RMQ internally (O(n) construction).
   explicit RmqLce(const Text& text);
 
-  /// Shares prebuilt structures (kept alive by the caller).
-  RmqLce(const Text& text, const std::vector<index_t>& sa,
-         const std::vector<index_t>& lcp);
-
   index_t Lce(index_t i, index_t j) const override;
   std::size_t SizeInBytes() const override;
 
  private:
-  void BuildRank(const std::vector<index_t>& sa);
-
-  std::vector<index_t> owned_sa_;
-  std::vector<index_t> owned_lcp_;
-  const std::vector<index_t>* lcp_ = nullptr;
+  std::vector<index_t> sa_;
+  std::vector<index_t> lcp_;
   std::vector<index_t> rank_;
-  RangeMin rmq_;
+  RangeMin rmq_;  ///< Views lcp_.
 };
 
 /// Full Karp-Rabin prefix table; LCE by exponential + binary search on

@@ -479,10 +479,4 @@ std::vector<index_t> BuildSuffixArrayDoubling(const Text& text) {
   return sa;
 }
 
-std::vector<index_t> InverseSuffixArray(std::span<const index_t> sa) {
-  std::vector<index_t> inverse(sa.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) inverse[sa[i]] = static_cast<index_t>(i);
-  return inverse;
-}
-
 }  // namespace usi

@@ -22,7 +22,6 @@
 /// an independently-derived oracle for the property tests and an ablation
 /// subject.
 
-#include <span>
 #include <vector>
 
 #include "usi/text/alphabet.hpp"
@@ -46,9 +45,6 @@ std::vector<index_t> BuildSuffixArrayReference(const Text& text);
 
 /// Prefix-doubling construction (O(n log^2 n)); test oracle / ablation.
 std::vector<index_t> BuildSuffixArrayDoubling(const Text& text);
-
-/// Inverse permutation: rank[SA[i]] = i.
-std::vector<index_t> InverseSuffixArray(std::span<const index_t> sa);
 
 }  // namespace usi
 

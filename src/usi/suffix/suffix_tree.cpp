@@ -173,77 +173,6 @@ void SuffixTree::CollectOccurrencesInto(std::span<const Symbol> text,
   }
 }
 
-std::vector<SuffixTree::NodeSummary> SuffixTree::CollectNodeSummaries(
-    std::span<const Symbol> text) const {
-  USI_DCHECK(text.size() == size_);
-  // Pending pass-through corrections: +1 for every node whose string is a
-  // prefix of a pending suffix.
-  std::vector<index_t> pending(nodes_.size(), 0);
-  const index_t n = size_;
-  for (index_t j = n - remaining_; j < n; ++j) {
-    index_t node = root_;
-    index_t matched = 0;
-    while (true) {
-      const index_t child = (j + matched < n) ? ChildOf(node, text[j + matched])
-                                              : kNoNode;
-      if (child == kNoNode) break;
-      const index_t edge_len = EdgeLength(nodes_[child]);
-      bool full = true;
-      for (index_t k = 0; k < edge_len; ++k) {
-        if (j + matched + k >= n ||
-            text[nodes_[child].start + k] != text[j + matched + k]) {
-          full = false;
-          break;
-        }
-      }
-      if (!full) break;
-      matched += edge_len;
-      ++pending[child];
-      node = child;
-    }
-  }
-
-  // Iterative pre-order DFS computing string depths; children follow their
-  // parent in `order`, so a reverse sweep adds every subtree's leaves into
-  // its parent before the parent itself is read.
-  struct Frame {
-    index_t node;
-    index_t parent;        // Position of the parent frame in `order`.
-    index_t depth;         // Depth of this node.
-    index_t parent_depth;  // Depth of its parent.
-  };
-  std::vector<Frame> order;
-  order.reserve(nodes_.size());
-  std::vector<Frame> stack;
-  stack.push_back({root_, kNoNode, 0, 0});
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    const index_t slot = static_cast<index_t>(order.size());
-    order.push_back(frame);
-    for (const auto& [symbol, child] : nodes_[frame.node].children) {
-      (void)symbol;
-      stack.push_back(
-          {child, slot, frame.depth + EdgeLength(nodes_[child]), frame.depth});
-    }
-  }
-  std::vector<index_t> leaves(order.size(), 0);
-  for (std::size_t i = order.size(); i-- > 0;) {
-    if (nodes_[order[i].node].suffix_start != kInvalidIndex) ++leaves[i];
-    if (order[i].parent != kNoNode) leaves[order[i].parent] += leaves[i];
-  }
-
-  std::vector<NodeSummary> summaries;
-  summaries.reserve(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Frame& frame = order[i];
-    if (frame.node == root_) continue;
-    summaries.push_back({frame.depth, frame.parent_depth,
-                         leaves[i] + pending[frame.node]});
-  }
-  return summaries;
-}
-
 std::size_t SuffixTree::SizeInBytes() const {
   return nodes_.capacity() * sizeof(Node) + child_bytes_;
 }

@@ -64,22 +64,6 @@ class SuffixTree {
   /// positions of the text).
   index_t PendingSuffixCount() const { return remaining_; }
 
-  /// Summary of an explicit node for cross-checks against the ESA view.
-  struct NodeSummary {
-    index_t depth;         ///< sd(v).
-    index_t parent_depth;  ///< sd(parent(v)).
-    index_t frequency;     ///< Occurrences of str(v) in the text.
-
-    auto operator<=>(const NodeSummary&) const = default;
-  };
-
-  /// Collects (depth, parent depth, frequency) for every explicit node with
-  /// depth > 0, counting leaves below each node in one DFS and pending
-  /// suffixes into the frequencies. On a text whose last letter is unique
-  /// this matches the ESA enumeration exactly.
-  std::vector<NodeSummary> CollectNodeSummaries(
-      std::span<const Symbol> text) const;
-
   /// Number of explicit tree nodes (diagnostics).
   std::size_t NodeCount() const { return nodes_.size(); }
 
@@ -88,7 +72,7 @@ class SuffixTree {
   std::size_t SizeInBytes() const;
 
  private:
-  friend struct SuffixTreeInspector;  // Tests recount the bytes by a walk.
+  friend struct SuffixTreeInspector;  // Tests walk the nodes.
 
   static constexpr index_t kNoNode = kInvalidIndex;
   static constexpr index_t kOpenEnd = kInvalidIndex;

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -23,12 +24,14 @@
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
+#include "usi/core/usi_builder.hpp"
 #include "usi/core/usi_index.hpp"
 #include "usi/parallel/thread_pool.hpp"
 #include "usi/suffix/esa.hpp"
 #include "usi/suffix/lcp_array.hpp"
 #include "usi/suffix/suffix_array.hpp"
 #include "usi/text/generators.hpp"
+#include "usi/topk/approximate_topk.hpp"
 #include "usi/topk/exact_topk.hpp"
 #include "usi/topk/substring_stats.hpp"
 #include "usi/util/mapped_file.hpp"
@@ -273,33 +276,106 @@ TEST(ParallelMining, SaveToFileByteIdenticalAcrossThreadCounts) {
 TEST(GoldenImage, SavedImagesMatchRecordedChecksums) {
   // Byte identity across versions, not only across thread counts: small
   // fixed builds whose saved images must hash to recorded values. The first
-  // three were recorded before the mine stage stopped building the full
-  // node table; sigma16 (4-bit learned-SA keys, two words per key) before
-  // the suffix-key packer went word-at-a-time. A change that alters the
-  // image format or any built byte must update these constants on purpose.
+  // three UET images were recorded before the mine stage stopped building
+  // the full node table; sigma16 (4-bit learned-SA keys, two words per key)
+  // before the suffix-key packer went word-at-a-time. The UAT images
+  // (ApproximateTopK at its default options) were recorded when the builder
+  // still ran that miner itself, before Build(TopKList) took its list. A
+  // change that alters the image format or any built byte must update these
+  // constants on purpose.
   struct Case {
     const char* label;
     WeightedString ws;
     u64 k;
-    u64 checksum;
+    u64 uet_checksum;
+    u64 uat_checksum;
   };
   const Case cases[] = {
-      {"sigma4", MakeRandom(6'000, 4, 0x601D), 120, 0x72725665e205f1d8ULL},
-      {"xml-like", MakeXmlLike(6'000, 0x601D), 120, 0x1dbbc9b2c30ba2d5ULL},
-      {"abab", MakePeriodic(6'000, 2, 0), 120, 0x83c7ad2953ba0317ULL},
-      {"sigma16", MakeRandom(6'000, 16, 0x601D), 120, 0x380619f52f046161ULL},
+      {"sigma4", MakeRandom(6'000, 4, 0x601D), 120, 0x72725665e205f1d8ULL,
+       0xc07e644ea1b8aa2fULL},
+      {"xml-like", MakeXmlLike(6'000, 0x601D), 120, 0x1dbbc9b2c30ba2d5ULL,
+       0x18ea9342b4cee114ULL},
+      {"abab", MakePeriodic(6'000, 2, 0), 120, 0x83c7ad2953ba0317ULL,
+       0x1f46789142aee21eULL},
+      {"sigma16", MakeRandom(6'000, 16, 0x601D), 120, 0x380619f52f046161ULL,
+       0x12638a1bcb6e068eULL},
+  };
+  const auto checksum = [](const UsiIndex& index, const std::string& label) {
+    const std::string path = TempPath("usi_golden_" + label);
+    EXPECT_TRUE(index.SaveToFile(path)) << label;
+    const std::string bytes = ReadFileBytes(path);
+    std::remove(path.c_str());
+    return Checksum64(bytes.data(), bytes.size());
   };
   for (const Case& c : cases) {
     UsiOptions options;
     options.k = c.k;
     options.threads = 1;
-    const UsiIndex index(c.ws, options);
-    const std::string path = TempPath(std::string("usi_golden_") + c.label);
-    ASSERT_TRUE(index.SaveToFile(path)) << c.label;
-    const std::string bytes = ReadFileBytes(path);
-    std::remove(path.c_str());
-    EXPECT_EQ(Checksum64(bytes.data(), bytes.size()), c.checksum) << c.label;
+    const UsiIndex uet(c.ws, options);
+    EXPECT_EQ(checksum(uet, c.label), c.uet_checksum) << c.label;
+    const std::unique_ptr<UsiIndex> uat =
+        UsiBuilder(c.ws, options).Build(ApproximateTopK(c.ws.text(), c.k));
+    ASSERT_NE(uat, nullptr) << c.label;
+    EXPECT_EQ(checksum(*uat, std::string(c.label) + ".uat"), c.uat_checksum)
+        << c.label << " (UAT)";
   }
+}
+
+TEST(MinedListEntry, ExactListBuildsTheSameImageAsTheMineStage) {
+  // Build(TopKList) runs every stage Build() runs, with the list standing
+  // in for "mine": ExactTopK's own list, mined outside the builder, gives
+  // the same bytes and the same miner byte.
+  const WeightedString ws = MakeXmlLike(8'000, 0xE7AC);
+  UsiOptions options;
+  options.k = 150;
+  UsiBuilder builder(ws, options);
+  const std::unique_ptr<UsiIndex> mined_inside = builder.Build();
+  const std::vector<index_t> sa = BuildSuffixArray(ws.text());
+  const std::unique_ptr<UsiIndex> mined_outside =
+      builder.Build(ExactTopK(ws.text(), sa, options.k));
+  ASSERT_NE(mined_outside, nullptr);
+  EXPECT_STREQ(mined_inside->Name(), "UET");
+  EXPECT_STREQ(mined_outside->Name(), "UET");
+  ASSERT_EQ(builder.stages().size(), 5u);
+  EXPECT_STREQ(builder.stages()[1].name, "mine");
+
+  const std::string inside_path = TempPath("usi_mined_inside.bin");
+  const std::string outside_path = TempPath("usi_mined_outside.bin");
+  ASSERT_TRUE(mined_inside->SaveToFile(inside_path));
+  ASSERT_TRUE(mined_outside->SaveToFile(outside_path));
+  EXPECT_EQ(ReadFileBytes(inside_path), ReadFileBytes(outside_path));
+  std::remove(inside_path.c_str());
+  std::remove(outside_path.c_str());
+
+  // An empty list is an exact one: no witness-only item.
+  const std::unique_ptr<UsiIndex> empty = builder.Build(TopKList{});
+  ASSERT_NE(empty, nullptr);
+  EXPECT_STREQ(empty->Name(), "UET");
+  EXPECT_EQ(empty->HashTableEntries(), 0u);
+}
+
+TEST(MinedListEntry, RefusesListsThatDoNotFitTheText) {
+  const WeightedString ws = MakeXmlLike(2'000, 0xBAD);
+  const index_t n = ws.size();
+  UsiOptions options;
+  options.k = 4;
+  UsiBuilder builder(ws, options);
+  const auto list = [](TopKSubstring item) {
+    TopKList mined;
+    mined.items.push_back(item);
+    return mined;
+  };
+  EXPECT_NE(builder.Build(list({/*length=*/3, /*frequency=*/1,
+                                /*witness=*/n - 3})),
+            nullptr);
+  EXPECT_EQ(builder.Build(list({0, 1, 0})), nullptr) << "zero length";
+  EXPECT_EQ(builder.Build(list({4, 1, n - 3})), nullptr) << "past the end";
+  EXPECT_EQ(builder.Build(list({1, 1, n})), nullptr) << "witness at n";
+  EXPECT_EQ(builder.Build(list({1, 1, 0, 0, n})), nullptr) << "rb at n";
+  EXPECT_EQ(builder.Build(list({1, 1, 0, 5, 4})), nullptr) << "rb < lb";
+  TopKList too_many;
+  too_many.items.assign(5, TopKSubstring{1, 1, 0});
+  EXPECT_EQ(builder.Build(too_many), nullptr) << "more than K items";
 }
 
 TEST(LeanBuild, RssTelemetryIsPopulated) {

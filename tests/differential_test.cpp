@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -121,10 +122,13 @@ void RunConfiguration(const TextCase& text_case, UsiMiner miner,
   const WeightedString& ws = text_case.ws;
   UsiOptions options;
   options.k = 50;
-  options.miner = miner;
   options.utility = kind;
-  options.approx.rounds = 3;
-  const UsiIndex index(ws, options);
+  ApproximateTopKOptions approx;
+  approx.rounds = 3;
+  const std::unique_ptr<UsiIndex> built =
+      testing::BuildWithMiner(ws, options, miner, approx);
+  ASSERT_NE(built, nullptr);
+  const UsiIndex& index = *built;
 
   // Independent reference: own suffix array, own PSW.
   const std::vector<index_t> reference_sa = BuildSuffixArray(ws.text());
@@ -209,8 +213,10 @@ TEST(Differential, EverySubstringSmallText) {
   for (UsiMiner miner : {UsiMiner::kExact, UsiMiner::kApproximate}) {
     UsiOptions options;
     options.k = 30;
-    options.miner = miner;
-    const UsiIndex index(ws, options);
+    const std::unique_ptr<UsiIndex> built =
+        testing::BuildWithMiner(ws, options, miner);
+    ASSERT_NE(built, nullptr);
+    const UsiIndex& index = *built;
     for (index_t i = 0; i < ws.size(); ++i) {
       for (index_t len = 1; i + len <= ws.size(); ++len) {
         const Text pattern = ws.Fragment(i, len);

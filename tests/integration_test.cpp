@@ -8,6 +8,7 @@
 
 #include "test_helpers.hpp"
 #include "usi/core/baselines.hpp"
+#include "usi/core/usi_builder.hpp"
 #include "usi/core/usi_index.hpp"
 #include "usi/core/workload.hpp"
 #include "usi/suffix/suffix_array.hpp"
@@ -39,10 +40,11 @@ TEST_P(DatasetPipeline, AllEnginesAgreeOnW1) {
   uet_options.k = n / 100;
   const UsiIndex uet(ws, uet_options);
 
-  UsiOptions uat_options = uet_options;
-  uat_options.miner = UsiMiner::kApproximate;
-  uat_options.approx.rounds = spec.default_s;
-  const UsiIndex uat(ws, uat_options);
+  ApproximateTopKOptions approx;
+  approx.rounds = spec.default_s;
+  const std::unique_ptr<UsiIndex> uat = UsiBuilder(ws, uet_options)
+      .Build(ApproximateTopK(ws.text(), uet_options.k, approx));
+  ASSERT_NE(uat, nullptr);
 
   const std::vector<index_t> sa = BuildSuffixArray(ws.text());
   const PrefixSumWeights psw(ws);
@@ -58,7 +60,7 @@ TEST_P(DatasetPipeline, AllEnginesAgreeOnW1) {
   for (const Text& pattern : workload.patterns) {
     const QueryResult want = bsl1->Query(pattern);
     const QueryResult from_uet = uet.Query(pattern);
-    const QueryResult from_uat = uat.Query(pattern);
+    const QueryResult from_uat = uat->Query(pattern);
     const QueryResult from_b3 = bsl3->Query(pattern);
     ASSERT_EQ(from_uet.occurrences, want.occurrences);
     ASSERT_NEAR(from_uet.utility, want.utility, 1e-6 * (1 + std::abs(want.utility)));

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <latch>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "usi/parallel/thread_pool.hpp"
 #include "usi/suffix/lcp_array.hpp"
 #include "usi/suffix/suffix_array.hpp"
+#include "usi/topk/approximate_topk.hpp"
 
 namespace usi {
 namespace {
@@ -107,28 +109,34 @@ TEST(ParallelLcp, MatchesSequentialScan) {
 }
 
 // The tentpole contract: the same weighted string built sequentially and at
-// 2/4/8 threads serializes to byte-identical index files, for both miners.
+// 2/4/8 threads serializes to byte-identical index files, for both miners
+// (UAT: one ApproximateTopK list, built at every width).
 TEST(ParallelBuild, SerializesByteIdenticalAcrossThreadCounts) {
   const WeightedString ws = testing::RandomWeighted(4000, 4, 0xC0FFEE);
+  const TopKList approx = ApproximateTopK(ws.text(), 150);
   for (const UsiMiner miner : {UsiMiner::kExact, UsiMiner::kApproximate}) {
-    UsiOptions options;
-    options.k = 150;
-    options.miner = miner;
-    options.threads = 1;
-    const UsiIndex sequential(ws, options);
+    const auto build = [&](unsigned threads) {
+      UsiOptions options;
+      options.k = 150;
+      options.threads = threads;
+      UsiBuilder builder(ws, options);
+      return miner == UsiMiner::kExact ? builder.Build()
+                                       : builder.Build(approx);
+    };
+    const std::unique_ptr<UsiIndex> sequential = build(1);
+    ASSERT_NE(sequential, nullptr);
     const std::string seq_path = TempPath("usi_parallel_seq.bin");
-    ASSERT_TRUE(sequential.SaveToFile(seq_path));
+    ASSERT_TRUE(sequential->SaveToFile(seq_path));
     const std::string seq_bytes = ReadFileBytes(seq_path);
     ASSERT_FALSE(seq_bytes.empty());
 
     for (const unsigned threads : {2u, 4u, 8u}) {
-      UsiOptions parallel_options = options;
-      parallel_options.threads = threads;
-      const UsiIndex parallel(ws, parallel_options);
-      EXPECT_EQ(parallel.build_info().threads_used, threads);
-      EXPECT_EQ(parallel.HashTableEntries(), sequential.HashTableEntries());
+      const std::unique_ptr<UsiIndex> parallel = build(threads);
+      ASSERT_NE(parallel, nullptr);
+      EXPECT_EQ(parallel->build_info().threads_used, threads);
+      EXPECT_EQ(parallel->HashTableEntries(), sequential->HashTableEntries());
       const std::string par_path = TempPath("usi_parallel_par.bin");
-      ASSERT_TRUE(parallel.SaveToFile(par_path));
+      ASSERT_TRUE(parallel->SaveToFile(par_path));
       EXPECT_EQ(seq_bytes, ReadFileBytes(par_path))
           << "miner=" << static_cast<int>(miner) << " threads=" << threads;
     }
@@ -302,15 +310,15 @@ TEST(QueryEngineInterface, EnginesReportNamesAndConcurrency) {
   EXPECT_STREQ(uet.Name(), "UET");
   EXPECT_TRUE(uet.SupportsConcurrentQuery());
 
-  UsiOptions approx = options;
-  approx.miner = UsiMiner::kApproximate;
-  UsiIndex uat(ws, approx);
-  EXPECT_STREQ(uat.Name(), "UAT");
+  const std::unique_ptr<UsiIndex> uat =
+      UsiBuilder(ws, options).Build(ApproximateTopK(ws.text(), options.k));
+  ASSERT_NE(uat, nullptr);
+  EXPECT_STREQ(uat->Name(), "UAT");
 
   // The miner survives a save/load round trip (serialized since format v2),
   // so a restored UAT index does not misreport itself as UET.
   const std::string path = TempPath("usi_uat_roundtrip.bin");
-  ASSERT_TRUE(uat.SaveToFile(path));
+  ASSERT_TRUE(uat->SaveToFile(path));
   const std::unique_ptr<UsiIndex> restored = UsiIndex::LoadFromFile(ws, path);
   ASSERT_NE(restored, nullptr);
   EXPECT_STREQ(restored->Name(), "UAT");

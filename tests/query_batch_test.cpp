@@ -77,8 +77,10 @@ TEST_P(QueryBatchMinerTest, BatchMatchesPerQueryOnAllAnswerPaths) {
   const WeightedString ws = testing::RandomWeighted(600, 4, 0xAB);
   UsiOptions options;
   options.k = 80;
-  options.miner = GetParam();
-  UsiIndex index(ws, options);
+  const std::unique_ptr<UsiIndex> built =
+      testing::BuildWithMiner(ws, options, GetParam());
+  ASSERT_NE(built, nullptr);
+  UsiIndex& index = *built;
   const std::vector<Text> patterns = MixedPatterns(ws, 0x1234);
   const std::vector<PatternSpan> spans = AsPatternSpans(patterns);
 

@@ -156,15 +156,5 @@ TEST(SuffixArray, RealisticGenerators) {
   }
 }
 
-TEST(SuffixArray, InverseIsPermutationInverse) {
-  const Text text = testing::RandomText(500, 5, 33);
-  const std::vector<index_t> sa = BuildSuffixArray(text);
-  const std::vector<index_t> inverse = InverseSuffixArray(sa);
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    EXPECT_EQ(inverse[sa[i]], i);
-    EXPECT_EQ(sa[inverse[i]], i);
-  }
-}
-
 }  // namespace
 }  // namespace usi

@@ -7,7 +7,9 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,8 +23,9 @@
 
 namespace usi {
 
-/// Recounts a tree's heap bytes by walking every node, the reference for
-/// SuffixTree's running count.
+/// Walks a tree's nodes: its heap bytes, the reference for SuffixTree's
+/// running count, and its node summaries, for the cross-check against the
+/// ESA view.
 struct SuffixTreeInspector {
   static std::size_t WalkedBytes(const SuffixTree& tree) {
     std::size_t total = tree.nodes_.capacity() * sizeof(SuffixTree::Node);
@@ -30,6 +33,27 @@ struct SuffixTreeInspector {
       total += node.children.capacity() * sizeof(node.children[0]);
     }
     return total;
+  }
+
+  /// (depth, parent depth, leaves below) of every explicit non-root node.
+  /// On a text whose last letter is unique no suffix is pending, so the
+  /// leaves below a node are its frequency.
+  using Summary = std::tuple<index_t, index_t, index_t>;
+  static std::vector<Summary> NodeSummaries(const SuffixTree& tree) {
+    std::vector<Summary> out;
+    const std::function<index_t(index_t, index_t, index_t)> visit =
+        [&](index_t node, index_t depth, index_t parent_depth) {
+          const SuffixTree::Node& v = tree.nodes_[node];
+          index_t leaves = v.suffix_start != kInvalidIndex ? 1 : 0;
+          for (const auto& [symbol, child] : v.children) {
+            leaves += visit(child, depth + tree.EdgeLength(tree.nodes_[child]),
+                            depth);
+          }
+          if (node != tree.root_) out.emplace_back(depth, parent_depth, leaves);
+          return leaves;
+        };
+    visit(tree.root_, 0, 0);
+    return out;
   }
 };
 
@@ -102,16 +126,17 @@ TEST(SuffixTree, NodeSummariesMatchEsaOnSentinelTexts) {
     Text text = testing::RandomText(150, 3, seed);
     text.push_back(200);  // Unique sentinel symbol.
     const SuffixTree tree(text);
-    auto tree_nodes = tree.CollectNodeSummaries(text);
+    ASSERT_EQ(tree.PendingSuffixCount(), 0u) << "seed " << seed;
+    auto tree_nodes = SuffixTreeInspector::NodeSummaries(tree);
 
     const std::vector<index_t> sa = BuildSuffixArray(text);
     const std::vector<index_t> lcp = BuildLcpArray(text, sa);
     const auto esa_nodes = CollectSuffixTreeNodes(
         lcp, DenseSuffixLengthView{sa, static_cast<index_t>(text.size())});
-    std::vector<SuffixTree::NodeSummary> esa_summaries;
+    std::vector<SuffixTreeInspector::Summary> esa_summaries;
     for (const SuffixTreeNode& node : esa_nodes) {
-      esa_summaries.push_back(
-          {node.depth, node.parent_depth, node.frequency()});
+      esa_summaries.emplace_back(node.depth, node.parent_depth,
+                                 node.frequency());
     }
     std::sort(tree_nodes.begin(), tree_nodes.end());
     std::sort(esa_summaries.begin(), esa_summaries.end());

@@ -4,16 +4,20 @@
 /// \file test_helpers.hpp
 /// Brute-force oracles shared by the test suite. Everything here is the
 /// obviously-correct O(n^2)-ish implementation the real structures are
-/// checked against.
+/// checked against — plus BuildWithMiner, the UET/UAT switch of the suites
+/// that run both.
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "usi/core/usi_builder.hpp"
 #include "usi/core/utility.hpp"
 #include "usi/text/weighted_string.hpp"
+#include "usi/topk/approximate_topk.hpp"
 #include "usi/topk/topk_types.hpp"
 #include "usi/util/common.hpp"
 #include "usi/util/rng.hpp"
@@ -140,6 +144,17 @@ inline Text T(const std::string& raw) {
   Text text;
   for (char c : raw) text.push_back(static_cast<Symbol>(c));
   return text;
+}
+
+/// A UET index (UsiBuilder::Build), or a UAT one: ApproximateTopK's list
+/// at \p approx, K = options.k, built through UsiBuilder::Build(TopKList).
+inline std::unique_ptr<UsiIndex> BuildWithMiner(
+    const WeightedString& ws, const UsiOptions& options, UsiMiner miner,
+    const ApproximateTopKOptions& approx = {}) {
+  UsiBuilder builder(ws, options);
+  return miner == UsiMiner::kExact
+             ? builder.Build()
+             : builder.Build(ApproximateTopK(ws.text(), options.k, approx));
 }
 
 }  // namespace usi::testing

@@ -1,10 +1,14 @@
 // Tests for USI_TOP-K (UET and UAT): exactness against brute force for all
 // utility kinds, hash-table hit behavior, tuning telemetry, edge cases.
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
+#include "usi/core/usi_builder.hpp"
 #include "usi/core/usi_index.hpp"
+#include "usi/topk/approximate_topk.hpp"
 #include "usi/topk/substring_stats.hpp"
 #include "usi/text/generators.hpp"
 
@@ -130,16 +134,19 @@ TEST(UsiIndex, UatMatchesBruteForceToo) {
   const WeightedString ws = testing::RandomWeighted(400, 3, 23);
   UsiOptions options;
   options.k = 50;
-  options.miner = UsiMiner::kApproximate;
-  options.approx.rounds = 3;
-  const UsiIndex index(ws, options);
+  ApproximateTopKOptions approx;
+  approx.rounds = 3;
+  const std::unique_ptr<UsiIndex> index =
+      UsiBuilder(ws, options).Build(ApproximateTopK(ws.text(), 50, approx));
+  ASSERT_NE(index, nullptr);
+  EXPECT_STREQ(index->Name(), "UAT");
   Rng rng(24);
   for (int trial = 0; trial < 300; ++trial) {
     const index_t len = static_cast<index_t>(rng.UniformInRange(1, 6));
     const index_t start =
         static_cast<index_t>(rng.UniformBelow(ws.size() - len));
     const Text pattern = ws.Fragment(start, len);
-    const QueryResult got = index.Query(pattern);
+    const QueryResult got = index->Query(pattern);
     const QueryResult want =
         testing::BruteUtility(ws, pattern, GlobalUtilityKind::kSum);
     // UAT table entries hold exact utilities (the window pass aggregates all

@@ -66,10 +66,6 @@ int Usage() {
   return 2;
 }
 
-const char* MinerName(u8 miner) {
-  return miner == 0 ? "UET" : miner == 1 ? "UAT" : "?";
-}
-
 const char* SectionName(u32 id) {
   switch (id) {
     case format_v3::kSuffixArray: return "suffix_array";
@@ -145,7 +141,7 @@ int InfoImage(const std::string& path, bool deep, std::FILE* out) {
     std::fprintf(out, "utility kind:  %s\n",
                  GlobalUtilityKindName(
                      static_cast<GlobalUtilityKind>(header.kind)));
-    std::fprintf(out, "miner:         %s\n", MinerName(header.miner));
+    std::fprintf(out, "miner:         %s\n", UsiMinerName(header.miner));
     std::fprintf(out, "kr base:       0x%llX\n",
                  static_cast<unsigned long long>(header.base));
     std::fprintf(out, "K:             %llu\n",
